@@ -1,0 +1,36 @@
+//! Order statistics used by every workload.
+
+/// Nearest-rank percentile (`p` in 0..=100) of `values`; NaN when empty.
+pub fn percentile(values: &[f64], p: f64) -> f64 {
+    if values.is_empty() {
+        return f64::NAN;
+    }
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
+/// Arithmetic mean; 0 when empty.
+pub fn mean(values: &[f64]) -> f64 {
+    if values.is_empty() {
+        0.0
+    } else {
+        values.iter().sum::<f64>() / values.len() as f64
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn nearest_rank() {
+        let v: Vec<f64> = (1..=100).map(f64::from).collect();
+        assert_eq!(percentile(&v, 50.0), 50.0);
+        assert_eq!(percentile(&v, 90.0), 90.0);
+        assert_eq!(percentile(&v, 100.0), 100.0);
+        assert_eq!(percentile(&[3.0, 1.0, 2.0], 50.0), 2.0);
+        assert!(percentile(&[], 50.0).is_nan());
+    }
+}
