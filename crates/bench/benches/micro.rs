@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use maps_core::{ComplexField2d, FieldSolver, Grid2d, RealField2d};
 use maps_fdfd::{FdfdSolver, PmlConfig};
-use maps_linalg::{fft::fft2, BandedMatrix, Complex64};
+use maps_linalg::{BandedMatrix, Complex64};
 use maps_nn::{Fno, FnoConfig, Model};
 use maps_tensor::{Params, Tensor};
 use rand::rngs::StdRng;
@@ -133,27 +133,6 @@ fn bench_banded_ops_at_device_sizes(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_fft2(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fft2");
-    for &(h, w) in &[(32usize, 32usize), (40, 40), (64, 64)] {
-        let data: Vec<Complex64> = (0..h * w)
-            .map(|k| Complex64::new((k as f64 * 0.1).sin(), 0.0))
-            .collect();
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("{h}x{w}")),
-            &(h, w),
-            |b, _| {
-                b.iter(|| {
-                    let mut buf = data.clone();
-                    fft2(&mut buf, h, w);
-                    buf
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
 fn bench_fno_forward(c: &mut Criterion) {
     let mut group = c.benchmark_group("fno_forward");
     group.sample_size(10);
@@ -211,7 +190,6 @@ criterion_group!(
     bench_neural_vs_fdfd,
     bench_banded_lu,
     bench_banded_ops_at_device_sizes,
-    bench_fft2,
     bench_fno_forward,
     bench_span_overhead
 );

@@ -1,8 +1,8 @@
 //! Double-precision complex numbers.
 //!
 //! MAPS avoids external numeric crates, so this module provides the small
-//! complex arithmetic kernel used by the FDFD operator assembly, the banded
-//! LU solver, and the FFT.
+//! complex arithmetic kernel used by the FDFD operator assembly and the
+//! banded LU solver.
 
 use std::fmt;
 use std::iter::Sum;

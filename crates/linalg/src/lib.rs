@@ -3,7 +3,7 @@
 //! Dependency-free numerical kernels underpinning the MAPS photonic
 //! simulation stack: complex arithmetic, dense/banded/sparse matrices, a
 //! banded LU direct solver (with transpose solves for adjoint systems),
-//! BiCGSTAB, FFTs, and a symmetric eigensolver.
+//! BiCGSTAB, and a symmetric eigensolver.
 //!
 //! ```
 //! use maps_linalg::{BandedMatrix, Complex64};
@@ -24,7 +24,6 @@ pub mod banded;
 pub mod complex;
 pub mod dense;
 pub mod eigen;
-pub mod fft;
 pub mod iterative;
 pub mod mixed;
 pub mod sparse;

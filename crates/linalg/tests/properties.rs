@@ -1,7 +1,6 @@
 //! Property-based tests of the numerical kernels.
 
 use maps_linalg::dense::znorm;
-use maps_linalg::fft::{fft, ifft};
 use maps_linalg::{BandedMatrix, Complex64, CooMatrix};
 use proptest::prelude::*;
 
@@ -111,27 +110,6 @@ proptest! {
                 prop_assert_eq!(p.im.to_bits(), q.im.to_bits());
             }
         }
-    }
-
-    /// FFT followed by inverse FFT is the identity for any length.
-    #[test]
-    fn fft_roundtrip(data in prop::collection::vec(complex_strategy(), 1..64)) {
-        let mut buf = data.clone();
-        fft(&mut buf);
-        ifft(&mut buf);
-        let d: Vec<Complex64> = buf.iter().zip(&data).map(|(a, b)| *a - *b).collect();
-        prop_assert!(znorm(&d) <= 1e-9 * (1.0 + znorm(&data)));
-    }
-
-    /// Parseval: the DFT preserves energy up to the 1/N convention.
-    #[test]
-    fn fft_parseval(data in prop::collection::vec(complex_strategy(), 1..48)) {
-        let n = data.len() as f64;
-        let mut buf = data.clone();
-        fft(&mut buf);
-        let e_time: f64 = data.iter().map(|z| z.norm_sqr()).sum();
-        let e_freq: f64 = buf.iter().map(|z| z.norm_sqr()).sum::<f64>() / n;
-        prop_assert!((e_time - e_freq).abs() <= 1e-9 * (1.0 + e_time));
     }
 
     /// CSR matvec is linear: A(αx + βy) = αAx + βAy.

@@ -20,6 +20,7 @@
 
 use crate::dtype::Dtype;
 use crate::tensor::Tensor;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,14 +30,19 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub type BackwardOp<E> = Box<dyn FnOnce(&mut Gradients<E>)>;
 
 static NEXT_SEQ: AtomicU64 = AtomicU64::new(1);
-static TAPE_NODES: AtomicU64 = AtomicU64::new(0);
 
-/// Total number of backward ops recorded process-wide since start.
+thread_local! {
+    static TAPE_NODES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Number of backward ops the calling thread has recorded since it
+/// started. Ops record on the thread that runs them, so the count is not
+/// disturbed by other threads tracing concurrently.
 ///
 /// Regression hook for the typestate guarantee: an inference pass on
 /// `NoneTape` tensors must leave this counter untouched.
 pub fn tape_nodes_recorded() -> u64 {
-    TAPE_NODES.load(Ordering::Relaxed)
+    TAPE_NODES.with(Cell::get)
 }
 
 /// Merges two tapes into the tape of a binary op's output.
@@ -163,7 +169,7 @@ impl<E: Dtype> Tape<E> for OwnedTape<E> {
     const OWNS: bool = true;
     fn record(&mut self, build: impl FnOnce() -> BackwardOp<E>) {
         let seq = NEXT_SEQ.fetch_add(1, Ordering::Relaxed);
-        TAPE_NODES.fetch_add(1, Ordering::Relaxed);
+        TAPE_NODES.with(|n| n.set(n.get() + 1));
         self.ops.push((seq, build()));
     }
 }

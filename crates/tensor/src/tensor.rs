@@ -11,6 +11,7 @@
 use crate::dtype::Dtype;
 use crate::tape::{NoneTape, OwnedTape};
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -391,55 +392,145 @@ impl Conv2dSpec {
     }
 }
 
-/// Direct 2-D convolution (cross-correlation): input `[N, Cin, H, W]`,
-/// weight `[Cout, Cin, Kh, Kw]` → `[N, Cout, Ho, Wo]`.
-///
-/// # Panics
-///
-/// Panics on rank or channel mismatches.
-pub fn conv2d<E: Dtype>(x: &Tensor<E>, w: &Tensor<E>, spec: Conv2dSpec) -> Tensor<E> {
-    let (n, cin, h, wd) = unpack4(x.shape(), "conv2d input");
-    let (cout, cin2, kh, kw) = unpack4(w.shape(), "conv2d weight");
-    assert_eq!(cin, cin2, "conv2d channel mismatch");
-    let ho = spec.out_extent(h, kh);
-    let wo = spec.out_extent(wd, kw);
-    let mut out = Tensor::zeros(&[n, cout, ho, wo]);
-    let xd = x.as_slice();
-    let wdat = w.as_slice();
-    let od = out.as_mut_slice();
-    let pad = spec.padding as isize;
-    for in_ in 0..n {
-        for co in 0..cout {
-            for ci in 0..cin {
-                let xoff = (in_ * cin + ci) * h * wd;
-                let woff = (co * cin + ci) * kh * kw;
-                for oy in 0..ho {
-                    let base_iy = (oy * spec.stride) as isize - pad;
-                    for ky in 0..kh {
-                        let iy = base_iy + ky as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        let xrow = xoff + iy as usize * wd;
-                        let wrow = woff + ky * kw;
-                        let orow = ((in_ * cout + co) * ho + oy) * wo;
-                        for ox in 0..wo {
-                            let base_ix = (ox * spec.stride) as isize - pad;
-                            let mut acc = E::ZERO;
-                            for kx in 0..kw {
-                                let ix = base_ix + kx as isize;
-                                if ix < 0 || ix >= wd as isize {
-                                    continue;
-                                }
-                                acc += xd[xrow + ix as usize] * wdat[wrow + kx];
-                            }
-                            od[orow + ox] += acc;
-                        }
+/// For each kernel tap `t` along one axis, the span of output positions
+/// `o` whose input position `o·stride + t − padding` lies inside `0..n`.
+fn tap_spans(n: usize, out: usize, k: usize, spec: Conv2dSpec) -> Vec<Range<usize>> {
+    let (p, s) = (spec.padding, spec.stride);
+    (0..k)
+        .map(|t| {
+            let lo = p.saturating_sub(t).div_ceil(s);
+            let hi = match (n + p).checked_sub(t) {
+                Some(r) if r > 0 => ((r - 1) / s + 1).min(out),
+                _ => 0,
+            };
+            lo..hi.max(lo)
+        })
+        .collect()
+}
+
+/// `dst[i·dst_step] += src[i·src_step]·w` for every `i` both slices hold.
+fn axpy<E: Dtype>(dst: &mut [E], dst_step: usize, src: &[E], src_step: usize, w: E) {
+    if (dst_step, src_step) == (1, 1) {
+        for (d, &v) in dst.iter_mut().zip(src) {
+            *d += v * w;
+        }
+    } else {
+        for (d, &v) in dst
+            .iter_mut()
+            .step_by(dst_step)
+            .zip(src.iter().step_by(src_step))
+        {
+            *d += v * w;
+        }
+    }
+}
+
+/// The geometry shared by [`conv2d`] and its two backward passes.
+struct ConvGeometry {
+    spec: Conv2dSpec,
+    /// `[N, Cout, Ho, Wo]`, the output tensor's shape.
+    out_shape: [usize; 4],
+    /// `(N, Cin, H, W)` of the input, as the loops see it.
+    x: (usize, usize, usize, usize),
+    /// `(Cout, Kh, Kw)` of the weight.
+    w: (usize, usize, usize),
+    /// `(Ho, Wo)` of the output, as the loops see it.
+    out: (usize, usize),
+    /// Valid output span of each kernel row.
+    row_spans: Vec<Range<usize>>,
+    /// `(kx, span, ix)` of each kernel column with a non-empty valid
+    /// output span; `ix` is the input column the span starts at.
+    cols: Vec<(usize, Range<usize>, usize)>,
+}
+
+impl ConvGeometry {
+    fn new(x: &[usize], w: &[usize], spec: Conv2dSpec) -> Self {
+        let (n, cin, h, wd) = unpack4(x, "conv2d input");
+        let (cout, cin2, kh, kw) = unpack4(w, "conv2d weight");
+        assert_eq!(cin, cin2, "conv2d channel mismatch");
+        let (ho, wo) = (spec.out_extent(h, kh), spec.out_extent(wd, kw));
+        let out_shape = [n, cout, ho, wo];
+        // A pointwise kernel maps every pixel on its own, so the loops can
+        // fold each plane's `rows` rows into one row of H·W pixels.
+        let pointwise = (kh, kw, spec.padding, spec.stride) == (1, 1, 0, 1);
+        let rows = if pointwise { h.max(1) } else { 1 };
+        let (h, wd, ho, wo) = (h / rows, wd * rows, ho / rows, wo * rows);
+        let cols = tap_spans(wd, wo, kw, spec).into_iter().enumerate();
+        let cols = cols.filter(|(_, span)| !span.is_empty()).map(|(kx, span)| {
+            let ix = span.start * spec.stride + kx - spec.padding;
+            (kx, span, ix)
+        });
+        ConvGeometry {
+            spec,
+            out_shape,
+            x: (n, cin, h, wd),
+            w: (cout, kh, kw),
+            out: (ho, wo),
+            row_spans: tap_spans(h, ho, kh, spec),
+            cols: cols.collect(),
+        }
+    }
+
+    /// Calls `f(x_row, w_row, out_row)` with the offsets of each input
+    /// row, kernel row and output row that meet, looping over batch,
+    /// output channel, input channel, output row and kernel row.
+    fn rows(&self, mut f: impl FnMut(usize, usize, usize)) {
+        let ((n, cin, h, wd), (cout, kh, kw), (ho, wo)) = (self.x, self.w, self.out);
+        for plane in 0..n * cout * cin {
+            let (in_, co, ci) = (plane / (cout * cin), plane / cin % cout, plane % cin);
+            for oy in 0..ho {
+                for (ky, span) in self.row_spans.iter().enumerate() {
+                    if span.contains(&oy) {
+                        let iy = oy * self.spec.stride + ky - self.spec.padding;
+                        let x_row = ((in_ * cin + ci) * h + iy) * wd;
+                        let w_row = ((co * cin + ci) * kh + ky) * kw;
+                        f(x_row, w_row, (plane / cin * ho + oy) * wo);
                     }
                 }
             }
         }
     }
+}
+
+/// Direct 2-D convolution (cross-correlation): input `[N, Cin, H, W]`,
+/// weight `[Cout, Cin, Kh, Kw]` → `[N, Cout, Ho, Wo]`.
+///
+/// Each kernel tap's valid output span is computed once, so the inner
+/// loops run over contiguous slices without per-element bounds checks.
+/// Every output sums its terms in the order input channel → kernel row →
+/// kernel column, with each kernel row's partial sum added as a whole.
+///
+/// # Panics
+///
+/// Panics on rank or channel mismatches.
+pub fn conv2d<E: Dtype>(x: &Tensor<E>, w: &Tensor<E>, spec: Conv2dSpec) -> Tensor<E> {
+    let g = ConvGeometry::new(x.shape(), w.shape(), spec);
+    let (wd, kw, wo) = (g.x.3, g.w.2, g.out.1);
+    let mut out = Tensor::zeros(&g.out_shape);
+    let (xd, wdat, od) = (x.as_slice(), w.as_slice(), out.as_mut_slice());
+    let mut acc = vec![E::ZERO; wo];
+    g.rows(|x_row, w_row, o_row| {
+        let (xrow, orow) = (&xd[x_row..x_row + wd], &mut od[o_row..o_row + wo]);
+        let taps = g
+            .cols
+            .iter()
+            .map(|(kx, span, ix)| (wdat[w_row + kx], span.clone(), &xrow[*ix..]));
+        if kw == 1 {
+            // A one-column kernel row sums a single product, which can go
+            // straight into the output.
+            for (wv, span, xs) in taps {
+                axpy(&mut orow[span], 1, xs, spec.stride, wv);
+            }
+        } else {
+            acc.fill(E::ZERO);
+            for (wv, span, xs) in taps {
+                axpy(&mut acc[span], 1, xs, spec.stride, wv);
+            }
+            for (o, a) in orow.iter_mut().zip(&acc) {
+                *o += *a;
+            }
+        }
+    });
     out
 }
 
@@ -450,49 +541,18 @@ pub fn conv2d_backward_input<E: Dtype>(
     input_shape: &[usize],
     spec: Conv2dSpec,
 ) -> Tensor<E> {
-    let (n, cin, h, wd) = unpack4(input_shape, "conv2d input");
-    let (cout, _cin, kh, kw) = unpack4(w.shape(), "conv2d weight");
-    let (gn, gcout, ho, wo) = unpack4(grad_out.shape(), "conv2d grad");
-    assert_eq!((gn, gcout), (n, cout), "conv2d grad shape mismatch");
+    let g = ConvGeometry::new(input_shape, w.shape(), spec);
+    let (wd, wo) = (g.x.3, g.out.1);
+    assert_eq!(grad_out.shape(), g.out_shape, "conv2d grad shape mismatch");
     let mut gx = Tensor::zeros(input_shape);
-    let gxd = gx.as_mut_slice();
-    let god = grad_out.as_slice();
-    let wdat = w.as_slice();
-    let pad = spec.padding as isize;
-    for in_ in 0..n {
-        for co in 0..cout {
-            for ci in 0..cin {
-                let xoff = (in_ * cin + ci) * h * wd;
-                let woff = (co * cin + ci) * kh * kw;
-                for oy in 0..ho {
-                    let base_iy = (oy * spec.stride) as isize - pad;
-                    let orow = ((in_ * cout + co) * ho + oy) * wo;
-                    for ky in 0..kh {
-                        let iy = base_iy + ky as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        let xrow = xoff + iy as usize * wd;
-                        let wrow = woff + ky * kw;
-                        for ox in 0..wo {
-                            let g = god[orow + ox];
-                            if g == E::ZERO {
-                                continue;
-                            }
-                            let base_ix = (ox * spec.stride) as isize - pad;
-                            for kx in 0..kw {
-                                let ix = base_ix + kx as isize;
-                                if ix < 0 || ix >= wd as isize {
-                                    continue;
-                                }
-                                gxd[xrow + ix as usize] += g * wdat[wrow + kx];
-                            }
-                        }
-                    }
-                }
-            }
+    let (god, wdat, gxd) = (grad_out.as_slice(), w.as_slice(), gx.as_mut_slice());
+    g.rows(|x_row, w_row, o_row| {
+        let (grow, gxrow) = (&god[o_row..o_row + wo], &mut gxd[x_row..x_row + wd]);
+        for (kx, span, ix) in &g.cols {
+            let wv = wdat[w_row + kx];
+            axpy(&mut gxrow[*ix..], spec.stride, &grow[span.clone()], 1, wv);
         }
-    }
+    });
     gx
 }
 
@@ -503,48 +563,22 @@ pub fn conv2d_backward_weight<E: Dtype>(
     weight_shape: &[usize],
     spec: Conv2dSpec,
 ) -> Tensor<E> {
-    let (n, cin, h, wd) = unpack4(x.shape(), "conv2d input");
-    let (cout, _cin, kh, kw) = unpack4(weight_shape, "conv2d weight");
-    let (_, _, ho, wo) = unpack4(grad_out.shape(), "conv2d grad");
+    let g = ConvGeometry::new(x.shape(), weight_shape, spec);
+    let (wd, wo) = (g.x.3, g.out.1);
     let mut gw = Tensor::zeros(weight_shape);
-    let gwd = gw.as_mut_slice();
-    let god = grad_out.as_slice();
-    let xd = x.as_slice();
-    let pad = spec.padding as isize;
-    for in_ in 0..n {
-        for co in 0..cout {
-            for ci in 0..cin {
-                let xoff = (in_ * cin + ci) * h * wd;
-                let woff = (co * cin + ci) * kh * kw;
-                for oy in 0..ho {
-                    let base_iy = (oy * spec.stride) as isize - pad;
-                    let orow = ((in_ * cout + co) * ho + oy) * wo;
-                    for ky in 0..kh {
-                        let iy = base_iy + ky as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        let xrow = xoff + iy as usize * wd;
-                        let wrow = woff + ky * kw;
-                        for ox in 0..wo {
-                            let g = god[orow + ox];
-                            if g == E::ZERO {
-                                continue;
-                            }
-                            let base_ix = (ox * spec.stride) as isize - pad;
-                            for kx in 0..kw {
-                                let ix = base_ix + kx as isize;
-                                if ix < 0 || ix >= wd as isize {
-                                    continue;
-                                }
-                                gwd[wrow + kx] += g * xd[xrow + ix as usize];
-                            }
-                        }
-                    }
-                }
-            }
+    let (god, xd, gwd) = (grad_out.as_slice(), x.as_slice(), gw.as_mut_slice());
+    g.rows(|x_row, w_row, o_row| {
+        let (grow, xrow) = (&god[o_row..o_row + wo], &xd[x_row..x_row + wd]);
+        for (kx, span, ix) in &g.cols {
+            let xs = xrow[*ix..].iter().step_by(spec.stride);
+            let dot: E = grow[span.clone()]
+                .iter()
+                .zip(xs)
+                .map(|(&a, &b)| a * b)
+                .sum();
+            gwd[w_row + kx] += dot;
         }
-    }
+    });
     gw
 }
 
@@ -642,6 +676,164 @@ pub fn upsample2_backward<E: Dtype>(grad_out: &Tensor<E>, input_shape: &[usize])
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The plain direct-loop convolution the span-hoisted kernels are
+    /// pinned against.
+    mod reference {
+        use super::super::{unpack4, Conv2dSpec, Dtype, Tensor};
+
+        /// Forward: the direct loop, bounds-checking every multiply-add.
+        pub fn conv2d<E: Dtype>(x: &Tensor<E>, w: &Tensor<E>, spec: Conv2dSpec) -> Tensor<E> {
+            let (n, cin, h, wd) = unpack4(x.shape(), "conv2d input");
+            let (cout, cin2, kh, kw) = unpack4(w.shape(), "conv2d weight");
+            assert_eq!(cin, cin2, "conv2d channel mismatch");
+            let ho = spec.out_extent(h, kh);
+            let wo = spec.out_extent(wd, kw);
+            let mut out = Tensor::zeros(&[n, cout, ho, wo]);
+            let xd = x.as_slice();
+            let wdat = w.as_slice();
+            let od = out.as_mut_slice();
+            let pad = spec.padding as isize;
+            for in_ in 0..n {
+                for co in 0..cout {
+                    for ci in 0..cin {
+                        let xoff = (in_ * cin + ci) * h * wd;
+                        let woff = (co * cin + ci) * kh * kw;
+                        for oy in 0..ho {
+                            let base_iy = (oy * spec.stride) as isize - pad;
+                            for ky in 0..kh {
+                                let iy = base_iy + ky as isize;
+                                if iy < 0 || iy >= h as isize {
+                                    continue;
+                                }
+                                let xrow = xoff + iy as usize * wd;
+                                let wrow = woff + ky * kw;
+                                let orow = ((in_ * cout + co) * ho + oy) * wo;
+                                for ox in 0..wo {
+                                    let base_ix = (ox * spec.stride) as isize - pad;
+                                    let mut acc = E::ZERO;
+                                    for kx in 0..kw {
+                                        let ix = base_ix + kx as isize;
+                                        if ix < 0 || ix >= wd as isize {
+                                            continue;
+                                        }
+                                        acc += xd[xrow + ix as usize] * wdat[wrow + kx];
+                                    }
+                                    od[orow + ox] += acc;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            out
+        }
+
+        /// Input gradient, scattered tap by tap.
+        pub fn conv2d_backward_input<E: Dtype>(
+            grad_out: &Tensor<E>,
+            w: &Tensor<E>,
+            input_shape: &[usize],
+            spec: Conv2dSpec,
+        ) -> Tensor<E> {
+            let (n, cin, h, wd) = unpack4(input_shape, "conv2d input");
+            let (cout, _cin, kh, kw) = unpack4(w.shape(), "conv2d weight");
+            let (gn, gcout, ho, wo) = unpack4(grad_out.shape(), "conv2d grad");
+            assert_eq!((gn, gcout), (n, cout), "conv2d grad shape mismatch");
+            let mut gx = Tensor::zeros(input_shape);
+            let gxd = gx.as_mut_slice();
+            let god = grad_out.as_slice();
+            let wdat = w.as_slice();
+            let pad = spec.padding as isize;
+            for in_ in 0..n {
+                for co in 0..cout {
+                    for ci in 0..cin {
+                        let xoff = (in_ * cin + ci) * h * wd;
+                        let woff = (co * cin + ci) * kh * kw;
+                        for oy in 0..ho {
+                            let base_iy = (oy * spec.stride) as isize - pad;
+                            let orow = ((in_ * cout + co) * ho + oy) * wo;
+                            for ky in 0..kh {
+                                let iy = base_iy + ky as isize;
+                                if iy < 0 || iy >= h as isize {
+                                    continue;
+                                }
+                                let xrow = xoff + iy as usize * wd;
+                                let wrow = woff + ky * kw;
+                                for ox in 0..wo {
+                                    let g = god[orow + ox];
+                                    if g == E::ZERO {
+                                        continue;
+                                    }
+                                    let base_ix = (ox * spec.stride) as isize - pad;
+                                    for kx in 0..kw {
+                                        let ix = base_ix + kx as isize;
+                                        if ix < 0 || ix >= wd as isize {
+                                            continue;
+                                        }
+                                        gxd[xrow + ix as usize] += g * wdat[wrow + kx];
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            gx
+        }
+
+        /// Weight gradient, accumulated tap by tap.
+        pub fn conv2d_backward_weight<E: Dtype>(
+            grad_out: &Tensor<E>,
+            x: &Tensor<E>,
+            weight_shape: &[usize],
+            spec: Conv2dSpec,
+        ) -> Tensor<E> {
+            let (n, cin, h, wd) = unpack4(x.shape(), "conv2d input");
+            let (cout, _cin, kh, kw) = unpack4(weight_shape, "conv2d weight");
+            let (_, _, ho, wo) = unpack4(grad_out.shape(), "conv2d grad");
+            let mut gw = Tensor::zeros(weight_shape);
+            let gwd = gw.as_mut_slice();
+            let god = grad_out.as_slice();
+            let xd = x.as_slice();
+            let pad = spec.padding as isize;
+            for in_ in 0..n {
+                for co in 0..cout {
+                    for ci in 0..cin {
+                        let xoff = (in_ * cin + ci) * h * wd;
+                        let woff = (co * cin + ci) * kh * kw;
+                        for oy in 0..ho {
+                            let base_iy = (oy * spec.stride) as isize - pad;
+                            let orow = ((in_ * cout + co) * ho + oy) * wo;
+                            for ky in 0..kh {
+                                let iy = base_iy + ky as isize;
+                                if iy < 0 || iy >= h as isize {
+                                    continue;
+                                }
+                                let xrow = xoff + iy as usize * wd;
+                                let wrow = woff + ky * kw;
+                                for ox in 0..wo {
+                                    let g = god[orow + ox];
+                                    if g == E::ZERO {
+                                        continue;
+                                    }
+                                    let base_ix = (ox * spec.stride) as isize - pad;
+                                    for kx in 0..kw {
+                                        let ix = base_ix + kx as isize;
+                                        if ix < 0 || ix >= wd as isize {
+                                            continue;
+                                        }
+                                        gwd[wrow + kx] += g * xd[xrow + ix as usize];
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            gw
+        }
+    }
 
     #[test]
     fn matmul_identity() {
@@ -759,6 +951,63 @@ mod tests {
                 (fd - gw.as_slice()[probe]).abs() < 1e-6,
                 "weight grad at {probe}"
             );
+        }
+    }
+
+    /// The span-hoisted kernels against the direct loop: the forward bit
+    /// for bit, the backward passes (which reorder their sums) to 1e-12.
+    #[test]
+    fn conv2d_matches_direct_loop_reference() {
+        let fill = |shape: &[usize], salt: usize| {
+            let mut t = Tensor::<f64>::zeros(shape);
+            for (k, v) in t.as_mut_slice().iter_mut().enumerate() {
+                *v = (((k * 37 + salt) % 23) as f64 - 11.0) * 0.093 + (k as f64 * 0.41).sin();
+            }
+            t
+        };
+        let close = |got: &Tensor, want: &Tensor, what: &str| {
+            assert_eq!(got.shape(), want.shape(), "{what} shape");
+            let scale = want.as_slice().iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
+                assert!((a - b).abs() <= 1e-12 * scale, "{what}: {a} vs {b}");
+            }
+        };
+        for (k, padding, stride) in [
+            (1, 0, 1),
+            (1, 0, 2),
+            (1, 1, 1),
+            (3, 0, 1),
+            (3, 1, 1),
+            (3, 1, 2),
+            (3, 0, 2),
+        ] {
+            for (h, w) in [(7, 9), (5, 5), (6, 11)] {
+                let spec = Conv2dSpec { padding, stride };
+                let x = fill(&[2, 3, h, w], 3);
+                let wt = fill(&[4, 3, k, k], 7);
+                let y = conv2d(&x, &wt, spec);
+                let want = reference::conv2d(&x, &wt, spec);
+                assert_eq!(y.shape(), want.shape());
+                for (a, b) in y.as_slice().iter().zip(want.as_slice()) {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "k={k} p={padding} s={stride} {h}×{w}"
+                    );
+                }
+                let go = fill(y.shape(), 11);
+                let what = format!("k={k} p={padding} s={stride} {h}×{w}");
+                close(
+                    &conv2d_backward_input(&go, &wt, x.shape(), spec),
+                    &reference::conv2d_backward_input(&go, &wt, x.shape(), spec),
+                    &format!("grad_x {what}"),
+                );
+                close(
+                    &conv2d_backward_weight(&go, &x, wt.shape(), spec),
+                    &reference::conv2d_backward_weight(&go, &x, wt.shape(), spec),
+                    &format!("grad_w {what}"),
+                );
+            }
         }
     }
 

@@ -30,7 +30,7 @@ pub use maps_data as data;
 pub use maps_fdfd as fdfd;
 /// Fabrication-aware adjoint inverse design.
 pub use maps_invdes as invdes;
-/// Numerical kernels: complex, banded LU, FFT, eigensolvers.
+/// Numerical kernels: complex, banded LU, BiCGSTAB, eigensolvers.
 pub use maps_linalg as linalg;
 /// The fault-tolerant persistent solve daemon (`mapsd`).
 pub use maps_mapsd as mapsd;
