@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use maps_core::{ComplexField2d, FieldSolver, Grid2d, RealField2d};
 use maps_fdfd::{FdfdSolver, PmlConfig};
-use maps_linalg::{BandedMatrix, Complex64};
+use maps_linalg::{BandedMatrix, Complex64, Sweep};
 use maps_nn::{Fno, FnoConfig, Model};
 use maps_tensor::{Params, Tensor};
 use rand::rngs::StdRng;
@@ -124,7 +124,11 @@ fn bench_banded_ops_at_device_sizes(c: &mut Criterion) {
             b.iter(|| a.matvec(&x));
         });
         group.bench_with_input(BenchmarkId::new("solve", nx), &nx, |b, _| {
-            b.iter(|| lu.solve(&x));
+            b.iter(|| {
+                let mut y = x.clone();
+                lu.solve(Sweep::Forward, std::slice::from_mut(&mut y));
+                y
+            });
         });
         group.bench_with_input(BenchmarkId::new("factorize", nx), &nx, |b, _| {
             b.iter(|| a.clone().factorize().expect("factorize"));

@@ -19,7 +19,7 @@
 //!    is reported alongside to split the tape cost from the dtype cost.
 //! 2. **Mixed-precision factorization** — an f32 banded LU plus f64
 //!    iterative refinement must reach the f64 direct solve's accuracy
-//!    (relative residual <= `DEFAULT_REFINE_TOL`) and the combined
+//!    (relative residual <= `REFINE_TOL`) and the combined
 //!    factorize+solve must beat the full f64 LU on Helmholtz-shaped
 //!    systems at device-zoo sizes.
 //!
@@ -27,7 +27,7 @@
 //! the median of paired per-rep differences, so bursty container noise
 //! hits both sides of each pair and cancels.
 
-use maps_linalg::{BandedMatrix, Complex64, MixedBandedLu, DEFAULT_RHS_BLOCK};
+use maps_linalg::{BandedMatrix, Complex64, MixedBandedLu, Sweep, RHS_BLOCK};
 use maps_nn::{Fno, FnoConfig, Model};
 use maps_tensor::{Params, Tensor};
 use rand::rngs::StdRng;
@@ -202,13 +202,15 @@ fn main() {
     for _ in 0..reps {
         let t = Instant::now();
         let lu = a.clone().factorize().expect("f64 factorize");
-        let x_full = lu.solve(&b);
+        let mut x_full = b.clone();
+        lu.solve(Sweep::Forward, std::slice::from_mut(&mut x_full));
         let full = t.elapsed().as_nanos();
         std::hint::black_box(&x_full);
 
         let t = Instant::now();
         let mixed = MixedBandedLu::new(a.clone()).expect("mixed factorize");
-        let (x_mixed, report) = mixed.solve_reported(&b);
+        let mut x_mixed = b.clone();
+        let report = mixed.solve(Sweep::Forward, &mut x_mixed);
         let mixed_ns = t.elapsed().as_nanos();
         std::hint::black_box(&x_mixed);
 
@@ -228,7 +230,7 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"precision\",\n  \"mode\": \"{mode_s}\",\n  \"reps\": {reps},\n  \"inference\": {{\n    \"shape\": \"{batch}x4x40x40\",\n    \"taped_f64_ns\": {taped_f64_ns},\n    \"infer_f64_ns\": {infer_f64_ns},\n    \"infer_f32_ns\": {infer_f32_ns},\n    \"paired_diff_taped_vs_f32_ns\": {inference_diff},\n    \"speedup_f32_vs_taped\": {inference_speedup:.3}\n  }},\n  \"factorization\": {{\n    \"n\": {n},\n    \"bandwidth\": {bw},\n    \"rhs_block\": {rhs_block},\n    \"full_f64_ns\": {full_f64_ns},\n    \"mixed_f32_refined_ns\": {mixed_ns},\n    \"paired_diff_full_vs_mixed_ns\": {factor_diff},\n    \"refine_iterations\": {refine_iterations},\n    \"rel_residual\": {rel_residual:.3e},\n    \"fell_back\": {fell_back},\n    \"speedup_mixed_vs_full\": {factor_speedup:.3}\n  }}\n}}\n",
         mode_s = if mode.smoke { "smoke" } else { "full" },
-        rhs_block = DEFAULT_RHS_BLOCK,
+        rhs_block = RHS_BLOCK,
     );
     std::fs::write(&mode.out, &json).expect("write bench json");
     eprintln!("{json}");
@@ -241,9 +243,9 @@ fn main() {
         "mixed-precision refinement fell back to full f64 LU on a well-conditioned Helmholtz system"
     );
     assert!(
-        rel_residual <= maps_linalg::mixed::DEFAULT_REFINE_TOL,
+        rel_residual <= maps_linalg::mixed::REFINE_TOL,
         "refined relative residual {rel_residual:.3e} exceeds the matched-accuracy tolerance {}",
-        maps_linalg::mixed::DEFAULT_REFINE_TOL
+        maps_linalg::mixed::REFINE_TOL
     );
     assert!(
         inference_diff > 0,

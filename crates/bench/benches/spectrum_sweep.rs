@@ -20,10 +20,10 @@
 //!   the regression gate runs on the median paired difference, which
 //!   cancels common-mode container noise.
 //! - `substitution_kernel` — the banded-LU kernel alone (factorization out
-//!   of the loop, dense adjoint-style right-hand sides), blocked vs scalar
-//!   through the public `BandedLu` batch API. Dense RHS disables the scalar
-//!   path's zero-skip shortcut, so this isolates the pure one-pass-per-block
-//!   win the tentpole kernel provides.
+//!   of the loop, dense adjoint-style right-hand sides): one K-block
+//!   `BandedLu::solve` against K blocks of one. Dense RHS disables the
+//!   scalar path's zero-skip shortcut, so this isolates the pure
+//!   one-pass-per-block win of the blocked kernel.
 //! - `spectrum` — one source swept across K distinct frequencies through
 //!   `solve_ez_spectrum` (K = 32, 128). Distinct ω means distinct
 //!   factorizations, so the win is amortization: a cold sweep pays K
@@ -34,7 +34,7 @@
 use maps_core::SolveRequest;
 use maps_core::{omega_for_wavelength, ComplexField2d, FieldSolver, Grid2d, RealField2d};
 use maps_fdfd::{factor_cache, linspace_wavelengths, FdfdSolver, PmlConfig};
-use maps_linalg::Complex64;
+use maps_linalg::{Complex64, Sweep, RHS_BLOCK};
 use std::time::Instant;
 
 struct Mode {
@@ -169,7 +169,7 @@ fn main() {
     // ---- Section 1b: substitution kernel (adjoint workload) ----------
     // The blocked banded-LU kernel itself, factorization taken out of the
     // loop on both sides and dense right-hand sides: the adjoint half of
-    // every gradient feeds full dL/dE fields through `solve_transposed`,
+    // every gradient feeds full dL/dE fields through a transposed solve,
     // so no zero-skip shortcuts apply and the measurement isolates the
     // one-pass-per-block band traversal against one pass per RHS.
     let lu = solver
@@ -201,14 +201,19 @@ fn main() {
         let mut bat_samples = Vec::with_capacity(reps);
         let mut diffs: Vec<i128> = Vec::with_capacity(reps);
         for _ in 0..reps {
+            // Both sides solve copies of the right-hand sides in place, so
+            // each pays the same copy-in.
             let t = Instant::now();
             for b in &dense[..k] {
-                std::hint::black_box(lu.solve_transposed(b));
+                let mut x = b.clone();
+                lu.solve(Sweep::Transposed, std::slice::from_mut(&mut x));
+                std::hint::black_box(&x);
             }
             let seq = t.elapsed().as_nanos();
 
             let t = Instant::now();
-            let out = lu.solve_transposed_many_blocked(&dense[..k], solver.effective_rhs_block());
+            let mut out = dense[..k].to_vec();
+            lu.solve(Sweep::Transposed, &mut out);
             let bat = t.elapsed().as_nanos();
             std::hint::black_box(&out);
 
@@ -345,7 +350,7 @@ fn main() {
         nx = grid.nx,
         ny = grid.ny,
         dl = grid.dl,
-        block = solver.effective_rhs_block(),
+        block = RHS_BLOCK,
         snx = sgrid.nx,
         sny = sgrid.ny,
         sdl = sgrid.dl,

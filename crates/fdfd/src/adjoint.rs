@@ -17,7 +17,7 @@
 use crate::monitor::LinearFunctional;
 use crate::simulation::FdfdSolver;
 use maps_core::{ComplexField2d, RealField2d, SolveFieldError};
-use maps_linalg::Complex64;
+use maps_linalg::{Complex64, Sweep};
 
 /// A differentiable power objective `F = Σ_m c_m·|a_m(e)|²`.
 #[derive(Debug, Clone, Default)]
@@ -124,16 +124,18 @@ pub fn solve_with_adjoint(
     .map_err(|e| SolveFieldError::Numerical {
         detail: e.to_string(),
     })?;
-    let b = FdfdSolver::rhs(source, omega);
+    let mut b = FdfdSolver::rhs(source, omega);
     let forward = {
         let _s = maps_obs::span("fdfd.backsub");
-        ComplexField2d::from_vec(eps_r.grid(), lu.solve(&b))
+        lu.solve(Sweep::Forward, std::slice::from_mut(&mut b));
+        ComplexField2d::from_vec(eps_r.grid(), b)
     };
     let objective_value = objective.eval(&forward);
-    let rhs = objective.adjoint_rhs(&forward);
+    let mut rhs = objective.adjoint_rhs(&forward);
     let adjoint = {
         let _s = maps_obs::span("fdfd.backsub").field("transposed", true);
-        ComplexField2d::from_vec(eps_r.grid(), lu.solve_transposed(&rhs))
+        lu.solve(Sweep::Transposed, std::slice::from_mut(&mut rhs));
+        ComplexField2d::from_vec(eps_r.grid(), rhs)
     };
     let gradient = gradient_from_fields(&forward, &adjoint, omega);
     Ok(AdjointSolution {

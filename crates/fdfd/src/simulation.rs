@@ -6,7 +6,7 @@ use crate::pml::PmlConfig;
 use maps_core::{
     ComplexField2d, EmFields, FieldSolver, RealField2d, SolveFieldError, SolveKind, SolveRequest,
 };
-use maps_linalg::{bicgstab, Complex64, IterativeOptions};
+use maps_linalg::{bicgstab, Complex64, IterativeOptions, Sweep, RHS_BLOCK};
 use rayon::prelude::*;
 
 /// Which linear-algebra backend performs the solve.
@@ -40,7 +40,6 @@ pub enum Backend {
 pub struct FdfdSolver {
     pml: PmlConfig,
     backend: Backend,
-    rhs_block: Option<usize>,
 }
 
 impl Default for FdfdSolver {
@@ -55,7 +54,6 @@ impl FdfdSolver {
         FdfdSolver {
             pml: PmlConfig::default(),
             backend: Backend::Direct,
-            rhs_block: None,
         }
     }
 
@@ -64,7 +62,6 @@ impl FdfdSolver {
         FdfdSolver {
             pml,
             backend: Backend::Direct,
-            rhs_block: None,
         }
     }
 
@@ -72,24 +69,6 @@ impl FdfdSolver {
     pub fn backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
         self
-    }
-
-    /// Overrides the RHS block width used by the batched solve plane,
-    /// returning the modified solver. Zero is clamped to one.
-    pub fn rhs_block(mut self, block: usize) -> Self {
-        self.rhs_block = Some(block);
-        self
-    }
-
-    /// The RHS block width the batched plane will use: the builder override
-    /// if set, else the `MAPS_RHS_BLOCK` environment knob, else
-    /// [`maps_linalg::DEFAULT_RHS_BLOCK`].
-    pub fn effective_rhs_block(&self) -> usize {
-        self.rhs_block
-            .unwrap_or_else(|| {
-                maps_obs::parse_env_or("MAPS_RHS_BLOCK", maps_linalg::DEFAULT_RHS_BLOCK)
-            })
-            .max(1)
     }
 
     /// The PML configuration in use.
@@ -205,7 +184,7 @@ impl FieldSolver for FdfdSolver {
             .field("backend", self.name())
             .field("cells", eps_r.grid().len());
         maps_obs::counter("fdfd.forward_solves").inc();
-        let b = Self::rhs(source, omega);
+        let mut b = Self::rhs(source, omega);
         let x = match self.backend {
             Backend::Direct => {
                 // One factorization per distinct (eps, omega, PML): the
@@ -218,7 +197,8 @@ impl FieldSolver for FdfdSolver {
                     detail: e.to_string(),
                 })?;
                 let _s = maps_obs::span("fdfd.backsub");
-                lu.solve(&b)
+                lu.solve(Sweep::Forward, std::slice::from_mut(&mut b));
+                b
             }
             Backend::Iterative(opts) => {
                 let op = self.operator(eps_r, omega);
@@ -271,7 +251,9 @@ impl FieldSolver for FdfdSolver {
             detail: e.to_string(),
         })?;
         let _s = maps_obs::span("fdfd.backsub");
-        let field = ComplexField2d::from_vec(eps_r.grid(), lu.solve_transposed(rhs.as_slice()));
+        let mut x = rhs.as_slice().to_vec();
+        lu.solve(Sweep::Transposed, std::slice::from_mut(&mut x));
+        let field = ComplexField2d::from_vec(eps_r.grid(), x);
         maps_core::ensure_finite(&field, self.name())?;
         Ok(field)
     }
@@ -281,15 +263,14 @@ impl FieldSolver for FdfdSolver {
     /// The whole batch shares one permittivity map, so the (ε-fingerprint,
     /// ω) grouping key reduces to ω: requests are bucketed by exact `omega`
     /// bits, and each bucket's forward and adjoint right-hand sides are
-    /// split into RHS blocks of [`FdfdSolver::effective_rhs_block`] width.
-    /// Every (ω-bucket × kind × RHS-block) work item fetches its banded LU
-    /// from the factor cache (single-flight coalescing makes concurrent
-    /// items of the same bucket share one factorization) and sweeps its
-    /// whole block through one pass over the factors via
-    /// [`maps_linalg::BandedLu::solve_many_into_blocked`] /
-    /// `solve_transposed_many_into_blocked`. A K-excitation batch over G
+    /// split into blocks of [`maps_linalg::RHS_BLOCK`]. Every (ω-bucket ×
+    /// kind × RHS-block) work item fetches its factor from the factor cache
+    /// (single-flight coalescing makes concurrent items of the same bucket
+    /// share one factorization) and solves its whole block in place with
+    /// one [`maps_linalg::Factor::solve`] call, which sweeps the block
+    /// through one pass over the factors. A K-excitation batch over G
     /// distinct frequencies therefore pays G factorizations (fewer on cache
-    /// hits) and ~K/block traversals of the band data instead of K.
+    /// hits) and ~K/`RHS_BLOCK` traversals of the band data instead of K.
     ///
     /// Work items are independent (distinct result slots), so they run in
     /// parallel across the vendored-rayon workers — RHS-block parallelism
@@ -344,7 +325,6 @@ impl FieldSolver for FdfdSolver {
                 None => groups.push((key, vec![i])),
             }
         }
-        let block = self.effective_rhs_block();
         let group_sizes = groups
             .iter()
             .map(|(k, members)| format!("{:.4}x{}", f64::from_bits(*k), members.len()))
@@ -358,8 +338,7 @@ impl FieldSolver for FdfdSolver {
             .field("cells", n)
             .field("requests", requests.len())
             .field("groups", groups.len())
-            .field("group_sizes", group_sizes)
-            .field("rhs_block", block);
+            .field("group_sizes", group_sizes);
         maps_obs::counter("fdfd.solve_batch.calls").inc();
         maps_obs::counter("fdfd.solve_batch.requests").add(requests.len() as u64);
         // Split every ω-bucket into (kind × RHS-block) work items. Items are
@@ -379,7 +358,7 @@ impl FieldSolver for FdfdSolver {
                     .copied()
                     .filter(|&i| requests[i].kind == kind)
                     .collect();
-                for chunk in of_kind.chunks(block) {
+                for chunk in of_kind.chunks(RHS_BLOCK) {
                     items.push((omega, kind, chunk.to_vec()));
                 }
             }
@@ -389,15 +368,14 @@ impl FieldSolver for FdfdSolver {
             .par_iter()
             .map(|(omega, kind, members)| {
                 let omega = *omega;
-                let kind_name = match kind {
-                    SolveKind::Forward => "forward",
-                    SolveKind::Adjoint => "adjoint",
+                let (kind_name, counter_name, op) = match kind {
+                    SolveKind::Forward => ("forward", "fdfd.forward_solves", Sweep::Forward),
+                    SolveKind::Adjoint => ("adjoint", "fdfd.adjoint_solves", Sweep::Transposed),
                 };
                 let _span = maps_obs::span("fdfd.solve_group")
                     .field("omega", format!("{omega:.4}"))
                     .field("kind", kind_name)
-                    .field("requests", members.len())
-                    .field("rhs_block", block);
+                    .field("requests", members.len());
                 let mut answers: Vec<Answer> = Vec::with_capacity(members.len());
                 let lu = match crate::factor_cache::factor(eps_r, omega, &self.pml, || {
                     self.operator(eps_r, omega).to_banded()
@@ -415,10 +393,6 @@ impl FieldSolver for FdfdSolver {
                         return answers;
                     }
                 };
-                let counter_name = match kind {
-                    SolveKind::Forward => "fdfd.forward_solves",
-                    SolveKind::Adjoint => "fdfd.adjoint_solves",
-                };
                 maps_obs::counter(counter_name).add(members.len() as u64);
                 // One pass over the L/U factors answers the whole block:
                 // the interleaved sweep reads the ~n·ldab band data once
@@ -426,21 +400,17 @@ impl FieldSolver for FdfdSolver {
                 let _s = maps_obs::span("fdfd.backsub")
                     .field("kind", kind_name)
                     .field("rhs", members.len());
-                let rhs: Vec<Vec<Complex64>> = members
+                // Each solution overwrites its right-hand side in place,
+                // in the vector its field will own.
+                let mut xs: Vec<Vec<Complex64>> = members
                     .iter()
                     .map(|&i| match kind {
                         SolveKind::Forward => Self::rhs(requests[i].source, omega),
                         SolveKind::Adjoint => requests[i].source.as_slice().to_vec(),
                     })
                     .collect();
-                // The owned-rows variant scatters each solution straight
-                // into the vector its field will own — no flat staging
-                // buffer to zero and re-copy.
-                let solutions = match kind {
-                    SolveKind::Forward => lu.solve_many_blocked(&rhs, block),
-                    SolveKind::Adjoint => lu.solve_transposed_many_blocked(&rhs, block),
-                };
-                for (x, &i) in solutions.into_iter().zip(members.iter()) {
+                lu.solve(op, &mut xs);
+                for (x, &i) in xs.into_iter().zip(members.iter()) {
                     let field = ComplexField2d::from_vec(grid, x);
                     answers.push((
                         i,
@@ -586,25 +556,40 @@ mod tests {
         let eps = RealField2d::constant(grid, 2.25);
         let w1 = maps_core::omega_for_wavelength(1.50);
         let w2 = maps_core::omega_for_wavelength(1.60);
+        let w3 = maps_core::omega_for_wavelength(1.55);
         let mut j1 = ComplexField2d::zeros(grid);
         j1.set(12, 16, Complex64::ONE);
         let mut j2 = ComplexField2d::zeros(grid);
         j2.set(24, 16, Complex64::new(0.0, 1.0));
+        // Nine forwards at one ω: a bucket that splits into work items of
+        // RHS_BLOCK = 8 and 1, the 8 swept by the blocked kernel.
+        let nine: Vec<ComplexField2d> = (0..9)
+            .map(|k| {
+                let mut j = ComplexField2d::zeros(grid);
+                j.set(
+                    10 + 2 * k,
+                    12 + 4 * (k % 3),
+                    Complex64::new(1.0, 0.25 * k as f64),
+                );
+                j
+            })
+            .collect();
         let solver = FdfdSolver::new();
-        let requests = [
+        let mut requests = vec![
             SolveRequest::forward(&j1, w1),
             SolveRequest::forward(&j2, w2),
             SolveRequest::adjoint(&j2, w1),
             SolveRequest::forward(&j2, w1),
         ];
+        requests.extend(nine.iter().map(|j| SolveRequest::forward(j, w3)));
         let batch = solver.solve_ez_batch(&eps, &requests);
-        let scalar = [
-            solver.solve_ez(&eps, &j1, w1).unwrap(),
-            solver.solve_ez(&eps, &j2, w2).unwrap(),
-            solver.solve_adjoint_ez(&eps, &j2, w1).unwrap(),
-            solver.solve_ez(&eps, &j2, w1).unwrap(),
-        ];
-        for (b, s) in batch.iter().zip(&scalar) {
+        assert_eq!(batch.len(), requests.len());
+        for (b, req) in batch.iter().zip(&requests) {
+            let s = match req.kind {
+                SolveKind::Forward => solver.solve_ez(&eps, req.source, req.omega),
+                SolveKind::Adjoint => solver.solve_adjoint_ez(&eps, req.source, req.omega),
+            }
+            .unwrap();
             let b = b.as_ref().unwrap();
             for (a, e) in b.as_slice().iter().zip(s.as_slice()) {
                 assert_eq!(a.re.to_bits(), e.re.to_bits());

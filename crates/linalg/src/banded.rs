@@ -2,19 +2,21 @@
 //!
 //! The 2-D FDFD operator is a banded matrix whose bandwidth equals the grid
 //! width, so an LAPACK-style banded LU (`zgbtrf`/`zgbtrs`) gives an exact
-//! direct solve in `O(n·b²)` time. The factorization is reused for the
-//! adjoint system via [`BandedLu::solve_transposed`].
+//! direct solve in `O(n·b²)` time. One factorization answers both the
+//! forward system and the adjoint (transposed) system through
+//! [`BandedLu::solve`].
 
 use crate::{Complex64, LinalgError};
 
-/// Default number of right-hand sides swept per pass over the L/U factors.
+/// Right-hand sides [`BandedLu::solve`] sweeps per pass over the L/U factors
+/// when handed a block of two or more systems.
 ///
-/// The blocked substitution kernels traverse the band data once per *block*
+/// The blocked substitution kernel traverses the band data once per *chunk*
 /// of right-hand sides instead of once per RHS. Eight lanes of `f64` fill one
 /// AVX-512 vector (two AVX2 vectors) per split plane, and the per-row lane
 /// strips stay within a cache line, so this width captures most of the
 /// bandwidth win without bloating the interleaved scratch planes.
-pub const DEFAULT_RHS_BLOCK: usize = 8;
+pub const RHS_BLOCK: usize = 8;
 
 /// A complex banded matrix in LAPACK band storage (column-major).
 ///
@@ -280,12 +282,13 @@ fn cmul_recip(x: Complex64, inv: Complex64) -> Complex64 {
     )
 }
 
-/// Which substitution pair a blocked sweep runs.
-#[derive(Clone, Copy)]
-enum Sweep {
-    /// `P·L·U x = b` (forward + backward substitution).
+/// Which system a solve answers from the shared factors.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sweep {
+    /// `A x = b`: forward (`P·L`) then backward (`U`) substitution.
     Forward,
-    /// `Aᵀ x = b` (transposed substitution, shared factors).
+    /// `Aᵀ x = b`, the unconjugated transpose: the adjoint system of the
+    /// FDFD operator, answered by the substitution sweeps alone.
     Transposed,
 }
 
@@ -306,332 +309,92 @@ impl BandedLu {
         self.n
     }
 
-    /// Number of columns whose partial-pivot step interchanged rows.
-    ///
-    /// A diagnostic for the blocked sweeps: the forward substitution fuses
-    /// columns into panels that end at swap columns, so a high swap density
-    /// bounds how much fusion (and therefore how much band-data reuse) the
-    /// L sweep can achieve on this factorization.
-    pub fn pivot_swaps(&self) -> usize {
-        self.ipiv
-            .iter()
-            .enumerate()
-            .filter(|&(j, &p)| p != j)
-            .count()
-    }
-
-    /// Solves `A x = b`, returning `x`.
+    /// Solves `A x = b` or `Aᵀ x = b` (per `op`) for every right-hand side
+    /// in `xs`, overwriting each with its solution. One system is a block
+    /// of one: `lu.solve(op, std::slice::from_mut(&mut b))`.
     ///
     /// Takes `&self`: one factorization serves any number of right-hand
     /// sides (forward + adjoint + multi-source sweeps), which is the
     /// amortization the factorization cache in `maps-fdfd` is built on.
     ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != self.dim()`.
-    pub fn solve(&self, b: &[Complex64]) -> Vec<Complex64> {
-        assert_eq!(b.len(), self.n, "solve dimension mismatch");
-        let mut x = b.to_vec();
-        self.solve_in_place(&mut x);
-        x
-    }
-
-    /// Solves `A X = B` for a batch of right-hand sides, returning one
-    /// solution per input. One pass over the L/U factors serves a whole
-    /// block of right-hand sides (see [`BandedLu::solve_many_into_blocked`])
-    /// — the batched entry point for multi-source problems (S-parameter
-    /// columns, multi-excitation objectives, spectrum sweeps).
+    /// A block of one runs the scalar sweeps. Larger blocks run the blocked
+    /// kernel in chunks of [`RHS_BLOCK`]: each chunk is carried through
+    /// **one** pass over the band data, so the ~`n·ldab` factors are read
+    /// once per chunk instead of once per right-hand side. Each right-hand
+    /// side is an independent system and every lane replays the scalar op
+    /// sequence, so each solution is **bit-identical** to solving its
+    /// system alone.
     ///
     /// # Panics
     ///
-    /// Panics if any `rhs.len() != self.dim()`.
-    pub fn solve_many(&self, rhs: &[impl AsRef<[Complex64]>]) -> Vec<Vec<Complex64>> {
-        self.solve_many_blocked(rhs, DEFAULT_RHS_BLOCK)
-    }
-
-    /// Solves `Aᵀ X = B` for a batch of right-hand sides (see
-    /// [`BandedLu::solve_transposed`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any `rhs.len() != self.dim()`.
-    pub fn solve_transposed_many(&self, rhs: &[impl AsRef<[Complex64]>]) -> Vec<Vec<Complex64>> {
-        self.solve_transposed_many_blocked(rhs, DEFAULT_RHS_BLOCK)
-    }
-
-    /// Solves `A X = B` with an explicit RHS block width, returning one
-    /// solution `Vec` per input. Identical sweeps (and therefore identical
-    /// bits) to [`BandedLu::solve_many_into_blocked`], but each solution is
-    /// scattered straight into its own freshly-allocated vector — no flat
-    /// staging buffer to zero and re-chop — which is the cheapest shape for
-    /// callers that hand each solution on as an owned field.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any `rhs.len() != self.dim()`.
-    pub fn solve_many_blocked(
-        &self,
-        rhs: &[impl AsRef<[Complex64]>],
-        block: usize,
-    ) -> Vec<Vec<Complex64>> {
-        self.sweep_blocked_rows(rhs, block, Sweep::Forward)
-    }
-
-    /// Solves `Aᵀ X = B` with an explicit RHS block width, one owned
-    /// solution `Vec` per input (see [`BandedLu::solve_many_blocked`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any `rhs.len() != self.dim()`.
-    pub fn solve_transposed_many_blocked(
-        &self,
-        rhs: &[impl AsRef<[Complex64]>],
-        block: usize,
-    ) -> Vec<Vec<Complex64>> {
-        self.sweep_blocked_rows(rhs, block, Sweep::Transposed)
-    }
-
-    /// Solves `A X = B` for a batch of right-hand sides into a caller-provided
-    /// flat buffer, avoiding the `Vec<Vec<_>>` round trip on hot paths. The
-    /// solution to `rhs[i]` is written to `out[i·n .. (i+1)·n]`. Sweeps
-    /// [`DEFAULT_RHS_BLOCK`] right-hand sides per pass over the factors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any `rhs.len() != self.dim()` or
-    /// `out.len() != rhs.len() * self.dim()`.
-    pub fn solve_many_into(&self, rhs: &[impl AsRef<[Complex64]>], out: &mut [Complex64]) {
-        self.solve_many_into_blocked(rhs, out, DEFAULT_RHS_BLOCK);
-    }
-
-    /// Solves `Aᵀ X = B` for a batch of right-hand sides into a
-    /// caller-provided flat buffer (see [`BandedLu::solve_many_into`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any `rhs.len() != self.dim()` or
-    /// `out.len() != rhs.len() * self.dim()`.
-    pub fn solve_transposed_many_into(
-        &self,
-        rhs: &[impl AsRef<[Complex64]>],
-        out: &mut [Complex64],
-    ) {
-        self.solve_transposed_many_into_blocked(rhs, out, DEFAULT_RHS_BLOCK);
-    }
-
-    /// Solves `A X = B` with an explicit RHS block width: each pass over the
-    /// L/U factors sweeps up to `block` right-hand sides stored interleaved
-    /// (RHS-major inner dimension), so the inner substitution loops run
-    /// contiguously over the RHS axis and autovectorize while the ~`n·ldab`
-    /// band data is read once per block instead of once per RHS.
-    ///
-    /// Per-RHS arithmetic order is unchanged from [`BandedLu::solve_in_place`]
-    /// — each right-hand side is an independent system, so interleaving
-    /// reorders nothing within a system and results are **bit-identical** to
-    /// the scalar path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any `rhs.len() != self.dim()` or
-    /// `out.len() != rhs.len() * self.dim()`.
-    pub fn solve_many_into_blocked(
-        &self,
-        rhs: &[impl AsRef<[Complex64]>],
-        out: &mut [Complex64],
-        block: usize,
-    ) {
-        assert_eq!(
-            out.len(),
-            rhs.len() * self.n,
-            "solve_many_into output buffer length mismatch"
-        );
-        self.sweep_blocked(rhs, out, block, Sweep::Forward);
-    }
-
-    /// Solves `Aᵀ X = B` with an explicit RHS block width (see
-    /// [`BandedLu::solve_many_into_blocked`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any `rhs.len() != self.dim()` or
-    /// `out.len() != rhs.len() * self.dim()`.
-    pub fn solve_transposed_many_into_blocked(
-        &self,
-        rhs: &[impl AsRef<[Complex64]>],
-        out: &mut [Complex64],
-        block: usize,
-    ) {
-        assert_eq!(
-            out.len(),
-            rhs.len() * self.n,
-            "solve_transposed_many_into output buffer length mismatch"
-        );
-        self.sweep_blocked(rhs, out, block, Sweep::Transposed);
-    }
-
-    /// The one gather → blocked-substitution → scatter core behind every
-    /// batch entry point. Right-hand sides are split into split-plane
-    /// (re/im) scratch with lane-major rows: lane `r` of row `i` lives at
-    /// `plane[i·W + r]`, so the per-row inner loops touch `W` contiguous
-    /// `f64` per plane.
-    ///
-    /// The lane width is monomorphized (`W` const) so the strip kernels
-    /// compile with compile-time trip counts — fully unrolled SIMD with no
-    /// per-row slice bookkeeping. Each chunk picks the narrowest supported
-    /// physical width (2, 4, 8, 16, or 32; wider blocks are split at 32)
-    /// that covers it, so a tail block — or a whole small batch — never
-    /// pays for lanes it does not fill. Remaining padding lanes start at
-    /// zero and are computed and discarded; lanes never mix, so padding
-    /// cannot perturb real lanes. A single-RHS chunk skips the plane
-    /// machinery entirely and runs the scalar path, which the blocked
-    /// kernels are bit-identical to by construction.
-    fn sweep_blocked(
-        &self,
-        rhs: &[impl AsRef<[Complex64]>],
-        out: &mut [Complex64],
-        block: usize,
-        sweep: Sweep,
-    ) {
-        if self.n == 0 || rhs.is_empty() {
+    /// Panics if any right-hand side's length differs from `self.dim()`.
+    pub fn solve(&self, op: Sweep, xs: &mut [impl AsMut<[Complex64]>]) {
+        if let [x] = xs {
+            self.solve_scalar(op, x.as_mut());
             return;
         }
         let n = self.n;
-        let block = block.max(1).min(rhs.len()).min(32);
-        // One scratch pair serves every chunk (sliced to each chunk's
-        // physical width): full chunks overwrite every lane on gather, so
-        // only chunks with padding lanes pay a re-zero.
-        let wmax = phys_width(block);
+        let mut rows: Vec<&mut [Complex64]> = xs.iter_mut().map(AsMut::as_mut).collect();
+        for x in &rows {
+            assert_eq!(x.len(), n, "solve dimension mismatch");
+        }
+        // One scratch pair serves every chunk, sliced to each chunk's
+        // physical width.
+        let wmax = phys_width(rows.len().min(RHS_BLOCK));
         let mut xr = vec![0.0f64; n * wmax];
         let mut xi = vec![0.0f64; n * wmax];
-        for (chunk, out_chunk) in rhs.chunks(block).zip(out.chunks_mut(block * n)) {
+        for chunk in rows.chunks_mut(RHS_BLOCK) {
             let wp = phys_width(chunk.len());
             let (xr, xi) = (&mut xr[..n * wp], &mut xi[..n * wp]);
             match chunk.len() {
-                1 => {
-                    let b = chunk[0].as_ref();
-                    assert_eq!(b.len(), n, "solve dimension mismatch");
-                    let x = &mut out_chunk[..n];
-                    x.copy_from_slice(b);
-                    match sweep {
-                        Sweep::Forward => self.solve_in_place(x),
-                        Sweep::Transposed => self.solve_transposed_in_place(x),
-                    }
-                }
-                2 => self.solve_chunk::<2>(chunk, out_chunk, xr, xi, sweep),
-                3..=4 => self.solve_chunk::<4>(chunk, out_chunk, xr, xi, sweep),
-                5..=8 => self.solve_chunk::<8>(chunk, out_chunk, xr, xi, sweep),
-                9..=16 => self.solve_chunk::<16>(chunk, out_chunk, xr, xi, sweep),
-                _ => self.solve_chunk::<32>(chunk, out_chunk, xr, xi, sweep),
+                1 => self.solve_scalar(op, chunk[0]),
+                2 => self.solve_chunk::<2>(op, chunk, xr, xi),
+                3..=4 => self.solve_chunk::<4>(op, chunk, xr, xi),
+                _ => self.solve_chunk::<RHS_BLOCK>(op, chunk, xr, xi),
             }
         }
     }
 
-    /// [`BandedLu::sweep_blocked`]'s twin for owned per-RHS outputs: same
-    /// chunking, same physical-width dispatch, same sweeps — the scatter
-    /// builds one `Vec` per right-hand side instead of filling a flat
-    /// buffer.
-    fn sweep_blocked_rows(
-        &self,
-        rhs: &[impl AsRef<[Complex64]>],
-        block: usize,
-        sweep: Sweep,
-    ) -> Vec<Vec<Complex64>> {
-        let n = self.n;
-        if n == 0 || rhs.is_empty() {
-            for b in rhs {
-                assert_eq!(b.as_ref().len(), n, "solve dimension mismatch");
-            }
-            return vec![Vec::new(); rhs.len()];
-        }
-        let block = block.max(1).min(rhs.len()).min(32);
-        let wmax = phys_width(block);
-        let mut xr = vec![0.0f64; n * wmax];
-        let mut xi = vec![0.0f64; n * wmax];
-        let mut outs: Vec<Vec<Complex64>> = Vec::with_capacity(rhs.len());
-        for chunk in rhs.chunks(block) {
-            let wp = phys_width(chunk.len());
-            let (xr, xi) = (&mut xr[..n * wp], &mut xi[..n * wp]);
-            match chunk.len() {
-                1 => {
-                    let b = chunk[0].as_ref();
-                    assert_eq!(b.len(), n, "solve dimension mismatch");
-                    let mut x = b.to_vec();
-                    match sweep {
-                        Sweep::Forward => self.solve_in_place(&mut x),
-                        Sweep::Transposed => self.solve_transposed_in_place(&mut x),
-                    }
-                    outs.push(x);
-                }
-                2 => self.solve_chunk_rows::<2>(chunk, &mut outs, xr, xi, sweep),
-                3..=4 => self.solve_chunk_rows::<4>(chunk, &mut outs, xr, xi, sweep),
-                5..=8 => self.solve_chunk_rows::<8>(chunk, &mut outs, xr, xi, sweep),
-                9..=16 => self.solve_chunk_rows::<16>(chunk, &mut outs, xr, xi, sweep),
-                _ => self.solve_chunk_rows::<32>(chunk, &mut outs, xr, xi, sweep),
-            }
-        }
-        outs
-    }
-
-    /// One chunk of [`BandedLu::sweep_blocked`] at a fixed physical lane
-    /// width `W ≥ chunk.len()`: gather into split planes, sweep, scatter.
+    /// One chunk of the blocked kernel at physical lane width
+    /// `W ≥ chunk.len() ≥ 2`: gather the right-hand sides into split re/im
+    /// planes with lane-major rows (lane `r` of row `i` lives at
+    /// `plane[i·W + r]`, so the per-row inner loops touch `W` contiguous
+    /// `f64` per plane), sweep, and scatter the solutions back in place.
     /// `xr`/`xi` are caller-owned scratch of length `n·W`.
+    ///
+    /// The width is monomorphized so the strip kernels compile with
+    /// compile-time trip counts — fully unrolled SIMD with no per-row slice
+    /// bookkeeping — and [`phys_width`] picks the narrowest that covers the
+    /// chunk, so a tail chunk never pays for lanes it does not fill. Padding
+    /// lanes start at zero and are computed and discarded; lanes never mix,
+    /// so padding cannot perturb real lanes.
     fn solve_chunk<const W: usize>(
         &self,
-        chunk: &[impl AsRef<[Complex64]>],
-        out_chunk: &mut [Complex64],
+        op: Sweep,
+        chunk: &mut [&mut [Complex64]],
         xr: &mut [f64],
         xi: &mut [f64],
-        sweep: Sweep,
     ) {
-        let n = self.n;
-        let w = chunk.len();
-        // Re-slice to the exact `n·W` length so the optimizer sees the
-        // same compile-time size relation it had when the planes were
-        // allocated here, keeping the sweep loops free of bounds checks.
-        let xr = &mut xr[..n * W];
-        let xi = &mut xi[..n * W];
-        self.sweep_chunk_planes::<W>(chunk, xr, xi, sweep);
-        // Scatter back to RHS-major output rows, row-outer for the same
-        // streaming reason as the gather: plane reads stay contiguous and
-        // the `w` output streams each advance one element per row.
-        let mut outs: Vec<&mut [Complex64]> = out_chunk[..w * n].chunks_exact_mut(n).collect();
-        for i in 0..n {
-            let (row_r, row_i) = (&xr[i * W..(i + 1) * W], &xi[i * W..(i + 1) * W]);
-            for (r, out_row) in outs.iter_mut().enumerate() {
-                out_row[i] = Complex64::new(row_r[r], row_i[r]);
-            }
-        }
-    }
-
-    /// The gather + blocked-substitution front half shared by the flat and
-    /// per-`Vec` scatter paths: interleaves `chunk` into the `n·W` split
-    /// planes and runs the requested sweep, leaving the solutions in the
-    /// planes.
-    fn sweep_chunk_planes<const W: usize>(
-        &self,
-        chunk: &[impl AsRef<[Complex64]>],
-        xr: &mut [f64],
-        xi: &mut [f64],
-        sweep: Sweep,
-    ) {
+        const SCATTER_TILE: usize = 512;
         let n = self.n;
         let w = chunk.len();
         debug_assert!(w >= 2 && w <= W);
+        // Re-slice to the exact `n·W` length so the optimizer sees the
+        // same compile-time size relation it had when the planes were
+        // allocated, keeping the sweep loops free of bounds checks.
+        let xr = &mut xr[..n * W];
+        let xi = &mut xi[..n * W];
         if w < W {
             // Padding lanes must start at zero; a full chunk overwrites
             // every lane below, so only padded chunks pay this clear.
             xr.fill(0.0);
             xi.fill(0.0);
         }
-        // Gather: interleave this block's right-hand sides. Row-outer
-        // order keeps the plane writes contiguous (one cache line per
-        // row per plane, written once) while the per-lane reads advance
-        // as `w` independent sequential streams the prefetcher tracks.
-        let bs: [&[Complex64]; W] = core::array::from_fn(|r| {
-            let b = chunk[r.min(w - 1)].as_ref();
-            assert_eq!(b.len(), n, "solve dimension mismatch");
-            b
-        });
+        // Gather: row-outer order keeps the plane writes contiguous (one
+        // cache line per row per plane, written once) while the per-lane
+        // reads advance as `w` independent sequential streams the
+        // prefetcher tracks.
+        let bs: [&[Complex64]; W] = core::array::from_fn(|r| &*chunk[r.min(w - 1)]);
         for i in 0..n {
             let (row_r, row_i) = (&mut xr[i * W..(i + 1) * W], &mut xi[i * W..(i + 1) * W]);
             for r in 0..w {
@@ -640,46 +403,26 @@ impl BandedLu {
                 row_i[r] = z.im;
             }
         }
-        match sweep {
+        match op {
             Sweep::Forward => self.blocked_solve_planes::<W>(xr, xi, w),
             Sweep::Transposed => self.blocked_solve_transposed_planes::<W>(xr, xi),
         }
-    }
-
-    /// One chunk solved straight into freshly-allocated per-RHS `Vec`s
-    /// appended to `outs`: the scatter fills each solution vector by
-    /// extension (no zero-fill of the destination and no flat-buffer round
-    /// trip), tiled so the strided plane reads stay inside a cache-resident
-    /// window while each output vector grows sequentially.
-    fn solve_chunk_rows<const W: usize>(
-        &self,
-        chunk: &[impl AsRef<[Complex64]>],
-        outs: &mut Vec<Vec<Complex64>>,
-        xr: &mut [f64],
-        xi: &mut [f64],
-        sweep: Sweep,
-    ) {
-        const SCATTER_TILE: usize = 512;
-        let n = self.n;
-        let w = chunk.len();
-        let xr = &mut xr[..n * W];
-        let xi = &mut xi[..n * W];
-        self.sweep_chunk_planes::<W>(chunk, xr, xi, sweep);
-        let base = outs.len();
-        outs.extend((0..w).map(|_| Vec::with_capacity(n)));
-        let mut t0 = 0;
-        while t0 < n {
+        // Scatter back in place, tiled so the strided plane reads stay
+        // inside a cache-resident window while each solution is written
+        // sequentially.
+        for t0 in (0..n).step_by(SCATTER_TILE) {
             let t1 = (t0 + SCATTER_TILE).min(n);
-            for (r, out) in outs[base..].iter_mut().enumerate() {
-                out.extend((t0..t1).map(|i| Complex64::new(xr[i * W + r], xi[i * W + r])));
+            for (r, x) in chunk.iter_mut().enumerate() {
+                for (i, z) in (t0..t1).zip(&mut x[t0..t1]) {
+                    *z = Complex64::new(xr[i * W + r], xi[i * W + r]);
+                }
             }
-            t0 = t1;
         }
     }
 
-    /// Blocked `P·L·U x = b`: the split-plane counterpart of
-    /// [`BandedLu::solve_in_place`], sweeping `w` live lanes (padded to `W`)
-    /// per pass.
+    /// Blocked `P·L·U x = b`: the split-plane counterpart of the
+    /// [`Sweep::Forward`] arm of [`BandedLu::solve_scalar`], sweeping `w`
+    /// live lanes (padded to `W`) per pass.
     ///
     /// Both substitutions run in column panels (≤ [`PANEL`] wide). Updates
     /// to rows *inside* a panel stay eager — later panel columns read them —
@@ -946,11 +689,11 @@ impl BandedLu {
         }
     }
 
-    /// Blocked `Aᵀ x = b`: the split-plane counterpart of
-    /// [`BandedLu::solve_transposed_in_place`]. The transposed sweeps are
-    /// pure per-lane accumulations with no zero-skips, so the blocked form
-    /// only needs to preserve the ascending accumulation order within each
-    /// lane to stay bit-identical.
+    /// Blocked `Aᵀ x = b`: the split-plane counterpart of the
+    /// [`Sweep::Transposed`] arm of [`BandedLu::solve_scalar`]. The
+    /// transposed sweeps are pure per-lane accumulations with no zero-skips,
+    /// so the blocked form only needs to preserve the ascending accumulation
+    /// order within each lane to stay bit-identical.
     fn blocked_solve_transposed_planes<const W: usize>(&self, xr: &mut [f64], xi: &mut [f64]) {
         let (n, kl, ldab) = (self.n, self.kl, self.ldab);
         let kv = self.kl + self.ku;
@@ -1016,124 +759,96 @@ impl BandedLu {
         }
     }
 
-    /// Solves `A x = b` in place: `x` holds the right-hand side on entry
-    /// and the solution on exit. This is the zero-copy primitive behind
-    /// [`BandedLu::solve`] and [`BandedLu::solve_many_into`] — batch loops
-    /// that already own their right-hand-side buffers sweep them in place
-    /// rather than paying a copy per system.
+    /// The scalar sweeps: one system, in place. They are the reference the
+    /// blocked kernel is pinned against bit for bit.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != self.dim()`.
-    pub fn solve_in_place(&self, x: &mut [Complex64]) {
+    fn solve_scalar(&self, op: Sweep, x: &mut [Complex64]) {
         assert_eq!(x.len(), self.n, "solve dimension mismatch");
         let (n, kl, ldab) = (self.n, self.kl, self.ldab);
         let kv = self.kl + self.ku;
-        // Forward: apply L⁻¹ with the recorded pivots.
-        if kl > 0 {
-            for j in 0..n.saturating_sub(1) {
-                let p = self.ipiv[j];
-                if p != j {
-                    x.swap(j, p);
+        match op {
+            Sweep::Forward => {
+                // Forward: apply L⁻¹ with the recorded pivots.
+                if kl > 0 {
+                    for j in 0..n.saturating_sub(1) {
+                        let p = self.ipiv[j];
+                        if p != j {
+                            x.swap(j, p);
+                        }
+                        let km = kl.min(n - 1 - j);
+                        let xj = x[j];
+                        if xj == Complex64::ZERO {
+                            continue;
+                        }
+                        let colj = j * ldab;
+                        for i in 1..=km {
+                            let m = self.data[colj + kv + i];
+                            x[j + i] = cmul_sub(x[j + i], m, xj);
+                        }
+                    }
                 }
-                let km = kl.min(n - 1 - j);
-                let xj = x[j];
-                if xj == Complex64::ZERO {
-                    continue;
-                }
-                let colj = j * ldab;
-                for i in 1..=km {
-                    let m = self.data[colj + kv + i];
-                    x[j + i] = cmul_sub(x[j + i], m, xj);
+                // Backward: apply U⁻¹. U has bandwidth kv.
+                for j in (0..n).rev() {
+                    let inv = self.data[j * ldab + kv].recip();
+                    let xj = cmul_recip(x[j], inv);
+                    x[j] = xj;
+                    if xj == Complex64::ZERO {
+                        continue;
+                    }
+                    let ilo = j.saturating_sub(kv);
+                    for i in ilo..j {
+                        let u = self.data[j * ldab + kv + i - j];
+                        x[i] = cmul_sub(x[i], u, xj);
+                    }
                 }
             }
-        }
-        // Backward: apply U⁻¹. U has bandwidth kv.
-        for j in (0..n).rev() {
-            let inv = self.data[j * ldab + kv].recip();
-            let xj = cmul_recip(x[j], inv);
-            x[j] = xj;
-            if xj == Complex64::ZERO {
-                continue;
-            }
-            let ilo = j.saturating_sub(kv);
-            for i in ilo..j {
-                let u = self.data[j * ldab + kv + i - j];
-                x[i] = cmul_sub(x[i], u, xj);
-            }
-        }
-    }
-
-    /// Solves `Aᵀ x = b` (unconjugated transpose), returning `x`.
-    ///
-    /// This is the adjoint system of the FDFD operator; the same
-    /// factorization is reused, so an adjoint solve costs only the
-    /// substitution sweeps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != self.dim()`.
-    pub fn solve_transposed(&self, b: &[Complex64]) -> Vec<Complex64> {
-        assert_eq!(b.len(), self.n, "solve dimension mismatch");
-        let mut x = b.to_vec();
-        self.solve_transposed_in_place(&mut x);
-        x
-    }
-
-    /// Solves `Aᵀ x = b` in place (unconjugated transpose; see
-    /// [`BandedLu::solve_transposed`]). The zero-copy primitive behind the
-    /// transposed batch entry points.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.dim()`.
-    pub fn solve_transposed_in_place(&self, x: &mut [Complex64]) {
-        assert_eq!(x.len(), self.n, "solve dimension mismatch");
-        let (n, kl, ldab) = (self.n, self.kl, self.ldab);
-        let kv = self.kl + self.ku;
-        // Solve Uᵀ y = b by forward substitution.
-        for j in 0..n {
-            let ilo = j.saturating_sub(kv);
-            let mut acc = x[j];
-            for i in ilo..j {
-                let u = self.data[j * ldab + kv + i - j];
-                acc = cmul_sub(acc, u, x[i]);
-            }
-            x[j] = cmul_recip(acc, self.data[j * ldab + kv].recip());
-        }
-        // Solve Lᵀ x = y, applying pivots in reverse.
-        if kl > 0 {
-            for j in (0..n.saturating_sub(1)).rev() {
-                let km = kl.min(n - 1 - j);
-                let colj = j * ldab;
-                let mut acc = x[j];
-                for i in 1..=km {
-                    let m = self.data[colj + kv + i];
-                    acc = cmul_sub(acc, m, x[j + i]);
+            Sweep::Transposed => {
+                // Solve Uᵀ y = b by forward substitution.
+                for j in 0..n {
+                    let ilo = j.saturating_sub(kv);
+                    let mut acc = x[j];
+                    for i in ilo..j {
+                        let u = self.data[j * ldab + kv + i - j];
+                        acc = cmul_sub(acc, u, x[i]);
+                    }
+                    x[j] = cmul_recip(acc, self.data[j * ldab + kv].recip());
                 }
-                x[j] = acc;
-                let p = self.ipiv[j];
-                if p != j {
-                    x.swap(j, p);
+                // Solve Lᵀ x = y, applying pivots in reverse.
+                if kl > 0 {
+                    for j in (0..n.saturating_sub(1)).rev() {
+                        let km = kl.min(n - 1 - j);
+                        let colj = j * ldab;
+                        let mut acc = x[j];
+                        for i in 1..=km {
+                            let m = self.data[colj + kv + i];
+                            acc = cmul_sub(acc, m, x[j + i]);
+                        }
+                        x[j] = acc;
+                        let p = self.ipiv[j];
+                        if p != j {
+                            x.swap(j, p);
+                        }
+                    }
                 }
             }
         }
     }
 }
 
-/// The physical lane width a chunk of `len` right-hand sides is
-/// monomorphized at: the narrowest of the supported widths (2, 4, 8, 16,
-/// 32) that covers it. A single RHS takes the scalar path (width 0: no
-/// plane scratch needed).
+/// The physical lane width a chunk of `len ≤ RHS_BLOCK` right-hand sides is
+/// monomorphized at: the narrowest of 2, 4 and [`RHS_BLOCK`] that covers
+/// it. A single RHS takes the scalar path (width 0: no plane scratch
+/// needed).
 #[inline(always)]
 fn phys_width(len: usize) -> usize {
     match len {
         0 | 1 => 0,
         2 => 2,
         3..=4 => 4,
-        5..=8 => 8,
-        9..=16 => 16,
-        _ => 32,
+        _ => RHS_BLOCK,
     }
 }
 
@@ -1369,6 +1084,33 @@ mod tests {
         (band, dense)
     }
 
+    /// One system through [`BandedLu::solve`], on a copy of `b`: the K=1
+    /// scalar reference every blocked pin compares against.
+    fn solve1(lu: &BandedLu, op: Sweep, b: &[Complex64]) -> Vec<Complex64> {
+        let mut x = b.to_vec();
+        lu.solve(op, std::slice::from_mut(&mut x));
+        x
+    }
+
+    /// A whole block through one [`BandedLu::solve`] call, on copies.
+    fn solve_block(lu: &BandedLu, op: Sweep, rhs: &[Vec<Complex64>]) -> Vec<Vec<Complex64>> {
+        let mut xs = rhs.to_vec();
+        lu.solve(op, &mut xs);
+        xs
+    }
+
+    /// Asserts every lane of a block solve equals its K=1 solve, down to
+    /// the sign of zero, for both ops.
+    fn assert_block_matches_scalar(lu: &BandedLu, rhs: &[Vec<Complex64>], what: &str) {
+        for op in [Sweep::Forward, Sweep::Transposed] {
+            let block = solve_block(lu, op, rhs);
+            assert_eq!(block.len(), rhs.len(), "{what}: block size");
+            for (r, (x, b)) in block.iter().zip(rhs).enumerate() {
+                assert_bits_eq(x, &solve1(lu, op, b), &format!("{what} {op:?} lane {r}"));
+            }
+        }
+    }
+
     #[test]
     fn solve_matches_dense_elimination() {
         let n = 24;
@@ -1377,7 +1119,7 @@ mod tests {
             .map(|k| Complex64::new(k as f64, -(k as f64) / 3.0))
             .collect();
         let lu = band.clone().factorize().unwrap();
-        let x = lu.solve(&b);
+        let x = solve1(&lu, Sweep::Forward, &b);
         let x_ref = dense_solve(&dense, &b);
         let diff: Vec<Complex64> = x.iter().zip(&x_ref).map(|(a, b)| *a - *b).collect();
         assert!(
@@ -1403,7 +1145,7 @@ mod tests {
             .map(|k| Complex64::new((k as f64).sin(), (k as f64).cos()))
             .collect();
         let lu = band.clone().factorize().unwrap();
-        let x = lu.solve_transposed(&b);
+        let x = solve1(&lu, Sweep::Transposed, &b);
         let r: Vec<Complex64> = band
             .matvec_transposed(&x)
             .iter()
@@ -1425,17 +1167,12 @@ mod tests {
                     .collect()
             })
             .collect();
-        for (batched, b) in lu.solve_many(&rhs).iter().zip(&rhs) {
-            assert_eq!(batched, &lu.solve(b), "batched solve must be bit-identical");
-        }
-        for (batched, b) in lu.solve_transposed_many(&rhs).iter().zip(&rhs) {
-            assert_eq!(batched, &lu.solve_transposed(b));
-        }
+        assert_block_matches_scalar(&lu, &rhs, "K=3");
     }
 
-    /// Pins the transposed batch against one-by-one `solve_transposed`:
-    /// every component must match bit-for-bit, so a batched adjoint sweep
-    /// can never drift from the scalar path.
+    /// Pins a transposed block against one-by-one transposed solves: every
+    /// component must match bit-for-bit, so a batched adjoint sweep can
+    /// never drift from the scalar path.
     #[test]
     fn transposed_batch_matches_one_by_one_bitwise() {
         let n = 26;
@@ -1453,37 +1190,10 @@ mod tests {
                     .collect()
             })
             .collect();
-        let batched = lu.solve_transposed_many(&rhs);
+        let batched = solve_block(&lu, Sweep::Transposed, &rhs);
         assert_eq!(batched.len(), rhs.len());
         for (x, b) in batched.iter().zip(&rhs) {
-            let one = lu.solve_transposed(b);
-            for (a, e) in x.iter().zip(&one) {
-                assert_eq!(a.re.to_bits(), e.re.to_bits());
-                assert_eq!(a.im.to_bits(), e.im.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn into_variants_match_allocating_batches() {
-        let n = 18;
-        let (band, _) = random_banded(n, 2, 3, 5150);
-        let lu = band.factorize().unwrap();
-        let rhs: Vec<Vec<Complex64>> = (0..3)
-            .map(|r| {
-                (0..n)
-                    .map(|k| Complex64::new((k + 2 * r) as f64, -(k as f64) * 0.2))
-                    .collect()
-            })
-            .collect();
-        let mut flat = vec![Complex64::ZERO; rhs.len() * n];
-        lu.solve_many_into(&rhs, &mut flat);
-        for (chunk, x) in flat.chunks_exact(n).zip(lu.solve_many(&rhs)) {
-            assert_eq!(chunk, &x[..], "solve_many_into must match solve_many");
-        }
-        lu.solve_transposed_many_into(&rhs, &mut flat);
-        for (chunk, x) in flat.chunks_exact(n).zip(lu.solve_transposed_many(&rhs)) {
-            assert_eq!(chunk, &x[..]);
+            assert_bits_eq(x, &solve1(&lu, Sweep::Transposed, b), "transposed K=4");
         }
     }
 
@@ -1519,49 +1229,16 @@ mod tests {
             .collect()
     }
 
-    /// Bitwise pin: the blocked multi-RHS sweep must reproduce the scalar
-    /// path exactly for every batch width K = 1..9 and K = 33 (odd tails
-    /// across the default block boundary), for both `solve` and
-    /// `solve_transposed`, at several explicit block widths.
+    /// Bitwise pin: a block solve must reproduce the scalar path exactly
+    /// for every block size K = 1..9 and K = 33 (odd tails across the
+    /// [`RHS_BLOCK`] chunk boundary: 8+1, 8+8+8+8+1), for both ops.
     #[test]
     fn blocked_sweep_is_bit_identical_to_scalar_path() {
         let n = 41;
         let (band, _) = random_banded(n, 5, 3, 2024);
         let lu = band.factorize().unwrap();
         for k in (1..=9).chain([33]) {
-            let rhs = mixed_rhs(n, k);
-            let scalar: Vec<Vec<Complex64>> = rhs.iter().map(|b| lu.solve(b)).collect();
-            let scalar_t: Vec<Vec<Complex64>> =
-                rhs.iter().map(|b| lu.solve_transposed(b)).collect();
-            for block in [1, 2, 3, DEFAULT_RHS_BLOCK, 16, 64] {
-                let mut flat = vec![Complex64::ZERO; k * n];
-                lu.solve_many_into_blocked(&rhs, &mut flat, block);
-                for (chunk, x) in flat.chunks_exact(n).zip(&scalar) {
-                    assert_bits_eq(chunk, x, &format!("solve K={k} block={block}"));
-                }
-                lu.solve_transposed_many_into_blocked(&rhs, &mut flat, block);
-                for (chunk, x) in flat.chunks_exact(n).zip(&scalar_t) {
-                    assert_bits_eq(chunk, x, &format!("solve_t K={k} block={block}"));
-                }
-                // The owned-rows scatter rides the same sweep.
-                for (x, b) in lu.solve_many_blocked(&rhs, block).iter().zip(&scalar) {
-                    assert_bits_eq(x, b, &format!("solve_rows K={k} block={block}"));
-                }
-                for (x, b) in lu
-                    .solve_transposed_many_blocked(&rhs, block)
-                    .iter()
-                    .zip(&scalar_t)
-                {
-                    assert_bits_eq(x, b, &format!("solve_rows_t K={k} block={block}"));
-                }
-            }
-            // The allocating wrappers ride the same kernel.
-            for (x, b) in lu.solve_many(&rhs).iter().zip(&scalar) {
-                assert_bits_eq(x, b, &format!("solve_many K={k}"));
-            }
-            for (x, b) in lu.solve_transposed_many(&rhs).iter().zip(&scalar_t) {
-                assert_bits_eq(x, b, &format!("solve_transposed_many K={k}"));
-            }
+            assert_block_matches_scalar(&lu, &mixed_rhs(n, k), &format!("K={k}"));
         }
     }
 
@@ -1585,12 +1262,7 @@ mod tests {
                     .collect()
             })
             .collect();
-        let batched = lu.solve_many(&rhs);
-        let batched_t = lu.solve_transposed_many(&rhs);
-        for ((x, xt), b) in batched.iter().zip(&batched_t).zip(&rhs) {
-            assert_bits_eq(x, &lu.solve(b), "zero-sign solve");
-            assert_bits_eq(xt, &lu.solve_transposed(b), "zero-sign solve_t");
-        }
+        assert_block_matches_scalar(&lu, &rhs, "zero-sign");
     }
 
     #[test]
@@ -1598,22 +1270,19 @@ mod tests {
         let (band, _) = random_banded(9, 0, 0, 6);
         let lu = band.factorize().unwrap();
         let empty: Vec<Vec<Complex64>> = Vec::new();
-        assert!(lu.solve_many(&empty).is_empty());
-        assert!(lu.solve_transposed_many(&empty).is_empty());
-        let rhs = mixed_rhs(9, 3);
-        for (x, b) in lu.solve_many(&rhs).iter().zip(&rhs) {
-            assert_bits_eq(x, &lu.solve(b), "diagonal-only solve");
-        }
+        assert!(solve_block(&lu, Sweep::Forward, &empty).is_empty());
+        assert!(solve_block(&lu, Sweep::Transposed, &empty).is_empty());
+        assert_block_matches_scalar(&lu, &mixed_rhs(9, 3), "diagonal-only");
     }
 
     #[test]
-    #[should_panic(expected = "output buffer length mismatch")]
-    fn solve_many_into_rejects_wrong_buffer_length() {
+    #[should_panic(expected = "solve dimension mismatch")]
+    fn solve_rejects_a_short_rhs_in_a_block() {
         let (band, _) = random_banded(8, 1, 1, 3);
         let lu = band.factorize().unwrap();
-        let rhs = vec![vec![Complex64::ONE; 8]; 2];
-        let mut out = vec![Complex64::ZERO; 8]; // should be 16
-        lu.solve_many_into(&rhs, &mut out);
+        let mut rhs = vec![vec![Complex64::ONE; 8]; 3];
+        rhs[2].pop();
+        lu.solve(Sweep::Forward, &mut rhs);
     }
 
     #[test]
@@ -1624,7 +1293,8 @@ mod tests {
         band.set(1, 0, Complex64::ONE);
         band.set(1, 1, Complex64::ZERO);
         let lu = band.factorize().expect("permutation matrix is nonsingular");
-        let x = lu.solve(&[Complex64::from_re(3.0), Complex64::from_re(5.0)]);
+        let b = [Complex64::from_re(3.0), Complex64::from_re(5.0)];
+        let x = solve1(&lu, Sweep::Forward, &b);
         assert!((x[0] - Complex64::from_re(5.0)).abs() < 1e-14);
         assert!((x[1] - Complex64::from_re(3.0)).abs() < 1e-14);
     }
@@ -1654,7 +1324,7 @@ mod tests {
         }
         let b: Vec<Complex64> = (0..n).map(|k| Complex64::from_re(k as f64 + 1.0)).collect();
         let lu = band.factorize().unwrap();
-        let x = lu.solve(&b);
+        let x = solve1(&lu, Sweep::Forward, &b);
         for (i, xi) in x.iter().enumerate() {
             let expect = b[i] / Complex64::new(i as f64 + 1.0, 0.5);
             assert!((*xi - expect).abs() < 1e-14);

@@ -6,7 +6,7 @@
 //! BiCGSTAB, and a symmetric eigensolver.
 //!
 //! ```
-//! use maps_linalg::{BandedMatrix, Complex64};
+//! use maps_linalg::{BandedMatrix, Complex64, Sweep};
 //!
 //! # fn main() -> Result<(), maps_linalg::LinalgError> {
 //! let mut a = BandedMatrix::zeros(3, 1, 1);
@@ -14,8 +14,16 @@
 //!     a.set(i, i, Complex64::from_re(2.0));
 //! }
 //! let lu = a.factorize()?;
-//! let x = lu.solve(&[Complex64::ONE; 3]);
+//! // Each right-hand side is overwritten by its solution; one system is a
+//! // block of one.
+//! let mut x = vec![Complex64::ONE; 3];
+//! lu.solve(Sweep::Forward, std::slice::from_mut(&mut x));
 //! assert!((x[0].re - 0.5).abs() < 1e-12);
+//! // A block of right-hand sides shares one pass over the factors, and
+//! // each solution is bit-identical to solving its system alone.
+//! let mut xs = vec![vec![Complex64::ONE; 3]; 2];
+//! lu.solve(Sweep::Forward, &mut xs);
+//! assert_eq!(xs[1], x);
 //! # Ok(())
 //! # }
 //! ```
@@ -28,7 +36,7 @@ pub mod iterative;
 pub mod mixed;
 pub mod sparse;
 
-pub use banded::{BandedLu, BandedMatrix, DEFAULT_RHS_BLOCK};
+pub use banded::{BandedLu, BandedMatrix, Sweep, RHS_BLOCK};
 pub use complex::Complex64;
 pub use dense::{DMatrix, ZMatrix};
 pub use eigen::{symmetric_eigen, SymmetricEigen};

@@ -13,19 +13,19 @@
 //! x ← x + d        (f64 accumulation)
 //! ```
 //!
-//! until the relative residual reaches [`MixedBandedLu::tolerance`]
-//! (`1e-10` by default — matched to the full-`f64` path's accuracy on the
-//! FDFD systems this crate serves). Refinement converges when the operator
-//! is well-enough conditioned that the `f32` factor contracts the error
-//! each pass; when it stagnates instead, the solve transparently falls back
-//! to a full `f64` factorization (computed once, then cached), so a
-//! mixed-precision solve is never *less* accurate than the plain path —
-//! only cheaper when single precision suffices.
+//! until the relative residual reaches [`REFINE_TOL`] (`1e-12`,
+//! tighter than the `1e-10` acceptance gates; its doc says why).
+//! Refinement converges when the operator is well-enough conditioned that
+//! the `f32` factor contracts the error each pass; when it stagnates
+//! instead, the solve transparently falls back to a full `f64`
+//! factorization (computed once, then cached), so a mixed-precision solve
+//! is never *less* accurate than the plain path — only cheaper when single
+//! precision suffices.
 //!
 //! [`Factor`] packages the two factorization strategies behind one solve
 //! surface so the factorization cache in `maps-fdfd` can hold either.
 
-use crate::{BandedLu, BandedMatrix, Complex64, LinalgError};
+use crate::{BandedLu, BandedMatrix, Complex64, LinalgError, Sweep};
 use std::ops::{Add, AddAssign, Mul, Neg, Sub};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -38,7 +38,7 @@ use std::sync::OnceLock;
 /// `1e-13` level, so the refined solve must sit well below the gate for
 /// those differences to survive. Refinement passes are `O(n·b)` against
 /// an `O(n·b²)` factorization — the extra pass or two costs ~nothing.
-pub const DEFAULT_REFINE_TOL: f64 = 1e-12;
+pub const REFINE_TOL: f64 = 1e-12;
 
 /// Refinement passes before the solve declares stagnation and falls back
 /// to the full-`f64` factor. Converging systems finish in a handful of
@@ -145,10 +145,12 @@ impl AddAssign for Complex32 {
     }
 }
 
-/// The single-precision banded LU: the same LAPACK-band algorithm as
-/// [`BandedMatrix::factorize`], ported to `f32` storage. Only the scalar
-/// substitution sweeps are provided — refinement solves one corrector
-/// per pass, so the blocked multi-RHS kernels stay `f64`-only.
+/// The single-precision banded LU: LAPACK band storage and elimination
+/// order like [`BandedMatrix::factorize`], in `f32`. It pivots on
+/// `|re| + |im|` where the `f64` path pivots on the modulus (`hypot`), so
+/// the two factorizations of one matrix can choose different pivots. Only
+/// the scalar substitution sweeps are provided — refinement solves one
+/// corrector per pass, so the blocked multi-RHS kernels stay `f64`-only.
 ///
 /// The band is stored as **split real/imaginary planes** (structure of
 /// arrays) rather than interleaved complex values: the rank-1 update that
@@ -198,8 +200,8 @@ impl BandedLuF32 {
             }
             let km = kl.min(n - 1 - j);
             let colj = j * ldab + kv;
-            // Pivot on LAPACK's cabs1 (|re| + |im|): the same cheap
-            // magnitude proxy zgbtrf uses, so the pivot sequence matches.
+            // Pivot on LAPACK's cabs1 (|re| + |im|), the cheap magnitude
+            // proxy zgbtrf uses.
             let mut jp = 0usize;
             let mut best = re[colj].abs() + im[colj].abs();
             for i in 1..=km {
@@ -272,67 +274,68 @@ impl BandedLuF32 {
         Complex32::new(self.re[idx], self.im[idx])
     }
 
-    /// `P·L·U x = b` in place, single precision.
-    fn solve_in_place(&self, x: &mut [Complex32]) {
+    /// `P·L·U x = b` or `Aᵀ x = b` (per `op`) in place, single precision.
+    fn solve_in_place(&self, op: Sweep, x: &mut [Complex32]) {
         let (n, kl, ldab, kv) = (self.n, self.kl, self.ldab, self.kv);
-        if kl > 0 {
-            for j in 0..n.saturating_sub(1) {
-                let p = self.ipiv[j];
-                if p != j {
-                    x.swap(j, p);
+        match op {
+            Sweep::Forward => {
+                if kl > 0 {
+                    for j in 0..n.saturating_sub(1) {
+                        let p = self.ipiv[j];
+                        if p != j {
+                            x.swap(j, p);
+                        }
+                        let km = kl.min(n - 1 - j);
+                        let xj = x[j];
+                        if xj == Complex32::ZERO {
+                            continue;
+                        }
+                        let colj = j * ldab;
+                        for i in 1..=km {
+                            let m = self.entry(colj + kv + i);
+                            x[j + i] = x[j + i] - m * xj;
+                        }
+                    }
                 }
-                let km = kl.min(n - 1 - j);
-                let xj = x[j];
-                if xj == Complex32::ZERO {
-                    continue;
-                }
-                let colj = j * ldab;
-                for i in 1..=km {
-                    let m = self.entry(colj + kv + i);
-                    x[j + i] = x[j + i] - m * xj;
+                for j in (0..n).rev() {
+                    let inv = self.entry(j * ldab + kv).recip();
+                    let xj = x[j] * inv;
+                    x[j] = xj;
+                    if xj == Complex32::ZERO {
+                        continue;
+                    }
+                    let ilo = j.saturating_sub(kv);
+                    for i in ilo..j {
+                        let u = self.entry(j * ldab + kv + i - j);
+                        x[i] = x[i] - u * xj;
+                    }
                 }
             }
-        }
-        for j in (0..n).rev() {
-            let inv = self.entry(j * ldab + kv).recip();
-            let xj = x[j] * inv;
-            x[j] = xj;
-            if xj == Complex32::ZERO {
-                continue;
-            }
-            let ilo = j.saturating_sub(kv);
-            for i in ilo..j {
-                let u = self.entry(j * ldab + kv + i - j);
-                x[i] = x[i] - u * xj;
-            }
-        }
-    }
-
-    /// `Aᵀ x = b` in place (unconjugated transpose), single precision.
-    fn solve_transposed_in_place(&self, x: &mut [Complex32]) {
-        let (n, kl, ldab, kv) = (self.n, self.kl, self.ldab, self.kv);
-        for j in 0..n {
-            let ilo = j.saturating_sub(kv);
-            let mut acc = x[j];
-            for i in ilo..j {
-                let u = self.entry(j * ldab + kv + i - j);
-                acc = acc - u * x[i];
-            }
-            x[j] = acc * self.entry(j * ldab + kv).recip();
-        }
-        if kl > 0 {
-            for j in (0..n.saturating_sub(1)).rev() {
-                let km = kl.min(n - 1 - j);
-                let colj = j * ldab;
-                let mut acc = x[j];
-                for i in 1..=km {
-                    let m = self.entry(colj + kv + i);
-                    acc = acc - m * x[j + i];
+            Sweep::Transposed => {
+                for j in 0..n {
+                    let ilo = j.saturating_sub(kv);
+                    let mut acc = x[j];
+                    for i in ilo..j {
+                        let u = self.entry(j * ldab + kv + i - j);
+                        acc = acc - u * x[i];
+                    }
+                    x[j] = acc * self.entry(j * ldab + kv).recip();
                 }
-                x[j] = acc;
-                let p = self.ipiv[j];
-                if p != j {
-                    x.swap(j, p);
+                if kl > 0 {
+                    for j in (0..n.saturating_sub(1)).rev() {
+                        let km = kl.min(n - 1 - j);
+                        let colj = j * ldab;
+                        let mut acc = x[j];
+                        for i in 1..=km {
+                            let m = self.entry(colj + kv + i);
+                            acc = acc - m * x[j + i];
+                        }
+                        x[j] = acc;
+                        let p = self.ipiv[j];
+                        if p != j {
+                            x.swap(j, p);
+                        }
+                    }
                 }
             }
         }
@@ -366,7 +369,6 @@ pub struct MixedBandedLu {
     lu32: Option<BandedLuF32>,
     /// Full-`f64` factor, materialized at most once on first stagnation.
     fallback: OnceLock<BandedLu>,
-    tol: f64,
     /// Solves that abandoned refinement for the `f64` factor (diagnostic).
     fallbacks: AtomicU64,
 }
@@ -396,7 +398,6 @@ impl MixedBandedLu {
             a,
             lu32,
             fallback,
-            tol: DEFAULT_REFINE_TOL,
             fallbacks: AtomicU64::new(0),
         })
     }
@@ -404,17 +405,6 @@ impl MixedBandedLu {
     /// Matrix dimension.
     pub fn dim(&self) -> usize {
         self.a.dim()
-    }
-
-    /// The relative-residual target of the refinement loop.
-    pub fn tolerance(&self) -> f64 {
-        self.tol
-    }
-
-    /// Sets the refinement target (builder form).
-    pub fn with_tolerance(mut self, tol: f64) -> Self {
-        self.tol = tol;
-        self
     }
 
     /// How many solves so far abandoned refinement for the `f64` factor.
@@ -432,99 +422,50 @@ impl MixedBandedLu {
         })
     }
 
-    /// Solves `A x = b` to the refinement tolerance (see [`RefineReport`]
-    /// via [`MixedBandedLu::solve_reported`] for the diagnostics).
+    /// Solves `A x = b` or `Aᵀ x = b` (per `op`, reusing both factors) to
+    /// [`REFINE_TOL`]: `x` holds the right-hand side on entry and
+    /// the solution on exit. The report says how the solve got there.
     ///
     /// # Panics
     ///
-    /// Panics if `b.len() != self.dim()`.
-    pub fn solve(&self, b: &[Complex64]) -> Vec<Complex64> {
-        self.solve_reported(b).0
-    }
-
-    /// Solves `Aᵀ x = b` (unconjugated transpose) to the refinement
-    /// tolerance, reusing both factors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != self.dim()`.
-    pub fn solve_transposed(&self, b: &[Complex64]) -> Vec<Complex64> {
-        self.solve_transposed_reported(b).0
-    }
-
-    /// [`MixedBandedLu::solve`] plus the refinement diagnostics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != self.dim()`.
-    pub fn solve_reported(&self, b: &[Complex64]) -> (Vec<Complex64>, RefineReport) {
-        self.refine(b, false)
-    }
-
-    /// [`MixedBandedLu::solve_transposed`] plus the refinement diagnostics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != self.dim()`.
-    pub fn solve_transposed_reported(&self, b: &[Complex64]) -> (Vec<Complex64>, RefineReport) {
-        self.refine(b, true)
-    }
-
-    /// The shared refinement loop; `transposed` selects which system both
-    /// the `f32` sweeps and the residual matvec solve.
-    fn refine(&self, b: &[Complex64], transposed: bool) -> (Vec<Complex64>, RefineReport) {
-        assert_eq!(b.len(), self.a.dim(), "solve dimension mismatch");
-        let bnorm = norm(b);
+    /// Panics if `x.len() != self.dim()`.
+    pub fn solve(&self, op: Sweep, x: &mut [Complex64]) -> RefineReport {
+        assert_eq!(x.len(), self.a.dim(), "solve dimension mismatch");
+        let b = x.to_vec();
+        let bnorm = norm(&b);
         if bnorm == 0.0 {
-            return (
-                vec![Complex64::ZERO; b.len()],
-                RefineReport {
-                    iterations: 0,
-                    rel_residual: 0.0,
-                    fell_back: false,
-                },
-            );
+            x.fill(Complex64::ZERO);
+            return RefineReport {
+                iterations: 0,
+                rel_residual: 0.0,
+                fell_back: false,
+            };
         }
         let Some(lu32) = &self.lu32 else {
-            return self.fall_back(b, transposed, 0);
+            return self.fall_back(op, &b, x, 0);
         };
         let sweep = |r: &[Complex64]| -> Vec<Complex64> {
             let mut d: Vec<Complex32> = r.iter().map(|&z| Complex32::from_c64(z)).collect();
-            if transposed {
-                lu32.solve_transposed_in_place(&mut d);
-            } else {
-                lu32.solve_in_place(&mut d);
-            }
+            lu32.solve_in_place(op, &mut d);
             d.into_iter().map(Complex32::to_c64).collect()
         };
-        let residual = |x: &[Complex64]| -> Vec<Complex64> {
-            let ax = if transposed {
-                self.a.matvec_transposed(x)
-            } else {
-                self.a.matvec(x)
-            };
-            b.iter().zip(&ax).map(|(&bi, &ai)| bi - ai).collect()
-        };
-        let mut x = sweep(b);
+        x.copy_from_slice(&sweep(&b));
         let mut prev_rel = f64::INFINITY;
         for iter in 0..=MAX_REFINE_ITERS {
-            let r = residual(&x);
+            let r = residual(&self.a, op, &b, x);
             let rel = norm(&r) / bnorm;
-            if rel <= self.tol {
-                return (
-                    x,
-                    RefineReport {
-                        iterations: iter,
-                        rel_residual: rel,
-                        fell_back: false,
-                    },
-                );
+            if rel <= REFINE_TOL {
+                return RefineReport {
+                    iterations: iter,
+                    rel_residual: rel,
+                    fell_back: false,
+                };
             }
             // Stagnation: a healthy refinement contracts the residual by
             // orders of magnitude per pass; less than 2× (or a non-finite
             // iterate) means the f32 factor cannot carry this system.
             if iter == MAX_REFINE_ITERS || !rel.is_finite() || rel > 0.5 * prev_rel {
-                return self.fall_back(b, transposed, iter);
+                return self.fall_back(op, &b, x, iter);
             }
             prev_rel = rel;
             let d = sweep(&r);
@@ -535,34 +476,32 @@ impl MixedBandedLu {
         unreachable!("refinement loop exits via tolerance, stagnation, or iteration cap");
     }
 
+    /// Answers `b` from the full-`f64` factor into `x`.
     fn fall_back(
         &self,
+        op: Sweep,
         b: &[Complex64],
-        transposed: bool,
+        x: &mut [Complex64],
         iterations: usize,
-    ) -> (Vec<Complex64>, RefineReport) {
+    ) -> RefineReport {
         self.fallbacks.fetch_add(1, Ordering::Relaxed);
-        let full = self.full();
-        let x = if transposed {
-            full.solve_transposed(b)
-        } else {
-            full.solve(b)
-        };
-        let ax = if transposed {
-            self.a.matvec_transposed(&x)
-        } else {
-            self.a.matvec(&x)
-        };
-        let r: Vec<Complex64> = b.iter().zip(&ax).map(|(&bi, &ai)| bi - ai).collect();
-        (
-            x,
-            RefineReport {
-                iterations,
-                rel_residual: norm(&r) / norm(b).max(f64::MIN_POSITIVE),
-                fell_back: true,
-            },
-        )
+        x.copy_from_slice(b);
+        self.full().solve(op, &mut [&mut *x]);
+        RefineReport {
+            iterations,
+            rel_residual: norm(&residual(&self.a, op, b, x)) / norm(b).max(f64::MIN_POSITIVE),
+            fell_back: true,
+        }
     }
+}
+
+/// `b − A·x` (or `b − Aᵀ·x`), against the exact operator.
+fn residual(a: &BandedMatrix, op: Sweep, b: &[Complex64], x: &[Complex64]) -> Vec<Complex64> {
+    let ax = match op {
+        Sweep::Forward => a.matvec(x),
+        Sweep::Transposed => a.matvec_transposed(x),
+    };
+    b.iter().zip(&ax).map(|(&bi, &ai)| bi - ai).collect()
 }
 
 fn norm(v: &[Complex64]) -> f64 {
@@ -590,76 +529,22 @@ impl Factor {
         }
     }
 
-    /// `true` for the mixed-precision strategy.
-    pub fn is_mixed(&self) -> bool {
-        matches!(self, Factor::Mixed(_))
-    }
-
-    /// Label for spans and logs: `"f64"` or `"mixed-f32"`.
-    pub fn precision(&self) -> &'static str {
-        match self {
-            Factor::Full(_) => "f64",
-            Factor::Mixed(_) => "mixed-f32",
-        }
-    }
-
-    /// Solves `A x = b` (see [`BandedLu::solve`] / [`MixedBandedLu::solve`]).
+    /// Solves `A x = b` or `Aᵀ x = b` (per `op`) for every right-hand side
+    /// in `xs`, in place (see [`BandedLu::solve`]). The full factor sweeps
+    /// the block through its blocked kernel; the mixed factor refines each
+    /// system on its own, since refinement is inherently per system.
     ///
     /// # Panics
     ///
-    /// Panics if `b.len() != self.dim()`.
-    pub fn solve(&self, b: &[Complex64]) -> Vec<Complex64> {
+    /// Panics if any right-hand side's length differs from `self.dim()`.
+    pub fn solve(&self, op: Sweep, xs: &mut [impl AsMut<[Complex64]>]) {
         match self {
-            Factor::Full(lu) => lu.solve(b),
-            Factor::Mixed(m) => m.solve(b),
-        }
-    }
-
-    /// Solves `Aᵀ x = b` (unconjugated transpose).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != self.dim()`.
-    pub fn solve_transposed(&self, b: &[Complex64]) -> Vec<Complex64> {
-        match self {
-            Factor::Full(lu) => lu.solve_transposed(b),
-            Factor::Mixed(m) => m.solve_transposed(b),
-        }
-    }
-
-    /// Batched `A X = B` with an explicit RHS block width. The full factor
-    /// sweeps blocks of right-hand sides through one pass over the band
-    /// data; the mixed factor refines each system independently (the
-    /// refinement loop is inherently per-RHS), so `block` only shapes the
-    /// full path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any `rhs.len() != self.dim()`.
-    pub fn solve_many_blocked(
-        &self,
-        rhs: &[impl AsRef<[Complex64]>],
-        block: usize,
-    ) -> Vec<Vec<Complex64>> {
-        match self {
-            Factor::Full(lu) => lu.solve_many_blocked(rhs, block),
-            Factor::Mixed(m) => rhs.iter().map(|b| m.solve(b.as_ref())).collect(),
-        }
-    }
-
-    /// Batched `Aᵀ X = B` (see [`Factor::solve_many_blocked`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any `rhs.len() != self.dim()`.
-    pub fn solve_transposed_many_blocked(
-        &self,
-        rhs: &[impl AsRef<[Complex64]>],
-        block: usize,
-    ) -> Vec<Vec<Complex64>> {
-        match self {
-            Factor::Full(lu) => lu.solve_transposed_many_blocked(rhs, block),
-            Factor::Mixed(m) => rhs.iter().map(|b| m.solve_transposed(b.as_ref())).collect(),
+            Factor::Full(lu) => lu.solve(op, xs),
+            Factor::Mixed(m) => {
+                for x in xs {
+                    m.solve(op, x.as_mut());
+                }
+            }
         }
     }
 }
@@ -709,10 +594,8 @@ mod tests {
             .collect()
     }
 
-    fn rel_residual(a: &BandedMatrix, x: &[Complex64], b: &[Complex64]) -> f64 {
-        let ax = a.matvec(x);
-        let r: Vec<Complex64> = b.iter().zip(&ax).map(|(&bi, &ai)| bi - ai).collect();
-        norm(&r) / norm(b)
+    fn rel_residual(a: &BandedMatrix, op: Sweep, x: &[Complex64], b: &[Complex64]) -> f64 {
+        norm(&residual(a, op, b, x)) / norm(b)
     }
 
     #[test]
@@ -720,18 +603,20 @@ mod tests {
         let a = helmholtz_like(400, 20);
         let b = rhs(400);
         let mixed = MixedBandedLu::new(a.clone()).unwrap();
-        let (x, report) = mixed.solve_reported(&b);
+        let mut x = b.clone();
+        let report = mixed.solve(Sweep::Forward, &mut x);
         assert!(!report.fell_back, "well-conditioned system must refine");
         assert!(
-            report.rel_residual <= DEFAULT_REFINE_TOL,
+            report.rel_residual <= REFINE_TOL,
             "residual {} above tolerance",
             report.rel_residual
         );
         assert!(report.iterations <= 6, "took {} passes", report.iterations);
-        assert!(rel_residual(&a, &x, &b) <= 1e-9);
+        assert!(rel_residual(&a, Sweep::Forward, &x, &b) <= 1e-9);
         // And it matches the plain f64 solve to refinement accuracy.
         let full = a.clone().factorize().unwrap();
-        let y = full.solve(&b);
+        let mut y = b.clone();
+        full.solve(Sweep::Forward, std::slice::from_mut(&mut y));
         let diff: f64 = x
             .iter()
             .zip(&y)
@@ -746,12 +631,11 @@ mod tests {
         let a = helmholtz_like(300, 15);
         let b = rhs(300);
         let mixed = MixedBandedLu::new(a.clone()).unwrap();
-        let (x, report) = mixed.solve_transposed_reported(&b);
+        let mut x = b.clone();
+        let report = mixed.solve(Sweep::Transposed, &mut x);
         assert!(!report.fell_back);
-        assert!(report.rel_residual <= DEFAULT_REFINE_TOL);
-        let ax = a.matvec_transposed(&x);
-        let r: Vec<Complex64> = b.iter().zip(&ax).map(|(&bi, &ai)| bi - ai).collect();
-        assert!(norm(&r) / norm(&b) <= 1e-9);
+        assert!(report.rel_residual <= REFINE_TOL);
+        assert!(rel_residual(&a, Sweep::Transposed, &x, &b) <= 1e-9);
     }
 
     #[test]
@@ -765,10 +649,11 @@ mod tests {
         }
         let b = rhs(n);
         let mixed = MixedBandedLu::new(a.clone()).unwrap();
-        let (x, report) = mixed.solve_reported(&b);
+        let mut x = b.clone();
+        let report = mixed.solve(Sweep::Forward, &mut x);
         assert!(report.fell_back, "f32-singular must use the f64 factor");
         assert!(report.rel_residual <= 1e-10);
-        assert!(rel_residual(&a, &x, &b) <= 1e-10);
+        assert!(rel_residual(&a, Sweep::Forward, &x, &b) <= 1e-10);
         assert_eq!(mixed.fallback_solves(), 1);
     }
 
@@ -785,7 +670,8 @@ mod tests {
     fn zero_rhs_short_circuits() {
         let a = helmholtz_like(50, 5);
         let mixed = MixedBandedLu::new(a).unwrap();
-        let (x, report) = mixed.solve_reported(&[Complex64::ZERO; 50]);
+        let mut x = [Complex64::ZERO; 50];
+        let report = mixed.solve(Sweep::Forward, &mut x);
         assert!(x.iter().all(|z| *z == Complex64::ZERO));
         assert_eq!(report.iterations, 0);
         assert!(!report.fell_back);
@@ -794,31 +680,21 @@ mod tests {
     #[test]
     fn factor_enum_delegates_both_strategies() {
         let a = helmholtz_like(200, 10);
-        let b = rhs(200);
         let full = Factor::Full(a.clone().factorize().unwrap());
         let mixed = Factor::Mixed(MixedBandedLu::new(a.clone()).unwrap());
-        assert_eq!(full.precision(), "f64");
-        assert_eq!(mixed.precision(), "mixed-f32");
-        assert!(!full.is_mixed());
-        assert!(mixed.is_mixed());
         assert_eq!(full.dim(), 200);
         assert_eq!(mixed.dim(), 200);
+        // Blocks of one and two, both ops, through either strategy.
+        let batch: Vec<Vec<Complex64>> = vec![rhs(200), rhs(200).into_iter().rev().collect()];
         for f in [&full, &mixed] {
-            assert!(rel_residual(&a, &f.solve(&b), &b) <= 1e-9);
-        }
-        // Blocked batch entry points agree with their single-RHS twins.
-        let batch: Vec<Vec<Complex64>> = vec![rhs(200), b.clone()];
-        for f in [&full, &mixed] {
-            let many = f.solve_many_blocked(&batch, 8);
-            assert_eq!(many.len(), 2);
-            for (bi, xi) in batch.iter().zip(&many) {
-                assert!(rel_residual(&a, xi, bi) <= 1e-9);
-            }
-            let many_t = f.solve_transposed_many_blocked(&batch, 8);
-            for (bi, xi) in batch.iter().zip(&many_t) {
-                let ax = a.matvec_transposed(xi);
-                let r: Vec<Complex64> = bi.iter().zip(&ax).map(|(&p, &q)| p - q).collect();
-                assert!(norm(&r) / norm(bi) <= 1e-9);
+            for op in [Sweep::Forward, Sweep::Transposed] {
+                for k in [1, 2] {
+                    let mut xs = batch[..k].to_vec();
+                    f.solve(op, &mut xs);
+                    for (b, x) in batch.iter().zip(&xs) {
+                        assert!(rel_residual(&a, op, x, b) <= 1e-9);
+                    }
+                }
             }
         }
     }

@@ -542,10 +542,6 @@ fn handle_job(
             "f64"
         },
     );
-    ev.set_u64(
-        "rhs_block",
-        maps_obs::parse_env_or("MAPS_RHS_BLOCK", maps_linalg::DEFAULT_RHS_BLOCK) as u64,
-    );
     let head_sampled = tail.head_sample();
 
     // The adoption guard is declared before the root span so drop order is
