@@ -4,7 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use maps_core::{ComplexField2d, FieldSolver, Grid2d, RealField2d};
+use maps_data::{DeviceKind, DeviceResolution};
 use maps_fdfd::{FdfdSolver, PmlConfig};
+use maps_invdes::Patch;
 use maps_linalg::{BandedMatrix, Complex64, Sweep};
 use maps_nn::{Fno, FnoConfig, Model};
 use maps_tensor::{Params, Tensor};
@@ -90,32 +92,27 @@ fn bench_banded_lu(c: &mut Criterion) {
     group.finish();
 }
 
-/// Matvec vs. substitution solve vs. factorize on Helmholtz-shaped banded
-/// systems at the device-zoo grid sizes (40×40 low-res → n=1600, bw=40;
-/// 80×80 default → n=6400, bw=80). The factorize/solve gap is the headroom
-/// the factorization cache converts into cached re-solve speedup.
+/// Matvec vs. substitution solve vs. factorize on the bending device's
+/// FDFD operator band at the device-zoo grid sizes (40×40 low-res →
+/// n=1600, bw=40; 80×80 default → n=6400, bw=80), the band the perfbench
+/// workloads factorize. Its indefinite, PML-lossy diagonal makes partial
+/// pivoting swap rows, so `factorize` runs its flush-on-swap path. The
+/// factorize/solve gap is the headroom the factorization cache converts
+/// into cached re-solve speedup.
 fn bench_banded_ops_at_device_sizes(c: &mut Criterion) {
     let mut group = c.benchmark_group("banded_ops_device_grids");
     group.sample_size(10);
-    for &nx in &[40usize, 80] {
-        let n = nx * nx;
-        let bw = nx;
-        let mut a = BandedMatrix::zeros(n, bw, bw);
-        for i in 0..n {
-            a.set(i, i, Complex64::new(4.0, 0.4));
-            if i >= 1 {
-                a.set(i, i - 1, Complex64::from_re(-1.0));
-            }
-            if i >= bw {
-                a.set(i, i - bw, Complex64::from_re(-1.0));
-            }
-            if i + 1 < n {
-                a.set(i, i + 1, Complex64::from_re(-1.0));
-            }
-            if i + bw < n {
-                a.set(i, i + bw, Complex64::from_re(-1.0));
-            }
-        }
+    for (nx, res) in [
+        (40usize, DeviceResolution::low()),
+        (80, DeviceResolution::high()),
+    ] {
+        let problem = DeviceKind::Bending.build(res).problem;
+        let (dx, dy) = problem.design_size;
+        let eps = problem.eps_for(&Patch::constant(dx, dy, 0.5));
+        let solver = FdfdSolver::with_pml(PmlConfig::auto(problem.grid().dl));
+        let a = solver.operator(&eps, problem.omega()).to_banded();
+        let n = a.dim();
+        assert_eq!(n, nx * nx, "device grid size");
         let x: Vec<Complex64> = (0..n)
             .map(|k| Complex64::new((k as f64 * 0.01).sin(), (k as f64 * 0.02).cos()))
             .collect();

@@ -1,5 +1,4 @@
-//! Perf-regression harness for the typestate-tape / mixed-precision work
-//! (PR 9).
+//! Perf-regression harness for f32 tape-free inference.
 //!
 //! Not a criterion bench: this harness emits a machine-readable JSON file
 //! (`BENCH_pr9.json` by default) with median timings so CI can diff runs.
@@ -10,24 +9,16 @@
 //! cargo bench --bench precision -- [--smoke] [--out PATH]
 //! ```
 //!
-//! Two claims are measured and gated:
-//!
-//! 1. **Inference precision** — a forward pass through the FNO surrogate
-//!    with `NoneTape` in f32 (`infer_f32`) must be measurably faster than
-//!    the taped f64 training forward (`forward` + `OwnedTape`), because it
-//!    records no tape nodes and moves half the bytes. The f64 `infer` path
-//!    is reported alongside to split the tape cost from the dtype cost.
-//! 2. **Mixed-precision factorization** — an f32 banded LU plus f64
-//!    iterative refinement must reach the f64 direct solve's accuracy
-//!    (relative residual <= `REFINE_TOL`) and the combined
-//!    factorize+solve must beat the full f64 LU on Helmholtz-shaped
-//!    systems at device-zoo sizes.
+//! One claim is measured and gated: a forward pass through the FNO
+//! surrogate with `NoneTape` in f32 (`infer_f32`) must be measurably faster
+//! than the taped f64 training forward (`forward` + `OwnedTape`), because
+//! it records no tape nodes and moves half the bytes. The f64 `infer` path
+//! is reported alongside to split the tape cost from the dtype cost.
 //!
 //! Measurements interleave the compared variants rep by rep and gate on
 //! the median of paired per-rep differences, so bursty container noise
 //! hits both sides of each pair and cancels.
 
-use maps_linalg::{BandedMatrix, Complex64, MixedBandedLu, Sweep, RHS_BLOCK};
 use maps_nn::{Fno, FnoConfig, Model};
 use maps_tensor::{Params, Tensor};
 use rand::rngs::StdRng;
@@ -70,29 +61,6 @@ fn median_diff(mut diffs: Vec<i128>) -> i128 {
     diffs[diffs.len() / 2]
 }
 
-/// Helmholtz-shaped banded test system: the 5-point stencil sparsity that
-/// `FdfdSolver` assembles, with a lossy diagonal so both the f64 LU and the
-/// f32 LU are comfortably non-singular.
-fn helmholtz_like(n: usize, bw: usize) -> BandedMatrix {
-    let mut a = BandedMatrix::zeros(n, bw, bw);
-    for i in 0..n {
-        a.set(i, i, Complex64::new(4.0, 0.4));
-        if i >= 1 {
-            a.set(i, i - 1, Complex64::from_re(-1.0));
-        }
-        if i >= bw {
-            a.set(i, i - bw, Complex64::from_re(-1.0));
-        }
-        if i + 1 < n {
-            a.set(i, i + 1, Complex64::from_re(-1.0));
-        }
-        if i + bw < n {
-            a.set(i, i + bw, Complex64::from_re(-1.0));
-        }
-    }
-    a
-}
-
 fn main() {
     let mode = parse_args();
     let reps = if mode.smoke { 7 } else { 21 };
@@ -103,7 +71,6 @@ fn main() {
         if mode.smoke { "smoke" } else { "full" }
     );
 
-    // --- Claim 1: f32 tape-free inference vs taped f64 forward -----------
     let mut params = Params::new();
     let mut rng = StdRng::seed_from_u64(0);
     let model = Fno::new(
@@ -184,87 +151,19 @@ fn main() {
     let inference_diff = median_diff(taped_vs_f32);
     let inference_speedup = taped_f64_ns as f64 / infer_f32_ns.max(1) as f64;
 
-    // --- Claim 2: mixed factorize+refine vs full f64 LU ------------------
-    let nx = if mode.smoke { 40usize } else { 80 };
-    let n = nx * nx;
-    let bw = nx;
-    let a = helmholtz_like(n, bw);
-    let b: Vec<Complex64> = (0..n)
-        .map(|k| Complex64::new((k as f64 * 0.013).sin(), (k as f64 * 0.007).cos()))
-        .collect();
-
-    let mut full_samples = Vec::with_capacity(reps);
-    let mut mixed_samples = Vec::with_capacity(reps);
-    let mut factor_diffs = Vec::with_capacity(reps);
-    let mut refine_iterations = 0usize;
-    let mut rel_residual = 0.0f64;
-    let mut fell_back = false;
-    for _ in 0..reps {
-        let t = Instant::now();
-        let lu = a.clone().factorize().expect("f64 factorize");
-        let mut x_full = b.clone();
-        lu.solve(Sweep::Forward, std::slice::from_mut(&mut x_full));
-        let full = t.elapsed().as_nanos();
-        std::hint::black_box(&x_full);
-
-        let t = Instant::now();
-        let mixed = MixedBandedLu::new(a.clone()).expect("mixed factorize");
-        let mut x_mixed = b.clone();
-        let report = mixed.solve(Sweep::Forward, &mut x_mixed);
-        let mixed_ns = t.elapsed().as_nanos();
-        std::hint::black_box(&x_mixed);
-
-        refine_iterations = report.iterations;
-        rel_residual = report.rel_residual;
-        fell_back = report.fell_back;
-
-        full_samples.push(full);
-        mixed_samples.push(mixed_ns);
-        factor_diffs.push(full as i128 - mixed_ns as i128);
-    }
-    let full_f64_ns = median_ns(full_samples);
-    let mixed_ns = median_ns(mixed_samples);
-    let factor_diff = median_diff(factor_diffs);
-    let factor_speedup = full_f64_ns as f64 / mixed_ns.max(1) as f64;
-
     let json = format!(
-        "{{\n  \"bench\": \"precision\",\n  \"mode\": \"{mode_s}\",\n  \"reps\": {reps},\n  \"inference\": {{\n    \"shape\": \"{batch}x4x40x40\",\n    \"taped_f64_ns\": {taped_f64_ns},\n    \"infer_f64_ns\": {infer_f64_ns},\n    \"infer_f32_ns\": {infer_f32_ns},\n    \"paired_diff_taped_vs_f32_ns\": {inference_diff},\n    \"speedup_f32_vs_taped\": {inference_speedup:.3}\n  }},\n  \"factorization\": {{\n    \"n\": {n},\n    \"bandwidth\": {bw},\n    \"rhs_block\": {rhs_block},\n    \"full_f64_ns\": {full_f64_ns},\n    \"mixed_f32_refined_ns\": {mixed_ns},\n    \"paired_diff_full_vs_mixed_ns\": {factor_diff},\n    \"refine_iterations\": {refine_iterations},\n    \"rel_residual\": {rel_residual:.3e},\n    \"fell_back\": {fell_back},\n    \"speedup_mixed_vs_full\": {factor_speedup:.3}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"precision\",\n  \"mode\": \"{mode_s}\",\n  \"reps\": {reps},\n  \"inference\": {{\n    \"shape\": \"{batch}x4x40x40\",\n    \"taped_f64_ns\": {taped_f64_ns},\n    \"infer_f64_ns\": {infer_f64_ns},\n    \"infer_f32_ns\": {infer_f32_ns},\n    \"paired_diff_taped_vs_f32_ns\": {inference_diff},\n    \"speedup_f32_vs_taped\": {inference_speedup:.3}\n  }}\n}}\n",
         mode_s = if mode.smoke { "smoke" } else { "full" },
-        rhs_block = RHS_BLOCK,
     );
     std::fs::write(&mode.out, &json).expect("write bench json");
     eprintln!("{json}");
     eprintln!("wrote {}", mode.out);
 
-    // Hard gates: these are the PR's headline invariants, so a regression
-    // fails `scripts/bench.sh` outright.
-    assert!(
-        !fell_back,
-        "mixed-precision refinement fell back to full f64 LU on a well-conditioned Helmholtz system"
-    );
-    assert!(
-        rel_residual <= maps_linalg::mixed::REFINE_TOL,
-        "refined relative residual {rel_residual:.3e} exceeds the matched-accuracy tolerance {}",
-        maps_linalg::mixed::REFINE_TOL
-    );
+    // Hard gate: this is the headline invariant, so a regression fails
+    // `scripts/bench.sh` outright.
     assert!(
         inference_diff > 0,
         "f32 tape-free inference must beat the taped f64 forward: \
          paired median diff {inference_diff} ns ({infer_f32_ns} vs {taped_f64_ns} ns)"
     );
-    if mode.smoke {
-        // Smoke runs on tiny grids sit at the noise floor; allow 10% slack.
-        let slack = (full_f64_ns as i128) / 10;
-        assert!(
-            factor_diff >= -slack,
-            "mixed factorize+refine must be no slower than full f64 LU (within noise): \
-             paired median diff {factor_diff} ns ({mixed_ns} vs {full_f64_ns} ns)"
-        );
-    } else {
-        assert!(
-            factor_diff > 0,
-            "mixed factorize+refine must beat the full f64 LU at device size: \
-             paired median diff {factor_diff} ns ({mixed_ns} vs {full_f64_ns} ns)"
-        );
-    }
 }

@@ -8,14 +8,9 @@
 //!
 //! - a cheap 128-bit [`Fingerprint`] of the operator inputs (permittivity
 //!   bits, `omega`, grid dims, spacing, PML config) identifies "the same
-//!   operator" without retaining the inputs; it also carries the
-//!   factorization *strategy* (full `f64` vs mixed precision), so toggling
-//!   `MAPS_MIXED_PRECISION` can never alias a cached factor of the other
-//!   strategy;
-//! - a process-wide [`FactorCache`] maps fingerprints to `Arc<Factor>`
-//!   (either a full-`f64` banded LU or a mixed-precision
-//!   `f32`-factor + `f64`-refinement pair) with bounded capacity and LRU
-//!   eviction;
+//!   operator" without retaining the inputs;
+//! - a process-wide [`FactorCache`] maps fingerprints to `Arc<BandedLu>`
+//!   with bounded capacity and LRU eviction;
 //! - independent of the LRU ring, the cache always retains the **most
 //!   recent** factorization, so an adjoint solve immediately following the
 //!   forward solve of the same design reuses its factor even when the cache
@@ -42,17 +37,10 @@
 //! capacity. A cached factor for an `nx × ny` grid holds
 //! `(3·nx + 1)·nx·ny` complex doubles (~25 MB at the default 80×80 device
 //! grid), so capacities stay small.
-//!
-//! The precision knob is `MAPS_MIXED_PRECISION` (read once per process at
-//! first factorization): `1`/`on`/`true` makes every leader factorize in
-//! `f32` and refine each solve against the exact `f64` operator
-//! ([`maps_linalg::MixedBandedLu`]); anything else (or unset) keeps the
-//! full-`f64` default. The `fdfd.factorize` span reports the strategy in
-//! its `precision` field.
 
 use crate::pml::PmlConfig;
 use maps_core::RealField2d;
-use maps_linalg::{BandedMatrix, Factor, LinalgError, MixedBandedLu};
+use maps_linalg::{BandedLu, BandedMatrix, LinalgError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
@@ -79,29 +67,12 @@ pub const FLIGHT_SHARDS: usize = 16;
 pub struct Fingerprint {
     h: [u64; 2],
     cells: usize,
-    /// Factorization strategy this fingerprint keys: mixed-precision
-    /// factors and full-`f64` factors of the same operator are distinct
-    /// cache entries.
-    mixed: bool,
 }
 
 impl Fingerprint {
     /// The single-flight shard this fingerprint coordinates on.
     fn shard(&self) -> usize {
         (self.h[0] as usize) % FLIGHT_SHARDS
-    }
-
-    /// Returns the fingerprint re-keyed to the given factorization
-    /// strategy (tests and special-purpose pipelines; [`fingerprint`]
-    /// already applies the process-wide `MAPS_MIXED_PRECISION` mode).
-    pub fn with_mixed(mut self, mixed: bool) -> Self {
-        self.mixed = mixed;
-        self
-    }
-
-    /// Whether this fingerprint keys a mixed-precision factor.
-    pub fn is_mixed(&self) -> bool {
-        self.mixed
     }
 
     /// The 128-bit digest as 32 hex chars — the stable operator identity
@@ -166,33 +137,7 @@ pub fn fingerprint(eps_r: &RealField2d, omega: f64, pml: &PmlConfig) -> Fingerpr
     Fingerprint {
         h: [h.a, h.b],
         cells: grid.len(),
-        mixed: mixed_precision(),
     }
-}
-
-/// Whether `MAPS_MIXED_PRECISION` selects mixed-precision factorization
-/// for this process (read once; `1`/`on`/`true` enable, anything else —
-/// including unset — keeps the full-`f64` default).
-pub fn mixed_precision() -> bool {
-    static MODE: OnceLock<bool> = OnceLock::new();
-    *MODE.get_or_init(|| match std::env::var("MAPS_MIXED_PRECISION") {
-        Ok(v) => {
-            let v = v.trim();
-            if v.is_empty()
-                || v == "0"
-                || v.eq_ignore_ascii_case("off")
-                || v.eq_ignore_ascii_case("false")
-            {
-                false
-            } else if v == "1" || v.eq_ignore_ascii_case("on") || v.eq_ignore_ascii_case("true") {
-                true
-            } else {
-                maps_obs::warn_invalid_env("MAPS_MIXED_PRECISION", v, "1/on/true or 0/off/false");
-                false
-            }
-        }
-        Err(_) => false,
-    })
 }
 
 /// Hit/miss/eviction counts of one [`FactorCache`] instance.
@@ -225,7 +170,7 @@ pub enum FactorOutcome {
 /// One in-flight factorization: followers block on the condvar until the
 /// leader publishes a result (or its abort) into the slot.
 struct Flight {
-    slot: Mutex<Option<Result<Arc<Factor>, LinalgError>>>,
+    slot: Mutex<Option<Result<Arc<BandedLu>, LinalgError>>>,
     done: Condvar,
 }
 
@@ -237,13 +182,13 @@ impl Flight {
         }
     }
 
-    fn publish(&self, result: Result<Arc<Factor>, LinalgError>) {
+    fn publish(&self, result: Result<Arc<BandedLu>, LinalgError>) {
         let mut slot = self.slot.lock().expect("flight slot");
         *slot = Some(result);
         self.done.notify_all();
     }
 
-    fn wait(&self) -> Result<Arc<Factor>, LinalgError> {
+    fn wait(&self) -> Result<Arc<BandedLu>, LinalgError> {
         let mut slot = self.slot.lock().expect("flight slot");
         while slot.is_none() {
             slot = self.done.wait(slot).expect("flight wait");
@@ -280,7 +225,7 @@ impl Drop for FlightGuard<'_> {
 
 struct Entry {
     key: Fingerprint,
-    lu: Arc<Factor>,
+    lu: Arc<BandedLu>,
     used: u64,
 }
 
@@ -288,7 +233,7 @@ struct Inner {
     /// Most recent factorization — always retained, even at capacity 0,
     /// so forward → adjoint pairs on one design share a factor
     /// unconditionally.
-    last: Option<(Fingerprint, Arc<Factor>)>,
+    last: Option<(Fingerprint, Arc<BandedLu>)>,
     ring: Vec<Entry>,
     capacity: usize,
     clock: u64,
@@ -390,7 +335,7 @@ impl FactorCache {
 
     /// Looks up a factorization without counting a miss (used by
     /// [`FactorCache::factorize_with`]; exposed for diagnostics).
-    pub fn get(&self, key: &Fingerprint) -> Option<Arc<Factor>> {
+    pub fn get(&self, key: &Fingerprint) -> Option<Arc<BandedLu>> {
         let mut inner = self.inner.lock().expect("factor cache lock");
         inner.clock += 1;
         let now = inner.clock;
@@ -415,7 +360,7 @@ impl FactorCache {
 
     /// Inserts a factorization, evicting the least-recently-used ring entry
     /// when over capacity.
-    pub fn insert(&self, key: Fingerprint, lu: Arc<Factor>) {
+    pub fn insert(&self, key: Fingerprint, lu: Arc<BandedLu>) {
         let mut inner = self.inner.lock().expect("factor cache lock");
         inner.clock += 1;
         let now = inner.clock;
@@ -447,14 +392,14 @@ impl FactorCache {
         &self,
         key: Fingerprint,
         assemble: impl FnOnce() -> BandedMatrix,
-    ) -> Result<Arc<Factor>, LinalgError> {
+    ) -> Result<Arc<BandedLu>, LinalgError> {
         self.factorize_coalesced(key, assemble).map(|(lu, _)| lu)
     }
 
     /// Single-flight factorization: concurrent misses of the same `key`
     /// elect one **leader** that assembles and factorizes; every concurrent
     /// **follower** blocks until the leader publishes and then shares the
-    /// same `Arc<Factor>`. A `N`-way stampede on one fingerprint therefore
+    /// same `Arc<BandedLu>`. A `N`-way stampede on one fingerprint therefore
     /// costs exactly one `O(n·b²)` factorization instead of `N`.
     ///
     /// Only the leader emits the `fdfd.factorize` span, so span-recorder
@@ -475,7 +420,7 @@ impl FactorCache {
         &self,
         key: Fingerprint,
         assemble: impl FnOnce() -> BandedMatrix,
-    ) -> Result<(Arc<Factor>, FactorOutcome), LinalgError> {
+    ) -> Result<(Arc<BandedLu>, FactorOutcome), LinalgError> {
         if let Some(lu) = self.get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             maps_obs::counter("fdfd.factor_cache.hit").inc();
@@ -519,15 +464,8 @@ impl FactorCache {
         let result = {
             let _s = maps_obs::span("fdfd.factorize")
                 .field("cells", key.cells)
-                .field("precision", if key.mixed { "mixed-f32" } else { "f64" })
                 .field("fingerprint", key.hex());
-            let a = assemble();
-            let factor = if key.mixed {
-                MixedBandedLu::new(a).map(Factor::Mixed)
-            } else {
-                a.factorize().map(Factor::Full)
-            };
-            factor.map(Arc::new)
+            assemble().factorize().map(Arc::new)
         };
         if let Ok(lu) = &result {
             self.insert(key, Arc::clone(lu));
@@ -617,7 +555,7 @@ pub fn factor(
     omega: f64,
     pml: &PmlConfig,
     assemble: impl FnOnce() -> BandedMatrix,
-) -> Result<Arc<Factor>, LinalgError> {
+) -> Result<Arc<BandedLu>, LinalgError> {
     global().factorize_with(fingerprint(eps_r, omega, pml), assemble)
 }
 
@@ -633,7 +571,7 @@ pub fn factor_coalesced(
     omega: f64,
     pml: &PmlConfig,
     assemble: impl FnOnce() -> BandedMatrix,
-) -> Result<(Arc<Factor>, FactorOutcome), LinalgError> {
+) -> Result<(Arc<BandedLu>, FactorOutcome), LinalgError> {
     global().factorize_coalesced(fingerprint(eps_r, omega, pml), assemble)
 }
 
@@ -641,7 +579,7 @@ pub fn factor_coalesced(
 mod tests {
     use super::*;
     use maps_core::Grid2d;
-    use maps_linalg::{Complex64, Sweep};
+    use maps_linalg::Complex64;
 
     fn toy_banded(seed: f64) -> BandedMatrix {
         let mut a = BandedMatrix::zeros(4, 1, 1);
@@ -782,38 +720,6 @@ mod tests {
     }
 
     #[test]
-    fn mixed_key_factorizes_mixed_and_never_aliases_full() {
-        let cache = FactorCache::new(4);
-        let full_key = key_for(30.0).with_mixed(false);
-        let mixed_key = full_key.with_mixed(true);
-        assert_ne!(full_key, mixed_key);
-        assert!(mixed_key.is_mixed());
-        let full = cache.factorize_with(full_key, || toy_banded(0.0)).unwrap();
-        let mixed = cache.factorize_with(mixed_key, || toy_banded(0.0)).unwrap();
-        assert!(matches!(*full, Factor::Full(_)));
-        assert!(matches!(*mixed, Factor::Mixed(_)));
-        assert!(!Arc::ptr_eq(&full, &mixed), "strategies cache separately");
-        assert_eq!(
-            cache.stats().misses,
-            2,
-            "each strategy factorizes once despite identical operators"
-        );
-        // Both strategies solve the same system to direct-solve accuracy.
-        let mut xf = vec![Complex64::ONE; 4];
-        let mut xm = xf.clone();
-        full.solve(Sweep::Forward, std::slice::from_mut(&mut xf));
-        mixed.solve(Sweep::Forward, std::slice::from_mut(&mut xm));
-        for (p, q) in xf.iter().zip(&xm) {
-            assert!((*p - *q).abs() < 1e-10, "{p} vs {q}");
-        }
-        // And a repeat lookup of either key hits its own entry.
-        let again = cache
-            .factorize_with(mixed_key, || panic!("hit must not refactorize"))
-            .unwrap();
-        assert!(Arc::ptr_eq(&mixed, &again));
-    }
-
-    #[test]
     fn outcome_reports_hit_and_leader() {
         let cache = FactorCache::new(2);
         let key = key_for(7.0);
@@ -834,7 +740,7 @@ mod tests {
         let threads = 8;
         let barrier = std::sync::Barrier::new(threads);
         let factorizations = AtomicU64::new(0);
-        let outcomes: Vec<(FactorOutcome, Arc<Factor>)> = std::thread::scope(|s| {
+        let outcomes: Vec<(FactorOutcome, Arc<BandedLu>)> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..threads)
                 .map(|_| {
                     s.spawn(|| {

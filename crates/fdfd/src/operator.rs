@@ -16,6 +16,20 @@ use crate::pml::PmlConfig;
 use maps_core::{Grid2d, RealField2d};
 use maps_linalg::{BandedMatrix, Complex64, CooMatrix, CsrMatrix};
 
+/// Bytes of the banded LU factor of the operator on an `nx × ny` grid.
+///
+/// [`HelmholtzOperator::to_banded`] gives the band `kl = ku = nx`, and LAPACK
+/// band storage keeps `2·kl + ku + 1 = 3·nx + 1` complex doubles per cell:
+/// 24.7 MB at 80×80. Saturates instead of overflowing, so it can size a grid
+/// from untrusted input before anything is allocated.
+pub fn factor_bytes(nx: usize, ny: usize) -> usize {
+    nx.saturating_mul(3)
+        .saturating_add(1)
+        .saturating_mul(nx)
+        .saturating_mul(ny)
+        .saturating_mul(std::mem::size_of::<Complex64>())
+}
+
 /// The 5-point stencil of one grid row of the Helmholtz operator.
 #[derive(Debug, Clone, Copy)]
 struct Stencil {
@@ -232,6 +246,17 @@ mod tests {
             maps_core::omega_for_wavelength(1.55),
             &PmlConfig::default(),
         )
+    }
+
+    #[test]
+    fn factor_bytes_matches_the_assembled_band() {
+        let op = setup();
+        let a = op.to_banded();
+        let (kl, ku) = (a.lower_bandwidth(), a.upper_bandwidth());
+        let band_bytes = (2 * kl + ku + 1) * a.dim() * std::mem::size_of::<Complex64>();
+        assert_eq!(factor_bytes(32, 28), band_bytes);
+        assert_eq!(factor_bytes(80, 80), 24_678_400);
+        assert_eq!(factor_bytes(usize::MAX / 2, 3), usize::MAX);
     }
 
     #[test]

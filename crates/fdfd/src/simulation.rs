@@ -267,7 +267,7 @@ impl FieldSolver for FdfdSolver {
     /// kind × RHS-block) work item fetches its factor from the factor cache
     /// (single-flight coalescing makes concurrent items of the same bucket
     /// share one factorization) and solves its whole block in place with
-    /// one [`maps_linalg::Factor::solve`] call, which sweeps the block
+    /// one [`maps_linalg::BandedLu::solve`] call, which sweeps the block
     /// through one pass over the factors. A K-excitation batch over G
     /// distinct frequencies therefore pays G factorizations (fewer on cache
     /// hits) and ~K/`RHS_BLOCK` traversals of the band data instead of K.

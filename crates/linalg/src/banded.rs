@@ -5,6 +5,16 @@
 //! direct solve in `O(n·b²)` time. One factorization answers both the
 //! forward system and the adjoint (transposed) system through
 //! [`BandedLu::solve`].
+//!
+//! Both halves are cache-blocked without changing a bit of the result.
+//! [`BandedMatrix::factorize`] eliminates panels of columns and defers each
+//! panel's updates to the columns right of it, so a trailing column is
+//! loaded once per panel instead of once per pivot. The blocked solve sweeps
+//! up to [`RHS_BLOCK`] right-hand sides per pass over the factors. Each
+//! element still sees the same operations in the same order as in the
+//! unblocked loops, so the factors, pivots and solutions are bit-identical
+//! to them. The tests keep the unblocked loops as the references and pin
+//! both kernels against them.
 
 use crate::{Complex64, LinalgError};
 
@@ -156,6 +166,23 @@ impl BandedMatrix {
 
     /// Factors the matrix as `P·L·U` with partial pivoting, consuming it.
     ///
+    /// The elimination is LAPACK's unblocked `zgbtf2` reordered into panels
+    /// of [`FACTOR_PANEL`] columns. Inside a panel each column is eliminated
+    /// eagerly: pivot search, row swap, scaling, and the update of the
+    /// panel's own later columns. Updates to columns right of the panel are
+    /// deferred, then applied column by column: each trailing column is
+    /// loaded once and receives every pending pivot column's update while it
+    /// sits in L1, instead of the whole trailing window streaming through
+    /// the cache once per pivot. A row swap needs both of its rows current,
+    /// so a pivot column that swaps first flushes the pending updates.
+    ///
+    /// Every element still receives its updates in ascending pivot order,
+    /// as `a -= f·m` (complex multiply, then subtract; no fused ops), and a
+    /// zero `f` skips its update exactly as the unblocked loop does. The
+    /// pivot search picks the same index as the plain `hypot` arg-max (see
+    /// [`pivot_index`]). The factors and pivots are therefore bit-identical
+    /// to the unblocked elimination, which the tests keep as the reference.
+    ///
     /// # Errors
     ///
     /// Returns [`LinalgError::Singular`] when a zero pivot is encountered.
@@ -166,6 +193,107 @@ impl BandedMatrix {
         let mut ipiv = vec![0usize; n];
         // `ju` tracks the rightmost column touched by row interchanges so far.
         let mut ju = 0usize;
+        // Pivot columns of the current panel whose updates right of the
+        // panel are pending: (column, sub-diagonal count, last column its
+        // update reaches). `ju` never shrinks, so the last entry reaches
+        // furthest.
+        let mut pending: Vec<(usize, usize, usize)> = Vec::with_capacity(FACTOR_PANEL);
+        for p0 in (0..n).step_by(FACTOR_PANEL) {
+            let p1 = (p0 + FACTOR_PANEL).min(n);
+            for j in p0..p1 {
+                // Zero the fill-in area of the column that enters the band
+                // window.
+                if j + kv < n {
+                    self.data[(j + kv) * ldab..][..kl].fill(Complex64::ZERO);
+                }
+                let km = kl.min(n - 1 - j); // sub-diagonal count in column j
+                let colj = j * ldab;
+                let jp = pivot_index(&self.data[colj + kv..=colj + kv + km]);
+                ipiv[j] = j + jp;
+                if self.data[colj + kv + jp] == Complex64::ZERO {
+                    return Err(LinalgError::Singular { index: j });
+                }
+                ju = ju.max((j + ku + jp).min(n - 1));
+                if jp != 0 {
+                    self.flush(&pending, p1);
+                    pending.clear();
+                    // Swap rows j and j+jp across columns j..=ju.
+                    for k in j..=ju {
+                        let a = k * ldab + kv + j - k;
+                        let b = k * ldab + kv + j + jp - k;
+                        self.data.swap(a, b);
+                    }
+                }
+                if km > 0 {
+                    let inv = self.data[colj + kv].recip();
+                    for m in &mut self.data[colj + kv + 1..=colj + kv + km] {
+                        *m = *m * inv;
+                    }
+                    for k in (j + 1)..=ju.min(p1 - 1) {
+                        self.eliminate(j, km, k);
+                    }
+                    if ju >= p1 {
+                        pending.push((j, km, ju));
+                    }
+                }
+            }
+            self.flush(&pending, p1);
+            pending.clear();
+        }
+        Ok(BandedLu {
+            n,
+            kl,
+            ku,
+            ldab,
+            data: self.data,
+            ipiv,
+        })
+    }
+
+    /// Applies pivot column `j`'s update to column `k > j`: rows
+    /// `j+1 ..= j+km` lose `f·m`, where `f = A[j][k]` and `m` are column
+    /// `j`'s multipliers. A zero `f` skips the update, as in the unblocked
+    /// elimination, so the signs of zeros match it.
+    #[inline(always)]
+    fn eliminate(&mut self, j: usize, km: usize, k: usize) {
+        let (ldab, kv) = (self.ldab, self.kl + self.ku);
+        let (left, right) = self.data.split_at_mut(k * ldab);
+        let col = &mut right[..ldab];
+        let f = col[kv + j - k];
+        if f == Complex64::ZERO {
+            return;
+        }
+        let m = &left[j * ldab + kv + 1..][..km];
+        for (a, &m) in col[kv + j + 1 - k..][..km].iter_mut().zip(m) {
+            *a -= f * m;
+        }
+    }
+
+    /// Applies the `pending` updates of a panel that ends before column
+    /// `p1` to the columns right of it, one column at a time in ascending
+    /// pivot order.
+    fn flush(&mut self, pending: &[(usize, usize, usize)], p1: usize) {
+        let Some(&(_, _, last)) = pending.last() else {
+            return;
+        };
+        for k in p1..=last {
+            for &(j, km, ju) in pending {
+                if k <= ju {
+                    self.eliminate(j, km, k);
+                }
+            }
+        }
+    }
+
+    /// The unblocked `zgbtf2` elimination that [`BandedMatrix::factorize`]
+    /// reorders: the reference its factors are pinned against bit for bit.
+    #[cfg(test)]
+    fn factorize_unblocked(mut self) -> Result<BandedLu, LinalgError> {
+        let n = self.n;
+        let (kl, ku, ldab) = (self.kl, self.ku, self.ldab);
+        let kv = kl + ku;
+        let mut ipiv = vec![0usize; n];
+        let mut ju = 0usize;
         for j in 0..n {
             // Zero the fill-in area of the column that enters the band window.
             if j + kv < n {
@@ -175,17 +303,8 @@ impl BandedMatrix {
                 }
             }
             let km = kl.min(n - 1 - j); // sub-diagonal count in column j
-                                        // Partial pivot: the largest entry on or below the diagonal.
             let colj = j * ldab;
-            let mut jp = 0usize;
-            let mut best = self.data[colj + kv].abs();
-            for i in 1..=km {
-                let a = self.data[colj + kv + i].abs();
-                if a > best {
-                    best = a;
-                    jp = i;
-                }
-            }
+            let jp = pivot_index_hypot(&self.data[colj + kv..=colj + kv + km]);
             ipiv[j] = j + jp;
             let pivot = self.data[colj + kv + jp];
             if pivot == Complex64::ZERO {
@@ -229,6 +348,73 @@ impl BandedMatrix {
             ipiv,
         })
     }
+}
+
+/// Columns eliminated per panel by [`BandedMatrix::factorize`]. Panels of
+/// 4, 16 and 32 columns measured no faster on the 40×40 and 80×80 bending
+/// device bands.
+const FACTOR_PANEL: usize = 8;
+
+/// Squared moduli outside `[SCREEN_LO, SCREEN_HI]` may have underflowed or
+/// overflowed, so [`pivot_index`] compares them with `hypot`.
+const SCREEN_LO: f64 = 1e-290;
+const SCREEN_HI: f64 = 1e290;
+
+/// Relative gap between two squared moduli below which [`pivot_index`]
+/// compares them with `hypot`. `norm_sqr` is within ~1.5 ulp of `|z|²`
+/// and `hypot` within 1 ulp of `|z|`, so a gap of 1e-13 (hundreds of ulps)
+/// decides every comparison `hypot` would.
+const SCREEN_TIE: f64 = 1e-13;
+
+/// The partial pivot of a column segment: the index of its largest-modulus
+/// entry, the first one on ties.
+///
+/// This is the index the plain arg-max over `hypot` moduli returns, with
+/// `hypot` run only where it can matter. Each candidate is screened against
+/// the current best by `norm_sqr`; when both squares lie in
+/// `[SCREEN_LO, SCREEN_HI]` and differ by more than [`SCREEN_TIE`]
+/// relative, their order is the order of their `hypot` moduli. Otherwise
+/// (near ties, zeros, extreme magnitudes, infinities and NaN) the
+/// comparison falls back to `hypot` itself, so it gives the same answer.
+#[inline]
+fn pivot_index(col: &[Complex64]) -> usize {
+    let mut jp = 0;
+    let mut best_sq = col[0].norm_sqr();
+    // `hypot` modulus of `col[jp]`, computed only if a fallback needs it.
+    let mut best_abs = None;
+    for (i, z) in col.iter().enumerate().skip(1) {
+        let s = z.norm_sqr();
+        let screened = (SCREEN_LO..=SCREEN_HI).contains(&s)
+            && (SCREEN_LO..=SCREEN_HI).contains(&best_sq)
+            && (s - best_sq).abs() > SCREEN_TIE * s.max(best_sq);
+        if screened {
+            if s > best_sq {
+                (jp, best_sq, best_abs) = (i, s, None);
+            }
+        } else {
+            let a = z.abs();
+            if a > *best_abs.get_or_insert_with(|| col[jp].abs()) {
+                (jp, best_sq, best_abs) = (i, s, Some(a));
+            }
+        }
+    }
+    jp
+}
+
+/// The plain partial pivot: the first index of the largest `hypot`
+/// modulus. The reference [`pivot_index`] is pinned against.
+#[cfg(test)]
+fn pivot_index_hypot(col: &[Complex64]) -> usize {
+    let mut jp = 0;
+    let mut best = col[0].abs();
+    for (i, z) in col.iter().enumerate().skip(1) {
+        let a = z.abs();
+        if a > best {
+            best = a;
+            jp = i;
+        }
+    }
+    jp
 }
 
 /// Columns fused per deferred-update flush in the blocked forward sweeps.
@@ -1051,12 +1237,10 @@ mod tests {
         x
     }
 
-    fn random_banded(
-        n: usize,
-        kl: usize,
-        ku: usize,
-        seed: u64,
-    ) -> (BandedMatrix, Vec<Vec<Complex64>>) {
+    /// A band of uniform entries in the unit square, with `boost` added to
+    /// the diagonal. A boost of 4 keeps it diagonally dominant (no swaps);
+    /// without one, partial pivoting swaps often.
+    fn random_band(n: usize, kl: usize, ku: usize, seed: u64, boost: f64) -> BandedMatrix {
         // Tiny deterministic LCG so the test needs no external RNG.
         let mut state = seed
             .wrapping_mul(2862933555777941757)
@@ -1068,19 +1252,31 @@ mod tests {
             ((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
         };
         let mut band = BandedMatrix::zeros(n, kl, ku);
-        let mut dense = vec![vec![Complex64::ZERO; n]; n];
         for i in 0..n {
             for j in 0..n {
                 if i + ku >= j && j + kl >= i {
                     let mut v = Complex64::new(next(), next());
                     if i == j {
-                        v += Complex64::from_re(4.0); // keep well conditioned
+                        v += Complex64::from_re(boost);
                     }
                     band.set(i, j, v);
-                    dense[i][j] = v;
                 }
             }
         }
+        band
+    }
+
+    /// A well-conditioned random band and its dense twin.
+    fn random_banded(
+        n: usize,
+        kl: usize,
+        ku: usize,
+        seed: u64,
+    ) -> (BandedMatrix, Vec<Vec<Complex64>>) {
+        let band = random_band(n, kl, ku, seed, 4.0);
+        let dense = (0..n)
+            .map(|i| (0..n).map(|j| band.get(i, j)).collect())
+            .collect();
         (band, dense)
     }
 
@@ -1328,6 +1524,194 @@ mod tests {
         for (i, xi) in x.iter().enumerate() {
             let expect = b[i] / Complex64::new(i as f64 + 1.0, 0.5);
             assert!((*xi - expect).abs() < 1e-14);
+        }
+    }
+
+    /// Factors `band` with the panel kernel and the unblocked reference and
+    /// asserts the two agree bit for bit: every stored factor entry (fill
+    /// rows included), every pivot, or the same singular column. Returns
+    /// the pivot columns that swapped rows.
+    fn assert_factors_match_reference(band: &BandedMatrix, what: &str) -> Vec<usize> {
+        match (band.clone().factorize(), band.clone().factorize_unblocked()) {
+            (Ok(lu), Ok(reference)) => {
+                assert_eq!(lu.ipiv, reference.ipiv, "{what}: pivots");
+                assert_bits_eq(&lu.data, &reference.data, &format!("{what}: factors"));
+                (0..lu.n).filter(|&j| lu.ipiv[j] != j).collect()
+            }
+            (Err(e), Err(reference)) => {
+                assert_eq!(e, reference, "{what}: error");
+                Vec::new()
+            }
+            (got, reference) => panic!(
+                "{what}: panel {:?} vs unblocked {:?}",
+                got.map(|_| ()),
+                reference.map(|_| ())
+            ),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// Random bands with no diagonal boost, so partial pivoting swaps,
+        /// over sizes below one panel and not a multiple of it. The
+        /// off-diagonal entries with `(3i + j) % zeros == 0` are `-0 − 0i`,
+        /// so updates whose `f` is zero must be skipped exactly where the
+        /// reference skips them, or the signs of zeros differ.
+        #[test]
+        fn panel_factorization_is_bit_identical_to_unblocked(
+            n in 1usize..101,
+            kl in 0usize..13,
+            ku in 0usize..13,
+            seed in 0u64..u64::MAX,
+            zeros in 2usize..6,
+        ) {
+            let mut band = random_band(n, kl, ku, seed, 0.0);
+            for i in 0..n {
+                for j in i.saturating_sub(kl)..(i + ku + 1).min(n) {
+                    if i != j && (3 * i + j) % zeros == 0 {
+                        band.set(i, j, Complex64::new(-0.0, -0.0));
+                    }
+                }
+            }
+            assert_factors_match_reference(
+                &band,
+                &format!("n={n} kl={kl} ku={ku} seed={seed} zeros={zeros}"),
+            );
+        }
+    }
+
+    /// Swaps on the first and last columns of panels: the flush-then-swap
+    /// path at both panel edges, and at column 0.
+    #[test]
+    fn swaps_at_panel_edges_stay_bit_identical() {
+        let (n, kl, ku) = (40, 3, 2);
+        let mut band = random_band(n, kl, ku, 11, 4.0);
+        let edges = [
+            0,
+            FACTOR_PANEL - 1,
+            FACTOR_PANEL,
+            3 * FACTOR_PANEL - 1,
+            3 * FACTOR_PANEL,
+        ];
+        for &c in &edges {
+            band.set(c, c, Complex64::new(1e-3, 0.0));
+            band.set(c + kl, c, Complex64::new(8.0, -1.0));
+        }
+        let swapped = assert_factors_match_reference(&band, "panel edges");
+        for c in edges {
+            assert!(swapped.contains(&c), "column {c} must swap: {swapped:?}");
+        }
+    }
+
+    /// A 5-point Helmholtz-shaped band on an 18×14 grid (bandwidth 18):
+    /// an indefinite real diagonal `k²ε − 4` with a complex, PML-like loss
+    /// that grows toward the grid edges, and unit neighbour couplings.
+    #[test]
+    fn helmholtz_band_with_pml_diagonal_is_bit_identical() {
+        let (nx, ny) = (18, 14);
+        let n = nx * ny;
+        let mut band = BandedMatrix::zeros(n, nx, nx);
+        for iy in 0..ny {
+            for ix in 0..nx {
+                let k = iy * nx + ix;
+                let edge = ix.min(nx - 1 - ix).min(iy).min(ny - 1 - iy);
+                let sigma = if edge < 3 {
+                    0.6 * (3 - edge) as f64
+                } else {
+                    0.0
+                };
+                let eps = if (4..14).contains(&ix) && (5..9).contains(&iy) {
+                    12.1
+                } else {
+                    2.1
+                };
+                band.set(k, k, Complex64::new(0.35 * eps - 4.0, sigma));
+                if ix > 0 {
+                    band.set(k, k - 1, Complex64::ONE);
+                }
+                if ix + 1 < nx {
+                    band.set(k, k + 1, Complex64::ONE);
+                }
+                if iy > 0 {
+                    band.set(k, k - nx, Complex64::ONE);
+                }
+                if iy + 1 < ny {
+                    band.set(k, k + nx, Complex64::ONE);
+                }
+            }
+        }
+        let swapped = assert_factors_match_reference(&band, "helmholtz");
+        assert!(!swapped.is_empty(), "the indefinite band must pivot");
+    }
+
+    /// Singular bands fail at the same column as the reference: an
+    /// all-zero band at column 0, and a band whose column 13 is zero, which
+    /// the panel kernel reaches with updates pending.
+    #[test]
+    fn singular_bands_report_the_reference_column() {
+        assert_eq!(
+            BandedMatrix::zeros(3, 1, 1).factorize().unwrap_err(),
+            LinalgError::Singular { index: 0 }
+        );
+        let (n, kl, ku) = (30, 2, 2);
+        let mut band = random_band(n, kl, ku, 5, 0.0);
+        for i in 13 - ku..=13 + kl {
+            band.set(i, 13, Complex64::ZERO);
+        }
+        assert_factors_match_reference(&band, "zero column");
+        assert_eq!(
+            band.factorize().unwrap_err(),
+            LinalgError::Singular { index: 13 }
+        );
+    }
+
+    /// The screened pivot search against the plain `hypot` arg-max where
+    /// the screen must defer to `hypot`: near ties, equal moduli with re/im
+    /// swapped, magnitudes near the screen bounds, zeros, infinities, NaN.
+    #[test]
+    fn screened_pivot_matches_hypot_argmax() {
+        let c = Complex64::new;
+        let up = |x: f64, ulps: u64| f64::from_bits(x.to_bits() + ulps);
+        let nan = f64::NAN;
+        let cases: Vec<Vec<Complex64>> = vec![
+            // |z|² within 1e-13, both orders, and exact ties (first wins).
+            vec![c(1.0, 0.0), c(up(1.0, 1), 0.0)],
+            vec![c(up(1.0, 1), 0.0), c(1.0, 0.0)],
+            vec![c(0.6, 0.8), c(0.8, 0.6), c(1.0, 0.0), c(0.0, -1.0)],
+            vec![c(3.0, 4.0), c(4.0, 3.0), c(-4.0, 3.0), c(up(3.0, 2), 4.0)],
+            vec![c(1.0, 1.0), c(1.0 + 2e-14, 1.0), c(1.0, 1.0 - 3e-14)],
+            // Squares near and past the screen bounds.
+            vec![c(1e145, 0.0), c(0.0, 1.0000001e145), c(1e146, 1e144)],
+            vec![c(1e160, 0.0), c(2e160, 0.0), c(1e155, 1e155)],
+            vec![c(1e-145, 0.0), c(1e-146, 0.0), c(0.0, 2e-145)],
+            vec![c(1e-160, 0.0), c(1e-150, 0.0), c(-1e-150, 1e-170)],
+            vec![c(1e-300, 0.0), c(1.0, 0.0), c(5e-324, 0.0)],
+            // Zeros and signed zeros.
+            vec![c(0.0, 0.0), c(-0.0, 0.0), c(0.0, -0.0), c(1e-200, 0.0)],
+            vec![c(0.0, 0.0), c(0.0, 0.0)],
+            // Infinities and NaN, first and later.
+            vec![c(1.0, 0.0), c(f64::INFINITY, 0.0), c(f64::INFINITY, nan)],
+            vec![c(nan, 0.0), c(1.0, 0.0), c(2.0, 0.0)],
+            vec![c(1.0, 0.0), c(nan, 2.0), c(3.0, 0.0), c(nan, nan)],
+            vec![c(f64::MAX, f64::MAX), c(f64::MAX, 0.0)],
+        ];
+        for col in &cases {
+            assert_eq!(pivot_index(col), pivot_index_hypot(col), "{col:?}");
+        }
+        // Random near-ties: every candidate within a few 1e-13 of |z|.
+        let mut rng = proptest::TestRng::deterministic("screened_pivot_near_ties");
+        for _ in 0..2000 {
+            let scale = 10f64.powi((rng.next_u64() % 600) as i32 - 300);
+            let theta = rng.unit_f64() * std::f64::consts::TAU;
+            let col: Vec<Complex64> = (0..9)
+                .map(|_| {
+                    let r = scale * (1.0 + (rng.unit_f64() - 0.5) * 6e-13);
+                    let phi = theta + (rng.unit_f64() - 0.5) * 1e-3;
+                    c(r * phi.cos(), r * phi.sin())
+                })
+                .collect();
+            assert_eq!(pivot_index(&col), pivot_index_hypot(&col), "{col:?}");
         }
     }
 }

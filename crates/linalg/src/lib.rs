@@ -33,7 +33,6 @@ pub mod complex;
 pub mod dense;
 pub mod eigen;
 pub mod iterative;
-pub mod mixed;
 pub mod sparse;
 
 pub use banded::{BandedLu, BandedMatrix, Sweep, RHS_BLOCK};
@@ -41,7 +40,6 @@ pub use complex::Complex64;
 pub use dense::{DMatrix, ZMatrix};
 pub use eigen::{symmetric_eigen, SymmetricEigen};
 pub use iterative::{bicgstab, IterativeOptions, IterativeStats};
-pub use mixed::{Complex32, Factor, MixedBandedLu, RefineReport};
 pub use sparse::{CooMatrix, CsrMatrix};
 
 use std::fmt;

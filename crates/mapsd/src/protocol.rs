@@ -106,6 +106,12 @@ pub struct Envelope {
 /// daemon's memory (the body-size cap bounds bytes, this bounds solve cost).
 pub const MAX_CELLS: usize = 1 << 20;
 
+/// Hard cap on the banded LU factor one request may need, in bytes. The
+/// factor grows as `nx²·ny`, so the cell cap alone still admits a
+/// 1024×1024 grid whose factor is ~51 GB. 1 GiB admits square grids up to
+/// 281×281; the default 80×80 device grid needs 24.7 MB.
+pub const MAX_FACTOR_BYTES: usize = 1 << 30;
+
 /// Hard cap on excitations per batch/label request.
 pub const MAX_SPECS: usize = 256;
 
@@ -203,6 +209,14 @@ pub fn parse_envelope(job: JobKind, body: &str) -> Result<Envelope, String> {
     }
     if nx.saturating_mul(ny) > MAX_CELLS {
         return Err(format!("grid: {nx}x{ny} exceeds the {MAX_CELLS}-cell cap"));
+    }
+    let factor_bytes = maps_fdfd::operator::factor_bytes(nx, ny);
+    if factor_bytes > MAX_FACTOR_BYTES {
+        return Err(format!(
+            "grid: {nx}x{ny} needs a {} MiB factor, over the {} MiB cap",
+            factor_bytes >> 20,
+            MAX_FACTOR_BYTES >> 20
+        ));
     }
     if !(dx.is_finite() && dx > 0.0) {
         return Err("dx: must be positive and finite".into());
@@ -664,6 +678,21 @@ mod tests {
             let err = parse_envelope(JobKind::Solve, body).unwrap_err();
             assert!(err.contains(needle), "{body} -> {err}");
         }
+    }
+
+    /// Admission bounds the factor, not just the cells: a 1024×1024 grid
+    /// is within the cell cap, but its ~51 GB factor is not.
+    #[test]
+    fn oversized_grids_are_rejected_before_allocation() {
+        let body = |nx: usize, ny: usize| {
+            format!(r#"{{"nx":{nx},"ny":{ny},"dx":0.05,"eps":4.0,"omega":4.05}}"#)
+        };
+        let err = parse_envelope(JobKind::Solve, &body(1024, 1024)).unwrap_err();
+        assert!(err.contains("MiB factor"), "{err}");
+        let err = parse_envelope(JobKind::Solve, &body(1025, 1024)).unwrap_err();
+        assert!(err.contains("cell cap"), "{err}");
+        let env = parse_envelope(JobKind::Solve, &body(80, 80)).expect("80x80 is admitted");
+        assert_eq!(env.eps.grid().len(), 6400);
     }
 
     #[test]

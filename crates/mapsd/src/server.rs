@@ -534,14 +534,6 @@ fn handle_job(
         ev.set_str("id", id);
     }
     ev.set_u64("omegas", envelope.specs.len() as u64);
-    ev.set_str(
-        "precision",
-        if maps_fdfd::factor_cache::mixed_precision() {
-            "mixed-f32"
-        } else {
-            "f64"
-        },
-    );
     let head_sampled = tail.head_sample();
 
     // The adoption guard is declared before the root span so drop order is

@@ -15,8 +15,8 @@ cargo test --workspace -q
 echo "==> cargo test --doc --workspace -q (doc examples are the API contract)"
 cargo test --doc --workspace -q
 
-echo "==> mixed-precision smoke (MAPS_MIXED_PRECISION=1 must pass the solver suite)"
-MAPS_MIXED_PRECISION=1 cargo test --release -p maps-fdfd -q
+echo "==> cargo test --release -p maps-linalg -q (bit-identity pins on the optimized build)"
+cargo test --release -p maps-linalg -q
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
