@@ -8,40 +8,13 @@
 //! Expected shape: the NN-driven trajectory converges to a high-transmission
 //! structure confirmed by FDFD, and the NN/FDFD curves track each other.
 
-use maps_bench::{build_dataset, calibrated_device, train_baseline, Baseline, TrainedModel};
+use maps_bench::{build_dataset, calibrated_device, train_baseline, Baseline};
 use maps_core::FieldSolver;
 use maps_data::{DeviceKind, SamplingStrategy};
 use maps_fdfd::{FdfdSolver, PmlConfig};
 use maps_invdes::{FieldGradient, InitStrategy, InverseDesigner, OptimConfig};
-use maps_tensor::{OwnedTape, Params, Tensor};
 use maps_train::NeuralFieldSolver;
 use std::time::Instant;
-
-struct Borrowed(TrainedModel);
-impl maps_nn::Model for Borrowed {
-    fn forward(
-        &self,
-        params: &Params,
-        x: Tensor<f64, OwnedTape<f64>>,
-    ) -> Tensor<f64, OwnedTape<f64>> {
-        self.0.model.forward(params, x)
-    }
-    fn infer(&self, params: &Params, x: Tensor) -> Tensor {
-        self.0.model.infer(params, x)
-    }
-    fn infer_f32(&self, params: &Params<f32>, x: Tensor<f32>) -> Tensor<f32> {
-        self.0.model.infer_f32(params, x)
-    }
-    fn in_channels(&self) -> usize {
-        self.0.model.in_channels()
-    }
-    fn name(&self) -> &str {
-        self.0.model.name()
-    }
-    fn wants_wave_prior(&self) -> bool {
-        self.0.model.wants_wave_prior()
-    }
-}
 
 fn main() {
     let t0 = Instant::now();
@@ -53,9 +26,8 @@ fn main() {
     let dataset = build_dataset(&device, SamplingStrategy::PerturbedOptTraj, 32, 6, 41);
     let trained = train_baseline(Baseline::Fno, &dataset, 24, 12, 3);
     println!("surrogate trained (final loss {:.4})\n", trained.final_loss);
-    let params = trained.params.clone();
-    let normalizer = trained.normalizer;
-    let neural = NeuralFieldSolver::new(Borrowed(trained), params, normalizer);
+    let neural =
+        NeuralFieldSolver::new(&*trained.model, trained.params.clone(), trained.normalizer);
 
     let problem = device.problem.clone();
     let source = problem.source().expect("source");

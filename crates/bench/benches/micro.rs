@@ -157,11 +157,6 @@ fn bench_fno_forward(c: &mut Criterion) {
     group.bench_function("infer_f64_batch1_40x40", |b| {
         b.iter(|| model.infer(&params, x.clone()).len());
     });
-    let params32 = params.cast::<f32>();
-    let x32 = x.cast::<f32>();
-    group.bench_function("infer_f32_batch1_40x40", |b| {
-        b.iter(|| model.infer_f32(&params32, x32.clone()).len());
-    });
     group.finish();
 }
 

@@ -260,10 +260,11 @@ fn main() {
             .collect();
         // A wideband sweep only amortizes across repeats when the cache
         // can hold the whole spectrum (MAPS_FACTOR_CACHE in production).
-        // The guard confines the raise to this iteration — the process-wide
-        // capacity snaps back when it drops, so nothing that runs after the
-        // sweep inherits a K-factor memory footprint.
-        let _capacity = cache.scoped_capacity(k);
+        // The raise lasts for this K only: the prior capacity is restored
+        // below, so nothing that runs after the sweep inherits a K-factor
+        // memory footprint.
+        let prior_capacity = cache.capacity();
+        cache.set_capacity(k);
         cache.clear();
 
         let cold_reps = if smoke { 1 } else { 3 };
@@ -310,6 +311,7 @@ fn main() {
             cold_ns as f64 / warm_ns.max(1) as f64
         );
         spectrum.push((k, cold_ns, warm_ns, warm_sequential_ns));
+        cache.set_capacity(prior_capacity);
     }
     cache.clear();
 

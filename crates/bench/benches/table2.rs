@@ -16,7 +16,7 @@ use maps_bench::{build_dataset, calibrated_device, train_baseline, Baseline, Tra
 use maps_core::{FieldSolver, RealField2d};
 use maps_data::{DeviceKind, SamplingStrategy};
 use maps_nn::{Adam, BlackBoxConfig, BlackBoxNet, Model};
-use maps_tensor::{OwnedTape, Params, Tensor};
+use maps_tensor::{Params, Tensor};
 use maps_train::{
     ad_black_box_gradient, ad_pred_field_gradient, encode_input, fwd_adj_field_gradient,
     gradient_similarity, mean, NeuralFieldSolver,
@@ -79,36 +79,8 @@ fn score_methods(
     .expect("monitor");
     let functional = monitor.outgoing_functional();
 
-    struct Borrowed<'a>(&'a TrainedModel);
-    impl maps_nn::Model for Borrowed<'_> {
-        fn forward(
-            &self,
-            params: &Params,
-            x: Tensor<f64, OwnedTape<f64>>,
-        ) -> Tensor<f64, OwnedTape<f64>> {
-            self.0.model.forward(params, x)
-        }
-        fn infer(&self, params: &Params, x: Tensor) -> Tensor {
-            self.0.model.infer(params, x)
-        }
-        fn infer_f32(&self, params: &Params<f32>, x: Tensor<f32>) -> Tensor<f32> {
-            self.0.model.infer_f32(params, x)
-        }
-        fn in_channels(&self) -> usize {
-            self.0.model.in_channels()
-        }
-        fn name(&self) -> &str {
-            self.0.model.name()
-        }
-        fn wants_wave_prior(&self) -> bool {
-            self.0.model.wants_wave_prior()
-        }
-    }
-    let solver = NeuralFieldSolver::new(
-        Borrowed(trained),
-        trained.params.clone(),
-        trained.normalizer,
-    );
+    let solver =
+        NeuralFieldSolver::new(&*trained.model, trained.params.clone(), trained.normalizer);
 
     let (mut s_bb, mut s_pf, mut s_fa) = (Vec::new(), Vec::new(), Vec::new());
     for sample in &dataset.test {

@@ -261,44 +261,9 @@ pub fn evaluate(trained: &TrainedModel, dataset: &BenchDataset) -> EvalRow {
 
 /// Mean gradient similarity of the Fwd&Adj-Field method over the test set.
 pub fn mean_grad_similarity(trained: &TrainedModel, dataset: &BenchDataset) -> f64 {
-    // Wrap the already-trained model in a solver without retraining: build
-    // an ad-hoc NeuralFieldSolver facade via a small adapter.
-    struct Borrowed<'a> {
-        inner: &'a TrainedModel,
-    }
-    impl maps_nn::Model for Borrowed<'_> {
-        fn forward(
-            &self,
-            params: &Params,
-            x: maps_tensor::Tensor<f64, maps_tensor::OwnedTape<f64>>,
-        ) -> maps_tensor::Tensor<f64, maps_tensor::OwnedTape<f64>> {
-            self.inner.model.forward(params, x)
-        }
-        fn infer(&self, params: &Params, x: maps_tensor::Tensor<f64>) -> maps_tensor::Tensor<f64> {
-            self.inner.model.infer(params, x)
-        }
-        fn infer_f32(
-            &self,
-            params: &maps_tensor::Params<f32>,
-            x: maps_tensor::Tensor<f32>,
-        ) -> maps_tensor::Tensor<f32> {
-            self.inner.model.infer_f32(params, x)
-        }
-        fn in_channels(&self) -> usize {
-            self.inner.model.in_channels()
-        }
-        fn name(&self) -> &str {
-            self.inner.model.name()
-        }
-        fn wants_wave_prior(&self) -> bool {
-            self.inner.model.wants_wave_prior()
-        }
-    }
-    let solver = NeuralFieldSolver::new(
-        Borrowed { inner: trained },
-        trained.params.clone(),
-        trained.normalizer,
-    );
+    // Wrap the already-trained model in a solver without retraining.
+    let solver =
+        NeuralFieldSolver::new(&*trained.model, trained.params.clone(), trained.normalizer);
     let device = &dataset.device;
     let objective = device.problem.objective().expect("objective");
     let mut sims = Vec::new();

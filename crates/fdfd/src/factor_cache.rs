@@ -10,11 +10,10 @@
 //!   bits, `omega`, grid dims, spacing, PML config) identifies "the same
 //!   operator" without retaining the inputs;
 //! - a process-wide [`FactorCache`] maps fingerprints to `Arc<BandedLu>`
-//!   with bounded capacity and LRU eviction;
-//! - independent of the LRU ring, the cache always retains the **most
-//!   recent** factorization, so an adjoint solve immediately following the
-//!   forward solve of the same design reuses its factor even when the cache
-//!   is disabled (`MAPS_FACTOR_CACHE=0`);
+//!   in one LRU ring of bounded capacity. The capacity is at least 1, so
+//!   the cache always retains the **most recent** factorization, and an
+//!   adjoint solve immediately following the forward solve of the same
+//!   design reuses its factor even at `MAPS_FACTOR_CACHE=0`;
 //! - **single-flight coalescing** ([`FactorCache::factorize_coalesced`]):
 //!   concurrent misses of the same fingerprint elect one leader to
 //!   factorize while followers wait and share the result — the mechanism a
@@ -32,9 +31,9 @@
 //! [`maps_obs`] global registry, plus per-instance [`CacheStats`].
 //!
 //! The capacity knob is the `MAPS_FACTOR_CACHE` environment variable:
-//! unset/empty keeps the default (4 entries), `0`/`off` disables the LRU
-//! ring (the last-factor slot stays active), any other integer sets the
-//! capacity. A cached factor for an `nx × ny` grid holds
+//! unset/empty keeps the default (4 entries), `0`/`off` keeps only the
+//! most recent factor (capacity 1), any other integer sets the capacity.
+//! A cached factor for an `nx × ny` grid holds
 //! `(3·nx + 1)·nx·ny` complex doubles (~25 MB at the default 80×80 device
 //! grid), so capacities stay small.
 
@@ -197,13 +196,13 @@ impl Flight {
     }
 }
 
-/// Removes the leader's in-flight entry and publishes an abort if the leader
-/// unwinds without publishing a real result — followers must never block on
-/// a leader that panicked mid-factorization.
 /// A registry shard: the in-flight factorizations whose fingerprints hash
 /// into this shard.
 type FlightShard = Vec<(Fingerprint, Arc<Flight>)>;
 
+/// Removes the leader's in-flight entry and publishes an abort if the leader
+/// unwinds without publishing a real result — followers must never block on
+/// a leader that panicked mid-factorization.
 struct FlightGuard<'a> {
     shard: &'a Mutex<FlightShard>,
     key: Fingerprint,
@@ -230,11 +229,10 @@ struct Entry {
 }
 
 struct Inner {
-    /// Most recent factorization — always retained, even at capacity 0,
-    /// so forward → adjoint pairs on one design share a factor
-    /// unconditionally.
-    last: Option<(Fingerprint, Arc<BandedLu>)>,
     ring: Vec<Entry>,
+    /// At least 1: the most recently used entry is never evicted, so
+    /// forward → adjoint pairs on one design share a factor at every
+    /// capacity.
     capacity: usize,
     clock: u64,
 }
@@ -265,14 +263,13 @@ impl std::fmt::Debug for FactorCache {
 }
 
 impl FactorCache {
-    /// Creates a cache with an LRU ring of `capacity` entries (0 disables
-    /// the ring; the last-factor slot is always active).
+    /// Creates a cache with an LRU ring of `capacity` entries (0 means 1:
+    /// the most recent factor is always kept).
     pub fn new(capacity: usize) -> Self {
         FactorCache {
             inner: Mutex::new(Inner {
-                last: None,
                 ring: Vec::new(),
-                capacity,
+                capacity: capacity.max(1),
                 clock: 0,
             }),
             flights: (0..FLIGHT_SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
@@ -289,37 +286,20 @@ impl FactorCache {
     }
 
     /// Resizes the LRU ring, evicting least-recently-used entries if the
-    /// new capacity is smaller. The last-factor slot is unaffected.
+    /// new capacity is smaller (0 means 1, as in [`FactorCache::new`]).
     pub fn set_capacity(&self, capacity: usize) {
         let mut inner = self.inner.lock().expect("factor cache lock");
-        inner.capacity = capacity;
-        while inner.ring.len() > capacity {
+        inner.capacity = capacity.max(1);
+        while inner.ring.len() > inner.capacity {
             evict_lru(&mut inner);
             self.evictions.fetch_add(1, Ordering::Relaxed);
             maps_obs::counter("fdfd.factor_cache.evict").inc();
         }
     }
 
-    /// Raises (or lowers) the LRU capacity for a bounded scope: the
-    /// returned guard restores the prior capacity when dropped, evicting
-    /// down to it. Benchmarks and sweeps that need a temporarily larger
-    /// ring (e.g. one factor per spectrum frequency) use this instead of a
-    /// bare [`FactorCache::set_capacity`], which would leave a process-wide
-    /// capacity raise sticky after the sweep ends — every later caller
-    /// would silently retain far more factor memory than `MAPS_FACTOR_CACHE`
-    /// configured.
-    #[must_use = "dropping the guard immediately restores the prior capacity"]
-    pub fn scoped_capacity(&self, capacity: usize) -> CapacityGuard<'_> {
-        let prior = self.capacity();
-        self.set_capacity(capacity);
-        CapacityGuard { cache: self, prior }
-    }
-
-    /// Drops every cached factorization (including the last-factor slot)
-    /// without touching the counters.
+    /// Drops every cached factorization without touching the counters.
     pub fn clear(&self) {
         let mut inner = self.inner.lock().expect("factor cache lock");
-        inner.last = None;
         inner.ring.clear();
     }
 
@@ -339,23 +319,9 @@ impl FactorCache {
         let mut inner = self.inner.lock().expect("factor cache lock");
         inner.clock += 1;
         let now = inner.clock;
-        if let Some((k, lu)) = &inner.last {
-            if k == key {
-                let lu = Arc::clone(lu);
-                // Refresh the ring entry too, if present.
-                if let Some(e) = inner.ring.iter_mut().find(|e| e.key == *key) {
-                    e.used = now;
-                }
-                return Some(lu);
-            }
-        }
-        if let Some(e) = inner.ring.iter_mut().find(|e| e.key == *key) {
-            e.used = now;
-            let lu = Arc::clone(&e.lu);
-            inner.last = Some((*key, Arc::clone(&lu)));
-            return Some(lu);
-        }
-        None
+        let e = inner.ring.iter_mut().find(|e| e.key == *key)?;
+        e.used = now;
+        Some(Arc::clone(&e.lu))
     }
 
     /// Inserts a factorization, evicting the least-recently-used ring entry
@@ -364,10 +330,6 @@ impl FactorCache {
         let mut inner = self.inner.lock().expect("factor cache lock");
         inner.clock += 1;
         let now = inner.clock;
-        inner.last = Some((key, Arc::clone(&lu)));
-        if inner.capacity == 0 {
-            return;
-        }
         if let Some(e) = inner.ring.iter_mut().find(|e| e.key == key) {
             e.used = now;
             e.lu = lu;
@@ -477,27 +439,6 @@ impl FactorCache {
     }
 }
 
-/// Restores a [`FactorCache`]'s prior LRU capacity on drop (see
-/// [`FactorCache::scoped_capacity`]).
-#[derive(Debug)]
-pub struct CapacityGuard<'a> {
-    cache: &'a FactorCache,
-    prior: usize,
-}
-
-impl CapacityGuard<'_> {
-    /// The capacity the guard will restore.
-    pub fn prior(&self) -> usize {
-        self.prior
-    }
-}
-
-impl Drop for CapacityGuard<'_> {
-    fn drop(&mut self) {
-        self.cache.set_capacity(self.prior);
-    }
-}
-
 fn evict_lru(inner: &mut Inner) {
     if let Some(pos) = inner
         .ring
@@ -511,7 +452,8 @@ fn evict_lru(inner: &mut Inner) {
 }
 
 /// Parses the `MAPS_FACTOR_CACHE` knob into an LRU capacity. The `off` /
-/// `false` aliases mean capacity 0; an unparseable value warns once via
+/// `false` aliases mean capacity 0 (which the cache floors at 1); an
+/// unparseable value warns once via
 /// the `MAPS_LOG` error sink and keeps the default (the shared warn-once
 /// discipline of [`maps_obs::parse_env_or`]).
 fn capacity_from_env() -> usize {
@@ -656,10 +598,11 @@ mod tests {
     #[test]
     fn capacity_zero_still_retains_the_last_factor() {
         let cache = FactorCache::new(0);
+        assert_eq!(cache.capacity(), 1, "capacity 0 is floored at 1");
         let key = key_for(4.0);
         let a = cache.factorize_with(key, || toy_banded(0.0)).unwrap();
         // The immediately following lookup (the adjoint solve of the same
-        // design) hits the last-factor slot.
+        // design) hits the one retained factor.
         let b = cache
             .factorize_with(key, || panic!("adjoint must reuse the forward factor"))
             .unwrap();
@@ -674,8 +617,8 @@ mod tests {
         );
         assert_eq!(
             cache.stats().evictions,
-            0,
-            "last-slot turnover is not an eviction"
+            1,
+            "turnover of the one slot is an eviction"
         );
     }
 
@@ -699,24 +642,6 @@ mod tests {
         cache.factorize_with(key, || toy_banded(0.0)).unwrap();
         cache.clear();
         assert!(cache.get(&key).is_none());
-    }
-
-    #[test]
-    fn scoped_capacity_restores_on_drop() {
-        let cache = FactorCache::new(2);
-        {
-            let guard = cache.scoped_capacity(16);
-            assert_eq!(cache.capacity(), 16);
-            assert_eq!(guard.prior(), 2);
-            for t in 0..5 {
-                cache
-                    .factorize_with(key_for(20.0 + t as f64), || toy_banded(t as f64))
-                    .unwrap();
-            }
-            assert_eq!(cache.stats().evictions, 0, "raised ring holds all 5");
-        }
-        assert_eq!(cache.capacity(), 2, "guard restores the prior capacity");
-        assert_eq!(cache.stats().evictions, 3, "restore evicts down to prior");
     }
 
     #[test]

@@ -137,7 +137,7 @@ mod tests {
     }
 
     #[test]
-    fn infer_matches_forward_and_tracks_f32() {
+    fn infer_matches_forward() {
         let mut params = Params::new();
         let mut rng = StdRng::seed_from_u64(7);
         let model = Fno::new(
@@ -156,13 +156,8 @@ mod tests {
             (0..128).map(|k| (k as f64 * 0.13).sin()).collect(),
         );
         let taped = model.forward(&params, x.trace()).no_tape();
-        let plain = model.infer(&params, x.clone());
+        let plain = model.infer(&params, x);
         assert_eq!(taped.as_slice(), plain.as_slice());
-        let p32 = params.cast::<f32>();
-        let y32 = model.infer_f32(&p32, x.cast::<f32>());
-        for (a, b) in plain.as_slice().iter().zip(y32.as_slice()) {
-            assert!((a - *b as f64).abs() < 1e-4, "{a} vs {b}");
-        }
     }
 
     #[test]

@@ -1,10 +1,8 @@
-//! Reusable layers, generic over dtype and tape.
+//! Reusable layers, generic over tape.
 //!
-//! A layer's `forward` takes the parameter store *of the matching dtype*
-//! (`Params<f64>` for training, a [`maps_tensor::Params::cast`] twin for
-//! `f32` inference) and any tape: on `OwnedTape` each op records its
-//! backward closure, on `NoneTape` the same code compiles down to pure
-//! value arithmetic.
+//! A layer's `forward` takes the parameter store and an input on any tape:
+//! on `OwnedTape` each op records its backward closure, on `NoneTape` the
+//! same code compiles down to pure value arithmetic.
 
 use crate::init::{kaiming_uniform, spectral_uniform};
 use maps_tensor::{Conv2dSpec, Dtype, ParamId, Params, Tape, Tensor};
@@ -145,23 +143,6 @@ mod tests {
         let layer = SpectralConv2d::new(&mut params, &mut rng, 4, 6, 3, 3);
         let y = layer.forward(&params, Tensor::zeros(&[1, 4, 16, 16]));
         assert_eq!(y.shape(), &[1, 6, 16, 16]);
-    }
-
-    #[test]
-    fn f32_layer_matches_f64() {
-        let mut params = Params::new();
-        let mut rng = StdRng::seed_from_u64(5);
-        let layer = Conv2d::new(&mut params, &mut rng, 2, 3, 3, Conv2dSpec::default());
-        let p32 = params.cast::<f32>();
-        let x = Tensor::from_vec(
-            &[1, 2, 8, 8],
-            (0..128).map(|k| (k as f64 * 0.11).sin()).collect(),
-        );
-        let y64 = layer.forward(&params, x.clone());
-        let y32 = layer.forward(&p32, x.cast::<f32>());
-        for (a, b) in y64.as_slice().iter().zip(y32.as_slice()) {
-            assert!((a - *b as f64).abs() < 1e-5, "{a} vs {b}");
-        }
     }
 
     #[test]

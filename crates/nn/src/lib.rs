@@ -5,9 +5,9 @@
 //! initializers, and SGD/Adam optimizers — all built on the `maps-tensor`
 //! typestate autodiff tensors.
 //!
-//! Every model exposes three entry points via the [`Model`] trait:
-//! `forward` (training, `f64` on an `OwnedTape`), `infer` (`f64`, no tape),
-//! and `infer_f32` (`f32` storage, no tape):
+//! Every model exposes two entry points via the [`Model`] trait:
+//! `forward` (training, `f64` on an `OwnedTape`) and `infer` (the same
+//! arithmetic with no tape):
 //!
 //! ```
 //! use maps_nn::{Fno, FnoConfig, Model};
@@ -23,11 +23,9 @@
 //! let field = model.forward(&params, x.trace());
 //! assert_eq!(field.shape(), &[1, 2, 16, 16]);
 //!
-//! // Inference: no tape, optionally f32 end to end.
-//! let field64 = model.infer(&params, x.clone());
-//! let params32 = params.cast::<f32>();
-//! let field32 = model.infer_f32(&params32, x.cast::<f32>());
-//! assert_eq!(field64.shape(), field32.shape());
+//! // Inference: no tape, the same values bit for bit.
+//! let plain = model.infer(&params, x);
+//! assert_eq!(plain.as_slice(), field.no_tape().as_slice());
 //! ```
 
 pub mod blackbox;

@@ -9,18 +9,18 @@ use maps_tensor::{OwnedTape, Params, Tensor};
 /// `[N, 2, H, W]` field phasors (re/im of `Ez`) or `[N, 1]` scalar responses
 /// for black-box models.
 ///
-/// The trait is object-safe, so it exposes three concrete entry points
+/// The trait is object-safe, so it exposes two concrete entry points
 /// instead of one generic method:
 ///
 /// * [`Model::forward`] — training: `f64` values on an [`OwnedTape`],
 ///   every op recording its backward closure.
-/// * [`Model::infer`] — inference at training precision: `f64`, no tape,
-///   zero autodiff overhead.
-/// * [`Model::infer_f32`] — the hot path: `f32` storage (half the memory
-///   bandwidth) and no tape; pair with [`Params::cast`].
+/// * [`Model::infer`] — inference: the same `f64` arithmetic with no tape
+///   and zero autodiff overhead, so its output equals `forward`'s bit for
+///   bit.
 ///
-/// Implementors write a single dtype- and tape-generic inherent method
-/// `fwd` and derive all three entry points with [`impl_model_forward!`].
+/// Implementors write a single tape-generic inherent method `fwd` and
+/// derive both entry points with [`impl_model_forward!`]. A borrowed model
+/// (`&M`, including `&dyn Model`) is itself a `Model`.
 ///
 /// [`impl_model_forward!`]: crate::impl_model_forward
 pub trait Model {
@@ -30,10 +30,8 @@ pub trait Model {
         params: &Params,
         x: Tensor<f64, OwnedTape<f64>>,
     ) -> Tensor<f64, OwnedTape<f64>>;
-    /// Runs the forward pass tape-free in `f64` (inference).
+    /// Runs the forward pass tape-free (inference).
     fn infer(&self, params: &Params, x: Tensor<f64>) -> Tensor<f64>;
-    /// Runs the forward pass tape-free in `f32` (fast inference).
-    fn infer_f32(&self, params: &Params<f32>, x: Tensor<f32>) -> Tensor<f32>;
     /// Number of expected input channels.
     fn in_channels(&self) -> usize;
     /// Short name used in benchmark tables (e.g. `"FNO"`).
@@ -45,9 +43,8 @@ pub trait Model {
     }
 }
 
-/// Expands to the three [`Model`] entry points (`forward`, `infer`,
-/// `infer_f32`), each delegating to an inherent generic method on the
-/// implementing type:
+/// Expands to the two [`Model`] entry points (`forward`, `infer`), each
+/// delegating to an inherent generic method on the implementing type:
 ///
 /// ```ignore
 /// fn fwd<E: Dtype, T: Tape<E>>(&self, params: &Params<E>, x: Tensor<E, T>) -> Tensor<E, T>
@@ -72,13 +69,27 @@ macro_rules! impl_model_forward {
         ) -> ::maps_tensor::Tensor<f64> {
             self.fwd(params, x)
         }
-
-        fn infer_f32(
-            &self,
-            params: &::maps_tensor::Params<f32>,
-            x: ::maps_tensor::Tensor<f32>,
-        ) -> ::maps_tensor::Tensor<f32> {
-            self.fwd(params, x)
-        }
     };
+}
+
+impl<M: Model + ?Sized> Model for &M {
+    fn forward(
+        &self,
+        params: &Params,
+        x: Tensor<f64, OwnedTape<f64>>,
+    ) -> Tensor<f64, OwnedTape<f64>> {
+        (**self).forward(params, x)
+    }
+    fn infer(&self, params: &Params, x: Tensor<f64>) -> Tensor<f64> {
+        (**self).infer(params, x)
+    }
+    fn in_channels(&self) -> usize {
+        (**self).in_channels()
+    }
+    fn name(&self) -> &str {
+        (**self).name()
+    }
+    fn wants_wave_prior(&self) -> bool {
+        (**self).wants_wave_prior()
+    }
 }

@@ -1,7 +1,8 @@
 //! Property-based tests of the model zoo.
 
 use maps_nn::{
-    Ffno, FfnoConfig, Fno, FnoConfig, Model, NeurOLight, NeurOLightConfig, UNet, UNetConfig,
+    BlackBoxConfig, BlackBoxNet, Ffno, FfnoConfig, Fno, FnoConfig, Model, NeurOLight,
+    NeurOLightConfig, UNet, UNetConfig,
 };
 use maps_tensor::{tape_nodes_recorded, Params, Tensor};
 use proptest::prelude::*;
@@ -86,27 +87,49 @@ proptest! {
         }
     }
 
-    /// Model inference through the `Model` trait records zero tape nodes,
-    /// in both dtypes — the typestate guarantee holds end to end.
+    /// Model inference through the `Model` trait records zero tape nodes
+    /// and returns exactly the taped forward's values, bit for bit, for
+    /// every model in the zoo.
     #[test]
     fn model_inference_is_tape_free(seed in 0u64..20) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut params = Params::new();
-        let model = Fno::new(&mut params, &mut rng, FnoConfig {
-            in_channels: 2, out_channels: 1, width: 4, modes: 2, depth: 2,
-        });
-        let params32 = params.cast::<f32>();
-        let x = Tensor::from_vec(
-            &[1, 2, 8, 8],
-            (0..128).map(|k| (k as f64 * 0.07).sin()).collect(),
-        );
-        let before = tape_nodes_recorded();
-        let y64 = model.infer(&params, x.clone());
-        let y32 = model.infer_f32(&params32, x.cast::<f32>());
-        prop_assert_eq!(tape_nodes_recorded(), before);
-        // And the f32 path tracks the f64 one.
-        for (a, b) in y64.as_slice().iter().zip(y32.as_slice()) {
-            prop_assert!((a - *b as f64).abs() < 1e-3, "{} vs {}", a, b);
+        let models: Vec<Box<dyn Model>> = vec![
+            Box::new(Fno::new(&mut params, &mut rng, FnoConfig {
+                in_channels: 4, out_channels: 2, width: 4, modes: 2, depth: 2,
+            })),
+            Box::new(Ffno::new(&mut params, &mut rng, FfnoConfig {
+                in_channels: 4, out_channels: 2, width: 4, modes: 2, depth: 2,
+            })),
+            Box::new(UNet::new(&mut params, &mut rng, UNetConfig {
+                in_channels: 4, out_channels: 2, width: 2,
+            })),
+            Box::new(NeurOLight::new(&mut params, &mut rng, NeurOLightConfig {
+                in_channels: 6, out_channels: 2, width: 4, modes: 2, depth: 2,
+            })),
+            Box::new(BlackBoxNet::new(&mut params, &mut rng, BlackBoxConfig {
+                in_channels: 4, width: 4, stages: 2,
+            })),
+        ];
+        for model in &models {
+            let shape = [2, model.in_channels(), 16, 12];
+            let len = shape.iter().product::<usize>();
+            let x = Tensor::from_vec(
+                &shape,
+                (0..len).map(|k| (k as f64 * 0.07 + seed as f64).sin()).collect(),
+            );
+            let taped = model.forward(&params, x.trace()).no_tape();
+            let before = tape_nodes_recorded();
+            let plain = model.infer(&params, x);
+            prop_assert_eq!(tape_nodes_recorded(), before, "{}", model.name());
+            prop_assert_eq!(plain.shape(), taped.shape(), "{}", model.name());
+            let mismatched = plain
+                .as_slice()
+                .iter()
+                .zip(taped.as_slice())
+                .filter(|(a, b)| a.to_bits() != b.to_bits())
+                .count();
+            prop_assert_eq!(mismatched, 0, "{}: infer differs from forward", model.name());
         }
     }
 }

@@ -1,20 +1,22 @@
 //! Floating-point element types for dtype-generic tensors.
 //!
 //! [`Dtype`] abstracts the scalar arithmetic the tensor kernels and
-//! backward closures need, so every op is written once and monomorphizes
-//! to both `f32` (inference) and `f64` (training / autodiff default).
+//! backward closures need, so every op is written once against it. `f64`
+//! is its only implementation: training and tape-free inference both run
+//! in it. The element parameter `E` of [`Tensor`](crate::Tensor),
+//! [`OwnedTape`](crate::OwnedTape) and [`Params`](crate::Params) stays
+//! because downstream code names it: the `perfbench` harness spells
+//! `Tensor<f64>`.
 
 use std::fmt::{Debug, Display};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
-/// A tensor element type: `f32` or `f64`.
+/// A tensor element type (implemented by `f64`).
 ///
 /// The trait is deliberately small — just the scalar surface the kernels
 /// in [`crate::tensor`] and the macro-generated ops in [`crate::ops`]
-/// use. `f64` is the training default (finite-difference gradient checks
-/// need the headroom); `f32` halves memory bandwidth on the inference
-/// hot path.
+/// use.
 pub trait Dtype:
     Copy
     + Default
@@ -40,12 +42,12 @@ pub trait Dtype:
     const ZERO: Self;
     /// Multiplicative identity.
     const ONE: Self;
-    /// Human-readable dtype name (`"f32"` / `"f64"`).
+    /// Human-readable dtype name (`"f64"`).
     const NAME: &'static str;
 
-    /// Converts from `f64` (rounding for `f32`).
+    /// Converts from `f64`.
     fn from_f64(v: f64) -> Self;
-    /// Widens to `f64` (exact for both dtypes).
+    /// Converts to `f64`.
     fn to_f64(self) -> f64;
     /// Converts from a `usize` count (used for means).
     fn from_usize(n: usize) -> Self {
@@ -60,8 +62,6 @@ pub trait Dtype:
     fn abs(self) -> Self;
     /// Elementwise maximum.
     fn max(self, other: Self) -> Self;
-    /// Fused multiply-add `self * a + b`.
-    fn mul_add(self, a: Self, b: Self) -> Self;
     /// `true` when neither NaN nor infinite.
     fn is_finite(self) -> bool;
 }
@@ -96,50 +96,7 @@ impl Dtype for f64 {
         f64::max(self, other)
     }
     #[inline]
-    fn mul_add(self, a: Self, b: Self) -> Self {
-        f64::mul_add(self, a, b)
-    }
-    #[inline]
     fn is_finite(self) -> bool {
         f64::is_finite(self)
-    }
-}
-
-impl Dtype for f32 {
-    const ZERO: Self = 0.0;
-    const ONE: Self = 1.0;
-    const NAME: &'static str = "f32";
-
-    #[inline]
-    fn from_f64(v: f64) -> Self {
-        v as f32
-    }
-    #[inline]
-    fn to_f64(self) -> f64 {
-        self as f64
-    }
-    #[inline]
-    fn tanh(self) -> Self {
-        f32::tanh(self)
-    }
-    #[inline]
-    fn sqrt(self) -> Self {
-        f32::sqrt(self)
-    }
-    #[inline]
-    fn abs(self) -> Self {
-        f32::abs(self)
-    }
-    #[inline]
-    fn max(self, other: Self) -> Self {
-        f32::max(self, other)
-    }
-    #[inline]
-    fn mul_add(self, a: Self, b: Self) -> Self {
-        f32::mul_add(self, a, b)
-    }
-    #[inline]
-    fn is_finite(self) -> bool {
-        f32::is_finite(self)
     }
 }

@@ -10,8 +10,7 @@
 //! Tape presence lives in the tensor's type: `Tensor<E, NoneTape>` (the
 //! default) computes values only, while [`Tensor::trace`] yields a
 //! `Tensor<E, OwnedTape<E>>` that records one backward closure per op.
-//! Storage is generic over [`Dtype`] (`f64` default for training, `f32`
-//! for bandwidth-bound inference).
+//! Storage is `f64`, through the one-implementation [`Dtype`] trait.
 //!
 //! Training — trace, run ops, differentiate:
 //!
@@ -25,18 +24,16 @@
 //! assert_eq!(grads.wrt(&x).unwrap().as_slice(), &[2.0, 4.0]); // d(x²)/dx
 //! ```
 //!
-//! Inference — same ops, no tape, optionally in `f32`:
+//! Inference — same ops, no tape:
 //!
 //! ```
 //! use maps_tensor::{tape_nodes_recorded, Tensor};
 //!
 //! let x = Tensor::from_vec(&[3], vec![-1.0, 0.5, 2.0]);
 //! let before = tape_nodes_recorded();
-//! let y64 = x.clone().relu().scale(2.0);        // f64, NoneTape
-//! let y32 = x.cast::<f32>().relu().scale(2.0);  // f32, NoneTape
-//! assert_eq!(tape_nodes_recorded(), before);    // nothing was recorded
-//! assert_eq!(y64.as_slice(), &[0.0, 1.0, 4.0]);
-//! assert_eq!(y32.as_slice(), &[0.0f32, 1.0, 4.0]);
+//! let y = x.relu().scale(2.0);               // NoneTape
+//! assert_eq!(tape_nodes_recorded(), before); // nothing was recorded
+//! assert_eq!(y.as_slice(), &[0.0, 1.0, 4.0]);
 //! ```
 //!
 //! Parameters live in a [`Params`] store; gradients are keyed by tensor
@@ -52,9 +49,6 @@
 //! let grads = loss.backward();
 //! let g = grads.wrt(params.get(w)).unwrap();
 //! assert_eq!(g.as_slice(), &[6.0, -4.0]); // 2w
-//! // f32 twin for inference: same ParamIds, cast values.
-//! let p32 = params.cast::<f32>();
-//! assert_eq!(p32.get(w).as_slice(), &[3.0f32, -2.0]);
 //! ```
 
 pub mod dtype;

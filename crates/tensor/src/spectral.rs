@@ -19,7 +19,7 @@
 //! the low-fidelity grid) Bluestein's algorithm runs three transforms of
 //! a padded length (128 for 40); at FNO mode counts (`2m` ≤ 12, log₂ HW ≈
 //! 11 at 40×40) the direct sums are several times cheaper. All sums run in
-//! `f64`; dtype-generic callers pay one cast at each boundary.
+//! `f64`.
 
 use crate::dtype::Dtype;
 use crate::tensor::{unpack4, Tensor};
@@ -348,29 +348,6 @@ mod tests {
         let wi = Tensor::zeros(&[3, 5, 4, 4]);
         let y = spectral_conv_forward(&x, &wr, &wi, 2, 2);
         assert_eq!(y.shape(), &[2, 5, 8, 8]);
-    }
-
-    #[test]
-    fn f32_forward_tracks_f64() {
-        let (h, w) = (8, 8);
-        let x = Tensor::from_vec(
-            &[1, 2, h, w],
-            (0..2 * h * w).map(|k| (k as f64 * 0.29).cos()).collect(),
-        );
-        let wr = Tensor::from_vec(
-            &[2, 1, 4, 4],
-            (0..32).map(|k| (k as f64 * 0.11).sin() * 0.5).collect(),
-        );
-        let wi = Tensor::from_vec(
-            &[2, 1, 4, 4],
-            (0..32).map(|k| (k as f64 * 0.07).cos() * 0.5).collect(),
-        );
-        let y64 = spectral_conv_forward(&x, &wr, &wi, 2, 2);
-        let y32 =
-            spectral_conv_forward(&x.cast::<f32>(), &wr.cast::<f32>(), &wi.cast::<f32>(), 2, 2);
-        for (a, b) in y64.as_slice().iter().zip(y32.as_slice()) {
-            assert!((a - b.to_f64()).abs() < 1e-5, "{a} vs {b}");
-        }
     }
 
     #[test]

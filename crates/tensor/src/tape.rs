@@ -284,8 +284,7 @@ pub struct ParamId {
 
 static STORE_COUNTER: AtomicU64 = AtomicU64::new(1);
 
-/// Storage for trainable parameters, stable across training steps and
-/// generic over dtype (`f64` for training, `f32` casts for inference).
+/// Storage for trainable parameters, stable across training steps.
 #[derive(Debug, Clone)]
 pub struct Params<E: Dtype = f64> {
     store: u64,
@@ -317,7 +316,7 @@ impl<E: Dtype> Params<E> {
     }
 
     /// Returns `true` when `id` was allocated by this store (or a clone
-    /// or dtype cast of it).
+    /// of it).
     pub fn owns(&self, id: ParamId) -> bool {
         id.store == self.store
     }
@@ -362,16 +361,6 @@ impl<E: Dtype> Params<E> {
     pub fn ids(&self) -> impl Iterator<Item = ParamId> {
         let store = self.store;
         (0..self.tensors.len()).map(move |index| ParamId { store, index })
-    }
-
-    /// Converts every parameter to another dtype, *keeping the store tag*:
-    /// existing [`ParamId`]s resolve in the cast store, so a model can run
-    /// its f32 inference twin without re-wiring any layer handles.
-    pub fn cast<F: Dtype>(&self) -> Params<F> {
-        Params {
-            store: self.store,
-            tensors: self.tensors.iter().map(|t| t.cast::<F>()).collect(),
-        }
     }
 }
 
@@ -424,14 +413,5 @@ mod tests {
         let (id, g) = collected[0];
         assert_eq!(id, w);
         assert_eq!(g.as_slice(), &[4.0, 6.0]); // d(w²)/dw = 2w
-    }
-
-    #[test]
-    fn cast_keeps_param_ids_valid() {
-        let mut params = Params::<f64>::new();
-        let w = params.alloc(Tensor::from_vec(&[2], vec![0.5, -1.5]));
-        let p32 = params.cast::<f32>();
-        assert!(p32.owns(w));
-        assert_eq!(p32.get(w).as_slice(), &[0.5f32, -1.5]);
     }
 }

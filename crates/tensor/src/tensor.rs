@@ -135,15 +135,6 @@ impl<E: Dtype> Tensor<E, NoneTape> {
         }
     }
 
-    /// Converts every element to another dtype. The result is a fresh
-    /// variable (new uid) — casting is not differentiable.
-    pub fn cast<F: Dtype>(&self) -> Tensor<F> {
-        Tensor::from_parts(
-            self.shape.clone(),
-            self.data.iter().map(|&v| F::from_f64(v.to_f64())).collect(),
-        )
-    }
-
     /// Starts gradient recording: the traced tensor carries a fresh
     /// [`OwnedTape`] and keeps this tensor's identity, so after
     /// `backward()` the gradient is available via
@@ -843,17 +834,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_f32_matches_f64() {
-        let a = Tensor::from_vec(&[2, 3], vec![0.5, -1.0, 2.0, 1.5, 0.25, -0.75]);
-        let b = Tensor::from_vec(&[3, 2], vec![1.0, 2.0, -0.5, 0.5, 3.0, -1.0]);
-        let y64 = matmul(&a, &b);
-        let y32 = matmul(&a.cast::<f32>(), &b.cast::<f32>());
-        for (v64, v32) in y64.as_slice().iter().zip(y32.as_slice()) {
-            assert!((v64 - v32.to_f64()).abs() < 1e-6);
-        }
-    }
-
-    #[test]
     fn conv2d_identity_kernel() {
         // 1×1 kernel of value 1 is the identity map.
         let x = Tensor::from_vec(&[1, 1, 2, 2], vec![1.0, 2.0, 3.0, 4.0]);
@@ -1055,13 +1035,5 @@ mod tests {
         b.as_mut_slice()[0] = 9.0;
         assert_eq!(a.as_slice(), &[1.0, 2.0]);
         assert_eq!(b.as_slice(), &[9.0, 2.0]);
-    }
-
-    #[test]
-    fn cast_roundtrip() {
-        let a = Tensor::from_vec(&[3], vec![1.5, -2.25, 0.125]);
-        let b = a.cast::<f32>().cast::<f64>();
-        // Dyadic values survive the f32 roundtrip exactly.
-        assert_eq!(a.as_slice(), b.as_slice());
     }
 }

@@ -1,36 +1,33 @@
 //! Property-based tests of tensor ops and the typestate autodiff tapes.
 
-use maps_tensor::{tape_nodes_recorded, Dtype, OwnedTape, Tensor};
+use maps_tensor::{tape_nodes_recorded, OwnedTape, Tensor};
 use proptest::prelude::*;
 
 fn tensor_strategy(len: usize) -> impl Strategy<Value = Tensor> {
     prop::collection::vec(-3.0..3.0f64, len).prop_map(move |v| Tensor::from_vec(&[len], v))
 }
 
-/// Central finite differences against the taped gradient, generic over
-/// dtype: the same graph is built for `f64` and `f32` inputs and both
-/// must agree with the numeric derivative at dtype-appropriate tolerance.
-fn fd_check_generic<E: Dtype>(
-    build: impl Fn(Tensor<E, OwnedTape<E>>) -> Tensor<E, OwnedTape<E>>,
-    input: &Tensor<E>,
+/// Central finite differences against the taped gradient.
+fn fd_check(
+    build: impl Fn(Tensor<f64, OwnedTape<f64>>) -> Tensor<f64, OwnedTape<f64>>,
+    input: &Tensor,
     tol: f64,
 ) {
     let grads = build(input.trace()).backward();
     let gx = grads.wrt(input).expect("input gradient missing").clone();
-    let h = E::from_f64(if E::NAME == "f32" { 1e-2 } else { 1e-6 });
+    let h = 1e-6;
     for probe in 0..input.len() {
         let mut xp = input.clone();
         xp.as_mut_slice()[probe] += h;
-        let fp = build(xp.trace()).item().to_f64();
+        let fp = build(xp.trace()).item();
         let mut xm = input.clone();
         xm.as_mut_slice()[probe] -= h;
-        let fm = build(xm.trace()).item().to_f64();
-        let fd = (fp - fm) / (2.0 * h.to_f64());
-        let ad = gx.as_slice()[probe].to_f64();
+        let fm = build(xm.trace()).item();
+        let fd = (fp - fm) / (2.0 * h);
+        let ad = gx.as_slice()[probe];
         assert!(
             (fd - ad).abs() <= tol * (1.0 + fd.abs().max(ad.abs())),
-            "{} probe {probe}: fd {fd:.6e} vs ad {ad:.6e}",
-            E::NAME
+            "probe {probe}: fd {fd:.6e} vs ad {ad:.6e}"
         );
     }
 }
@@ -105,33 +102,28 @@ proptest! {
     }
 
     /// Taped gradients match central finite differences through a
-    /// nonlinear graph, for both dtypes from the same generic code path.
+    /// nonlinear graph.
     #[test]
-    fn gradients_match_finite_difference_any_dtype(
+    fn gradients_match_finite_difference(
         t in prop::collection::vec(-2.0..2.0f64, 6),
         k in -2.0..2.0f64,
     ) {
-        fn graph<E: Dtype>(k: f64) -> impl Fn(Tensor<E, OwnedTape<E>>) -> Tensor<E, OwnedTape<E>> {
-            move |x| {
-                let z = x.scale(E::from_f64(k)).tanh().add_scalar(E::from_f64(0.1));
-                z.with_empty_tape().mul(z).sum()
-            }
-        }
-        let x64 = Tensor::<f64>::from_vec(&[6], t.clone());
-        fd_check_generic::<f64>(graph(k), &x64, 1e-5);
-        let x32 = x64.cast::<f32>();
-        fd_check_generic::<f32>(graph(k), &x32, 2e-2);
+        let graph = move |x: Tensor<f64, OwnedTape<f64>>| {
+            let z = x.scale(k).tanh().add_scalar(0.1);
+            z.with_empty_tape().mul(z).sum()
+        };
+        fd_check(graph, &Tensor::from_vec(&[6], t), 1e-5);
     }
 
     /// Typestate guarantee: inference on `NoneTape` tensors records zero
-    /// tape nodes, in either dtype, no matter the graph.
+    /// tape nodes, no matter the graph.
     #[test]
     fn none_tape_inference_records_nothing(t in tensor_strategy(16)) {
         let before = tape_nodes_recorded();
         let y = t.clone().relu().scale(0.5).add(t.clone()).gelu().sum();
-        let y32 = t.cast::<f32>().relu().scale(0.5f32).tanh().mean();
+        let y2 = t.relu().scale(0.5).tanh().mean();
         prop_assert!(y.item().is_finite());
-        prop_assert!(y32.item().is_finite());
+        prop_assert!(y2.item().is_finite());
         prop_assert_eq!(tape_nodes_recorded(), before);
     }
 }

@@ -5,32 +5,19 @@
 //! NN-predicted forward *and* adjoint fields (the adjoint solve uses the
 //! reciprocity default of [`FieldSolver::solve_adjoint_ez`]).
 //!
-//! Inference runs tape-free. By default the model evaluates at training
-//! precision (`f64`); [`NeuralFieldSolver::with_f32_inference`] opts into
-//! `f32` storage — the parameters are cast once at construction and every
-//! solve then moves half the memory per element.
+//! Inference runs tape-free through [`Model::infer`], in the same `f64`
+//! arithmetic as training, so a prediction equals the taped forward pass
+//! bit for bit.
 
 use crate::featurize::{decode_field, encode_input, FieldNormalizer};
 use maps_core::{ComplexField2d, FieldSolver, RealField2d, SolveFieldError};
 use maps_nn::Model;
 use maps_tensor::Params;
 
-/// Numeric precision used for tape-free neural inference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InferencePrecision {
-    /// Evaluate in `f64` (matches training arithmetic bit-for-bit).
-    #[default]
-    F64,
-    /// Evaluate in `f32` (half the memory traffic; ~1e-4 relative error).
-    F32,
-}
-
 /// A neural [`FieldSolver`].
 pub struct NeuralFieldSolver<M: Model> {
     model: M,
     params: Params,
-    /// `f32` twin of `params`, materialized once when `F32` is selected.
-    params32: Option<Params<f32>>,
     normalizer: FieldNormalizer,
     name: String,
 }
@@ -43,26 +30,8 @@ impl<M: Model> NeuralFieldSolver<M> {
         NeuralFieldSolver {
             model,
             params,
-            params32: None,
             normalizer,
             name,
-        }
-    }
-
-    /// Like [`NeuralFieldSolver::new`], but runs every solve in `f32`:
-    /// the parameter store is cast once here and reused across solves.
-    pub fn with_f32_inference(model: M, params: Params, normalizer: FieldNormalizer) -> Self {
-        let mut solver = Self::new(model, params, normalizer);
-        solver.params32 = Some(solver.params.cast::<f32>());
-        solver
-    }
-
-    /// The precision solves run at.
-    pub fn precision(&self) -> InferencePrecision {
-        if self.params32.is_some() {
-            InferencePrecision::F32
-        } else {
-            InferencePrecision::F64
         }
     }
 
@@ -95,10 +64,7 @@ impl<M: Model> FieldSolver for NeuralFieldSolver<M> {
             });
         }
         let input = encode_input(eps_r, source, omega, self.model.wants_wave_prior());
-        let pred = match &self.params32 {
-            Some(p32) => self.model.infer_f32(p32, input.cast::<f32>()).cast::<f64>(),
-            None => self.model.infer(&self.params, input),
-        };
+        let pred = self.model.infer(&self.params, input);
         // The model was trained on unit-peak sources; rescale its output
         // back to the physical source amplitude.
         let jmax = source
@@ -151,7 +117,6 @@ mod tests {
         let mut params = Params::new();
         let model = small_fno(&mut params);
         let solver = NeuralFieldSolver::new(model, params, FieldNormalizer::identity());
-        assert_eq!(solver.precision(), InferencePrecision::F64);
         let grid = Grid2d::new(16, 16, 0.1);
         let eps = RealField2d::constant(grid, 2.0);
         let mut j = ComplexField2d::zeros(grid);
@@ -169,33 +134,6 @@ mod tests {
         let adj = solver.solve_adjoint_ez(&eps, &j, omega).unwrap();
         assert_eq!(adj.grid(), grid);
         assert!(solver.name().starts_with("neural-"));
-    }
-
-    #[test]
-    fn f32_solver_tracks_f64_solution() {
-        let mut params = Params::new();
-        let model = small_fno(&mut params);
-        let mut params_b = Params::new();
-        let model_b = small_fno(&mut params_b);
-        let solver64 = NeuralFieldSolver::new(model, params, FieldNormalizer::identity());
-        let solver32 =
-            NeuralFieldSolver::with_f32_inference(model_b, params_b, FieldNormalizer::identity());
-        assert_eq!(solver32.precision(), InferencePrecision::F32);
-        let grid = Grid2d::new(16, 16, 0.1);
-        let eps = RealField2d::constant(grid, 2.0);
-        let mut j = ComplexField2d::zeros(grid);
-        j.set(8, 8, Complex64::ONE);
-        let omega = maps_core::omega_for_wavelength(1.55);
-        let e64 = solver64.solve_ez(&eps, &j, omega).unwrap();
-        let e32 = solver32.solve_ez(&eps, &j, omega).unwrap();
-        let num: f64 = e64
-            .as_slice()
-            .iter()
-            .zip(e32.as_slice())
-            .map(|(a, b)| (*a - *b).norm_sqr())
-            .sum();
-        let rel = num.sqrt() / e64.norm().max(1e-30);
-        assert!(rel < 1e-4, "f32 relative error {rel}");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 # overhead), BENCH_pr6.json (telemetry server render + scrape overhead),
 # BENCH_pr7.json (mapsd daemon latency/throughput + chaos run),
 # BENCH_pr8.json (blocked multi-RHS kernel + wideband spectrum sweep),
-# BENCH_pr9.json (f32 tape-free inference),
+# BENCH_pr9.json (tape-free vs taped FNO inference),
 # and BENCH_pr10.json (per-request tracing/wide-event overhead on a warm
 # mapsd /solve) at the repo root.
 #
@@ -23,7 +23,7 @@
 # overhead on a cached solve under 5%; a 10 Hz /metrics scrape within 5%
 # of an unscraped cached solve; mapsd warm-cache p50 beats cold at every
 # concurrency; the chaos run answers every request with a bounded queue
-# and zero panics; f32 tape-free inference beats the taped f64 forward),
+# and zero panics; tape-free inference beats the taped forward),
 # so a perf regression fails the script.
 set -euo pipefail
 cd "$(dirname "$0")/.."
