@@ -35,7 +35,7 @@ pub use grid::Grid2d;
 pub use instrument::InstrumentedSolver;
 pub use label::{Fidelity, PortRecord, RichLabels, Sample};
 pub use port::Port;
-pub use resilience::{RetryPolicy, RobustSolver, RobustStats};
+pub use resilience::{RetryPolicy, RobustSolver, RobustStats, Rung};
 pub use solver::{ensure_finite, FieldSolver, SolveFieldError, SolveKind, SolveRequest};
 
 /// Angular frequency for a vacuum wavelength in µm (normalized `c = 1`).

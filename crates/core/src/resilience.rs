@@ -15,14 +15,16 @@
 //!    `max_relax`). Relaxation is per-call only: the next solve starts from
 //!    the tight tolerance again (relax-then-retighten).
 //! 3. **Fall back** — if the primary is exhausted, an optional secondary
-//!    solver (typically the exact direct backend behind an iterative
-//!    primary, or the FDFD solver behind a neural surrogate) gets one
-//!    attempt.
+//!    solver (the exact direct backend behind an iterative primary, an
+//!    iterative one behind the direct LU, or the FDFD solver behind a
+//!    neural surrogate) gets one attempt.
 //!
-//! Every recovery event increments the global `solve.retries` /
-//! `solve.fallbacks` / `solve.nonfinite` counters and a per-instance
-//! [`RobustStats`] snapshot, so telemetry shows *degradation*, not just
-//! success or crash.
+//! [`RobustSolver::solve_by`] and [`RobustSolver::solve_batch_by`] report
+//! the [`Rung`] that answered and honour a deadline; the [`FieldSolver`]
+//! impl drops the rung. Every recovery event increments the global
+//! `solve.retries` / `solve.fallbacks` / `solve.nonfinite` counters and a
+//! per-instance [`RobustStats`] snapshot, so telemetry shows *degradation*,
+//! not just success or crash.
 
 use crate::field::{ComplexField2d, RealField2d};
 use crate::solver::{ensure_finite, FieldSolver, SolveFieldError, SolveKind, SolveRequest};
@@ -60,22 +62,17 @@ impl RetryPolicy {
     /// Builds a policy from environment knobs, falling back to defaults:
     ///
     /// - `MAPS_SOLVE_RETRIES` — `max_retries` (usize)
-    /// - `MAPS_SOLVE_RELAX` — `relax_factor` (f64 ≥ 1)
     /// - `MAPS_SOLVE_VALIDATE` — `0`/`false`/`off` disables output
     ///   validation, `1`/`true`/`on` (the default) keeps it
     ///
+    /// The relaxation schedule keeps its defaults; callers whose primary
+    /// has a tolerance set `relax_factor` and `max_relax` in code.
     /// Malformed values warn once via [`maps_obs::warn_invalid_env`] and
     /// fall back to the default instead of being silently ignored.
     pub fn from_env() -> Self {
         let defaults = RetryPolicy::default();
         let mut policy = defaults;
         policy.max_retries = maps_obs::parse_env_or("MAPS_SOLVE_RETRIES", defaults.max_retries);
-        let relax = maps_obs::parse_env_or("MAPS_SOLVE_RELAX", defaults.relax_factor);
-        if relax >= 1.0 && relax.is_finite() {
-            policy.relax_factor = relax;
-        } else if let Ok(raw) = std::env::var("MAPS_SOLVE_RELAX") {
-            maps_obs::warn_invalid_env("MAPS_SOLVE_RELAX", raw.trim(), "finite factor >= 1");
-        }
         if let Ok(raw) = std::env::var("MAPS_SOLVE_VALIDATE") {
             match raw.trim() {
                 "" => {}
@@ -95,6 +92,17 @@ impl RetryPolicy {
     fn factor_for_attempt(&self, k: usize) -> f64 {
         self.relax_factor.powi(k as i32).min(self.max_relax)
     }
+}
+
+/// The rung of a [`RobustSolver`]'s ladder that produced an answer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rung {
+    /// The primary's first attempt.
+    Primary,
+    /// The primary, on a (relaxed) retry.
+    Retry,
+    /// The fallback solver.
+    Fallback,
 }
 
 /// Per-instance recovery counters of a [`RobustSolver`].
@@ -131,12 +139,15 @@ struct StatCells {
 /// A [`FieldSolver`] wrapper that retries, relaxes, falls back, and
 /// validates according to a [`RetryPolicy`]. See the module docs for the
 /// recovery sequence.
-pub struct RobustSolver<S: FieldSolver> {
-    primary: S,
+///
+/// The primary is the last field, so `S` may be unsized:
+/// `Box<RobustSolver<dyn FieldSolver>>` holds a ladder over any primary.
+pub struct RobustSolver<S: FieldSolver + ?Sized> {
     fallback: Option<Box<dyn FieldSolver>>,
     policy: RetryPolicy,
     label: String,
     stats: StatCells,
+    primary: S,
 }
 
 impl<S: FieldSolver> RobustSolver<S> {
@@ -144,11 +155,11 @@ impl<S: FieldSolver> RobustSolver<S> {
     pub fn new(primary: S, policy: RetryPolicy) -> Self {
         let label = format!("robust({})", primary.name());
         RobustSolver {
-            primary,
             fallback: None,
             policy,
             label,
             stats: StatCells::default(),
+            primary,
         }
     }
 
@@ -158,15 +169,41 @@ impl<S: FieldSolver> RobustSolver<S> {
         self.fallback = Some(fallback);
         self
     }
+}
 
+/// One attempt of `solver` at `req`, with the tolerance relaxed by
+/// `factor` (1 = the solver's own tolerance).
+fn attempt<T: FieldSolver + ?Sized>(
+    solver: &T,
+    eps_r: &RealField2d,
+    req: &SolveRequest<'_>,
+    factor: f64,
+) -> Result<ComplexField2d, SolveFieldError> {
+    match (req.kind, factor == 1.0) {
+        (SolveKind::Forward, true) => solver.solve_ez(eps_r, req.source, req.omega),
+        (SolveKind::Forward, false) => {
+            solver.solve_ez_relaxed(eps_r, req.source, req.omega, factor)
+        }
+        (SolveKind::Adjoint, true) => solver.solve_adjoint_ez(eps_r, req.source, req.omega),
+        (SolveKind::Adjoint, false) => {
+            solver.solve_adjoint_ez_relaxed(eps_r, req.source, req.omega, factor)
+        }
+    }
+}
+
+impl<S: FieldSolver + ?Sized> RobustSolver<S> {
     /// The wrapped primary solver.
     pub fn primary(&self) -> &S {
         &self.primary
     }
 
-    /// The active policy.
-    pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
+    /// The name of the solver that answers on `rung`: the fallback's for
+    /// [`Rung::Fallback`], the primary's otherwise.
+    pub fn solver_name(&self, rung: Rung) -> &str {
+        match (rung, &self.fallback) {
+            (Rung::Fallback, Some(fb)) => fb.name(),
+            _ => self.primary.name(),
+        }
     }
 
     /// A snapshot of this instance's recovery counters.
@@ -217,77 +254,57 @@ impl<S: FieldSolver> RobustSolver<S> {
         Ok(field)
     }
 
-    /// The shared retry→relax→fallback driver. `primary_attempt` runs one
-    /// attempt at a given tolerance factor; `fallback_attempt` runs the
-    /// secondary solver once.
-    fn drive(
-        &self,
-        direction: &str,
-        deadline: Option<Instant>,
-        primary_attempt: impl Fn(f64) -> Result<ComplexField2d, SolveFieldError>,
-        fallback_attempt: impl Fn(&dyn FieldSolver) -> Result<ComplexField2d, SolveFieldError>,
-    ) -> Result<ComplexField2d, SolveFieldError> {
-        self.check_deadline(deadline, "the first attempt")?;
-        let first = primary_attempt(1.0);
-        self.drive_from(
-            first,
-            direction,
-            deadline,
-            primary_attempt,
-            fallback_attempt,
-        )
-    }
-
-    /// Like [`RobustSolver::drive`], but seeded with an already-obtained
-    /// first-attempt result. This is the batch recovery path: the primary's
-    /// `solve_ez_batch` runs all first attempts together (amortizing one
-    /// factorization per frequency group), and only the requests that failed
-    /// re-enter the scalar retry→relax→fallback sequence.
+    /// The retry→relax→fallback sequence for `req`, seeded with the
+    /// primary's first-attempt result. The batch path obtains its first
+    /// attempts from the primary's `solve_ez_batch` (amortizing one
+    /// factorization per frequency group), so only the requests that
+    /// failed re-enter the sequence.
     fn drive_from(
         &self,
         first: Result<ComplexField2d, SolveFieldError>,
-        direction: &str,
+        eps_r: &RealField2d,
+        req: &SolveRequest<'_>,
         deadline: Option<Instant>,
-        primary_attempt: impl Fn(f64) -> Result<ComplexField2d, SolveFieldError>,
-        fallback_attempt: impl Fn(&dyn FieldSolver) -> Result<ComplexField2d, SolveFieldError>,
-    ) -> Result<ComplexField2d, SolveFieldError> {
-        let first = self.check(first, self.primary.name());
-        let mut last_err = match first {
-            Ok(field) => return Ok(field),
-            Err(e) => {
-                if !e.is_retryable() {
-                    self.stats.unrecovered.fetch_add(1, Ordering::Relaxed);
-                    return Err(e);
-                }
-                e
+    ) -> Result<(ComplexField2d, Rung), SolveFieldError> {
+        let mut last_err = match self.check(first, self.primary.name()) {
+            Ok(field) => return Ok((field, Rung::Primary)),
+            Err(e) if !e.is_retryable() => {
+                self.stats.unrecovered.fetch_add(1, Ordering::Relaxed);
+                return Err(e);
             }
+            Err(e) => e,
+        };
+        let direction = match req.kind {
+            SolveKind::Forward => "forward",
+            SolveKind::Adjoint => "adjoint",
         };
         let _span = maps_obs::span("solve.recover")
             .field("solver", self.primary.name())
             .field("direction", direction);
-        for attempt in 1..=self.policy.max_retries {
+        for k in 1..=self.policy.max_retries {
             self.check_deadline(deadline, "a relaxed retry")?;
-            let factor = self.policy.factor_for_attempt(attempt);
+            let factor = self.policy.factor_for_attempt(k);
             self.stats.retries.fetch_add(1, Ordering::Relaxed);
             maps_obs::counter("solve.retries").inc();
             maps_obs::error!(
-                "{} {direction} solve failed ({last_err}); retry {attempt}/{} at tolerance x{factor:.0}",
+                "{} {direction} solve failed ({last_err}); retry {k}/{} at tolerance x{factor:.0}",
                 self.primary.name(),
                 self.policy.max_retries
             );
-            match self.check(primary_attempt(factor), self.primary.name()) {
+            match self.check(
+                attempt(&self.primary, eps_r, req, factor),
+                self.primary.name(),
+            ) {
                 Ok(field) => {
                     self.stats.recovered.fetch_add(1, Ordering::Relaxed);
                     maps_obs::counter("solve.recovered").inc();
-                    return Ok(field);
+                    return Ok((field, Rung::Retry));
                 }
-                Err(e) => {
-                    if !e.is_retryable() {
-                        self.stats.unrecovered.fetch_add(1, Ordering::Relaxed);
-                        return Err(e);
-                    }
-                    last_err = e;
+                Err(e) if !e.is_retryable() => {
+                    self.stats.unrecovered.fetch_add(1, Ordering::Relaxed);
+                    return Err(e);
                 }
+                Err(e) => last_err = e,
             }
         }
         if let Some(fb) = &self.fallback {
@@ -299,11 +316,11 @@ impl<S: FieldSolver> RobustSolver<S> {
                 self.primary.name(),
                 fb.name()
             );
-            match self.check(fallback_attempt(fb.as_ref()), fb.name()) {
+            match self.check(attempt(fb.as_ref(), eps_r, req, 1.0), fb.name()) {
                 Ok(field) => {
                     self.stats.recovered.fetch_add(1, Ordering::Relaxed);
                     maps_obs::counter("solve.recovered").inc();
-                    return Ok(field);
+                    return Ok((field, Rung::Fallback));
                 }
                 Err(e) => last_err = e,
             }
@@ -313,7 +330,8 @@ impl<S: FieldSolver> RobustSolver<S> {
         Err(last_err)
     }
 
-    /// [`FieldSolver::solve_ez`] with an optional wall-clock deadline.
+    /// Solves one request down the ladder with an optional wall-clock
+    /// deadline, returning the field and the [`Rung`] that produced it.
     ///
     /// The deadline is checked before the first attempt, before every
     /// relaxed retry, and before the fallback attempt — a recovery sequence
@@ -325,66 +343,54 @@ impl<S: FieldSolver> RobustSolver<S> {
     /// # Errors
     ///
     /// [`SolveFieldError::DeadlineExceeded`] when the deadline passes
-    /// mid-recovery, otherwise as [`FieldSolver::solve_ez`].
-    pub fn solve_ez_by(
+    /// mid-recovery, otherwise the last rung's error.
+    pub fn solve_by(
         &self,
         eps_r: &RealField2d,
-        source: &ComplexField2d,
-        omega: f64,
+        req: SolveRequest<'_>,
         deadline: Option<Instant>,
-    ) -> Result<ComplexField2d, SolveFieldError> {
-        self.drive(
-            "forward",
-            deadline,
-            |factor| {
-                if factor == 1.0 {
-                    self.primary.solve_ez(eps_r, source, omega)
-                } else {
-                    self.primary.solve_ez_relaxed(eps_r, source, omega, factor)
-                }
-            },
-            |fb| fb.solve_ez(eps_r, source, omega),
-        )
+    ) -> Result<(ComplexField2d, Rung), SolveFieldError> {
+        self.check_deadline(deadline, "the first attempt")?;
+        let first = attempt(&self.primary, eps_r, &req, 1.0);
+        self.drive_from(first, eps_r, &req, deadline)
     }
 
-    /// [`FieldSolver::solve_adjoint_ez`] with an optional wall-clock
-    /// deadline (see [`RobustSolver::solve_ez_by`]).
+    /// Solves a batch down the ladder, one result per request in input
+    /// order (see [`RobustSolver::solve_by`] for the deadline contract).
     ///
-    /// # Errors
-    ///
-    /// [`SolveFieldError::DeadlineExceeded`] when the deadline passes
-    /// mid-recovery, otherwise as [`FieldSolver::solve_adjoint_ez`].
-    pub fn solve_adjoint_ez_by(
+    /// The first attempts run together through the primary's
+    /// [`FieldSolver::solve_ez_batch`], keeping its batch amortization (one
+    /// factorization per frequency group); each failed request then
+    /// recovers on its own. One poisoned excitation therefore costs only
+    /// its own recovery — the rest of the batch is untouched.
+    pub fn solve_batch_by(
         &self,
         eps_r: &RealField2d,
-        rhs: &ComplexField2d,
-        omega: f64,
+        requests: &[SolveRequest<'_>],
         deadline: Option<Instant>,
-    ) -> Result<ComplexField2d, SolveFieldError> {
-        self.drive(
-            "adjoint",
-            deadline,
-            |factor| {
-                if factor == 1.0 {
-                    self.primary.solve_adjoint_ez(eps_r, rhs, omega)
-                } else {
-                    self.primary
-                        .solve_adjoint_ez_relaxed(eps_r, rhs, omega, factor)
-                }
-            },
-            |fb| fb.solve_adjoint_ez(eps_r, rhs, omega),
-        )
+    ) -> Vec<Result<(ComplexField2d, Rung), SolveFieldError>> {
+        if let Err(e) = self.check_deadline(deadline, "the first attempt") {
+            return requests.iter().map(|_| Err(e.clone())).collect();
+        }
+        let firsts = self.primary.solve_ez_batch(eps_r, requests);
+        debug_assert_eq!(firsts.len(), requests.len());
+        firsts
+            .into_iter()
+            .zip(requests)
+            .map(|(first, req)| self.drive_from(first, eps_r, req, deadline))
+            .collect()
     }
 }
 
-impl<S: FieldSolver> FieldSolver for RobustSolver<S> {
+impl<S: FieldSolver + ?Sized> FieldSolver for RobustSolver<S> {
     fn solve_ez(
         &self,
         eps_r: &RealField2d,
         source: &ComplexField2d,
         omega: f64,
     ) -> Result<ComplexField2d, SolveFieldError> {
-        self.solve_ez_by(eps_r, source, omega, None)
+        self.solve_by(eps_r, SolveRequest::forward(source, omega), None)
+            .map(|(field, _)| field)
     }
 
     fn solve_adjoint_ez(
@@ -393,54 +399,19 @@ impl<S: FieldSolver> FieldSolver for RobustSolver<S> {
         rhs: &ComplexField2d,
         omega: f64,
     ) -> Result<ComplexField2d, SolveFieldError> {
-        self.solve_adjoint_ez_by(eps_r, rhs, omega, None)
+        self.solve_by(eps_r, SolveRequest::adjoint(rhs, omega), None)
+            .map(|(field, _)| field)
     }
 
-    /// Batched solves keep the primary's batch amortization (one
-    /// factorization per frequency group) for the first attempt, then
-    /// recover each failed request individually through the full
-    /// retry→relax→fallback sequence. One poisoned excitation therefore
-    /// costs only its own recovery — the rest of the batch is untouched.
+    /// See [`RobustSolver::solve_batch_by`].
     fn solve_ez_batch(
         &self,
         eps_r: &RealField2d,
         requests: &[SolveRequest<'_>],
     ) -> Vec<Result<ComplexField2d, SolveFieldError>> {
-        let firsts = self.primary.solve_ez_batch(eps_r, requests);
-        debug_assert_eq!(firsts.len(), requests.len());
-        firsts
+        self.solve_batch_by(eps_r, requests, None)
             .into_iter()
-            .zip(requests)
-            .map(|(first, req)| match req.kind {
-                SolveKind::Forward => self.drive_from(
-                    first,
-                    "forward",
-                    None,
-                    |factor| {
-                        if factor == 1.0 {
-                            self.primary.solve_ez(eps_r, req.source, req.omega)
-                        } else {
-                            self.primary
-                                .solve_ez_relaxed(eps_r, req.source, req.omega, factor)
-                        }
-                    },
-                    |fb| fb.solve_ez(eps_r, req.source, req.omega),
-                ),
-                SolveKind::Adjoint => self.drive_from(
-                    first,
-                    "adjoint",
-                    None,
-                    |factor| {
-                        if factor == 1.0 {
-                            self.primary.solve_adjoint_ez(eps_r, req.source, req.omega)
-                        } else {
-                            self.primary
-                                .solve_adjoint_ez_relaxed(eps_r, req.source, req.omega, factor)
-                        }
-                    },
-                    |fb| fb.solve_adjoint_ez(eps_r, req.source, req.omega),
-                ),
-            })
+            .map(|r| r.map(|(field, _)| field))
             .collect()
     }
 
@@ -485,8 +456,11 @@ mod tests {
     fn clean_solves_pass_through_untouched() {
         let (_, eps, j) = fixtures();
         let robust = RobustSolver::new(EchoSolver, RetryPolicy::default());
-        let out = robust.solve_ez(&eps, &j, 1.0).unwrap();
+        let (out, rung) = robust
+            .solve_by(&eps, SolveRequest::forward(&j, 1.0), None)
+            .unwrap();
         assert_eq!(out.as_slice(), j.as_slice());
+        assert_eq!(rung, Rung::Primary);
         assert_eq!(robust.stats(), RobustStats::default());
         assert_eq!(robust.name(), "robust(echo)");
     }
@@ -499,8 +473,11 @@ mod tests {
             FaultPlan::new().fail_at(0, InjectedFault::Error),
         );
         let robust = RobustSolver::new(faulty, RetryPolicy::default());
-        let out = robust.solve_ez(&eps, &j, 1.0).unwrap();
+        let (out, rung) = robust
+            .solve_by(&eps, SolveRequest::forward(&j, 1.0), None)
+            .unwrap();
         assert_eq!(out.as_slice(), j.as_slice());
+        assert_eq!(rung, Rung::Retry);
         let stats = robust.stats();
         assert_eq!(stats.retries, 1);
         assert_eq!(stats.recovered, 1);
@@ -567,8 +544,13 @@ mod tests {
             FaultInjectingSolver::new(EchoSolver, FaultPlan::new().always(InjectedFault::Error));
         let robust =
             RobustSolver::new(faulty, RetryPolicy::default()).with_fallback(Box::new(EchoSolver));
-        let out = robust.solve_ez(&eps, &j, 1.0).unwrap();
+        let (out, rung) = robust
+            .solve_by(&eps, SolveRequest::forward(&j, 1.0), None)
+            .unwrap();
         assert_eq!(out.as_slice(), j.as_slice());
+        assert_eq!(rung, Rung::Fallback);
+        assert_eq!(robust.solver_name(rung), "echo");
+        assert_eq!(robust.solver_name(Rung::Retry), "fault(echo)");
         let stats = robust.stats();
         assert_eq!(stats.retries, 2);
         assert_eq!(stats.fallbacks, 1);
@@ -638,9 +620,9 @@ mod tests {
             SolveRequest::forward(&j, 1.0),
             SolveRequest::adjoint(&j, 1.0),
         ];
-        let out = robust.solve_ez_batch(&eps, &requests);
-        assert_eq!(out.len(), 3);
-        assert!(out.iter().all(Result::is_ok));
+        let out = robust.solve_batch_by(&eps, &requests, None);
+        let rungs: Vec<Rung> = out.into_iter().map(|r| r.unwrap().1).collect();
+        assert_eq!(rungs, [Rung::Primary, Rung::Retry, Rung::Primary]);
         let stats = robust.stats();
         assert_eq!(stats.retries, 1, "only the injected failure retries");
         assert_eq!(stats.recovered, 1);
@@ -677,13 +659,27 @@ mod tests {
     #[test]
     fn expired_deadline_short_circuits_before_the_first_attempt() {
         let (_, eps, j) = fixtures();
-        let robust = RobustSolver::new(EchoSolver, RetryPolicy::default());
+        let counted = FaultInjectingSolver::new(EchoSolver, FaultPlan::new());
+        let robust = RobustSolver::new(counted, RetryPolicy::default());
         let err = robust
-            .solve_ez_by(&eps, &j, 1.0, Some(Instant::now()))
+            .solve_by(&eps, SolveRequest::forward(&j, 1.0), Some(Instant::now()))
             .unwrap_err();
         assert!(matches!(err, SolveFieldError::DeadlineExceeded { .. }));
         assert_eq!(robust.stats().deadlined, 1);
         assert_eq!(robust.stats().retries, 0);
+
+        // A batch is abandoned whole: every slot reports the deadline.
+        let requests = [
+            SolveRequest::forward(&j, 1.0),
+            SolveRequest::adjoint(&j, 1.0),
+        ];
+        let out = robust.solve_batch_by(&eps, &requests, Some(Instant::now()));
+        assert_eq!(out.len(), 2);
+        assert!(out
+            .iter()
+            .all(|r| matches!(r, Err(SolveFieldError::DeadlineExceeded { .. }))));
+        assert_eq!(robust.stats().deadlined, 2);
+        assert_eq!(robust.primary().calls(), 0, "no attempt starts past it");
     }
 
     #[test]
@@ -709,7 +705,7 @@ mod tests {
             .with_fallback(Box::new(EchoSolver));
         let deadline = Instant::now() + std::time::Duration::from_millis(5);
         let err = robust
-            .solve_ez_by(&eps, &j, 1.0, Some(deadline))
+            .solve_by(&eps, SolveRequest::forward(&j, 1.0), Some(deadline))
             .unwrap_err();
         assert!(matches!(err, SolveFieldError::DeadlineExceeded { .. }));
         let stats = robust.stats();
@@ -722,8 +718,12 @@ mod tests {
     fn no_deadline_means_no_deadline_accounting() {
         let (_, eps, j) = fixtures();
         let robust = RobustSolver::new(EchoSolver, RetryPolicy::default());
-        robust.solve_ez_by(&eps, &j, 1.0, None).unwrap();
-        robust.solve_adjoint_ez_by(&eps, &j, 1.0, None).unwrap();
+        robust
+            .solve_by(&eps, SolveRequest::forward(&j, 1.0), None)
+            .unwrap();
+        robust
+            .solve_by(&eps, SolveRequest::adjoint(&j, 1.0), None)
+            .unwrap();
         assert_eq!(robust.stats().deadlined, 0);
     }
 

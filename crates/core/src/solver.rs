@@ -251,8 +251,8 @@ pub enum SolveFieldError {
         detail: String,
     },
     /// The caller's deadline passed before a result could be produced.
-    /// Raised by deadline-aware drivers (e.g. `RobustSolver::solve_ez_by`)
-    /// between attempts; the solve is abandoned, never answered late.
+    /// Raised between attempts by `RobustSolver::solve_by` and
+    /// `solve_batch_by`; the solve is abandoned, never answered late.
     DeadlineExceeded {
         /// Which stage of the solve the deadline interrupted.
         detail: String,

@@ -16,9 +16,11 @@
 //! - **Honors deadlines**: `deadline_ms` in the request envelope is
 //!   enforced at dequeue and between recovery attempts; late work is
 //!   dropped and counted, never silently delivered.
-//! - **Degrades gracefully**: a breaker-guarded direct rung falls back to
-//!   the `RobustSolver` ladder (relaxed iterative, then the fallback
-//!   solver), and every response carries the fidelity actually served.
+//! - **Degrades gracefully**: each worker holds one `RobustSolver`
+//!   ladder — the exact direct LU, retried, then one BiCGSTAB attempt —
+//!   and every response carries the rung that answered (`fidelity`:
+//!   `direct`, `relaxed` or `fallback`) and the solver behind it
+//!   (`served_by`). A failed request leaves the next one untouched.
 //! - **Stops cleanly**: drain-on-stop answers every admitted job;
 //!   `GET /readyz` folds daemon state into the watchdog readiness.
 //!
@@ -59,4 +61,4 @@ pub use protocol::{
 };
 pub use queue::{ClientPermit, Job, QueueConfig, Shed, WorkQueue};
 pub use server::{serve, serve_with, Daemon, DaemonConfig, TailConfig};
-pub use service::{Breaker, ServiceFactory, SolveService};
+pub use service::{ServiceFactory, SolveService};

@@ -176,6 +176,14 @@ fn parse_source(v: Option<&Value>, grid: Grid2d) -> Result<Vec<(usize, usize, Co
         let im = parts[3]
             .as_f64()
             .map_err(|e| format!("source[{i}].im: {e}"))?;
+        // JSON reads an overflowing literal such as 1e999 as ±∞; a
+        // non-finite source can only produce a non-finite field.
+        if !re.is_finite() {
+            return Err(format!("source[{i}].re: must be finite"));
+        }
+        if !im.is_finite() {
+            return Err(format!("source[{i}].im: must be finite"));
+        }
         points.push((ix, iy, Complex64::new(re, im)));
     }
     Ok(points)
@@ -408,15 +416,18 @@ pub struct SolveResult {
     /// Full complex field, interleaved `[re, im, re, im, ...]`, when the
     /// envelope asked for it.
     pub field: Option<Vec<f64>>,
-    /// Fidelity rung that produced the answer: `direct`, `relaxed`, or
-    /// `fallback`.
+    /// The ladder rung that produced the answer: `direct` (the primary's
+    /// first attempt — the exact LU in production), `relaxed` (a retry of
+    /// the primary), or `fallback` (the fallback solver — BiCGSTAB in
+    /// production).
     pub fidelity: Option<&'static str>,
-    /// Name of the solver that produced the answer.
+    /// Name of the solver that produced the answer: the primary's for
+    /// `direct` and `relaxed`, the fallback's for `fallback`.
     pub served_by: Option<String>,
     /// How the factorization was obtained: `hit`, `leader`, `follower`.
     pub coalesce: Option<&'static str>,
     /// Wall-clock time obtaining this excitation's factorization, ms
-    /// (0 when the fidelity ladder bypassed the prewarmed factor path).
+    /// (0 for batch slots and when the pre-warm was off or failed).
     pub factorize_ms: f64,
     /// Wall-clock solve time in milliseconds.
     pub solve_ms: f64,
@@ -677,6 +688,39 @@ mod tests {
         ] {
             let err = parse_envelope(JobKind::Solve, body).unwrap_err();
             assert!(err.contains(needle), "{body} -> {err}");
+        }
+    }
+
+    /// An overflowing amplitude (JSON `1e999` reads as ±∞) is refused at
+    /// parse time, naming the offending component, in every envelope kind.
+    #[test]
+    fn non_finite_source_amplitudes_are_rejected() {
+        for (amp, part) in [
+            ("1e999, 0", "re"),
+            ("-1e999, 0", "re"),
+            ("0, 1e999", "im"),
+            ("0, -1e999", "im"),
+        ] {
+            let point = format!("[[1, 2, 0.5, 0], [3, 2, {amp}]]");
+            let needle = format!("source[1].{part}: must be finite");
+            let grid = r#""nx": 8, "ny": 8, "dx": 0.1, "eps": 1.0"#;
+            for (job, body) in [
+                (
+                    JobKind::Solve,
+                    format!(r#"{{{grid}, "omega": 4.0, "source": {point}}}"#),
+                ),
+                (
+                    JobKind::Batch,
+                    format!(r#"{{{grid}, "requests": [{{"omega": 4.0, "source": {point}}}]}}"#),
+                ),
+                (
+                    JobKind::Label,
+                    format!(r#"{{{grid}, "omegas": [4.0, 4.1], "source": {point}}}"#),
+                ),
+            ] {
+                let err = parse_envelope(job, &body).unwrap_err();
+                assert!(err.contains(&needle), "{body} -> {err}");
+            }
         }
     }
 

@@ -40,7 +40,7 @@
 
 use crate::protocol::{parse_envelope, render_job_result, render_shed, JobKind, JobResult};
 use crate::queue::{QueueConfig, WorkQueue};
-use crate::service::{Breaker, ServiceFactory, SolveService};
+use crate::service::{ServiceFactory, SolveService};
 use maps_obs::{
     read_request, readiness_response, recorder, reqlog, telemetry_response, write_response,
     Request, TaskContext,
@@ -241,11 +241,7 @@ pub struct Daemon {
 ///
 /// I/O errors from binding the listen address.
 pub fn serve(config: DaemonConfig) -> io::Result<Daemon> {
-    let breaker = Breaker::from_env();
-    serve_with(
-        config,
-        Arc::new(move || SolveService::from_env(Arc::clone(&breaker))),
-    )
+    serve_with(config, Arc::new(SolveService::from_env))
 }
 
 /// Starts a daemon whose workers build their service from `factory` —
@@ -715,11 +711,6 @@ fn register_counters() {
         "mapsd.degraded.fallback",
         "mapsd.deadline.dropped_at_dequeue",
         "mapsd.deadline.dropped_mid_job",
-        "mapsd.direct.failed",
-        "mapsd.direct.bypassed",
-        "mapsd.breaker.opened",
-        "mapsd.breaker.probe",
-        "mapsd.breaker.skipped",
         "mapsd.prewarm.failed",
         "mapsd.response.dropped",
     ] {

@@ -1,175 +1,88 @@
-//! The per-worker solve service: coalesced pre-warm, a direct fast path
-//! behind a circuit breaker, and graceful degradation through the
-//! `RobustSolver` ladder.
+//! The per-worker solve service: coalesced pre-warm, then one
+//! degradation ladder.
 //!
 //! Each worker thread owns one [`SolveService`] (built by a
-//! [`ServiceFactory`]), so the `RobustSolver` stats deltas observed around
-//! a solve are attributable to *that* request — that is how responses are
-//! tagged with the fidelity actually served ("direct", "relaxed", or
-//! "fallback") without racing other workers.
+//! [`ServiceFactory`]). Its ladder is a `RobustSolver`: the exact direct
+//! LU as the primary, retried per `MAPS_SOLVE_RETRIES`, then one BiCGSTAB
+//! attempt as the fallback. The [`Rung`] that answered becomes the
+//! response's `fidelity` (`direct`, `relaxed` or `fallback`), and the
+//! solver behind it its `served_by`. The ladder keeps no state between
+//! requests, so a request that fails changes nothing about how the next
+//! one is served.
 //!
-//! The request path for one [`SolveSpec`]:
+//! The request path of one job:
 //!
-//! 1. **Pre-warm** the factorization through the single-flight cache
-//!    ([`maps_fdfd::factor_coalesced`]). Concurrent requests for the same
-//!    (ε, ω) fingerprint elect one leader; the rest share its result. The
-//!    outcome is surfaced per-response (`coalesce`) and in the
-//!    `mapsd.coalesce.*` counters.
-//! 2. **Direct rung**: the exact solver, guarded by a [`Breaker`] shared
-//!    across workers. Consecutive retryable failures open the breaker and
-//!    the rung is skipped (with periodic probes) so a sick backend does
-//!    not pay a doomed full solve per request.
-//! 3. **Degradation ladder**: the PR 2 `RobustSolver` chain — iterative
-//!    primary with retry/relaxation, then the fallback solver — driven
-//!    with the request deadline via `solve_ez_by`, so recovery never
-//!    outlives the caller's patience.
+//! 1. **Refusals**: a grid the PML cannot fit in is answered 400 and an
+//!    expired deadline 408, before any solving.
+//! 2. **Pre-warm** (one-spec jobs): the factorization goes through the
+//!    single-flight cache ([`maps_fdfd::factor_coalesced`]). Concurrent
+//!    requests for the same (ε, ω) fingerprint elect one leader; the rest
+//!    share its result. The outcome is surfaced per-response (`coalesce`)
+//!    and in the `mapsd.coalesce.*` counters. A failed pre-warm is counted
+//!    (`mapsd.prewarm.failed`) and the request still goes down the ladder.
+//! 3. **Ladder**: one-spec jobs call `RobustSolver::solve_by`; multi-spec
+//!    jobs (`/batch`, `/label` sweeps) call `RobustSolver::solve_batch_by`,
+//!    which keeps the batch plane. Both honour the request deadline, so
+//!    recovery never outlives the caller's patience.
 
 use crate::protocol::{Envelope, ErrorKind, JobResult, SolveResult, SolveSpec, Timings};
 use maps_core::{
-    FieldSolver, RealField2d, RetryPolicy, RobustSolver, RobustStats, SolveFieldError, SolveKind,
+    ComplexField2d, FieldSolver, Grid2d, RealField2d, RetryPolicy, RobustSolver, Rung,
+    SolveFieldError, SolveRequest,
 };
 use maps_fdfd::{factor_coalesced, Backend, FactorOutcome, FdfdSolver, PmlConfig};
 use maps_linalg::IterativeOptions;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// How many direct-rung probes are skipped per attempt while the breaker
-/// is open.
-const PROBE_PERIOD: u32 = 8;
-
-/// A shared circuit breaker over the direct solve rung.
-///
-/// After `threshold` consecutive retryable failures the rung is skipped;
-/// every [`PROBE_PERIOD`]-th request is still let through as a probe so
-/// the breaker closes again once the backend recovers. All workers share
-/// one breaker: a backend sick for one worker is sick for all of them.
-pub struct Breaker {
-    consecutive: AtomicU32,
-    skipped: AtomicU32,
-    threshold: u32,
-}
-
-impl Breaker {
-    /// A breaker that opens after `threshold` consecutive failures
-    /// (clamped to at least 1).
-    pub fn new(threshold: u32) -> Arc<Self> {
-        Arc::new(Breaker {
-            consecutive: AtomicU32::new(0),
-            skipped: AtomicU32::new(0),
-            threshold: threshold.max(1),
-        })
-    }
-
-    /// Reads `MAPS_D_BREAKER` (default 5) for the failure threshold.
-    pub fn from_env() -> Arc<Self> {
-        Breaker::new(maps_obs::parse_env_or("MAPS_D_BREAKER", 5u32))
-    }
-
-    /// Whether the direct rung should run for this request.
-    pub fn allows(&self) -> bool {
-        if self.consecutive.load(Ordering::Relaxed) < self.threshold {
-            return true;
-        }
-        // Open: admit every PROBE_PERIOD-th request as a probe.
-        let n = self.skipped.fetch_add(1, Ordering::Relaxed);
-        if n % PROBE_PERIOD == PROBE_PERIOD - 1 {
-            maps_obs::counter("mapsd.breaker.probe").inc();
-            true
-        } else {
-            maps_obs::counter("mapsd.breaker.skipped").inc();
-            false
-        }
-    }
-
-    /// Records a successful direct solve, closing the breaker.
-    pub fn record_success(&self) {
-        self.consecutive.store(0, Ordering::Relaxed);
-    }
-
-    /// Records a retryable direct-solve failure; opens the breaker at the
-    /// threshold.
-    pub fn record_failure(&self) {
-        let now = self.consecutive.fetch_add(1, Ordering::Relaxed) + 1;
-        if now == self.threshold {
-            maps_obs::counter("mapsd.breaker.opened").inc();
-        }
-    }
-
-    /// True when the direct rung is currently being skipped.
-    pub fn is_open(&self) -> bool {
-        self.consecutive.load(Ordering::Relaxed) >= self.threshold
-    }
-}
 
 /// Builds one [`SolveService`] per worker thread. The factory is invoked
 /// on the worker's own thread, so the solvers it builds never need to be
 /// `Send` themselves — only the factory does.
 pub type ServiceFactory = Arc<dyn Fn() -> SolveService + Send + Sync>;
 
-/// One worker's solving machinery: direct rung + degradation ladder.
+/// One worker's solving machinery: pre-warm plus the degradation ladder.
 pub struct SolveService {
     pml: PmlConfig,
     /// Pre-warm the factor cache through the single-flight gate before
-    /// solving (off for services whose direct rung is not the FDFD LU).
+    /// solving (off for ladders whose primary is not the FDFD LU).
     prewarm: bool,
-    direct: Box<dyn FieldSolver>,
-    ladder: RobustSolver<FdfdSolver>,
-    breaker: Arc<Breaker>,
+    ladder: Box<RobustSolver<dyn FieldSolver>>,
 }
 
 impl SolveService {
-    /// The production service: FDFD direct rung, iterative ladder with a
-    /// direct-LU fallback, retry policy from the `MAPS_SOLVE_*` env knobs.
+    /// The production service: the FDFD direct LU as the primary, retry
+    /// policy from the `MAPS_SOLVE_*` env knobs, one BiCGSTAB attempt as
+    /// the fallback.
     ///
-    /// The fallback rung is where a trained surrogate would be slotted
-    /// once one implements [`FieldSolver`]; the repo ships none, so the
-    /// exact LU stands in — same contract, higher cost.
-    pub fn from_env(breaker: Arc<Breaker>) -> Self {
-        let ladder = RobustSolver::new(
-            FdfdSolver::new().backend(Backend::Iterative(IterativeOptions::default())),
-            RetryPolicy::from_env(),
-        )
-        .with_fallback(Box::new(FdfdSolver::new()));
-        SolveService {
-            pml: PmlConfig::default(),
-            prewarm: true,
-            direct: Box::new(FdfdSolver::new()),
-            ladder,
-            breaker,
-        }
+    /// Any other [`FieldSolver`] — a trained surrogate such as
+    /// `maps_train::NeuralFieldSolver` — can take either rung through
+    /// [`SolveService::with_parts`].
+    pub fn from_env() -> Self {
+        let ladder = RobustSolver::new(FdfdSolver::new(), RetryPolicy::from_env()).with_fallback(
+            Box::new(FdfdSolver::new().backend(Backend::Iterative(IterativeOptions::default()))),
+        );
+        SolveService::with_parts(Box::new(ladder), true)
     }
 
-    /// A service with a custom direct rung and ladder — the hook chaos
-    /// tests use to inject faults.
-    pub fn with_parts(
-        direct: Box<dyn FieldSolver>,
-        ladder: RobustSolver<FdfdSolver>,
-        breaker: Arc<Breaker>,
-        prewarm: bool,
-    ) -> Self {
+    /// A service over a custom ladder — the hook chaos tests use to inject
+    /// faults. `prewarm` pre-factors through the single-flight cache before
+    /// each one-spec solve.
+    pub fn with_parts(ladder: Box<RobustSolver<dyn FieldSolver>>, prewarm: bool) -> Self {
         SolveService {
             pml: PmlConfig::default(),
             prewarm,
-            direct,
             ladder,
-            breaker,
         }
-    }
-
-    /// The shared breaker this service reports to.
-    pub fn breaker(&self) -> &Arc<Breaker> {
-        &self.breaker
     }
 
     /// Runs every spec in `envelope`, producing the job's results.
     ///
     /// Multi-spec jobs (`/batch`, `/label` frequency sweeps) ride the
-    /// batched solve plane in one [`FieldSolver::solve_ez_batch`] call:
-    /// same-ω specs share a factorization *and* a blocked substitution
-    /// pass, distinct-ω specs coalesce through the factor cache. Specs the
-    /// batch cannot serve fall back to the per-spec degradation ladder, so
-    /// one sick frequency never fails its neighbours.
+    /// batched solve plane in one `solve_batch_by` call: same-ω specs share
+    /// a factorization *and* a blocked substitution pass, distinct-ω specs
+    /// coalesce through the factor cache. Specs the batch cannot serve
+    /// recover on their own, so one sick frequency never fails its
+    /// neighbours.
     ///
     /// `queue_ms` is the time the job spent queued (accounted by the
     /// worker); `deadline` is the absolute per-request deadline.
@@ -181,25 +94,25 @@ impl SolveService {
     ) -> JobResult {
         // Each worker owns its service, so the stats delta across this
         // execute is attributable to exactly this request.
-        let ladder_before = self.ladder.stats();
-        let results = if envelope.specs.len() > 1 && self.breaker.allows() {
-            self.solve_batched(envelope, deadline)
-        } else {
-            envelope
+        let retries_before = self.ladder.stats().retries;
+        let results = match self.refusal(envelope.eps.grid(), deadline) {
+            Some((kind, msg)) => envelope
                 .specs
                 .iter()
-                .map(|spec| self.solve_one(&envelope.eps, spec, deadline, envelope.return_field))
-                .collect()
+                .map(|_| SolveResult::failed(kind, msg.clone(), 0.0))
+                .collect(),
+            None => match envelope.specs.as_slice() {
+                [spec] => {
+                    vec![self.solve_one(&envelope.eps, spec, deadline, envelope.return_field)]
+                }
+                _ => self.solve_batched(envelope, deadline),
+            },
         };
         let status = results
             .iter()
             .find_map(|r| r.error_kind.map(|k| k.http_status()))
             .unwrap_or(200);
-        let retries = self
-            .ladder
-            .stats()
-            .retries
-            .saturating_sub(ladder_before.retries);
+        let retries = self.ladder.stats().retries.saturating_sub(retries_before);
         let factorize_us: f64 = results.iter().map(|r| r.factorize_ms).sum::<f64>() * 1e3;
         // Per-excitation solve_ms windows include the factor pre-warm;
         // subtract it so the breakdown's parts are disjoint.
@@ -224,102 +137,63 @@ impl SolveService {
         }
     }
 
-    /// The batched direct rung for multi-spec jobs: one
-    /// `solve_ez_batch` call over all specs. Slots the batch solves are
-    /// tagged `"direct"`; retryable per-slot failures re-enter
-    /// [`SolveService::run_ladder`] individually.
-    fn solve_batched(&self, envelope: &Envelope, deadline: Option<Instant>) -> Vec<SolveResult> {
-        let eps = &envelope.eps;
-        let grid = eps.grid();
-        let started = Instant::now();
-        if 2 * self.pml.thickness >= grid.nx || 2 * self.pml.thickness >= grid.ny {
-            let msg = format!(
-                "grid {}x{} too small for pml thickness {} (needs > {} cells per axis)",
-                grid.nx,
-                grid.ny,
-                self.pml.thickness,
-                2 * self.pml.thickness
-            );
-            return envelope
-                .specs
-                .iter()
-                .map(|_| SolveResult::failed(ErrorKind::Invalid, msg.clone(), 0.0))
-                .collect();
+    /// Why a job on `grid` is refused before any solving, if it is.
+    fn refusal(&self, grid: Grid2d, deadline: Option<Instant>) -> Option<(ErrorKind, String)> {
+        // The operator assembly panics on grids the PML cannot fit in; a
+        // daemon answers 400 instead.
+        let pml = self.pml.thickness;
+        if 2 * pml >= grid.nx || 2 * pml >= grid.ny {
+            return Some((
+                ErrorKind::Invalid,
+                format!(
+                    "grid {}x{} too small for pml thickness {pml} (needs > {} cells per axis)",
+                    grid.nx,
+                    grid.ny,
+                    2 * pml
+                ),
+            ));
         }
         if deadline.is_some_and(|d| Instant::now() >= d) {
             maps_obs::counter("mapsd.deadline.dropped_mid_job").inc();
-            return envelope
-                .specs
-                .iter()
-                .map(|_| {
-                    SolveResult::failed(
-                        ErrorKind::Deadline,
-                        "deadline passed before the solve started",
-                        0.0,
-                    )
-                })
-                .collect();
+            return Some((
+                ErrorKind::Deadline,
+                "deadline passed before the solve started".to_string(),
+            ));
         }
+        None
+    }
 
+    /// A multi-spec job: one `solve_batch_by` call over all specs. The
+    /// batch plane coalesces factorizations through the same single-flight
+    /// cache internally, so there is no explicit pre-warm.
+    fn solve_batched(&self, envelope: &Envelope, deadline: Option<Instant>) -> Vec<SolveResult> {
         maps_obs::counter("mapsd.batch.jobs").inc();
-        // No explicit pre-warm: the batch plane coalesces factorizations
-        // through the same single-flight cache internally.
-        let sources: Vec<maps_core::ComplexField2d> = envelope
+        let started = Instant::now();
+        let grid = envelope.eps.grid();
+        let sources: Vec<ComplexField2d> = envelope
             .specs
             .iter()
             .map(|s| s.source_field(grid))
             .collect();
-        let requests: Vec<maps_core::SolveRequest<'_>> = envelope
+        let requests: Vec<SolveRequest<'_>> = envelope
             .specs
             .iter()
             .zip(&sources)
-            .map(|(s, j)| match s.kind {
-                SolveKind::Forward => maps_core::SolveRequest::forward(j, s.omega),
-                SolveKind::Adjoint => maps_core::SolveRequest::adjoint(j, s.omega),
-            })
+            .map(|(spec, source)| request(spec, source))
             .collect();
-        let fields = self.direct.solve_ez_batch(eps, &requests);
+        let solved = self
+            .ladder
+            .solve_batch_by(&envelope.eps, &requests, deadline);
         // One traversal served the whole job; the per-slot cost is the
         // shared batch time.
         let batch_ms = ms_since(started);
-        fields
+        solved
             .into_iter()
-            .zip(&envelope.specs)
-            .map(|(solved, spec)| match solved {
-                Ok(field) => {
-                    self.breaker.record_success();
-                    SolveResult {
-                        field_norm: Some(field.norm()),
-                        field: envelope.return_field.then(|| interleave(&field)),
-                        fidelity: Some("direct"),
-                        served_by: Some(self.direct.name().to_string()),
-                        coalesce: None,
-                        factorize_ms: 0.0,
-                        solve_ms: batch_ms,
-                        error_kind: None,
-                        error: None,
-                    }
-                }
-                Err(e) if !e.is_retryable() => {
-                    SolveResult::failed(ErrorKind::Invalid, format!("{e}"), batch_ms)
-                }
-                Err(_) => {
-                    self.breaker.record_failure();
-                    maps_obs::counter("mapsd.direct.failed").inc();
-                    self.run_ladder(
-                        eps,
-                        spec,
-                        deadline,
-                        envelope.return_field,
-                        Instant::now(),
-                        None,
-                        0.0,
-                    )
-                }
-            })
+            .map(|s| self.result(s, envelope.return_field, None, 0.0, batch_ms))
             .collect()
     }
 
+    /// A one-spec job: pre-warm, then the ladder.
     fn solve_one(
         &self,
         eps: &RealField2d,
@@ -328,185 +202,111 @@ impl SolveService {
         return_field: bool,
     ) -> SolveResult {
         let started = Instant::now();
-        // The operator assembly panics on grids the PML cannot fit in; a
-        // daemon answers 400 instead.
-        let grid = eps.grid();
-        if 2 * self.pml.thickness >= grid.nx || 2 * self.pml.thickness >= grid.ny {
-            return SolveResult::failed(
-                ErrorKind::Invalid,
-                format!(
-                    "grid {}x{} too small for pml thickness {} (needs > {} cells per axis)",
-                    grid.nx,
-                    grid.ny,
-                    self.pml.thickness,
-                    2 * self.pml.thickness
-                ),
-                0.0,
-            );
-        }
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            maps_obs::counter("mapsd.deadline.dropped_mid_job").inc();
-            return SolveResult::failed(
-                ErrorKind::Deadline,
-                "deadline passed before the solve started",
-                0.0,
-            );
-        }
-
-        // Pre-warm through the single-flight gate so concurrent requests
-        // for the same design share one factorization instead of racing.
-        let mut factorize_ms = 0.0;
-        let coalesce = if self.prewarm {
-            let factor_started = Instant::now();
-            match factor_coalesced(eps, spec.omega, &self.pml, || {
-                FdfdSolver::with_pml(self.pml)
-                    .operator(eps, spec.omega)
-                    .to_banded()
-            }) {
-                Ok((_, outcome)) => {
-                    factorize_ms = ms_since(factor_started);
-                    Some(match outcome {
-                        FactorOutcome::Hit => {
-                            maps_obs::counter("mapsd.coalesce.hit").inc();
-                            "hit"
-                        }
-                        FactorOutcome::Leader => {
-                            maps_obs::counter("mapsd.coalesce.leader").inc();
-                            "leader"
-                        }
-                        FactorOutcome::Follower => {
-                            maps_obs::counter("mapsd.coalesce.follower").inc();
-                            "follower"
-                        }
-                    })
-                }
-                // A failed factorization is not fatal to the request: the
-                // iterative ladder solves without an LU. Skip the direct
-                // rung (it would pay the same failure again) and degrade.
-                Err(_) => {
-                    maps_obs::counter("mapsd.prewarm.failed").inc();
-                    return self.run_ladder(eps, spec, deadline, return_field, started, None, 0.0);
-                }
-            }
+        let (coalesce, factorize_ms) = if self.prewarm {
+            self.prewarm(eps, spec.omega)
         } else {
-            None
+            (None, 0.0)
         };
-
         let source = spec.source_field(eps.grid());
-
-        // Direct rung, breaker-guarded.
-        if self.breaker.allows() {
-            let direct = match spec.kind {
-                SolveKind::Forward => self.direct.solve_ez(eps, &source, spec.omega),
-                SolveKind::Adjoint => self.direct.solve_adjoint_ez(eps, &source, spec.omega),
-            };
-            match direct {
-                Ok(field) => {
-                    self.breaker.record_success();
-                    return SolveResult {
-                        field_norm: Some(field.norm()),
-                        field: return_field.then(|| interleave(&field)),
-                        fidelity: Some("direct"),
-                        served_by: Some(self.direct.name().to_string()),
-                        coalesce,
-                        factorize_ms,
-                        solve_ms: ms_since(started),
-                        error_kind: None,
-                        error: None,
-                    };
-                }
-                Err(e) if !e.is_retryable() => {
-                    return SolveResult::failed(
-                        ErrorKind::Invalid,
-                        format!("{e}"),
-                        ms_since(started),
-                    );
-                }
-                Err(_) => {
-                    self.breaker.record_failure();
-                    maps_obs::counter("mapsd.direct.failed").inc();
-                }
-            }
-        } else {
-            maps_obs::counter("mapsd.direct.bypassed").inc();
-        }
-
-        self.run_ladder(
-            eps,
-            spec,
-            deadline,
+        let solved = self.ladder.solve_by(eps, request(spec, &source), deadline);
+        self.result(
+            solved,
             return_field,
-            started,
             coalesce,
             factorize_ms,
+            ms_since(started),
         )
     }
 
-    /// The degradation ladder: relaxed iterative retries, then fallback,
-    /// tagged with the fidelity actually served via the per-instance
-    /// stats delta (race-free because each worker owns its service).
-    fn run_ladder(
+    /// Pre-warms the factor through the single-flight gate so concurrent
+    /// requests for the same design share one factorization instead of
+    /// racing. Returns the coalesce outcome and the time it took, ms.
+    fn prewarm(&self, eps: &RealField2d, omega: f64) -> (Option<&'static str>, f64) {
+        let started = Instant::now();
+        let warmed = factor_coalesced(eps, omega, &self.pml, || {
+            FdfdSolver::with_pml(self.pml)
+                .operator(eps, omega)
+                .to_banded()
+        });
+        let tag = match warmed {
+            Ok((_, FactorOutcome::Hit)) => {
+                maps_obs::counter("mapsd.coalesce.hit").inc();
+                "hit"
+            }
+            Ok((_, FactorOutcome::Leader)) => {
+                maps_obs::counter("mapsd.coalesce.leader").inc();
+                "leader"
+            }
+            Ok((_, FactorOutcome::Follower)) => {
+                maps_obs::counter("mapsd.coalesce.follower").inc();
+                "follower"
+            }
+            // Not fatal: the ladder's own attempts (and its fallback)
+            // still get their turn.
+            Err(_) => {
+                maps_obs::counter("mapsd.prewarm.failed").inc();
+                return (None, 0.0);
+            }
+        };
+        (Some(tag), ms_since(started))
+    }
+
+    /// The [`SolveResult`] of one ladder outcome, tagged with the rung
+    /// that answered.
+    fn result(
         &self,
-        eps: &RealField2d,
-        spec: &SolveSpec,
-        deadline: Option<Instant>,
+        solved: Result<(ComplexField2d, Rung), SolveFieldError>,
         return_field: bool,
-        started: Instant,
         coalesce: Option<&'static str>,
         factorize_ms: f64,
+        solve_ms: f64,
     ) -> SolveResult {
-        let source = spec.source_field(eps.grid());
-        let before = self.ladder.stats();
-        let solved = match spec.kind {
-            SolveKind::Forward => self.ladder.solve_ez_by(eps, &source, spec.omega, deadline),
-            SolveKind::Adjoint => self
-                .ladder
-                .solve_adjoint_ez_by(eps, &source, spec.omega, deadline),
-        };
         match solved {
-            Ok(field) => {
-                let fidelity = fidelity_from_delta(before, self.ladder.stats());
-                match fidelity {
-                    "fallback" => maps_obs::counter("mapsd.degraded.fallback").inc(),
-                    "relaxed" => maps_obs::counter("mapsd.degraded.relaxed").inc(),
-                    _ => {}
-                }
+            Ok((field, rung)) => {
+                let fidelity = match rung {
+                    Rung::Primary => "direct",
+                    Rung::Retry => {
+                        maps_obs::counter("mapsd.degraded.relaxed").inc();
+                        "relaxed"
+                    }
+                    Rung::Fallback => {
+                        maps_obs::counter("mapsd.degraded.fallback").inc();
+                        "fallback"
+                    }
+                };
                 SolveResult {
                     field_norm: Some(field.norm()),
                     field: return_field.then(|| interleave(&field)),
                     fidelity: Some(fidelity),
-                    served_by: Some(self.ladder.name().to_string()),
+                    served_by: Some(self.ladder.solver_name(rung).to_string()),
                     coalesce,
                     factorize_ms,
-                    solve_ms: ms_since(started),
+                    solve_ms,
                     error_kind: None,
                     error: None,
                 }
             }
             Err(SolveFieldError::DeadlineExceeded { detail }) => {
-                SolveResult::failed(ErrorKind::Deadline, detail, ms_since(started))
+                SolveResult::failed(ErrorKind::Deadline, detail, solve_ms)
             }
             Err(e) if !e.is_retryable() => {
-                SolveResult::failed(ErrorKind::Invalid, format!("{e}"), ms_since(started))
+                SolveResult::failed(ErrorKind::Invalid, e.to_string(), solve_ms)
             }
-            Err(e) => SolveResult::failed(ErrorKind::Numerical, format!("{e}"), ms_since(started)),
+            Err(e) => SolveResult::failed(ErrorKind::Numerical, e.to_string(), solve_ms),
         }
     }
 }
 
-/// Maps a ladder stats delta to the fidelity tag of the response it spans.
-fn fidelity_from_delta(before: RobustStats, after: RobustStats) -> &'static str {
-    if after.fallbacks > before.fallbacks {
-        "fallback"
-    } else if after.retries > before.retries {
-        "relaxed"
-    } else {
-        // Clean first-attempt success: nominal fidelity.
-        "direct"
+/// The ladder request for `spec` driven by the dense `source`.
+fn request<'a>(spec: &SolveSpec, source: &'a ComplexField2d) -> SolveRequest<'a> {
+    SolveRequest {
+        source,
+        omega: spec.omega,
+        kind: spec.kind,
     }
 }
 
-fn interleave(field: &maps_core::ComplexField2d) -> Vec<f64> {
+fn interleave(field: &ComplexField2d) -> Vec<f64> {
     let mut out = Vec::with_capacity(field.as_slice().len() * 2);
     for z in field.as_slice() {
         out.push(z.re);
@@ -529,13 +329,13 @@ mod tests {
         parse_envelope(JobKind::Solve, body).expect("envelope")
     }
 
-    fn healthy_service(breaker: Arc<Breaker>) -> SolveService {
-        SolveService::from_env(breaker)
+    fn healthy_service() -> SolveService {
+        SolveService::from_env()
     }
 
     #[test]
     fn healthy_request_is_served_direct() {
-        let svc = healthy_service(Breaker::new(5));
+        let svc = healthy_service();
         let env = envelope(r#"{"nx":30,"ny":26,"dx":0.05,"eps":1.0,"omega":4.0}"#);
         let job = svc.execute(&env, 0.0, None);
         assert_eq!(job.status, 200);
@@ -543,13 +343,14 @@ mod tests {
         let r = &job.results[0];
         assert!(r.is_ok(), "unexpected error: {:?}", r.error);
         assert_eq!(r.fidelity, Some("direct"));
+        assert_eq!(r.served_by.as_deref(), Some("fdfd-direct"));
         assert!(r.field_norm.unwrap() > 0.0);
         assert!(r.coalesce.is_some(), "prewarm outcome is surfaced");
     }
 
     #[test]
     fn return_field_interleaves_re_im() {
-        let svc = healthy_service(Breaker::new(5));
+        let svc = healthy_service();
         let env =
             envelope(r#"{"nx":30,"ny":26,"dx":0.05,"eps":1.0,"omega":4.0,"return_field":true}"#);
         let job = svc.execute(&env, 0.0, None);
@@ -564,42 +365,88 @@ mod tests {
         assert!((norm - r.field_norm.unwrap()).abs() < 1e-9 * norm.max(1.0));
     }
 
+    /// A primary that always faults exhausts its retries, and the
+    /// production fallback (BiCGSTAB) answers.
     #[test]
-    fn sick_direct_rung_degrades_and_opens_the_breaker() {
-        let breaker = Breaker::new(2);
-        let direct = FaultInjectingSolver::new(
+    fn sick_primary_degrades_to_the_fallback() {
+        let primary = FaultInjectingSolver::new(
             FdfdSolver::new(),
             FaultPlan::new().always(InjectedFault::Error),
         )
         .with_name("chaos-direct");
-        let ladder = RobustSolver::new(
+        let ladder = RobustSolver::new(primary, RetryPolicy::default()).with_fallback(Box::new(
             FdfdSolver::new().backend(Backend::Iterative(IterativeOptions::default())),
-            RetryPolicy::default(),
-        )
-        .with_fallback(Box::new(FdfdSolver::new()));
-        let svc = SolveService::with_parts(Box::new(direct), ladder, Arc::clone(&breaker), true);
+        ));
+        let svc = SolveService::with_parts(Box::new(ladder), true);
         let env = envelope(r#"{"nx":30,"ny":26,"dx":0.05,"eps":1.0,"omega":4.0}"#);
 
-        for _ in 0..3 {
-            let job = svc.execute(&env, 0.0, None);
-            let r = &job.results[0];
-            assert!(r.is_ok(), "ladder rescues the request: {:?}", r.error);
-            assert!(r.field_norm.unwrap() > 0.0);
-        }
-        assert!(breaker.is_open(), "consecutive direct failures open it");
-
-        // With the breaker open the rung is bypassed, not re-failed.
-        let before = maps_obs::counter("mapsd.direct.bypassed").get();
         let job = svc.execute(&env, 0.0, None);
-        assert!(job.results[0].is_ok());
-        assert!(maps_obs::counter("mapsd.direct.bypassed").get() > before);
+        assert_eq!(job.status, 200);
+        let r = &job.results[0];
+        assert!(r.is_ok(), "the fallback rescues the request: {:?}", r.error);
+        assert!(r.field_norm.unwrap() > 0.0);
+        assert_eq!(r.fidelity, Some("fallback"));
+        assert_eq!(r.served_by.as_deref(), Some("fdfd-bicgstab"));
+        assert_eq!(job.retries, 2);
+    }
+
+    /// The exact solver, failing every request above the given ω.
+    struct FailsAbove(f64);
+
+    impl FieldSolver for FailsAbove {
+        fn solve_ez(
+            &self,
+            eps_r: &RealField2d,
+            source: &ComplexField2d,
+            omega: f64,
+        ) -> Result<ComplexField2d, SolveFieldError> {
+            if omega > self.0 {
+                return Err(SolveFieldError::Numerical {
+                    detail: format!("injected failure above omega {}", self.0),
+                });
+            }
+            FdfdSolver::new().solve_ez(eps_r, source, omega)
+        }
+
+        fn name(&self) -> &str {
+            "gated-direct"
+        }
+    }
+
+    /// The ladder keeps no state between requests: a run of failed
+    /// requests leaves the next healthy one on the primary's first
+    /// attempt.
+    #[test]
+    fn failed_requests_do_not_degrade_healthy_ones() {
+        let ladder = RobustSolver::new(FailsAbove(4.5), RetryPolicy::default()).with_fallback(
+            Box::new(FaultInjectingSolver::new(
+                FdfdSolver::new(),
+                FaultPlan::new().always(InjectedFault::Error),
+            )),
+        );
+        let svc = SolveService::with_parts(Box::new(ladder), true);
+
+        let failing = envelope(r#"{"nx":30,"ny":26,"dx":0.05,"eps":1.0,"omega":5.0}"#);
+        for i in 0..8 {
+            let job = svc.execute(&failing, 0.0, None);
+            assert_eq!(job.status, 500, "request {i}");
+            assert_eq!(job.results[0].error_kind, Some(ErrorKind::Numerical));
+        }
+
+        let healthy = envelope(r#"{"nx":30,"ny":26,"dx":0.05,"eps":1.0,"omega":4.0}"#);
+        let job = svc.execute(&healthy, 0.0, None);
+        assert_eq!(job.status, 200);
+        let r = &job.results[0];
+        assert_eq!(r.fidelity, Some("direct"));
+        assert_eq!(r.served_by.as_deref(), Some("gated-direct"));
+        assert_eq!(job.retries, 0);
     }
 
     /// A frequency-sweep job rides the batched plane and answers every
     /// slot with the same numbers as solving each spec on its own.
     #[test]
     fn label_sweep_is_served_by_the_batch_plane() {
-        let svc = healthy_service(Breaker::new(5));
+        let svc = healthy_service();
         let sweep = parse_envelope(
             JobKind::Label,
             r#"{"nx":30,"ny":26,"dx":0.05,"eps":1.0,"omegas":[4.0,4.1,4.2,4.3]}"#,
@@ -626,7 +473,7 @@ mod tests {
     /// An expired deadline fails a sweep before any batch work starts.
     #[test]
     fn expired_deadline_fails_whole_sweep() {
-        let svc = healthy_service(Breaker::new(5));
+        let svc = healthy_service();
         let sweep = parse_envelope(
             JobKind::Label,
             r#"{"nx":30,"ny":26,"dx":0.05,"eps":1.0,"omegas":[4.0,4.1]}"#,
@@ -642,24 +489,12 @@ mod tests {
 
     #[test]
     fn expired_deadline_is_answered_without_solving() {
-        let svc = healthy_service(Breaker::new(5));
+        let svc = healthy_service();
         let env = envelope(r#"{"nx":30,"ny":26,"dx":0.05,"eps":1.0,"omega":4.0}"#);
         let job = svc.execute(&env, 0.0, Some(Instant::now()));
         assert_eq!(job.status, 408);
         let r = &job.results[0];
         assert_eq!(r.error_kind, Some(ErrorKind::Deadline));
         assert!(!r.is_ok());
-    }
-
-    #[test]
-    fn breaker_probes_while_open() {
-        let b = Breaker::new(1);
-        b.record_failure();
-        assert!(b.is_open());
-        let admitted = (0..PROBE_PERIOD * 2).filter(|_| b.allows()).count();
-        assert_eq!(admitted as u32, 2, "one probe per PROBE_PERIOD skips");
-        b.record_success();
-        assert!(!b.is_open());
-        assert!(b.allows());
     }
 }

@@ -9,10 +9,9 @@
 use maps_core::{
     ComplexField2d, FieldSolver, RealField2d, RetryPolicy, RobustSolver, SolveFieldError,
 };
-use maps_fdfd::FdfdSolver;
 use maps_mapsd::{
-    http_get, http_post, serve_with, Breaker, DaemonConfig, QueueConfig, ServiceFactory,
-    SolveService, TailConfig,
+    http_get, http_post, serve_with, DaemonConfig, QueueConfig, ServiceFactory, SolveService,
+    TailConfig,
 };
 use maps_obs::recorder;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -43,8 +42,8 @@ impl FieldSolver for OmegaDelaySolver {
 
 fn delay_factory() -> ServiceFactory {
     Arc::new(|| {
-        let ladder = RobustSolver::new(FdfdSolver::new(), RetryPolicy::default());
-        SolveService::with_parts(Box::new(OmegaDelaySolver), ladder, Breaker::new(5), false)
+        let ladder = RobustSolver::new(OmegaDelaySolver, RetryPolicy::default());
+        SolveService::with_parts(Box::new(ladder), false)
     })
 }
 

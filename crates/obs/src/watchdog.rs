@@ -13,9 +13,9 @@
 //!   first time an open span outlives the *stall* threshold — readiness
 //!   recovers as soon as no overdue span remains open;
 //! - detects **flatline**: open spans exist but no counter in the global
-//!   registry moved for `flatline_ticks` consecutive samples (a wedged
-//!   worker holding a span without making progress), which also counts as
-//!   a stall until progress resumes.
+//!   registry (other than the watchdog's own) moved for `flatline_ticks`
+//!   consecutive samples (a wedged worker holding a span without making
+//!   progress), which also counts as a stall until progress resumes.
 //!
 //! Deadline classes are longest-prefix matches on the span name
 //! ([`set_deadline`]), so `fdfd.factorize` can get a tighter budget than a
@@ -209,9 +209,23 @@ pub fn stalled_spans() -> Vec<String> {
         .collect()
 }
 
-/// One watchdog sample over the open-span table and the counter registry.
-/// Split out from the thread loop so tests can drive it deterministically.
-pub(crate) fn tick(now: Instant, flatline_ticks: u32) {
+/// The flatline progress signature of a counter snapshot: the sum of every
+/// counter except the watchdog's own (`obs.watchdog.*`), so *any* progress
+/// (solves, cache hits, samples, retries) changes it, and neither a tick
+/// nor a stall the watchdog itself declared does.
+fn progress_signature(counters: &[(String, u64)]) -> u64 {
+    counters
+        .iter()
+        .filter(|(name, _)| !name.starts_with("obs.watchdog."))
+        .map(|(_, v)| *v)
+        .fold(0u64, u64::wrapping_add)
+}
+
+/// One watchdog sample over the open-span table, given the current
+/// [`progress_signature`]. Split out from the thread loop, and the
+/// signature passed in, so tests can drive it deterministically: other
+/// tests in the same process move global counters at any time.
+pub(crate) fn tick(now: Instant, flatline_ticks: u32, signature: u64) {
     let st = state();
     maps_counter("obs.watchdog.ticks").inc();
 
@@ -249,19 +263,10 @@ pub(crate) fn tick(now: Instant, flatline_ticks: u32) {
         }
     }
 
-    // Flatline: spans are open but no counter anywhere has moved for
-    // `flatline_ticks` consecutive samples. The signature sums every
-    // counter, so *any* progress (solves, cache hits, samples, retries)
-    // resets the clock.
+    // Flatline: spans are open but the progress signature has not moved
+    // for `flatline_ticks` consecutive samples.
     let mut flatlined_now = false;
     if flatline_ticks > 0 {
-        let signature: u64 = crate::global()
-            .counters()
-            .iter()
-            // The watchdog's own tick counter must not count as progress.
-            .filter(|(name, _)| name != "obs.watchdog.ticks")
-            .map(|(_, v)| *v)
-            .fold(0u64, u64::wrapping_add);
         let mut flat = st.flatline.lock().expect("watchdog flatline");
         if signature == flat.0 && open_count > 0 {
             flat.1 = flat.1.saturating_add(1);
@@ -355,7 +360,8 @@ pub fn start(interval: Duration, flatline_ticks: u32) -> Option<Watchdog> {
                 if !RUNNING.load(Ordering::Acquire) {
                     break;
                 }
-                tick(Instant::now(), flatline_ticks);
+                let signature = progress_signature(&crate::global().counters());
+                tick(Instant::now(), flatline_ticks, signature);
             }
         })
         .expect("spawn watchdog thread");
@@ -435,19 +441,19 @@ mod tests {
         let (stalls0, slows0) = (stalls.get(), slows.get());
 
         // Young span: healthy.
-        tick(opened + Duration::from_millis(5), 0);
+        tick(opened + Duration::from_millis(5), 0, 0);
         assert!(is_ready());
         assert_eq!(slows.get(), slows0);
 
         // Past slow, before stall.
-        tick(opened + Duration::from_millis(20), 0);
+        tick(opened + Duration::from_millis(20), 0, 0);
         assert!(is_ready());
         assert_eq!(slows.get(), slows0 + 1);
         assert_eq!(stalls.get(), stalls0);
 
         // Past stall: not ready, counted once even across repeat ticks.
-        tick(opened + Duration::from_millis(60), 0);
-        tick(opened + Duration::from_millis(70), 0);
+        tick(opened + Duration::from_millis(60), 0, 0);
+        tick(opened + Duration::from_millis(70), 0, 0);
         assert!(!is_ready());
         assert_eq!(stalls.get(), stalls0 + 1);
         assert_eq!(stalled_spans().len(), 1);
@@ -455,7 +461,7 @@ mod tests {
 
         // Span closes: readiness recovers on the next sample.
         close_span(9001);
-        tick(opened + Duration::from_millis(80), 0);
+        tick(opened + Duration::from_millis(80), 0, 0);
         assert!(is_ready());
         assert!(stalled_spans().is_empty());
         reset();
@@ -471,20 +477,38 @@ mod tests {
         let stalls0 = stalls.get();
 
         // Tick 1 records the signature; ticks 2..=3 see it unchanged.
-        tick(opened, 2);
-        tick(opened + Duration::from_millis(1), 2);
-        tick(opened + Duration::from_millis(2), 2);
+        tick(opened, 2, 7);
+        tick(opened + Duration::from_millis(1), 2, 7);
+        tick(opened + Duration::from_millis(2), 2, 7);
         assert!(!is_ready(), "flatline with open work drops readiness");
         assert_eq!(stalls.get(), stalls0 + 1, "one stall per episode");
-        tick(opened + Duration::from_millis(3), 2);
+        tick(opened + Duration::from_millis(3), 2, 7);
+        assert!(!is_ready(), "the episode lasts until progress resumes");
         assert_eq!(stalls.get(), stalls0 + 1, "episode counted once");
 
         // Any counter movement is progress and recovers readiness.
-        crate::counter("test.flatline.progress").inc();
-        tick(opened + Duration::from_millis(4), 2);
+        tick(opened + Duration::from_millis(4), 2, 8);
         assert!(is_ready());
         close_span(9002);
         reset();
+    }
+
+    /// The watchdog's own counters are not progress: a stall it declares
+    /// must not reset the flatline clock.
+    #[test]
+    fn progress_signature_ignores_the_watchdogs_own_counters() {
+        let snapshot = |stalls: u64, work: u64| {
+            vec![
+                ("fdfd.solves".to_string(), work),
+                ("obs.watchdog.slow_solves".to_string(), 3),
+                ("obs.watchdog.stalls".to_string(), stalls),
+                ("obs.watchdog.ticks".to_string(), 40 + stalls),
+            ]
+        };
+        let base = progress_signature(&snapshot(1, 7));
+        assert_eq!(base, 7);
+        assert_eq!(progress_signature(&snapshot(2, 7)), base);
+        assert_ne!(progress_signature(&snapshot(2, 8)), base);
     }
 
     #[test]
@@ -493,7 +517,7 @@ mod tests {
         reset();
         let now = Instant::now();
         for k in 0..10 {
-            tick(now + Duration::from_millis(k), 2);
+            tick(now + Duration::from_millis(k), 2, 7);
         }
         assert!(is_ready(), "no open spans means no flatline stall");
         reset();

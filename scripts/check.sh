@@ -78,7 +78,7 @@ wait "$SERVE_PID" || { cat "$SERVE_LOG"; echo "serve mode exited non-zero"; exit
 trap - EXIT
 grep -q 'telemetry: served 40 ticks' "$SERVE_LOG" || { cat "$SERVE_LOG"; echo "serve mode did not run to completion"; exit 1; }
 
-echo "==> mapsd smoke (ephemeral port, concurrent burst, coalesce + shed counters, drain)"
+echo "==> mapsd smoke (ephemeral port, non-finite source refused, concurrent burst, coalesce + shed counters, drain)"
 MAPSD_LOG="target/mapsd_smoke.log"
 rm -f "$MAPSD_LOG"
 MAPS_D_ADDR=127.0.0.1:0 MAPS_D_WORKERS=1 MAPS_D_QUEUE=1 \
@@ -109,6 +109,11 @@ mapsd_post() {
   exec 3>&- 3<&-
 }
 mapsd_get /readyz | head -n1 | grep -q '200 OK' || { echo "/readyz not ready on a fresh daemon"; exit 1; }
+# JSON reads 1e999 as infinity: a non-finite source amplitude is refused
+# at parse time, before any solving.
+INF_BODY='{"nx":80,"ny":80,"dx":0.05,"eps":2.25,"omega":4.05,"source":[[40,40,1e999,0]]}'
+mapsd_post /solve "$INF_BODY" | head -n1 | grep -q '^HTTP/1.1 400 ' \
+  || { echo "a 1e999 source amplitude was not refused with 400"; exit 1; }
 # Concurrent burst of identical solves: 1 worker + queue depth 1, so the
 # burst must coalesce on the shared factorization AND shed the overflow.
 SOLVE_BODY='{"nx":80,"ny":80,"dx":0.05,"eps":2.25,"omega":4.05,"deadline_ms":30000}'
