@@ -5,16 +5,17 @@
 //! per-port transmissions, reflection, radiation, the adjoint gradient
 //! under the device objective, and the Maxwell residual self-check.
 //!
-//! All source variants and adjoint-excitation solves of one density share
-//! the same permittivity map, so they reuse a single banded LU through the
-//! `maps_fdfd::factor_cache` — one factorization per (density, fidelity)
-//! rather than per solve.
+//! Every solve against the same permittivity map and frequency reuses a
+//! single banded LU through the `maps_fdfd::factor_cache` — one
+//! factorization per distinct (ε, ω) rather than per solve. The label and
+//! adjoint-excitation samples of one (density, variant) also share one
+//! forward solve, and port modes come from the `maps_fdfd` mode memo.
 
 use crate::device::{DeviceSpec, SourceVariant};
+use crate::resilient::JobOutcome;
 use maps_core::{Fidelity, RealField2d, Sample};
 use maps_fdfd::{FdfdSolver, ModeError, ModeMonitor, PowerObjective};
 use maps_invdes::Patch;
-use rayon::prelude::*;
 
 /// Configuration of label generation.
 #[derive(Debug, Clone)]
@@ -47,7 +48,7 @@ impl Default for GenerateConfig {
 }
 
 /// Errors from label generation.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 #[non_exhaustive]
 pub enum GenerateError {
     /// A port guided no eigenmode.
@@ -162,57 +163,44 @@ pub fn adjoint_source_sample(
 /// device is applied to every density; adjoint-source samples are appended
 /// when configured).
 ///
+/// Densities are striped across worker threads, each labelling its
+/// density's jobs through the same per-density runner as
+/// [`label_batch_resilient_par`](crate::resilient::label_batch_resilient_par),
+/// so the label and adjoint-source sample of one (density, variant) share
+/// one forward solve.
+///
 /// # Errors
 ///
-/// Returns the first [`GenerateError`] encountered.
+/// Returns the first [`GenerateError`] in job order.
 pub fn label_batch(
     device: &DeviceSpec,
     densities: &[Patch],
     config: &GenerateConfig,
 ) -> Result<Vec<Sample>, GenerateError> {
-    let jobs: Vec<(usize, &Patch, &SourceVariant, bool)> = densities
-        .iter()
-        .enumerate()
-        .flat_map(|(i, d)| {
-            device.variants.iter().flat_map(move |v| {
-                let mut kinds = vec![(i, d, v, false)];
-                if config.with_adjoint_source_samples {
-                    kinds.push((i, d, v, true));
-                }
-                kinds
-            })
-        })
-        .collect();
+    let kinds = 1 + usize::from(config.with_adjoint_source_samples);
     let fidelity = match config.fidelity {
         Fidelity::Low => "low",
         Fidelity::High => "high",
     };
     let span = maps_obs::span("data.label_batch")
-        .field("jobs", jobs.len())
+        .field("jobs", densities.len() * device.variants.len() * kinds)
         .field("fidelity", fidelity);
-    let result: Result<Vec<Sample>, GenerateError> = jobs
-        .par_iter()
-        .map(|(i, d, v, adjoint)| {
-            if *adjoint {
-                adjoint_source_sample(device, d, v, config, *i)
-            } else {
-                label_sample(device, d, v, config, *i)
-            }
-        })
-        .collect();
-    if let Ok(samples) = &result {
-        let elapsed = span.elapsed().as_secs_f64();
-        maps_obs::counter(&format!("data.samples.{fidelity}")).add(samples.len() as u64);
-        if elapsed > 0.0 {
-            maps_obs::histogram(&format!("data.samples_per_sec.{fidelity}"))
-                .record(samples.len() as f64 / elapsed);
-        }
-        maps_obs::info!(
-            "labeled {} {fidelity}-fidelity samples in {elapsed:.2}s",
-            samples.len()
-        );
+    let solver = FdfdSolver::with_pml(maps_fdfd::PmlConfig::auto(device.grid().dl));
+    let samples = crate::resilient::density_jobs_par(&solver, device, densities, config)
+        .into_iter()
+        .map(JobOutcome::into_result)
+        .collect::<Result<Vec<Sample>, GenerateError>>()?;
+    let elapsed = span.elapsed().as_secs_f64();
+    maps_obs::counter(&format!("data.samples.{fidelity}")).add(samples.len() as u64);
+    if elapsed > 0.0 {
+        maps_obs::histogram(&format!("data.samples_per_sec.{fidelity}"))
+            .record(samples.len() as f64 / elapsed);
     }
-    result
+    maps_obs::info!(
+        "labeled {} {fidelity}-fidelity samples in {elapsed:.2}s",
+        samples.len()
+    );
+    Ok(samples)
 }
 
 #[cfg(test)]

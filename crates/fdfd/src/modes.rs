@@ -4,9 +4,24 @@
 //! eigenproblem `(d²/dt² + ω²ε(t)) φ = β² φ` on the transverse line.
 //! Guided modes are the eigenpairs with `β² > ω²·ε_cladding`; `β` is the
 //! propagation constant and `n_eff = β/ω` the effective index.
+//!
+//! [`ModeSource::new`](crate::ModeSource::new) and
+//! [`ModeMonitor::new`](crate::ModeMonitor::new) read port modes through a
+//! process-wide memo keyed on the exact bits of the cross-section's ε line,
+//! `dl` and `ω`. A port plane that lies outside a design window keeps its
+//! cross-section while the design changes, so its modes are decomposed
+//! once, and mode 0 and mode 1 of one plane share one decomposition. A hit
+//! returns what [`solve_slab_modes`] computes for the same input bits.
 
 use maps_core::{Axis, Grid2d, Port, RealField2d};
 use maps_linalg::{symmetric_eigen, DMatrix};
+use std::collections::VecDeque;
+use std::sync::{Arc, Mutex, OnceLock};
+
+/// Distinct cross-sections the mode memo keeps, least recently used out
+/// first. One labelled device touches at most 8, and an entry holds one
+/// line's bits and its guided profiles (a few KB).
+const MODE_MEMO_CAPACITY: usize = 64;
 
 /// A solved slab waveguide mode on a transverse line of the grid.
 #[derive(Debug, Clone)]
@@ -119,6 +134,67 @@ pub fn solve_slab_modes(eps_line: &[f64], dl: f64, omega: f64) -> Vec<SlabMode> 
     modes
 }
 
+/// Memo entries, most recently used last. Each key is the bits of the ε
+/// line followed by those of `dl` and `ω`.
+type ModeMemo = Mutex<VecDeque<(Vec<u64>, Arc<[SlabMode]>)>>;
+
+fn mode_memo() -> &'static ModeMemo {
+    static MEMO: OnceLock<ModeMemo> = OnceLock::new();
+    MEMO.get_or_init(|| Mutex::new(VecDeque::with_capacity(MODE_MEMO_CAPACITY)))
+}
+
+/// [`solve_slab_modes`] through the mode memo: every guided mode of the
+/// line, from one decomposition per distinct `(eps_line, dl, omega)` bits.
+///
+/// The decomposition runs outside the memo's lock, so threads never wait
+/// on each other's miss; two threads that miss on one key both compute it
+/// and get the same bits.
+fn memo_slab_modes(eps_line: &[f64], dl: f64, omega: f64) -> Arc<[SlabMode]> {
+    let key: Vec<u64> = eps_line
+        .iter()
+        .chain([&dl, &omega])
+        .map(|v| v.to_bits())
+        .collect();
+    {
+        let mut memo = mode_memo().lock().expect("mode memo lock");
+        if let Some(i) = memo.iter().position(|(k, _)| *k == key) {
+            let entry = memo.remove(i).expect("position is in range");
+            let modes = Arc::clone(&entry.1);
+            memo.push_back(entry);
+            return modes;
+        }
+    }
+    let modes: Arc<[SlabMode]> = solve_slab_modes(eps_line, dl, omega).into();
+    let mut memo = mode_memo().lock().expect("mode memo lock");
+    if !memo.iter().any(|(k, _)| *k == key) {
+        if memo.len() == MODE_MEMO_CAPACITY {
+            memo.pop_front();
+        }
+        memo.push_back((key, Arc::clone(&modes)));
+    }
+    modes
+}
+
+/// The cells of `port`'s cross-section through its centre and its guided
+/// mode `port.mode_index`, read through the mode memo.
+pub(crate) fn port_mode(
+    eps_r: &RealField2d,
+    port: &Port,
+    omega: f64,
+) -> Result<(Vec<(usize, usize)>, SlabMode), ModeError> {
+    let along = match port.axis {
+        Axis::X => port.center.0,
+        Axis::Y => port.center.1,
+    };
+    let (cells, eps_line) = port_cross_section(port, eps_r, along);
+    let modes = memo_slab_modes(&eps_line, eps_r.grid().dl, omega);
+    let mode = modes.get(port.mode_index).ok_or(ModeError::NotGuided {
+        requested: port.mode_index,
+        available: modes.len(),
+    })?;
+    Ok((cells, mode.clone()))
+}
+
 /// The cells making up a port's transverse cross-section line.
 ///
 /// Returns `(cells, eps_line)` where `cells` are `(ix, iy)` pairs ordered
@@ -157,6 +233,125 @@ pub fn port_cross_section(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ModeMonitor, ModeSource};
+    use maps_core::{Direction, Rect, Shape};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// A seeded random ε line: silica cladding around a core of random
+    /// index, width and position, with a random ripple on every cell so
+    /// no two lines share their bits.
+    fn random_line(rng: &mut StdRng, n: usize) -> Vec<f64> {
+        let width = rng.gen_range(2..n / 2);
+        let lo = rng.gen_range(1..n - width);
+        let core = 4.0 + 8.0 * rng.gen::<f64>();
+        (0..n)
+            .map(|i| {
+                let base = if (lo..lo + width).contains(&i) {
+                    core
+                } else {
+                    2.07
+                };
+                base + 0.01 * rng.gen::<f64>()
+            })
+            .collect()
+    }
+
+    fn assert_same_bits(got: &[SlabMode], want: &[SlabMode]) {
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(want) {
+            assert_eq!(g.beta.to_bits(), w.beta.to_bits());
+            assert_eq!(g.neff.to_bits(), w.neff.to_bits());
+            assert_eq!(g.omega.to_bits(), w.omega.to_bits());
+            assert_eq!(g.dl.to_bits(), w.dl.to_bits());
+            assert_eq!(g.profile.len(), w.profile.len());
+            for (a, b) in g.profile.iter().zip(&w.profile) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn memo_matches_uncached_modes_on_miss_hit_and_after_eviction() {
+        let mut rng = StdRng::seed_from_u64(0x4D4F_4445);
+        let (w1, w2) = (
+            maps_core::omega_for_wavelength(1.55),
+            maps_core::omega_for_wavelength(1.31),
+        );
+        // Each line at two frequencies and two spacings: keys that share
+        // the ε bits but not `dl` or `ω` are distinct entries.
+        let mut keys = Vec::new();
+        for _ in 0..4 {
+            let line = random_line(&mut rng, 48);
+            for (dl, omega) in [(0.05, w1), (0.05, w2), (0.04, w1)] {
+                keys.push((line.clone(), dl, omega));
+            }
+        }
+        let mut first = Vec::new();
+        for (line, dl, omega) in &keys {
+            let want = solve_slab_modes(line, *dl, *omega);
+            assert!(!want.is_empty(), "the pin needs guided modes to compare");
+            let miss = memo_slab_modes(line, *dl, *omega);
+            assert_same_bits(&miss, &want);
+            let hit = memo_slab_modes(line, *dl, *omega);
+            assert!(Arc::ptr_eq(&miss, &hit), "a repeated key is a hit");
+            assert_same_bits(&hit, &want);
+            first.push(miss);
+        }
+        // More distinct keys than the memo holds push every entry out.
+        for _ in 0..=MODE_MEMO_CAPACITY {
+            let filler = random_line(&mut rng, 12);
+            memo_slab_modes(&filler, 0.05, w1);
+        }
+        assert!(mode_memo().lock().expect("mode memo lock").len() <= MODE_MEMO_CAPACITY);
+        for ((line, dl, omega), before) in keys.iter().zip(&first) {
+            let again = memo_slab_modes(line, *dl, *omega);
+            assert!(
+                !Arc::ptr_eq(&again, before),
+                "an evicted key is solved again"
+            );
+            assert_same_bits(&again, &solve_slab_modes(line, *dl, *omega));
+        }
+    }
+
+    #[test]
+    fn source_and_monitor_share_one_memoized_plane() {
+        // A 1 µm silicon guide in silica guides two modes at 1.55 µm.
+        let grid = Grid2d::new(80, 60, 0.05);
+        let yc = grid.height() / 2.0;
+        let mut eps = RealField2d::constant(grid, 2.07);
+        maps_core::paint(
+            &mut eps,
+            &Shape::Rect(Rect::new(0.0, yc - 0.5, grid.width(), yc + 0.5)),
+            12.11,
+        );
+        let omega = maps_core::omega_for_wavelength(1.55);
+        let port = Port::new((1.0, yc), 1.0, Axis::X, Direction::Positive);
+        let monitor = ModeMonitor::new(&eps, &port, omega).unwrap();
+        let source = ModeSource::new(&eps, &port.with_mode(1), omega).unwrap();
+
+        let (cells, line) = port_cross_section(&port, &eps, port.center.0);
+        let want = solve_slab_modes(&line, grid.dl, omega);
+        assert!(want.len() >= 2, "the plane must guide mode 1");
+        assert_same_bits(std::slice::from_ref(monitor.mode()), &want[..1]);
+        assert_same_bits(std::slice::from_ref(&source.mode), &want[1..2]);
+        assert_eq!(source.cells, cells);
+
+        // The entry is cached now; an unguided index is still refused.
+        let missing = port.with_mode(want.len());
+        let not_guided = ModeError::NotGuided {
+            requested: want.len(),
+            available: want.len(),
+        };
+        assert_eq!(
+            ModeSource::new(&eps, &missing, omega).unwrap_err(),
+            not_guided
+        );
+        assert_eq!(
+            ModeMonitor::new(&eps, &missing, omega).unwrap_err(),
+            not_guided
+        );
+    }
 
     fn slab(n: usize, core_lo: usize, core_hi: usize) -> Vec<f64> {
         (0..n)

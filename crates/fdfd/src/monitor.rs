@@ -5,7 +5,7 @@
 //! functional of the `Ez` vector, exposed as an explicit weight list so the
 //! adjoint engine can form exact adjoint sources from it.
 
-use crate::modes::{port_cross_section, solve_slab_modes, ModeError, SlabMode};
+use crate::modes::{port_mode, ModeError, SlabMode};
 use maps_core::{Axis, ComplexField2d, Direction, Grid2d, Port, RealField2d};
 use maps_linalg::Complex64;
 
@@ -41,29 +41,22 @@ pub struct ModeMonitor {
 }
 
 impl ModeMonitor {
-    /// Builds a monitor on the port plane, solving the port eigenmode on
-    /// the supplied permittivity map.
+    /// Builds a monitor on the port plane from the port eigenmode on the
+    /// supplied permittivity map. The mode comes from the mode memo (see
+    /// [`crate::modes`]), bit for bit what [`solve_slab_modes`] returns for
+    /// the same cross-section.
+    ///
+    /// [`solve_slab_modes`]: crate::solve_slab_modes
     ///
     /// # Errors
     ///
     /// Returns [`ModeError::NotGuided`] when the port cross-section guides
     /// fewer modes than requested.
     pub fn new(eps_r: &RealField2d, port: &Port, omega: f64) -> Result<Self, ModeError> {
-        let along = match port.axis {
-            Axis::X => port.center.0,
-            Axis::Y => port.center.1,
-        };
-        let (cells, eps_line) = port_cross_section(port, eps_r, along);
-        let modes = solve_slab_modes(&eps_line, eps_r.grid().dl, omega);
-        if port.mode_index >= modes.len() {
-            return Err(ModeError::NotGuided {
-                requested: port.mode_index,
-                available: modes.len(),
-            });
-        }
+        let (cells, mode) = port_mode(eps_r, port, omega)?;
         Ok(ModeMonitor {
             port: *port,
-            mode: modes[port.mode_index].clone(),
+            mode,
             cells,
             grid: eps_r.grid(),
         })

@@ -4,7 +4,7 @@
 //! transverse current lines phased so the backward-radiated wave cancels,
 //! leaving a clean guided mode launched through the port.
 
-use crate::modes::{port_cross_section, solve_slab_modes, ModeError, SlabMode};
+use crate::modes::{port_mode, ModeError, SlabMode};
 use maps_core::{Axis, ComplexField2d, Direction, Port, RealField2d};
 use maps_linalg::Complex64;
 
@@ -20,28 +20,21 @@ pub struct ModeSource {
 }
 
 impl ModeSource {
-    /// Solves the port's eigenmode on the given permittivity map and builds
-    /// the source.
+    /// Builds the source from the port's eigenmode on the given
+    /// permittivity map. The mode comes from the mode memo (see
+    /// [`crate::modes`]), bit for bit what [`solve_slab_modes`] returns for
+    /// the same cross-section.
+    ///
+    /// [`solve_slab_modes`]: crate::solve_slab_modes
     ///
     /// # Errors
     ///
     /// Returns [`ModeError::NotGuided`] when the cross-section supports
     /// fewer guided modes than `port.mode_index + 1`.
     pub fn new(eps_r: &RealField2d, port: &Port, omega: f64) -> Result<Self, ModeError> {
-        let along = match port.axis {
-            Axis::X => port.center.0,
-            Axis::Y => port.center.1,
-        };
-        let (cells, eps_line) = port_cross_section(port, eps_r, along);
-        let modes = solve_slab_modes(&eps_line, eps_r.grid().dl, omega);
-        if port.mode_index >= modes.len() {
-            return Err(ModeError::NotGuided {
-                requested: port.mode_index,
-                available: modes.len(),
-            });
-        }
+        let (cells, mode) = port_mode(eps_r, port, omega)?;
         Ok(ModeSource {
-            mode: modes[port.mode_index].clone(),
+            mode,
             cells,
             port: *port,
         })

@@ -15,8 +15,8 @@ cargo test --workspace -q
 echo "==> cargo test --doc --workspace -q (doc examples are the API contract)"
 cargo test --doc --workspace -q
 
-echo "==> cargo test --release -p maps-linalg -p maps-tensor -p maps-nn -q (bit-identity pins on the optimized build)"
-cargo test --release -p maps-linalg -p maps-tensor -p maps-nn -q
+echo "==> cargo test --release -p maps-linalg -p maps-tensor -p maps-nn -p maps-fdfd -p maps-data -q (bit-identity pins on the optimized build)"
+cargo test --release -p maps-linalg -p maps-tensor -p maps-nn -p maps-fdfd -p maps-data -q
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
