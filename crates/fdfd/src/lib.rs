@@ -44,7 +44,7 @@ pub mod source;
 pub mod sparams;
 pub mod spectrum;
 
-pub use adjoint::{gradient_from_fields, solve_with_adjoint, AdjointSolution, PowerObjective};
+pub use adjoint::{gradient_from_fields, PowerObjective};
 pub use factor_cache::{
     factor, factor_coalesced, CacheStats, FactorCache, FactorOutcome, Fingerprint,
 };

@@ -131,6 +131,57 @@ impl FdfdSolver {
             (num / den).sqrt()
         }
     }
+
+    /// Checks one solve's inputs before anything is assembled: the
+    /// right-hand side must lie on the permittivity's grid, and ω must be
+    /// positive and finite (the operator assembly asserts it).
+    fn check_inputs(
+        eps_r: &RealField2d,
+        rhs: &ComplexField2d,
+        omega: f64,
+    ) -> Result<(), SolveFieldError> {
+        if eps_r.grid() != rhs.grid() {
+            return Err(SolveFieldError::GridMismatch {
+                detail: format!(
+                    "eps grid {:?} vs source grid {:?}",
+                    eps_r.grid(),
+                    rhs.grid()
+                ),
+            });
+        }
+        if !(omega.is_finite() && omega > 0.0) {
+            return Err(SolveFieldError::InvalidInput {
+                detail: "omega must be positive and finite".into(),
+            });
+        }
+        Ok(())
+    }
+
+    /// Fetches the LU of the operator at (ε, ω) from the factor cache
+    /// (factorizing on a miss) and overwrites each right-hand side in `xs`
+    /// with its solution: `Forward` solves `A·x = b`, `Transposed` solves
+    /// `Aᵀ·x = b`. One call sweeps the whole block through one pass over
+    /// the factors.
+    fn factor_and_substitute(
+        &self,
+        eps_r: &RealField2d,
+        omega: f64,
+        op: Sweep,
+        xs: &mut [Vec<Complex64>],
+    ) -> Result<(), SolveFieldError> {
+        // One factorization per distinct (eps, omega, PML): the process-wide
+        // cache shares the LU across forward, adjoint, and repeated
+        // monitor/S-param solves of the same design.
+        let lu = crate::factor_cache::factor(eps_r, omega, &self.pml, || {
+            self.operator(eps_r, omega).to_banded()
+        })
+        .map_err(|e| SolveFieldError::Numerical {
+            detail: e.to_string(),
+        })?;
+        let _s = maps_obs::span("fdfd.backsub").field("rhs", xs.len());
+        lu.solve(op, xs);
+        Ok(())
+    }
 }
 
 /// Formats an iterative-backend failure with its full convergence record so
@@ -166,20 +217,7 @@ impl FieldSolver for FdfdSolver {
         omega: f64,
         tol_factor: f64,
     ) -> Result<ComplexField2d, SolveFieldError> {
-        if eps_r.grid() != source.grid() {
-            return Err(SolveFieldError::GridMismatch {
-                detail: format!(
-                    "eps grid {:?} vs source grid {:?}",
-                    eps_r.grid(),
-                    source.grid()
-                ),
-            });
-        }
-        if !(omega.is_finite() && omega > 0.0) {
-            return Err(SolveFieldError::InvalidInput {
-                detail: "omega must be positive and finite".into(),
-            });
-        }
+        Self::check_inputs(eps_r, source, omega)?;
         let _span = maps_obs::span("fdfd.solve_ez")
             .field("backend", self.name())
             .field("cells", eps_r.grid().len());
@@ -187,17 +225,12 @@ impl FieldSolver for FdfdSolver {
         let mut b = Self::rhs(source, omega);
         let x = match self.backend {
             Backend::Direct => {
-                // One factorization per distinct (eps, omega, PML): the
-                // process-wide cache shares the LU across forward, adjoint,
-                // and repeated monitor/S-param solves of the same design.
-                let lu = crate::factor_cache::factor(eps_r, omega, &self.pml, || {
-                    self.operator(eps_r, omega).to_banded()
-                })
-                .map_err(|e| SolveFieldError::Numerical {
-                    detail: e.to_string(),
-                })?;
-                let _s = maps_obs::span("fdfd.backsub");
-                lu.solve(Sweep::Forward, std::slice::from_mut(&mut b));
+                self.factor_and_substitute(
+                    eps_r,
+                    omega,
+                    Sweep::Forward,
+                    std::slice::from_mut(&mut b),
+                )?;
                 b
             }
             Backend::Iterative(opts) => {
@@ -231,11 +264,7 @@ impl FieldSolver for FdfdSolver {
         omega: f64,
     ) -> Result<ComplexField2d, SolveFieldError> {
         // Exact transpose solve (no reciprocity approximation).
-        if eps_r.grid() != rhs.grid() {
-            return Err(SolveFieldError::GridMismatch {
-                detail: "eps and adjoint-rhs grids differ".into(),
-            });
-        }
+        Self::check_inputs(eps_r, rhs, omega)?;
         let _span = maps_obs::span("fdfd.solve_adjoint_ez")
             .field("backend", self.name())
             .field("cells", eps_r.grid().len());
@@ -244,15 +273,13 @@ impl FieldSolver for FdfdSolver {
         // the same design (the cache retains at least the most recent
         // factorization even when disabled), so a forward/adjoint pair
         // costs one factorization plus two substitution sweeps.
-        let lu = crate::factor_cache::factor(eps_r, omega, &self.pml, || {
-            self.operator(eps_r, omega).to_banded()
-        })
-        .map_err(|e| SolveFieldError::Numerical {
-            detail: e.to_string(),
-        })?;
-        let _s = maps_obs::span("fdfd.backsub");
         let mut x = rhs.as_slice().to_vec();
-        lu.solve(Sweep::Transposed, std::slice::from_mut(&mut x));
+        self.factor_and_substitute(
+            eps_r,
+            omega,
+            Sweep::Transposed,
+            std::slice::from_mut(&mut x),
+        )?;
         let field = ComplexField2d::from_vec(eps_r.grid(), x);
         maps_core::ensure_finite(&field, self.name())?;
         Ok(field)
@@ -303,20 +330,8 @@ impl FieldSolver for FdfdSolver {
         // Bucket valid requests by exact omega bits, first-seen order.
         let mut groups: Vec<(u64, Vec<usize>)> = Vec::new();
         for (i, req) in requests.iter().enumerate() {
-            if grid != req.source.grid() {
-                results[i] = Some(Err(SolveFieldError::GridMismatch {
-                    detail: format!(
-                        "eps grid {:?} vs request {i} grid {:?}",
-                        grid,
-                        req.source.grid()
-                    ),
-                }));
-                continue;
-            }
-            if !(req.omega.is_finite() && req.omega > 0.0) {
-                results[i] = Some(Err(SolveFieldError::InvalidInput {
-                    detail: format!("request {i}: omega must be positive and finite"),
-                }));
+            if let Err(e) = Self::check_inputs(eps_r, req.source, req.omega) {
+                results[i] = Some(Err(e));
                 continue;
             }
             let key = req.omega.to_bits();
@@ -376,32 +391,10 @@ impl FieldSolver for FdfdSolver {
                     .field("omega", format!("{omega:.4}"))
                     .field("kind", kind_name)
                     .field("requests", members.len());
-                let mut answers: Vec<Answer> = Vec::with_capacity(members.len());
-                let lu = match crate::factor_cache::factor(eps_r, omega, &self.pml, || {
-                    self.operator(eps_r, omega).to_banded()
-                }) {
-                    Ok(lu) => lu,
-                    Err(e) => {
-                        for &i in members {
-                            answers.push((
-                                i,
-                                Err(SolveFieldError::Numerical {
-                                    detail: e.to_string(),
-                                }),
-                            ));
-                        }
-                        return answers;
-                    }
-                };
-                maps_obs::counter(counter_name).add(members.len() as u64);
-                // One pass over the L/U factors answers the whole block:
-                // the interleaved sweep reads the ~n·ldab band data once
-                // per block instead of once per right-hand side.
-                let _s = maps_obs::span("fdfd.backsub")
-                    .field("kind", kind_name)
-                    .field("rhs", members.len());
                 // Each solution overwrites its right-hand side in place,
-                // in the vector its field will own.
+                // in the vector its field will own; one pass over the L/U
+                // factors answers the whole block, reading the ~n·ldab band
+                // data once per block instead of once per right-hand side.
                 let mut xs: Vec<Vec<Complex64>> = members
                     .iter()
                     .map(|&i| match kind {
@@ -409,15 +402,20 @@ impl FieldSolver for FdfdSolver {
                         SolveKind::Adjoint => requests[i].source.as_slice().to_vec(),
                     })
                     .collect();
-                lu.solve(op, &mut xs);
-                for (x, &i) in xs.into_iter().zip(members.iter()) {
-                    let field = ComplexField2d::from_vec(grid, x);
-                    answers.push((
-                        i,
-                        maps_core::ensure_finite(&field, self.name()).map(|()| field),
-                    ));
+                if let Err(e) = self.factor_and_substitute(eps_r, omega, op, &mut xs) {
+                    return members.iter().map(|&i| (i, Err(e.clone()))).collect();
                 }
-                answers
+                maps_obs::counter(counter_name).add(members.len() as u64);
+                xs.into_iter()
+                    .zip(members.iter())
+                    .map(|(x, &i)| {
+                        let field = ComplexField2d::from_vec(grid, x);
+                        (
+                            i,
+                            maps_core::ensure_finite(&field, self.name()).map(|()| field),
+                        )
+                    })
+                    .collect()
             })
             .collect();
         for (i, answer) in item_answers.into_iter().flatten() {
@@ -451,14 +449,37 @@ mod tests {
         assert!(matches!(err, SolveFieldError::GridMismatch { .. }));
     }
 
+    /// The scalar forward, the scalar adjoint and a batch work item share
+    /// one input check: a bad ω is a non-retryable `InvalidInput` from each
+    /// of them, never a panic in the operator assembly.
     #[test]
     fn invalid_omega_is_reported() {
         let solver = FdfdSolver::new();
         let grid = Grid2d::new(40, 40, 0.05);
         let eps = RealField2d::constant(grid, 1.0);
-        let j = ComplexField2d::zeros(grid);
-        let err = solver.solve_ez(&eps, &j, -1.0).unwrap_err();
-        assert!(matches!(err, SolveFieldError::InvalidInput { .. }));
+        let mut j = ComplexField2d::zeros(grid);
+        j.set(20, 20, Complex64::ONE);
+        for omega in [-1.0, -4.0, 0.0, f64::NAN] {
+            let forward = solver.solve_ez(&eps, &j, omega).unwrap_err();
+            let adjoint = solver.solve_adjoint_ez(&eps, &j, omega).unwrap_err();
+            let batch = solver.solve_ez_batch(
+                &eps,
+                &[
+                    SolveRequest::forward(&j, omega),
+                    SolveRequest::adjoint(&j, omega),
+                ],
+            );
+            for err in [forward, adjoint]
+                .into_iter()
+                .chain(batch.into_iter().map(Result::unwrap_err))
+            {
+                assert!(
+                    matches!(err, SolveFieldError::InvalidInput { .. }),
+                    "omega {omega}: {err:?}"
+                );
+                assert!(!err.is_retryable());
+            }
+        }
     }
 
     #[test]

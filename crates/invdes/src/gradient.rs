@@ -1,16 +1,18 @@
 //! Gradient backends: how `dF/dε` is obtained.
 //!
-//! The exact path factorizes the FDFD operator once per design — through
-//! the process-wide `maps_fdfd::factor_cache`, so the forward and
-//! transposed (adjoint) solves share one banded LU, and re-evaluations of
-//! the same design skip the factorization entirely. The generic path works
-//! with *any* [`FieldSolver`] —
-//! including a trained neural operator — using two solves and the
+//! Every backend runs one composition: a forward solve, the objective and
+//! its adjoint right-hand side, an adjoint solve, and `dF/dε` from the two
+//! fields, with both fields checked finite. The exact path runs it over an
+//! [`FdfdSolver`], whose solves factorize through the process-wide
+//! `maps_fdfd::factor_cache`, so the forward and transposed (adjoint)
+//! solves share one banded LU, and re-evaluations of the same design skip
+//! the factorization entirely. The generic path runs it over *any*
+//! [`FieldSolver`] — including a trained neural operator, with the
 //! reciprocity-based default adjoint, which is how the paper drives inverse
 //! design from NN-predicted forward and adjoint fields (§IV-D, Fig. 6).
 
 use maps_core::{ComplexField2d, FieldSolver, RealField2d, SolveFieldError, SolveRequest};
-use maps_fdfd::{gradient_from_fields, solve_with_adjoint, FdfdSolver, PowerObjective};
+use maps_fdfd::{gradient_from_fields, FdfdSolver, PowerObjective};
 
 /// One excitation of a batched gradient evaluation: a source, its angular
 /// frequency, and the objective differentiated under that excitation.
@@ -62,6 +64,35 @@ pub trait GradientSolver {
 
     /// Backend name for logs and tables.
     fn name(&self) -> &str;
+}
+
+/// The scalar gradient composition every backend shares: forward solve,
+/// finite check, objective and adjoint right-hand side, adjoint solve,
+/// finite check, gradient. Over an [`FdfdSolver`] the forward and adjoint
+/// solves share one LU through the factor cache.
+fn gradient_via_field_solver(
+    solver: &dyn FieldSolver,
+    eps_r: &RealField2d,
+    source: &ComplexField2d,
+    omega: f64,
+    objective: &PowerObjective,
+) -> Result<GradientEvaluation, SolveFieldError> {
+    let forward = solver.solve_ez(eps_r, source, omega)?;
+    // Defense in depth: the objective and rhs only sample the field at
+    // the port monitors, so a solver returning Ok with poisoned values
+    // elsewhere would otherwise corrupt the gradient silently.
+    maps_core::ensure_finite(&forward, solver.name())?;
+    let objective_value = objective.eval(&forward);
+    let rhs = ComplexField2d::from_vec(eps_r.grid(), objective.adjoint_rhs(&forward));
+    let adjoint = solver.solve_adjoint_ez(eps_r, &rhs, omega)?;
+    maps_core::ensure_finite(&adjoint, solver.name())?;
+    let grad_eps = gradient_from_fields(&forward, &adjoint, omega);
+    Ok(GradientEvaluation {
+        objective: objective_value,
+        grad_eps,
+        forward,
+        adjoint,
+    })
 }
 
 /// The shared two-phase batch: all forward solves in one
@@ -172,13 +203,7 @@ impl GradientSolver for ExactAdjoint {
         omega: f64,
         objective: &PowerObjective,
     ) -> Result<GradientEvaluation, SolveFieldError> {
-        let sol = solve_with_adjoint(&self.solver, eps_r, source, omega, objective)?;
-        Ok(GradientEvaluation {
-            objective: sol.objective,
-            grad_eps: sol.gradient,
-            forward: sol.forward,
-            adjoint: sol.adjoint,
-        })
+        gradient_via_field_solver(&self.solver, eps_r, source, omega, objective)
     }
 
     fn objective_and_gradient_batch(
@@ -222,22 +247,7 @@ impl GradientSolver for FieldGradient<'_> {
         omega: f64,
         objective: &PowerObjective,
     ) -> Result<GradientEvaluation, SolveFieldError> {
-        let forward = self.solver.solve_ez(eps_r, source, omega)?;
-        // Defense in depth: the objective and rhs only sample the field at
-        // the port monitors, so a solver returning Ok with poisoned values
-        // elsewhere would otherwise corrupt the gradient silently.
-        maps_core::ensure_finite(&forward, self.solver.name())?;
-        let objective_value = objective.eval(&forward);
-        let rhs = ComplexField2d::from_vec(eps_r.grid(), objective.adjoint_rhs(&forward));
-        let adjoint = self.solver.solve_adjoint_ez(eps_r, &rhs, omega)?;
-        maps_core::ensure_finite(&adjoint, self.solver.name())?;
-        let grad_eps = gradient_from_fields(&forward, &adjoint, omega);
-        Ok(GradientEvaluation {
-            objective: objective_value,
-            grad_eps,
-            forward,
-            adjoint,
-        })
+        gradient_via_field_solver(self.solver, eps_r, source, omega, objective)
     }
 
     fn objective_and_gradient_batch(
@@ -256,15 +266,15 @@ impl GradientSolver for FieldGradient<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use maps_core::{Grid2d, Port, Rect, Shape};
-    use maps_fdfd::{ModeMonitor, ModeSource};
+    use maps_core::{Axis, Direction, Grid2d, Port, Rect, Shape};
+    use maps_fdfd::{LinearFunctional, ModeMonitor, ModeSource};
+    use maps_linalg::{Complex64, Sweep};
 
-    /// Batched evaluation through the FDFD batch plane must reproduce the
-    /// scalar trait path bit-for-bit: the same LU answers both, and the
-    /// substitution sweeps are the same operations.
-    #[test]
-    fn batched_gradients_match_scalar_bitwise() {
-        let grid = Grid2d::new(56, 40, 0.08);
+    /// A straight waveguide with a mode source on the left and the
+    /// outgoing-mode functional of a monitor on the right:
+    /// `(eps, source, omega, functional)`.
+    fn waveguide(nx: usize, ny: usize) -> (RealField2d, ComplexField2d, f64, LinearFunctional) {
+        let grid = Grid2d::new(nx, ny, 0.08);
         let omega = maps_core::omega_for_wavelength(1.55);
         let yc = grid.height() / 2.0;
         let mut eps = RealField2d::constant(grid, 2.07);
@@ -273,24 +283,38 @@ mod tests {
             &Shape::Rect(Rect::new(0.0, yc - 0.24, grid.width(), yc + 0.24)),
             12.11,
         );
-        let in_port = Port::new(
-            (1.2, yc),
-            0.48,
-            maps_core::Axis::X,
-            maps_core::Direction::Positive,
-        );
-        let out_port = Port::new(
-            (grid.width() - 1.2, yc),
-            0.48,
-            maps_core::Axis::X,
-            maps_core::Direction::Positive,
-        );
-        let j = ModeSource::new(&eps, &in_port, omega)
+        let port = |x: f64| Port::new((x, yc), 0.48, Axis::X, Direction::Positive);
+        let j = ModeSource::new(&eps, &port(1.2), omega)
             .unwrap()
             .current_density(grid);
-        let monitor = ModeMonitor::new(&eps, &out_port, omega).unwrap();
-        let obj_fwd = PowerObjective::new().with_term(monitor.outgoing_functional(), 1.0);
-        let obj_neg = PowerObjective::new().with_term(monitor.outgoing_functional(), -0.5);
+        let monitor = ModeMonitor::new(&eps, &port(grid.width() - 1.2), omega).unwrap();
+        (eps, j, omega, monitor.outgoing_functional())
+    }
+
+    fn assert_fields_bitwise(a: &ComplexField2d, b: &ComplexField2d, what: &str) {
+        for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
+            assert_eq!(x.re.to_bits(), y.re.to_bits(), "{what}");
+            assert_eq!(x.im.to_bits(), y.im.to_bits(), "{what}");
+        }
+    }
+
+    fn assert_gradients_bitwise(a: &GradientEvaluation, b: &GradientEvaluation) {
+        assert_eq!(a.objective.to_bits(), b.objective.to_bits());
+        for (x, y) in a.grad_eps.as_slice().iter().zip(b.grad_eps.as_slice()) {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
+        assert_fields_bitwise(&a.forward, &b.forward, "forward");
+        assert_fields_bitwise(&a.adjoint, &b.adjoint, "adjoint");
+    }
+
+    /// Batched evaluation through the FDFD batch plane must reproduce the
+    /// scalar trait path bit-for-bit: the same LU answers both, and the
+    /// substitution sweeps are the same operations.
+    #[test]
+    fn batched_gradients_match_scalar_bitwise() {
+        let (eps, j, omega, w) = waveguide(56, 40);
+        let obj_fwd = PowerObjective::new().with_term(w.clone(), 1.0);
+        let obj_neg = PowerObjective::new().with_term(w, -0.5);
 
         let fdfd = FdfdSolver::new();
         let generic = FieldGradient::new(&fdfd);
@@ -309,69 +333,102 @@ mod tests {
         let batch = generic.objective_and_gradient_batch(&eps, &requests);
         assert_eq!(batch.len(), 2);
         for (b, r) in batch.iter().zip(&requests) {
-            let b = b.as_ref().unwrap();
             let s = generic
                 .objective_and_gradient(&eps, r.source, r.omega, r.objective)
                 .unwrap();
-            assert_eq!(b.objective.to_bits(), s.objective.to_bits());
-            for (a, e) in b.grad_eps.as_slice().iter().zip(s.grad_eps.as_slice()) {
-                assert_eq!(a.to_bits(), e.to_bits());
-            }
-            for (a, e) in b.forward.as_slice().iter().zip(s.forward.as_slice()) {
-                assert_eq!(a.re.to_bits(), e.re.to_bits());
-                assert_eq!(a.im.to_bits(), e.im.to_bits());
-            }
+            assert_gradients_bitwise(b.as_ref().unwrap(), &s);
         }
     }
 
-    /// The exact adjoint and the trait-based gradient (with the FDFD's
-    /// exact transpose override) must agree to rounding.
+    /// The exact adjoint and the trait-based gradient over the same
+    /// `FdfdSolver` run one composition, so they agree bit for bit.
     #[test]
     fn exact_and_trait_gradients_agree() {
-        let grid = Grid2d::new(56, 40, 0.08);
-        let omega = maps_core::omega_for_wavelength(1.55);
-        let yc = grid.height() / 2.0;
-        let mut eps = RealField2d::constant(grid, 2.07);
-        maps_core::paint(
-            &mut eps,
-            &Shape::Rect(Rect::new(0.0, yc - 0.24, grid.width(), yc + 0.24)),
-            12.11,
-        );
-        let in_port = Port::new(
-            (1.2, yc),
-            0.48,
-            maps_core::Axis::X,
-            maps_core::Direction::Positive,
-        );
-        let out_port = Port::new(
-            (grid.width() - 1.2, yc),
-            0.48,
-            maps_core::Axis::X,
-            maps_core::Direction::Positive,
-        );
-        let j = ModeSource::new(&eps, &in_port, omega)
-            .unwrap()
-            .current_density(grid);
-        let monitor = ModeMonitor::new(&eps, &out_port, omega).unwrap();
-        let obj = PowerObjective::new().with_term(monitor.outgoing_functional(), 1.0);
-
+        let (eps, j, omega, w) = waveguide(56, 40);
+        let obj = PowerObjective::new().with_term(w, 1.0);
         let exact = ExactAdjoint::default();
         let e1 = exact.objective_and_gradient(&eps, &j, omega, &obj).unwrap();
         let fdfd = FdfdSolver::new();
-        let generic = FieldGradient::new(&fdfd);
-        let e2 = generic
+        let e2 = FieldGradient::new(&fdfd)
             .objective_and_gradient(&eps, &j, omega, &obj)
             .unwrap();
-        assert!((e1.objective - e2.objective).abs() < 1e-9 * (1.0 + e1.objective.abs()));
-        let mut max_diff: f64 = 0.0;
-        let mut max_mag: f64 = 0.0;
-        for (a, b) in e1.grad_eps.as_slice().iter().zip(e2.grad_eps.as_slice()) {
-            max_diff = max_diff.max((a - b).abs());
-            max_mag = max_mag.max(a.abs());
-        }
+        assert_gradients_bitwise(&e1, &e2);
+    }
+
+    /// `ExactAdjoint` is pinned to a plain, uncached reference: factorize
+    /// the assembled operator, substitute forward and transposed, and
+    /// assemble the gradient from the two fields.
+    #[test]
+    fn exact_adjoint_matches_uncached_reference_bitwise() {
+        let (eps, j, omega, w) = waveguide(48, 36);
+        let obj = PowerObjective::new().with_term(w, 1.0);
+        let exact = ExactAdjoint::default();
+        let got = exact.objective_and_gradient(&eps, &j, omega, &obj).unwrap();
+
+        let lu = exact
+            .solver()
+            .operator(&eps, omega)
+            .to_banded()
+            .factorize()
+            .unwrap();
+        let mut b = FdfdSolver::rhs(&j, omega);
+        lu.solve(Sweep::Forward, std::slice::from_mut(&mut b));
+        let forward = ComplexField2d::from_vec(eps.grid(), b);
+        let mut rhs = obj.adjoint_rhs(&forward);
+        lu.solve(Sweep::Transposed, std::slice::from_mut(&mut rhs));
+        let adjoint = ComplexField2d::from_vec(eps.grid(), rhs);
+        let reference = GradientEvaluation {
+            objective: obj.eval(&forward),
+            grad_eps: gradient_from_fields(&forward, &adjoint, omega),
+            forward,
+            adjoint,
+        };
+        assert_gradients_bitwise(&got, &reference);
+    }
+
+    /// A NaN in the source poisons the fields; the exact path rejects it
+    /// as `NonFinite` instead of returning a NaN objective and gradient.
+    #[test]
+    fn nan_source_is_non_finite_through_exact_adjoint() {
+        let (eps, mut j, omega, w) = waveguide(48, 36);
+        let obj = PowerObjective::new().with_term(w, 1.0);
+        j.set(24, 18, Complex64::new(f64::NAN, 0.0));
+        let err = ExactAdjoint::default()
+            .objective_and_gradient(&eps, &j, omega, &obj)
+            .unwrap_err();
         assert!(
-            max_diff < 1e-9 * max_mag.max(1.0),
-            "diff {max_diff} vs mag {max_mag}"
+            matches!(err, SolveFieldError::NonFinite { .. }),
+            "NaN must not escape silently: {err:?}"
         );
+    }
+
+    /// The exact adjoint gradient matches a central finite difference of
+    /// the objective on representative cells.
+    #[test]
+    fn adjoint_gradient_matches_finite_difference() {
+        let (eps, j, omega, w) = waveguide(60, 44);
+        let objective = PowerObjective::new().with_term(w, 1.0);
+        let exact = ExactAdjoint::default();
+        let eval = exact
+            .objective_and_gradient(&eps, &j, omega, &objective)
+            .unwrap();
+        assert!(eval.objective > 0.0, "waveguide should transmit");
+
+        let h = 1e-5;
+        for (ix, iy) in [(30, 22), (28, 20), (32, 24)] {
+            let mut ep = eps.clone();
+            ep.set(ix, iy, ep.get(ix, iy) + h);
+            let mut em = eps.clone();
+            em.set(ix, iy, em.get(ix, iy) - h);
+            let fp = objective.eval(&exact.solver().solve_ez(&ep, &j, omega).unwrap());
+            let fm = objective.eval(&exact.solver().solve_ez(&em, &j, omega).unwrap());
+            let fd = (fp - fm) / (2.0 * h);
+            let adj = eval.grad_eps.get(ix, iy);
+            let denom = fd.abs().max(adj.abs()).max(1e-12);
+            assert!(
+                (fd - adj).abs() / denom < 1e-4,
+                "cell ({ix},{iy}): fd {fd:.6e} vs adjoint {adj:.6e}"
+            );
+        }
     }
 }

@@ -8,10 +8,12 @@
 //! across excitations.
 
 use crate::gradient::{GradientRequest, GradientSolver};
-use crate::optimizer::{IterationRecord, OptimConfig, OptimError, OptimResult};
+use crate::optimizer::{
+    InverseDesigner, IterationRecord, OptimConfig, OptimError, OptimResult, Step,
+};
 use crate::patch::Patch;
 use crate::problem::DesignProblem;
-use maps_core::ComplexField2d;
+use maps_core::{ComplexField2d, SolveFieldError};
 use maps_fdfd::PowerObjective;
 
 /// One excitation of a multi-objective design.
@@ -52,10 +54,10 @@ pub enum Combine {
 }
 
 /// A multi-excitation topology optimizer sharing the reparametrization
-/// pipeline of [`crate::InverseDesigner`].
+/// pipeline and the ascent loop of [`InverseDesigner`].
 #[derive(Debug)]
 pub struct MultiExcitationDesigner {
-    base: crate::optimizer::InverseDesigner,
+    base: InverseDesigner,
     combine: Combine,
 }
 
@@ -64,7 +66,7 @@ impl MultiExcitationDesigner {
     /// combination rule.
     pub fn new(config: OptimConfig, combine: Combine) -> Self {
         MultiExcitationDesigner {
-            base: crate::optimizer::InverseDesigner::new(config),
+            base: InverseDesigner::new(config),
             combine,
         }
     }
@@ -85,9 +87,23 @@ impl MultiExcitationDesigner {
         theta: &Patch,
         beta: f64,
     ) -> Result<(f64, Patch, Vec<f64>), OptimError> {
+        let step = self.step(problem, excitations, solver, theta, beta)?;
+        Ok((step.objective, step.grad_theta, step.per))
+    }
+
+    /// One design step: every excitation's gradient from one batch,
+    /// combined, with excitation 0's forward field as the step's field.
+    fn step(
+        &self,
+        problem: &DesignProblem,
+        excitations: &[Excitation],
+        solver: &dyn GradientSolver,
+        theta: &Patch,
+        beta: f64,
+    ) -> Result<Step, SolveFieldError> {
         assert!(!excitations.is_empty(), "at least one excitation required");
         let chain = self.base.chain(beta);
-        let inter = chain.forward_all(theta);
+        let mut inter = chain.forward_all(theta);
         let density = inter.last().expect("chain output");
         let eps = problem.eps_for(density);
         // All excitations go down as one batch: a backend on the FDFD batch
@@ -141,16 +157,28 @@ impl MultiExcitationDesigner {
             problem.accumulate_gradient_patch(&eval.grad_eps, *w, &mut grad_density);
         }
         let grad_theta = chain.backward(&inter, &grad_density);
-        Ok((combined, grad_theta, per))
+        Ok(Step {
+            objective: combined,
+            grad_theta,
+            density: inter.pop().expect("chain output"),
+            forward: evals.swap_remove(0).forward,
+            per,
+        })
     }
 
     /// Runs the multi-excitation optimization (Adam ascent on the combined
     /// figure of merit) with a per-iteration callback receiving the
     /// per-excitation objectives.
     ///
+    /// The loop is [`InverseDesigner`]'s, so retryable solve failures are
+    /// recovered under [`OptimConfig::max_solve_failures`] and the run
+    /// emits the `invdes.*` spans, counters and series. The result's
+    /// `final_field` is excitation 0's forward field at the final density.
+    ///
     /// # Errors
     ///
-    /// Returns [`OptimError`] if any solve fails.
+    /// Returns [`OptimError`] on a non-retryable solve failure or once the
+    /// failure budget is exhausted.
     pub fn run_with_callback(
         &self,
         problem: &DesignProblem,
@@ -158,65 +186,20 @@ impl MultiExcitationDesigner {
         solver: &dyn GradientSolver,
         mut on_iteration: impl FnMut(&IterationRecord, &[f64]),
     ) -> Result<OptimResult, OptimError> {
-        let cfg = self.base.config();
-        let (nx, ny) = problem.design_size;
-        let mut theta = cfg.init.build(nx, ny);
-        let mut m = vec![0.0; theta.len()];
-        let mut v = vec![0.0; theta.len()];
-        let mut beta = cfg.beta_start;
-        let mut history = Vec::with_capacity(cfg.iterations);
-        let mut last_density = theta.clone();
-        let objective_series = maps_obs::series("invdes.multi.objective");
-        let gray_series = maps_obs::series("invdes.multi.gray_level");
-        for iteration in 0..cfg.iterations {
-            let (combined, grad, per) =
-                self.evaluate(problem, excitations, solver, &theta, beta)?;
-            last_density = self.base.chain(beta).forward(&theta);
-            let record = IterationRecord {
-                iteration,
-                objective: combined,
-                gray_level: last_density.gray_level(),
-                beta,
-                recovered: false,
-            };
-            objective_series.push(iteration as u64, combined);
-            gray_series.push(iteration as u64, record.gray_level);
-            on_iteration(&record, &per);
-            history.push(record);
-            let t = (iteration + 1) as i32;
-            let bc1 = 1.0 - 0.9f64.powi(t);
-            let bc2 = 1.0 - 0.999f64.powi(t);
-            for (k, g) in grad.as_slice().iter().enumerate() {
-                m[k] = 0.9 * m[k] + 0.1 * g;
-                v[k] = 0.999 * v[k] + 0.001 * g * g;
-                theta.as_mut_slice()[k] +=
-                    cfg.learning_rate * (m[k] / bc1) / ((v[k] / bc2).sqrt() + 1e-8);
-            }
-            theta.clamp01();
-            beta *= cfg.beta_growth;
-        }
-        // Final forward field under the first excitation (for inspection).
-        let eps = problem.eps_for(&last_density);
-        let eval = solver.objective_and_gradient(
-            &eps,
-            &excitations[0].source,
-            excitations[0].omega,
-            &excitations[0].objective,
-        )?;
-        Ok(OptimResult {
-            theta,
-            density: last_density,
-            history,
-            final_field: eval.forward,
-            recoveries: Vec::new(),
-        })
+        self.base.drive(
+            problem,
+            None,
+            |theta, beta| self.step(problem, excitations, solver, theta, beta),
+            |record, step| on_iteration(record, &step.per),
+            |_| {},
+        )
     }
 
     /// Runs without a callback.
     ///
     /// # Errors
     ///
-    /// Returns [`OptimError`] if any solve fails.
+    /// As [`MultiExcitationDesigner::run_with_callback`].
     pub fn run(
         &self,
         problem: &DesignProblem,
@@ -230,9 +213,11 @@ impl MultiExcitationDesigner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gradient::ExactAdjoint;
+    use crate::gradient::{ExactAdjoint, FieldGradient};
     use crate::init::InitStrategy;
-    use maps_core::{Axis, Direction, Grid2d, Port, RealField2d};
+    use maps_core::{
+        Axis, Direction, FaultInjectingSolver, FaultPlan, Grid2d, InjectedFault, Port, RealField2d,
+    };
     use maps_fdfd::{FdfdSolver, ModeMonitor, ModeSource, PmlConfig};
 
     /// A splitter-style problem: input left, two outputs right (top and
@@ -377,6 +362,91 @@ mod tests {
             "soft-min {combined} should lie within [{}, {worst}]",
             worst - bound
         );
+    }
+
+    fn short_run() -> MultiExcitationDesigner {
+        MultiExcitationDesigner::new(
+            OptimConfig {
+                iterations: 4,
+                learning_rate: 0.15,
+                filter_radius: 1.2,
+                ..OptimConfig::default()
+            },
+            Combine::WeightedSum,
+        )
+    }
+
+    /// The result's field is excitation 0's batched forward field at the
+    /// final density, the same bits a trailing scalar re-solve gives.
+    /// Excitation 1 runs at another frequency, so its field differs.
+    #[test]
+    fn final_field_is_excitation_zero_at_the_final_density() {
+        let (problem, mut excitations) = splitter();
+        excitations[1].omega *= 1.03;
+        let solver = ExactAdjoint::new(FdfdSolver::with_pml(PmlConfig::auto(problem.grid().dl)));
+        let result = short_run().run(&problem, &excitations, &solver).unwrap();
+        assert_eq!(result.history.len(), 4);
+        let eps = problem.eps_for(&result.density);
+        let requests: Vec<GradientRequest<'_>> = excitations
+            .iter()
+            .map(|e| GradientRequest {
+                source: &e.source,
+                omega: e.omega,
+                objective: &e.objective,
+            })
+            .collect();
+        let batched = solver
+            .objective_and_gradient_batch(&eps, &requests)
+            .swap_remove(0)
+            .unwrap()
+            .forward;
+        let scalar = solver
+            .objective_and_gradient(
+                &eps,
+                &excitations[0].source,
+                excitations[0].omega,
+                &excitations[0].objective,
+            )
+            .unwrap()
+            .forward;
+        for ((r, b), s) in result
+            .final_field
+            .as_slice()
+            .iter()
+            .zip(batched.as_slice())
+            .zip(scalar.as_slice())
+        {
+            assert_eq!(
+                (r.re.to_bits(), r.im.to_bits()),
+                (b.re.to_bits(), b.im.to_bits())
+            );
+            assert_eq!(
+                (r.re.to_bits(), r.im.to_bits()),
+                (s.re.to_bits(), s.im.to_bits())
+            );
+        }
+    }
+
+    /// A retryable solve failure is recovered by the shared loop instead of
+    /// ending the run.
+    #[test]
+    fn recovers_a_retryable_failure() {
+        let (problem, excitations) = splitter();
+        // Each iteration issues one forward batch and one adjoint batch of
+        // two requests (calls 0–3 for iteration 0); call 4 is iteration 1's
+        // first forward solve.
+        let faulty = FaultInjectingSolver::new(
+            FdfdSolver::with_pml(PmlConfig::auto(problem.grid().dl)),
+            FaultPlan::new().fail_at(4, InjectedFault::Error),
+        );
+        let result = short_run()
+            .run(&problem, &excitations, &FieldGradient::new(&faulty))
+            .unwrap();
+        assert_eq!(result.recoveries.len(), 1, "{:?}", result.recoveries);
+        assert_eq!(result.recoveries[0].iteration, 1);
+        assert_eq!(result.history.len(), 4);
+        assert!(result.history[1].recovered);
+        assert_eq!(faulty.injected(), 1);
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! ρ̄ → ε → forward+adjoint solve → dF/dε → chain-rule back to θ → Adam
 //! ascent. The projection sharpness β follows a growth schedule so designs
 //! binarize as the optimization converges, exactly the soft-to-hard
-//! trajectory MAPS-Data samples from.
+//! trajectory MAPS-Data samples from. The multi-excitation and robust
+//! designers run this same loop; only the step they evaluate at each θ
+//! differs.
 
 use crate::checkpoint::{OptimCheckpoint, RecoveryRecord};
 use crate::gradient::GradientSolver;
@@ -160,6 +162,23 @@ impl From<SolveFieldError> for OptimError {
     }
 }
 
+/// One design step evaluated at θ: what [`InverseDesigner`]'s loop records
+/// and ascends along. Every designer in this crate supplies its own step
+/// (one excitation, a batch of excitations, a set of process corners) and
+/// shares the loop.
+pub(crate) struct Step {
+    /// The figure of merit the loop ascends.
+    pub(crate) objective: f64,
+    /// Its gradient with respect to θ.
+    pub(crate) grad_theta: Patch,
+    /// The simulated density ρ̄ (its gray level is recorded).
+    pub(crate) density: Patch,
+    /// A forward field at that density (the result's `final_field`).
+    pub(crate) forward: ComplexField2d,
+    /// Per-excitation or per-corner objectives (empty for a single one).
+    pub(crate) per: Vec<f64>,
+}
+
 /// A simple Adam state over a flat θ vector.
 #[derive(Debug, Clone)]
 struct PatchAdam {
@@ -304,20 +323,57 @@ impl InverseDesigner {
     ///
     /// # Errors
     ///
-    /// Returns [`OptimError`] when mode solving fails, the failure budget is
-    /// exhausted, or `resume` is inconsistent with the problem.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no iteration completes successfully (e.g. resuming a
-    /// checkpoint whose `iteration` already equals `config.iterations` and
-    /// an empty remaining schedule).
+    /// Returns [`OptimError`] when mode solving fails or the failure budget
+    /// is exhausted. A run in which every iteration failed inside the budget
+    /// returns [`OptimError::TooManyFailures`] carrying the last failure.
+    /// A `resume` inconsistent with the problem, or one that leaves no
+    /// iteration to run, returns [`OptimError::Checkpoint`]; a fresh run with
+    /// `config.iterations == 0` returns [`OptimError::Solve`] with
+    /// [`SolveFieldError::InvalidInput`].
     pub fn run_resumable(
         &self,
         problem: &DesignProblem,
         solver: &dyn GradientSolver,
         resume: Option<&OptimCheckpoint>,
         mut on_iteration: impl FnMut(&IterationRecord, &Patch, &ComplexField2d),
+        on_checkpoint: impl FnMut(&OptimCheckpoint),
+    ) -> Result<OptimResult, OptimError> {
+        let omega = problem.omega();
+        let source = problem.source()?;
+        let objective = problem.objective()?;
+        self.drive(
+            problem,
+            resume,
+            |theta, beta| {
+                let chain = self.chain(beta);
+                let inter = chain.forward_all(theta);
+                let density = inter.last().expect("chain output").clone();
+                let eps = problem.eps_for(&density);
+                let eval = solver.objective_and_gradient(&eps, &source, omega, &objective)?;
+                let grad_patch = problem.gradient_to_patch(&eval.grad_eps);
+                Ok(Step {
+                    objective: eval.objective,
+                    grad_theta: chain.backward(&inter, &grad_patch),
+                    density,
+                    forward: eval.forward,
+                    per: Vec::new(),
+                })
+            },
+            |record, step| on_iteration(record, &step.density, &step.forward),
+            on_checkpoint,
+        )
+    }
+
+    /// The ascent loop every designer runs: `evaluate`s the design step at
+    /// (θ, β) each iteration, records it, takes the Adam step and grows β,
+    /// recovering retryable failures and emitting checkpoints as documented
+    /// on [`InverseDesigner::run_resumable`].
+    pub(crate) fn drive(
+        &self,
+        problem: &DesignProblem,
+        resume: Option<&OptimCheckpoint>,
+        mut evaluate: impl FnMut(&Patch, f64) -> Result<Step, SolveFieldError>,
+        mut on_iteration: impl FnMut(&IterationRecord, &Step),
         mut on_checkpoint: impl FnMut(&OptimCheckpoint),
     ) -> Result<OptimResult, OptimError> {
         let (nx, ny) = problem.design_size;
@@ -335,12 +391,17 @@ impl InverseDesigner {
                         ),
                     });
                 }
-                if cp.iteration > self.config.iterations
-                    || cp.adam_m.len() != cp.theta.len()
-                    || cp.adam_v.len() != cp.theta.len()
-                {
+                if cp.iteration >= self.config.iterations {
                     return Err(OptimError::Checkpoint {
-                        detail: "iteration or Adam state inconsistent with design size".into(),
+                        detail: format!(
+                            "checkpoint is at iteration {} of {}: no iteration left to run",
+                            cp.iteration, self.config.iterations
+                        ),
+                    });
+                }
+                if cp.adam_m.len() != cp.theta.len() || cp.adam_v.len() != cp.theta.len() {
+                    return Err(OptimError::Checkpoint {
+                        detail: "Adam state inconsistent with design size".into(),
                     });
                 }
                 maps_obs::info!(
@@ -357,6 +418,11 @@ impl InverseDesigner {
                     cp.recoveries.clone(),
                 )
             }
+            None if self.config.iterations == 0 => {
+                return Err(OptimError::Solve(SolveFieldError::InvalidInput {
+                    detail: "OptimConfig::iterations is 0: no design step to run".into(),
+                }));
+            }
             None => {
                 let theta = self.config.init.build(nx, ny);
                 let adam = PatchAdam::new(theta.len(), self.config.learning_rate);
@@ -370,30 +436,24 @@ impl InverseDesigner {
                 )
             }
         };
-        let omega = problem.omega();
-        let source = problem.source()?;
-        let objective = problem.objective()?;
         // Convergence trajectories: one row per iteration (recovered
         // iterations repeat the last feasible values so rows stay dense).
         let objective_series = maps_obs::series("invdes.objective");
         let gray_series = maps_obs::series("invdes.gray_level");
         let lr_series = maps_obs::series("invdes.lr");
         let recovery_series = maps_obs::series("invdes.recoveries");
-        let mut last_field = None;
-        let mut last_density = theta.clone();
+        // The last successful step's density and field, and the last
+        // recovered failure (what a run without a success reports).
+        let mut last_success: Option<(Patch, ComplexField2d)> = None;
+        let mut last_failure = None;
         // The last θ whose solve succeeded — the revert target on failure.
         let mut feasible_theta: Option<Patch> = None;
         for iteration in start..self.config.iterations {
             let iter_span = maps_obs::span("invdes.iteration").field("iteration", iteration);
-            let chain = self.chain(beta);
-            let inter = chain.forward_all(&theta);
-            let density = inter.last().expect("chain output").clone();
-            let eps = problem.eps_for(&density);
-            match solver.objective_and_gradient(&eps, &source, omega, &objective) {
+            match evaluate(&theta, beta) {
                 Ok(eval) => {
-                    let grad_patch = problem.gradient_to_patch(&eval.grad_eps);
-                    let grad_theta = chain.backward(&inter, &grad_patch);
-                    let grad_norm = grad_theta
+                    let grad_norm = eval
+                        .grad_theta
                         .as_slice()
                         .iter()
                         .map(|g| g * g)
@@ -402,7 +462,7 @@ impl InverseDesigner {
                     let record = IterationRecord {
                         iteration,
                         objective: eval.objective,
-                        gray_level: density.gray_level(),
+                        gray_level: eval.density.gray_level(),
                         beta,
                         recovered: false,
                     };
@@ -421,13 +481,12 @@ impl InverseDesigner {
                         record.gray_level,
                         iter_span.elapsed().as_secs_f64()
                     );
-                    on_iteration(&record, &density, &eval.forward);
+                    on_iteration(&record, &eval);
                     history.push(record);
                     feasible_theta = Some(theta.clone());
-                    adam.ascend(&mut theta, &grad_theta);
+                    adam.ascend(&mut theta, &eval.grad_theta);
                     beta *= self.config.beta_growth;
-                    last_field = Some(eval.forward);
-                    last_density = density;
+                    last_success = Some((eval.density, eval.forward));
                 }
                 Err(e) if e.is_retryable() => {
                     maps_obs::counter("invdes.solve_failures").inc();
@@ -468,6 +527,7 @@ impl InverseDesigner {
                     }
                     recovery_series.push(iteration as u64, recoveries.len() as f64);
                     maps_obs::counter("invdes.recoveries").inc();
+                    last_failure = Some(e);
                 }
                 Err(other) => return Err(other.into()),
             }
@@ -485,12 +545,19 @@ impl InverseDesigner {
                 ));
             }
         }
+        let Some((density, final_field)) = last_success else {
+            // Every iteration of the schedule failed, each inside the budget.
+            return Err(OptimError::TooManyFailures {
+                failures: recoveries.len(),
+                last: last_failure.expect("a non-empty schedule ran an iteration"),
+            });
+        };
         Ok(OptimResult {
             theta,
-            density: last_density,
+            density,
             history,
             recoveries,
-            final_field: last_field.expect("at least one successful iteration"),
+            final_field,
         })
     }
 
@@ -511,8 +578,11 @@ impl InverseDesigner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gradient::ExactAdjoint;
-    use maps_core::{Axis, Direction, Grid2d, Port, RealField2d};
+    use crate::gradient::{ExactAdjoint, FieldGradient};
+    use maps_core::{
+        Axis, Direction, FaultInjectingSolver, FaultPlan, Grid2d, InjectedFault, Port, RealField2d,
+    };
+    use maps_fdfd::FdfdSolver;
 
     /// A tiny straight-through coupler: the design region interrupts a
     /// waveguide; optimization must learn to bridge it.
@@ -597,5 +667,69 @@ mod tests {
             })
             .unwrap();
         assert_eq!(seen, vec![0, 1, 2]);
+    }
+
+    /// A run whose every iteration fails inside the budget has no design
+    /// to report: it returns `TooManyFailures` with the last failure.
+    #[test]
+    fn run_without_a_successful_iteration_is_an_error() {
+        let problem = bridge_problem();
+        let faulty = FaultInjectingSolver::new(
+            FdfdSolver::new(),
+            FaultPlan::new().always(InjectedFault::Error),
+        );
+        let designer = InverseDesigner::new(OptimConfig {
+            iterations: 2,
+            max_solve_failures: 3,
+            ..OptimConfig::default()
+        });
+        match designer.run(&problem, &FieldGradient::new(&faulty)) {
+            Err(OptimError::TooManyFailures { failures: 2, last }) => {
+                assert!(last.to_string().contains("injected failure"), "{last}");
+            }
+            other => panic!("expected TooManyFailures after 2 failures, got {other:?}"),
+        }
+    }
+
+    /// A schedule with no iteration left to run is refused up front.
+    #[test]
+    fn empty_schedules_are_errors() {
+        let problem = bridge_problem();
+        let exact = ExactAdjoint::default();
+        let designer = InverseDesigner::new(OptimConfig {
+            iterations: 2,
+            checkpoint_every: 1,
+            ..OptimConfig::default()
+        });
+        let mut checkpoints = Vec::new();
+        designer
+            .run_resumable(
+                &problem,
+                &exact,
+                None,
+                |_, _, _| {},
+                |cp| checkpoints.push(cp.clone()),
+            )
+            .unwrap();
+        let mut at_end = checkpoints.pop().expect("a checkpoint after iteration 0");
+        at_end.iteration = designer.config().iterations;
+        let resumed = designer.run_resumable(&problem, &exact, Some(&at_end), |_, _, _| {}, |_| {});
+        assert!(
+            matches!(resumed, Err(OptimError::Checkpoint { .. })),
+            "{resumed:?}"
+        );
+
+        let none = InverseDesigner::new(OptimConfig {
+            iterations: 0,
+            ..OptimConfig::default()
+        })
+        .run(&problem, &exact);
+        assert!(
+            matches!(
+                none,
+                Err(OptimError::Solve(SolveFieldError::InvalidInput { .. }))
+            ),
+            "{none:?}"
+        );
     }
 }

@@ -12,7 +12,7 @@
 //!   endpoint) needs the spans captured to have something to serve.
 //!
 //! The buffer is a drop-oldest ring bounded by `MAPS_RECORDER_CAP` spans
-//! (default [`DEFAULT_CAPACITY`]; `0` means unbounded), so week-long
+//! (default [`DEFAULT_CAPACITY`], floored at 1), so week-long
 //! inverse-design runs keep the most recent window of activity at a fixed
 //! memory ceiling instead of growing without limit. [`dropped`] reports how
 //! many spans the ring has evicted since the last [`enable`]/[`take`] reset,
@@ -68,26 +68,24 @@ static PENDING_FLOWS: AtomicUsize = AtomicUsize::new(0);
 /// eviction wants insertion order anyway.
 static PENDING: Mutex<Vec<(u64, Vec<SpanRecord>)>> = Mutex::new(Vec::new());
 
-fn env_capacity() -> usize {
-    crate::env::parse_env_or("MAPS_RECORDER_CAP", DEFAULT_CAPACITY)
-}
-
-/// The ring's span capacity (0 = unbounded). Reads `MAPS_RECORDER_CAP` on
-/// first call unless [`set_capacity`] overrode it.
+/// The ring's span capacity, at least 1 (a capacity of 0 keeps the newest
+/// span). Reads `MAPS_RECORDER_CAP` on first call unless [`set_capacity`]
+/// overrode it.
 pub fn capacity() -> usize {
     let cap = CAPACITY.load(Ordering::Relaxed);
     if cap != usize::MAX {
         return cap;
     }
-    let parsed = env_capacity();
+    let parsed = crate::env::parse_env_or("MAPS_RECORDER_CAP", DEFAULT_CAPACITY).max(1);
     CAPACITY.store(parsed, Ordering::Relaxed);
     parsed
 }
 
-/// Overrides the ring capacity (wins over `MAPS_RECORDER_CAP`). Existing
-/// excess records are evicted oldest-first on the next record, not eagerly.
+/// Overrides the ring capacity (wins over `MAPS_RECORDER_CAP`; floored at
+/// 1). Existing excess records are evicted oldest-first on the next record,
+/// not eagerly.
 pub fn set_capacity(cap: usize) {
-    CAPACITY.store(cap, Ordering::Relaxed);
+    CAPACITY.store(cap.max(1), Ordering::Relaxed);
 }
 
 /// Starts capturing completed spans (clears any previous capture, pending
@@ -181,11 +179,9 @@ pub(crate) fn record_span(record: SpanRecord) {
 
 fn push_to_ring(ring: &mut VecDeque<SpanRecord>, record: SpanRecord) {
     let cap = capacity();
-    if cap > 0 {
-        while ring.len() >= cap {
-            ring.pop_front();
-            DROPPED.fetch_add(1, Ordering::Relaxed);
-        }
+    while ring.len() >= cap {
+        ring.pop_front();
+        DROPPED.fetch_add(1, Ordering::Relaxed);
     }
     ring.push_back(record);
 }

@@ -11,7 +11,8 @@
 //! Events land in two places:
 //!
 //! - an in-memory **drop-oldest ring** (capacity `MAPS_REQUEST_LOG_CAP`,
-//!   default [`DEFAULT_CAPACITY`]) served live at `GET /requests?last=N`;
+//!   default [`DEFAULT_CAPACITY`], floored at 1) served live at
+//!   `GET /requests?last=N`;
 //! - optionally, an append-only JSONL **access log** (`MAPS_ACCESS_LOG=
 //!   path`). The write is decoupled from the serving path by a bounded
 //!   queue and a dedicated writer thread: when the queue is full the event
@@ -133,21 +134,23 @@ static CAPACITY: AtomicUsize = AtomicUsize::new(usize::MAX);
 static TOTAL: AtomicU64 = AtomicU64::new(0);
 static RING_DROPPED: AtomicU64 = AtomicU64::new(0);
 
-/// The ring's event capacity (0 = unbounded). Reads `MAPS_REQUEST_LOG_CAP`
-/// on first call unless [`set_capacity`] overrode it.
+/// The ring's event capacity, at least 1 (a capacity of 0 keeps the newest
+/// event). Reads `MAPS_REQUEST_LOG_CAP` on first call unless
+/// [`set_capacity`] overrode it.
 pub fn capacity() -> usize {
     let cap = CAPACITY.load(Ordering::Relaxed);
     if cap != usize::MAX {
         return cap;
     }
-    let parsed = crate::env::parse_env_or("MAPS_REQUEST_LOG_CAP", DEFAULT_CAPACITY);
+    let parsed = crate::env::parse_env_or("MAPS_REQUEST_LOG_CAP", DEFAULT_CAPACITY).max(1);
     CAPACITY.store(parsed, Ordering::Relaxed);
     parsed
 }
 
-/// Overrides the ring capacity (wins over `MAPS_REQUEST_LOG_CAP`).
+/// Overrides the ring capacity (wins over `MAPS_REQUEST_LOG_CAP`; floored
+/// at 1).
 pub fn set_capacity(cap: usize) {
-    CAPACITY.store(cap, Ordering::Relaxed);
+    CAPACITY.store(cap.max(1), Ordering::Relaxed);
 }
 
 /// Records one wide event: renders it, appends to the ring (evicting
@@ -159,11 +162,9 @@ pub fn record(event: &WideEvent) {
     let cap = capacity();
     {
         let mut ring = RING.lock().expect("wide-event ring");
-        if cap > 0 {
-            while ring.len() >= cap {
-                ring.pop_front();
-                RING_DROPPED.fetch_add(1, Ordering::Relaxed);
-            }
+        while ring.len() >= cap {
+            ring.pop_front();
+            RING_DROPPED.fetch_add(1, Ordering::Relaxed);
         }
         ring.push_back(line.clone());
     }
@@ -389,6 +390,21 @@ mod tests {
         assert!(arr.starts_with('[') && arr.ends_with(']'), "{arr}");
         let parsed: serde::Value = serde_json::from_str(&arr).expect("valid array");
         assert_eq!(parsed.as_arr().unwrap().len(), 2);
+
+        // A capacity of 0 is floored at 1: the ring keeps the newest event
+        // instead of growing without bound.
+        reset();
+        set_capacity(0);
+        assert_eq!(capacity(), 1);
+        for i in 0..4 {
+            let mut ev = WideEvent::new();
+            ev.set_u64("seq", i);
+            record(&ev);
+        }
+        let newest = super::recent(10);
+        assert_eq!(newest.len(), 1, "{newest:?}");
+        assert!(newest[0].contains("\"seq\":3"), "{newest:?}");
+        assert_eq!(ring_dropped(), 3);
         set_capacity(DEFAULT_CAPACITY);
         reset();
     }

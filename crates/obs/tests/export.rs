@@ -123,27 +123,31 @@ fn children_nest_inside_parents_on_same_tid() {
     }
 }
 
+/// The ring drops oldest first; a capacity of 0 is floored at 1, so it
+/// keeps the newest span instead of growing without bound.
 #[test]
 fn ring_drops_oldest_first() {
     let _guard = RECORDER_LOCK
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    recorder::set_capacity(4);
-    recorder::enable();
-    for k in 0..10 {
-        let _s = maps_obs::span(format!("ring.{k}"));
-    }
-    let spans = recorder::take();
-    let dropped_seen_by_trace = {
-        // take() resets the dropped count, so recompute from lengths.
-        10 - spans.len()
-    };
-    recorder::disable();
-    recorder::set_capacity(recorder::DEFAULT_CAPACITY);
+    for (capacity, kept) in [
+        (4, vec!["ring.6", "ring.7", "ring.8", "ring.9"]),
+        (0, vec!["ring.9"]),
+    ] {
+        recorder::set_capacity(capacity);
+        recorder::enable();
+        for k in 0..10 {
+            let _s = maps_obs::span(format!("ring.{k}"));
+        }
+        let dropped = recorder::dropped();
+        let spans = recorder::take();
+        recorder::disable();
+        recorder::set_capacity(recorder::DEFAULT_CAPACITY);
 
-    let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
-    assert_eq!(names, vec!["ring.6", "ring.7", "ring.8", "ring.9"]);
-    assert_eq!(dropped_seen_by_trace, 6);
+        let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, kept, "capacity {capacity}");
+        assert_eq!(dropped, 10 - kept.len() as u64, "capacity {capacity}");
+    }
 }
 
 #[test]
