@@ -7,7 +7,7 @@ use maps_core::{ComplexField2d, FieldSolver, Grid2d, RealField2d};
 use maps_data::{DeviceKind, DeviceResolution};
 use maps_fdfd::{FdfdSolver, PmlConfig};
 use maps_invdes::Patch;
-use maps_linalg::{BandedMatrix, Complex64, Sweep};
+use maps_linalg::{BandedMatrix, Complex64};
 use maps_nn::{Fno, FnoConfig, Model};
 use maps_tensor::{Params, Tensor};
 use rand::rngs::StdRng;
@@ -123,7 +123,7 @@ fn bench_banded_ops_at_device_sizes(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("solve", nx), &nx, |b, _| {
             b.iter(|| {
                 let mut y = x.clone();
-                lu.solve(Sweep::Forward, std::slice::from_mut(&mut y));
+                lu.solve(std::slice::from_mut(&mut y));
                 y
             });
         });

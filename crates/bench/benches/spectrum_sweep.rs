@@ -1,4 +1,4 @@
-//! Perf harness for the blocked multi-RHS kernels and the wideband
+//! Perf harness for the blocked multi-RHS kernel and the wideband
 //! spectrum-sweep workload (PR 8).
 //!
 //! Not a criterion bench: emits machine-readable `BENCH_pr8.json` so CI
@@ -10,7 +10,7 @@
 //! cargo bench --bench spectrum_sweep -- [--smoke] [--out PATH]
 //! ```
 //!
-//! Three sections:
+//! Two sections:
 //!
 //! - `multi_rhs` — K same-ω excitations through `solve_ez_batch` against K
 //!   sequential `solve_ez` calls, warm cache, K ∈ {2, 4, 8, 32, 128}.
@@ -19,11 +19,6 @@
 //!   RHS columns instead of one. Measurements are interleaved pairs and
 //!   the regression gate runs on the median paired difference, which
 //!   cancels common-mode container noise.
-//! - `substitution_kernel` — the banded-LU kernel alone (factorization out
-//!   of the loop, dense adjoint-style right-hand sides): one K-block
-//!   `BandedLu::solve` against K blocks of one. Dense RHS disables the
-//!   scalar path's zero-skip shortcut, so this isolates the pure
-//!   one-pass-per-block win of the blocked kernel.
 //! - `spectrum` — one source swept across K distinct frequencies through
 //!   `solve_ez_spectrum` (K = 32, 128). Distinct ω means distinct
 //!   factorizations, so the win is amortization: a cold sweep pays K
@@ -34,7 +29,7 @@
 use maps_core::SolveRequest;
 use maps_core::{omega_for_wavelength, ComplexField2d, FieldSolver, Grid2d, RealField2d};
 use maps_fdfd::{factor_cache, linspace_wavelengths, FdfdSolver, PmlConfig};
-use maps_linalg::{Complex64, Sweep, RHS_BLOCK};
+use maps_linalg::{Complex64, RHS_BLOCK};
 use std::time::Instant;
 
 struct Mode {
@@ -166,72 +161,6 @@ fn main() {
         multi_rhs.push((k, seq, bat, median_diff));
     }
 
-    // ---- Section 1b: substitution kernel (adjoint workload) ----------
-    // The blocked banded-LU kernel itself, factorization taken out of the
-    // loop on both sides and dense right-hand sides: the adjoint half of
-    // every gradient feeds full dL/dE fields through a transposed solve,
-    // so no zero-skip shortcuts apply and the measurement isolates the
-    // one-pass-per-block band traversal against one pass per RHS.
-    let lu = solver
-        .operator(&eps, omega)
-        .to_banded()
-        .factorize()
-        .expect("factorize for kernel section");
-    let dense: Vec<Vec<Complex64>> = sources
-        .iter()
-        .map(|s| {
-            solver
-                .solve_ez(&eps, s, omega)
-                .expect("dense RHS forward solve")
-                .into_vec()
-        })
-        .collect();
-    let mut kernel = Vec::new();
-    for &k in ks {
-        let reps = if smoke {
-            7
-        } else if k <= 8 {
-            25
-        } else if k <= 32 {
-            11
-        } else {
-            7
-        };
-        let mut seq_samples = Vec::with_capacity(reps);
-        let mut bat_samples = Vec::with_capacity(reps);
-        let mut diffs: Vec<i128> = Vec::with_capacity(reps);
-        for _ in 0..reps {
-            // Both sides solve copies of the right-hand sides in place, so
-            // each pays the same copy-in.
-            let t = Instant::now();
-            for b in &dense[..k] {
-                let mut x = b.clone();
-                lu.solve(Sweep::Transposed, std::slice::from_mut(&mut x));
-                std::hint::black_box(&x);
-            }
-            let seq = t.elapsed().as_nanos();
-
-            let t = Instant::now();
-            let mut out = dense[..k].to_vec();
-            lu.solve(Sweep::Transposed, &mut out);
-            let bat = t.elapsed().as_nanos();
-            std::hint::black_box(&out);
-
-            seq_samples.push(seq);
-            bat_samples.push(bat);
-            diffs.push(seq as i128 - bat as i128);
-        }
-        diffs.sort_unstable();
-        let median_diff = diffs[diffs.len() / 2];
-        let seq = median_ns(seq_samples);
-        let bat = median_ns(bat_samples);
-        eprintln!(
-            "  kernel k={k:3}: sequential {seq} ns, blocked {bat} ns ({:.2}x)",
-            seq as f64 / bat.max(1) as f64
-        );
-        kernel.push((k, seq, bat, median_diff));
-    }
-
     // ---- Section 2: wideband spectrum sweep (distinct ω) -------------
     // Small enough that K=128 cached factorizations fit comfortably in
     // memory; the multi-RHS section above carries the big-grid numbers.
@@ -326,16 +255,6 @@ fn main() {
         })
         .collect::<Vec<_>>()
         .join(",\n");
-    let kernel_entries = kernel
-        .iter()
-        .map(|(k, seq, bat, diff)| {
-            let ratio = *seq as f64 / (*bat).max(1) as f64;
-            format!(
-                "    {{ \"k\": {k}, \"sequential_ns\": {seq}, \"batched_ns\": {bat}, \"paired_diff_ns\": {diff}, \"speedup\": {ratio:.3} }}"
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
     let spectrum_entries = spectrum
         .iter()
         .map(|(k, cold, warm, warm_seq)| {
@@ -347,7 +266,7 @@ fn main() {
         .collect::<Vec<_>>()
         .join(",\n");
     let json = format!(
-        "{{\n  \"bench\": \"spectrum_sweep\",\n  \"mode\": \"{mode_s}\",\n  \"grid\": {{ \"nx\": {nx}, \"ny\": {ny}, \"dl\": {dl} }},\n  \"rhs_block\": {block},\n  \"multi_rhs\": [\n{entries}\n  ],\n  \"substitution_kernel\": [\n{kernel_entries}\n  ],\n  \"spectrum\": {{\n    \"grid\": {{ \"nx\": {snx}, \"ny\": {sny}, \"dl\": {sdl} }},\n    \"points\": [\n{spectrum_entries}\n    ]\n  }}\n}}\n",
+        "{{\n  \"bench\": \"spectrum_sweep\",\n  \"mode\": \"{mode_s}\",\n  \"grid\": {{ \"nx\": {nx}, \"ny\": {ny}, \"dl\": {dl} }},\n  \"rhs_block\": {block},\n  \"multi_rhs\": [\n{entries}\n  ],\n  \"spectrum\": {{\n    \"grid\": {{ \"nx\": {snx}, \"ny\": {sny}, \"dl\": {sdl} }},\n    \"points\": [\n{spectrum_entries}\n    ]\n  }}\n}}\n",
         mode_s = if smoke { "smoke" } else { "full" },
         nx = grid.nx,
         ny = grid.ny,
@@ -394,25 +313,6 @@ fn main() {
                     "blocked substitution must hold >= 3x at K={k}, got {speedup:.2}x"
                 );
             }
-        }
-    }
-    for (k, sequential_ns, batched_ns, median_diff) in &kernel {
-        if smoke || *k <= 2 {
-            let slack = (*sequential_ns as i128) / 20;
-            assert!(
-                *median_diff >= -slack,
-                "blocked kernel at K={k} fell behind the scalar sweep: \
-                 paired median diff {median_diff} ns ({batched_ns} vs {sequential_ns} ns)"
-            );
-        } else if *k >= 8 {
-            // Dense-RHS adjoint sweeps are where the blocked kernel earns
-            // its keep; 3.5x is the hard floor (typical runs land >= 4x,
-            // container timing noise on this band profile is ~10%).
-            let speedup = *sequential_ns as f64 / (*batched_ns).max(1) as f64;
-            assert!(
-                speedup >= 3.5,
-                "blocked kernel must hold >= 3.5x at K={k} on dense RHS, got {speedup:.2}x"
-            );
         }
     }
     for (k, cold_ns, warm_ns, _) in &spectrum {

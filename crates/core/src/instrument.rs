@@ -194,7 +194,10 @@ mod tests {
     use crate::grid::Grid2d;
     use maps_linalg::Complex64;
 
-    struct EchoSolver;
+    /// Returns the source as the field. Each test names its own instance:
+    /// the wrapper's counters are global, keyed by the inner name, and
+    /// tests run in parallel.
+    struct EchoSolver(&'static str);
 
     impl FieldSolver for EchoSolver {
         fn solve_ez(
@@ -207,7 +210,7 @@ mod tests {
         }
 
         fn name(&self) -> &str {
-            "echo"
+            self.0
         }
     }
 
@@ -217,9 +220,9 @@ mod tests {
         let eps = RealField2d::constant(g, 1.0);
         let mut j = ComplexField2d::zeros(g);
         j.set(1, 2, Complex64::new(0.3, -0.7));
-        let plain = EchoSolver.solve_ez(&eps, &j, 1.0).unwrap();
+        let plain = EchoSolver("echo").solve_ez(&eps, &j, 1.0).unwrap();
 
-        let wrapped = InstrumentedSolver::new(EchoSolver);
+        let wrapped = InstrumentedSolver::new(EchoSolver("echo"));
         let before = wrapped.solves.get();
         let observed = wrapped.solve_ez(&eps, &j, 1.0).unwrap();
         assert_eq!(
@@ -237,7 +240,7 @@ mod tests {
         let eps = RealField2d::constant(g, 1.0);
         let mut j = ComplexField2d::zeros(g);
         j.set(2, 2, Complex64::ONE);
-        let wrapped = InstrumentedSolver::new(EchoSolver);
+        let wrapped = InstrumentedSolver::new(EchoSolver("echo-batch"));
         let (solves0, adjoint0) = (wrapped.solves.get(), wrapped.adjoint_solves.get());
         let requests = [
             SolveRequest::forward(&j, 1.0),

@@ -78,11 +78,17 @@ pub trait FieldSolver {
     /// Solves the adjoint system `Aᵀ·e_adj = rhs` for a given adjoint
     /// right-hand side (`∂F/∂e` of a power objective).
     ///
-    /// The default implementation exploits electromagnetic reciprocity:
-    /// away from the PML the FDFD operator is complex symmetric, so the
-    /// adjoint field is obtained by a *forward* solve with the equivalent
-    /// current `J_adj = i·rhs/ω` (since the forward RHS is `−iω·J`). Exact
-    /// solvers override this with a true transpose solve.
+    /// The default implementation exploits electromagnetic reciprocity: it
+    /// is a *forward* solve with the equivalent current `J_adj = i·rhs/ω`
+    /// (the forward RHS is `−iω·J`), so it solves `A·e = rhs`. The FDFD
+    /// operator satisfies `Aᵀ = D·A·D⁻¹`, with `D` the diagonal of PML
+    /// stretch factors (`D = 1` outside the PML), so the exact adjoint is
+    /// `D·A⁻¹·D⁻¹·rhs`. Provided `rhs` vanishes wherever `D ≠ 1`, the
+    /// default therefore equals the exact adjoint (up to the rounding of
+    /// the `i/ω` scaling) at every cell where `D = 1`, which is every cell
+    /// outside the PML; inside the PML it lacks the factor `D`.
+    /// `maps-fdfd`'s `FdfdSolver` overrides this and applies `D`, which
+    /// makes its adjoint exact everywhere.
     ///
     /// # Errors
     ///

@@ -14,7 +14,7 @@
 //! run in this order, which is the order a call-indexed fault plan sees:
 //!
 //! 1. the forward solve (shared);
-//! 2. the transposed adjoint solve, when `with_adjoint` (label job);
+//! 2. the adjoint solve, when `with_adjoint` (label job);
 //! 3. the adjoint-excitation forward solve, when
 //!    `with_adjoint_source_samples` (adjoint-excitation job).
 //!
@@ -140,7 +140,7 @@ impl<'a> ForwardStage<'a> {
     }
 
     /// The label sample: per-port powers of the forward field and, when
-    /// configured, the adjoint gradient from one transposed solve.
+    /// configured, the adjoint gradient from one adjoint solve.
     fn label_sample(
         &self,
         solver: &dyn FieldSolver,

@@ -10,11 +10,13 @@
 //!   Aᵀ·e_adj = Σ_m c_m·conj(a_m)·w_m .
 //! ```
 //!
-//! One extra transpose solve ([`crate::FdfdSolver`]'s `solve_adjoint_ez`,
-//! reusing the forward LU through the factor cache) yields the full-field
-//! gradient via [`gradient_from_fields`] — the core of MAPS-InvDes (whose
-//! gradient backends compose the two solves) and the "adjoint gradient"
-//! rich label of MAPS-Data.
+//! One extra solve yields the full-field gradient via
+//! [`gradient_from_fields`]: [`crate::FdfdSolver`]'s `solve_adjoint_ez`,
+//! which answers `Aᵀ·e_adj = c` as the forward solve `A·z = D⁻¹·c`,
+//! `e_adj = D·z` (`Aᵀ = D·A·D⁻¹`, see [`crate::operator::symmetrizer`]),
+//! reusing the forward LU through the factor cache. It is the core of
+//! MAPS-InvDes (whose gradient backends compose the two solves) and the
+//! "adjoint gradient" rich label of MAPS-Data.
 
 use crate::monitor::LinearFunctional;
 use maps_core::{ComplexField2d, RealField2d};

@@ -25,7 +25,7 @@
 //! Reuse is bit-identical by construction: a hit returns the *same*
 //! factorization a cold call would recompute (the factorization is a
 //! deterministic function of the fingerprinted inputs), so forward and
-//! transposed solves produce exactly the same bits either way.
+//! adjoint solves produce exactly the same bits either way.
 //!
 //! Telemetry: `fdfd.factor_cache.{hit,miss,evict}` counters in the
 //! [`maps_obs`] global registry, plus per-instance [`CacheStats`].

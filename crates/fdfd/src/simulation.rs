@@ -1,19 +1,19 @@
 //! The FDFD solver facade.
 
 use crate::monitor::derive_h_fields;
-use crate::operator::HelmholtzOperator;
+use crate::operator::{symmetrizer, HelmholtzOperator};
 use crate::pml::PmlConfig;
 use maps_core::{
     ComplexField2d, EmFields, FieldSolver, RealField2d, SolveFieldError, SolveKind, SolveRequest,
 };
-use maps_linalg::{bicgstab, Complex64, IterativeOptions, Sweep, RHS_BLOCK};
+use maps_linalg::{bicgstab, Complex64, IterativeOptions, RHS_BLOCK};
 use rayon::prelude::*;
 
 /// Which linear-algebra backend performs the solve.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Backend {
     /// Exact banded LU (default): `O(n·nx²)` but robust, and the
-    /// factorization can be reused for the adjoint solve.
+    /// factorization is reused for the adjoint solve.
     Direct,
     /// Jacobi-preconditioned BiCGSTAB on the CSR operator.
     Iterative(IterativeOptions),
@@ -157,30 +157,70 @@ impl FdfdSolver {
         Ok(())
     }
 
-    /// Fetches the LU of the operator at (ε, ω) from the factor cache
-    /// (factorizing on a miss) and overwrites each right-hand side in `xs`
-    /// with its solution: `Forward` solves `A·x = b`, `Transposed` solves
-    /// `Aᵀ·x = b`. One call sweeps the whole block through one pass over
-    /// the factors.
-    fn factor_and_substitute(
+    /// The forward path every solve runs: overwrites each right-hand side
+    /// in `xs` with the solution of `A·x = b` at (ε, ω).
+    ///
+    /// The direct backend fetches the LU from the factor cache
+    /// (factorizing on a miss) and sweeps the whole block through one pass
+    /// over the factors. The iterative backend runs one BiCGSTAB per
+    /// right-hand side, its tolerance relaxed by `tol_factor` (> 1 loosens)
+    /// for this call only.
+    fn solve_forward(
         &self,
         eps_r: &RealField2d,
         omega: f64,
-        op: Sweep,
+        tol_factor: f64,
         xs: &mut [Vec<Complex64>],
     ) -> Result<(), SolveFieldError> {
-        // One factorization per distinct (eps, omega, PML): the process-wide
-        // cache shares the LU across forward, adjoint, and repeated
-        // monitor/S-param solves of the same design.
-        let lu = crate::factor_cache::factor(eps_r, omega, &self.pml, || {
-            self.operator(eps_r, omega).to_banded()
-        })
-        .map_err(|e| SolveFieldError::Numerical {
-            detail: e.to_string(),
-        })?;
-        let _s = maps_obs::span("fdfd.backsub").field("rhs", xs.len());
-        lu.solve(op, xs);
+        match self.backend {
+            Backend::Direct => {
+                // One factorization per distinct (eps, omega, PML): the
+                // process-wide cache shares the LU across forward, adjoint,
+                // and repeated monitor/S-param solves of the same design.
+                let lu = crate::factor_cache::factor(eps_r, omega, &self.pml, || {
+                    self.operator(eps_r, omega).to_banded()
+                })
+                .map_err(|e| SolveFieldError::Numerical {
+                    detail: e.to_string(),
+                })?;
+                let _s = maps_obs::span("fdfd.backsub").field("rhs", xs.len());
+                lu.solve(xs);
+            }
+            Backend::Iterative(opts) => {
+                let a = self.operator(eps_r, omega).to_csr();
+                let _s = maps_obs::span("fdfd.bicgstab");
+                let opts = if tol_factor > 1.0 {
+                    opts.relaxed(tol_factor)
+                } else {
+                    opts
+                };
+                for x in xs.iter_mut() {
+                    let (solution, stats) =
+                        bicgstab(&a, x, opts).map_err(|e| SolveFieldError::Numerical {
+                            detail: convergence_detail(&e, opts),
+                        })?;
+                    maps_obs::histogram("fdfd.bicgstab.iterations").record(stats.iterations as f64);
+                    maps_obs::histogram("fdfd.bicgstab.residual").record(stats.residual);
+                    *x = solution;
+                }
+            }
+        }
         Ok(())
+    }
+}
+
+/// `D⁻¹·c`: the forward right-hand side of the adjoint system `Aᵀ·y = c`,
+/// with `d` from [`symmetrizer`]. Its solution `z` gives `y = D·z`
+/// ([`scale_to_adjoint`]).
+fn adjoint_rhs(c: &ComplexField2d, d: &[Complex64]) -> Vec<Complex64> {
+    c.as_slice().iter().zip(d).map(|(c, d)| *c / *d).collect()
+}
+
+/// Turns the forward solution `z` of `A·z = D⁻¹·c` into the adjoint field
+/// `y = D·z`, in place.
+fn scale_to_adjoint(z: &mut [Complex64], d: &[Complex64]) {
+    for (z, d) in z.iter_mut().zip(d) {
+        *z *= *d;
     }
 }
 
@@ -223,36 +263,8 @@ impl FieldSolver for FdfdSolver {
             .field("cells", eps_r.grid().len());
         maps_obs::counter("fdfd.forward_solves").inc();
         let mut b = Self::rhs(source, omega);
-        let x = match self.backend {
-            Backend::Direct => {
-                self.factor_and_substitute(
-                    eps_r,
-                    omega,
-                    Sweep::Forward,
-                    std::slice::from_mut(&mut b),
-                )?;
-                b
-            }
-            Backend::Iterative(opts) => {
-                let op = self.operator(eps_r, omega);
-                let _s = maps_obs::span("fdfd.bicgstab");
-                // Relax-then-retighten: the factor applies to this call
-                // only; the solver's stored options stay tight.
-                let opts = if tol_factor > 1.0 {
-                    opts.relaxed(tol_factor)
-                } else {
-                    opts
-                };
-                let (x, stats) =
-                    bicgstab(&op.to_csr(), &b, opts).map_err(|e| SolveFieldError::Numerical {
-                        detail: convergence_detail(&e, opts),
-                    })?;
-                maps_obs::histogram("fdfd.bicgstab.iterations").record(stats.iterations as f64);
-                maps_obs::histogram("fdfd.bicgstab.residual").record(stats.residual);
-                x
-            }
-        };
-        let field = ComplexField2d::from_vec(eps_r.grid(), x);
+        self.solve_forward(eps_r, omega, tol_factor, std::slice::from_mut(&mut b))?;
+        let field = ComplexField2d::from_vec(eps_r.grid(), b);
         maps_core::ensure_finite(&field, self.name())?;
         Ok(field)
     }
@@ -263,23 +275,21 @@ impl FieldSolver for FdfdSolver {
         rhs: &ComplexField2d,
         omega: f64,
     ) -> Result<ComplexField2d, SolveFieldError> {
-        // Exact transpose solve (no reciprocity approximation).
+        // Exact adjoint through the forward path: D·A is complex symmetric,
+        // so Aᵀ = D·A·D⁻¹ and Aᵀ·y = c is A·z = D⁻¹·c with y = D·z. On the
+        // direct backend the forward LU answers it (the factor cache keeps
+        // at least the most recent factorization, so a forward/adjoint pair
+        // costs one factorization plus two substitution sweeps); on the
+        // iterative backend it is one more BiCGSTAB solve.
         Self::check_inputs(eps_r, rhs, omega)?;
         let _span = maps_obs::span("fdfd.solve_adjoint_ez")
             .field("backend", self.name())
             .field("cells", eps_r.grid().len());
         maps_obs::counter("fdfd.adjoint_solves").inc();
-        // Reuses the factor of the immediately preceding forward solve of
-        // the same design (the cache retains at least the most recent
-        // factorization even when disabled), so a forward/adjoint pair
-        // costs one factorization plus two substitution sweeps.
-        let mut x = rhs.as_slice().to_vec();
-        self.factor_and_substitute(
-            eps_r,
-            omega,
-            Sweep::Transposed,
-            std::slice::from_mut(&mut x),
-        )?;
+        let d = symmetrizer(eps_r.grid(), omega, &self.pml);
+        let mut x = adjoint_rhs(rhs, &d);
+        self.solve_forward(eps_r, omega, 1.0, std::slice::from_mut(&mut x))?;
+        scale_to_adjoint(&mut x, &d);
         let field = ComplexField2d::from_vec(eps_r.grid(), x);
         maps_core::ensure_finite(&field, self.name())?;
         Ok(field)
@@ -289,15 +299,18 @@ impl FieldSolver for FdfdSolver {
     ///
     /// The whole batch shares one permittivity map, so the (ε-fingerprint,
     /// ω) grouping key reduces to ω: requests are bucketed by exact `omega`
-    /// bits, and each bucket's forward and adjoint right-hand sides are
-    /// split into blocks of [`maps_linalg::RHS_BLOCK`]. Every (ω-bucket ×
-    /// kind × RHS-block) work item fetches its factor from the factor cache
-    /// (single-flight coalescing makes concurrent items of the same bucket
-    /// share one factorization) and solves its whole block in place with
-    /// one [`maps_linalg::BandedLu::solve`] call, which sweeps the block
-    /// through one pass over the factors. A K-excitation batch over G
-    /// distinct frequencies therefore pays G factorizations (fewer on cache
-    /// hits) and ~K/`RHS_BLOCK` traversals of the band data instead of K.
+    /// bits, and each bucket's right-hand sides, forward and adjoint alike,
+    /// are split into blocks of [`maps_linalg::RHS_BLOCK`] in request
+    /// order. An adjoint lane carries `D⁻¹·c` and is scaled by `D` after the
+    /// sweep, exactly as in `solve_adjoint_ez`, so one block mixes both
+    /// kinds. Every (ω-bucket × RHS-block) work item fetches its factor from
+    /// the factor cache (single-flight coalescing makes concurrent items of
+    /// the same bucket share one factorization) and solves its whole block
+    /// in place with one [`maps_linalg::BandedLu::solve`] call, which sweeps
+    /// the block through one pass over the factors. A K-excitation batch
+    /// over G distinct frequencies therefore pays G factorizations (fewer on
+    /// cache hits) and ~K/`RHS_BLOCK` traversals of the band data instead
+    /// of K.
     ///
     /// Work items are independent (distinct result slots), so they run in
     /// parallel across the vendored-rayon workers — RHS-block parallelism
@@ -356,7 +369,7 @@ impl FieldSolver for FdfdSolver {
             .field("group_sizes", group_sizes);
         maps_obs::counter("fdfd.solve_batch.calls").inc();
         maps_obs::counter("fdfd.solve_batch.requests").add(requests.len() as u64);
-        // Split every ω-bucket into (kind × RHS-block) work items. Items are
+        // Split every ω-bucket into RHS-block work items. Items are
         // independent (distinct operators or distinct result slots), so they
         // run in parallel across the vendored-rayon workers — same-bucket
         // items share one factorization through the cache's single-flight
@@ -364,51 +377,49 @@ impl FieldSolver for FdfdSolver {
         // trace shows one stitched fan-out. Per-item answers come back as
         // (request index, result) pairs and are scattered into input order
         // below — the same determinism contract as the sequential loop.
-        let mut items: Vec<(f64, SolveKind, Vec<usize>)> = Vec::new();
-        for (_, members) in &groups {
-            let omega = requests[members[0]].omega;
-            for kind in [SolveKind::Forward, SolveKind::Adjoint] {
-                let of_kind: Vec<usize> = members
-                    .iter()
-                    .copied()
-                    .filter(|&i| requests[i].kind == kind)
-                    .collect();
-                for chunk in of_kind.chunks(RHS_BLOCK) {
-                    items.push((omega, kind, chunk.to_vec()));
-                }
-            }
-        }
+        let items: Vec<(f64, &[usize])> = groups
+            .iter()
+            .flat_map(|(_, members)| {
+                let omega = requests[members[0]].omega;
+                members.chunks(RHS_BLOCK).map(move |chunk| (omega, chunk))
+            })
+            .collect();
         type Answer = (usize, Result<ComplexField2d, SolveFieldError>);
         let item_answers: Vec<Vec<Answer>> = items
             .par_iter()
-            .map(|(omega, kind, members)| {
-                let omega = *omega;
-                let (kind_name, counter_name, op) = match kind {
-                    SolveKind::Forward => ("forward", "fdfd.forward_solves", Sweep::Forward),
-                    SolveKind::Adjoint => ("adjoint", "fdfd.adjoint_solves", Sweep::Transposed),
-                };
+            .map(|&(omega, members)| {
+                let is_adjoint = |i: usize| requests[i].kind == SolveKind::Adjoint;
+                let adjoints = members.iter().filter(|&&i| is_adjoint(i)).count();
                 let _span = maps_obs::span("fdfd.solve_group")
                     .field("omega", format!("{omega:.4}"))
-                    .field("kind", kind_name)
-                    .field("requests", members.len());
+                    .field("requests", members.len())
+                    .field("forward", members.len() - adjoints)
+                    .field("adjoint", adjoints);
+                let d = (adjoints > 0).then(|| symmetrizer(grid, omega, &self.pml));
+                // The symmetrizer of request `i`, if it is an adjoint lane.
+                let adjoint_scale = |i: usize| d.as_deref().filter(|_| is_adjoint(i));
                 // Each solution overwrites its right-hand side in place,
                 // in the vector its field will own; one pass over the L/U
                 // factors answers the whole block, reading the ~n·ldab band
                 // data once per block instead of once per right-hand side.
                 let mut xs: Vec<Vec<Complex64>> = members
                     .iter()
-                    .map(|&i| match kind {
-                        SolveKind::Forward => Self::rhs(requests[i].source, omega),
-                        SolveKind::Adjoint => requests[i].source.as_slice().to_vec(),
+                    .map(|&i| match adjoint_scale(i) {
+                        Some(d) => adjoint_rhs(requests[i].source, d),
+                        None => Self::rhs(requests[i].source, omega),
                     })
                     .collect();
-                if let Err(e) = self.factor_and_substitute(eps_r, omega, op, &mut xs) {
+                if let Err(e) = self.solve_forward(eps_r, omega, 1.0, &mut xs) {
                     return members.iter().map(|&i| (i, Err(e.clone()))).collect();
                 }
-                maps_obs::counter(counter_name).add(members.len() as u64);
+                maps_obs::counter("fdfd.forward_solves").add((members.len() - adjoints) as u64);
+                maps_obs::counter("fdfd.adjoint_solves").add(adjoints as u64);
                 xs.into_iter()
-                    .zip(members.iter())
-                    .map(|(x, &i)| {
+                    .zip(members)
+                    .map(|(mut x, &i)| {
+                        if let Some(d) = adjoint_scale(i) {
+                            scale_to_adjoint(&mut x, d);
+                        }
                         let field = ComplexField2d::from_vec(grid, x);
                         (
                             i,

@@ -2,6 +2,7 @@
 
 use maps_core::{ComplexField2d, FieldSolver, Grid2d, RealField2d};
 use maps_fdfd::{FdfdSolver, PmlConfig};
+use maps_linalg::dense::znorm;
 use maps_linalg::Complex64;
 use proptest::prelude::*;
 
@@ -43,7 +44,9 @@ proptest! {
     }
 
     /// The solution always satisfies the assembled system to solver
-    /// precision, for arbitrary permittivity landscapes.
+    /// precision, for arbitrary permittivity landscapes, and so does the
+    /// adjoint solution the transposed system (with a right-hand side that
+    /// reaches into the PML, where the symmetrizing scale is not 1).
     #[test]
     fn residual_always_tiny(seed in 0u64..200) {
         let grid = Grid2d::new(36, 36, 0.1);
@@ -67,6 +70,14 @@ proptest! {
         let solver = FdfdSolver::with_pml(PmlConfig::auto(grid.dl));
         let ez = solver.solve_ez(&eps, &j, omega).unwrap();
         prop_assert!(solver.residual(&eps, &j, omega, &ez) < 1e-9);
+
+        let mut c = j.clone();
+        c.set(2, 30, Complex64::new(next() * 2.0 - 1.0, next() * 2.0 - 1.0));
+        let y = solver.solve_adjoint_ez(&eps, &c, omega).unwrap();
+        let aty = solver.operator(&eps, omega).to_banded().matvec_transposed(y.as_slice());
+        let r: Vec<Complex64> = aty.iter().zip(c.as_slice()).map(|(p, q)| *p - *q).collect();
+        let rel = znorm(&r) / znorm(c.as_slice());
+        prop_assert!(rel < 1e-9, "adjoint residual {rel:e}");
     }
 
     /// Frequency scaling in vacuum: the radiated wavelength tracks ω.

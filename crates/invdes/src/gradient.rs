@@ -4,9 +4,10 @@
 //! its adjoint right-hand side, an adjoint solve, and `dF/dε` from the two
 //! fields, with both fields checked finite. The exact path runs it over an
 //! [`FdfdSolver`], whose solves factorize through the process-wide
-//! `maps_fdfd::factor_cache`, so the forward and transposed (adjoint)
-//! solves share one banded LU, and re-evaluations of the same design skip
-//! the factorization entirely. The generic path runs it over *any*
+//! `maps_fdfd::factor_cache`, so the forward solve and the adjoint solve
+//! (a forward solve of the diagonally rescaled right-hand side, since
+//! `Aᵀ = D·A·D⁻¹`) share one banded LU, and re-evaluations of the same
+//! design skip the factorization entirely. The generic path runs it over *any*
 //! [`FieldSolver`] — including a trained neural operator, with the
 //! reciprocity-based default adjoint, which is how the paper drives inverse
 //! design from NN-predicted forward and adjoint fields (§IV-D, Fig. 6).
@@ -220,8 +221,8 @@ impl GradientSolver for ExactAdjoint {
 }
 
 /// Gradient through any [`FieldSolver`]: a forward solve plus an adjoint
-/// solve (exact transpose when the solver provides it, reciprocity
-/// approximation otherwise — e.g. for neural surrogates).
+/// solve (exact when the solver provides it, as [`FdfdSolver`] does; the
+/// trait's reciprocity default otherwise — e.g. for neural surrogates).
 pub struct FieldGradient<'a> {
     solver: &'a dyn FieldSolver,
 }
@@ -268,7 +269,7 @@ mod tests {
     use super::*;
     use maps_core::{Axis, Direction, Grid2d, Port, Rect, Shape};
     use maps_fdfd::{LinearFunctional, ModeMonitor, ModeSource};
-    use maps_linalg::{Complex64, Sweep};
+    use maps_linalg::Complex64;
 
     /// A straight waveguide with a mode source on the left and the
     /// outgoing-mode functional of a monitor on the right:
@@ -356,7 +357,8 @@ mod tests {
     }
 
     /// `ExactAdjoint` is pinned to a plain, uncached reference: factorize
-    /// the assembled operator, substitute forward and transposed, and
+    /// the assembled operator, forward-solve `b`, forward-solve `D⁻¹·c` and
+    /// scale the solution by `D` (the adjoint, since `Aᵀ = D·A·D⁻¹`), and
     /// assemble the gradient from the two fields.
     #[test]
     fn exact_adjoint_matches_uncached_reference_bitwise() {
@@ -372,11 +374,14 @@ mod tests {
             .factorize()
             .unwrap();
         let mut b = FdfdSolver::rhs(&j, omega);
-        lu.solve(Sweep::Forward, std::slice::from_mut(&mut b));
+        lu.solve(std::slice::from_mut(&mut b));
         let forward = ComplexField2d::from_vec(eps.grid(), b);
-        let mut rhs = obj.adjoint_rhs(&forward);
-        lu.solve(Sweep::Transposed, std::slice::from_mut(&mut rhs));
-        let adjoint = ComplexField2d::from_vec(eps.grid(), rhs);
+        let d = maps_fdfd::operator::symmetrizer(eps.grid(), omega, exact.solver().pml());
+        let c = obj.adjoint_rhs(&forward);
+        let mut z: Vec<Complex64> = c.as_slice().iter().zip(&d).map(|(c, d)| *c / *d).collect();
+        lu.solve(std::slice::from_mut(&mut z));
+        let y = z.iter().zip(&d).map(|(z, d)| *z * *d).collect();
+        let adjoint = ComplexField2d::from_vec(eps.grid(), y);
         let reference = GradientEvaluation {
             objective: obj.eval(&forward),
             grad_eps: gradient_from_fields(&forward, &adjoint, omega),

@@ -2,9 +2,10 @@
 //!
 //! The 2-D FDFD operator is a banded matrix whose bandwidth equals the grid
 //! width, so an LAPACK-style banded LU (`zgbtrf`/`zgbtrs`) gives an exact
-//! direct solve in `O(n·b²)` time. One factorization answers both the
-//! forward system and the adjoint (transposed) system through
-//! [`BandedLu::solve`].
+//! direct solve in `O(n·b²)` time. [`BandedLu::solve`] sweeps one
+//! direction, `A x = b`; one factorization serves any number of right-hand
+//! sides. The FDFD adjoint `Aᵀ y = c` needs no second sweep: `maps-fdfd`
+//! answers it as a diagonally scaled forward solve.
 //!
 //! Both halves are cache-blocked without changing a bit of the result.
 //! [`BandedMatrix::factorize`] eliminates panels of columns and defers each
@@ -468,16 +469,6 @@ fn cmul_recip(x: Complex64, inv: Complex64) -> Complex64 {
     )
 }
 
-/// Which system a solve answers from the shared factors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Sweep {
-    /// `A x = b`: forward (`P·L`) then backward (`U`) substitution.
-    Forward,
-    /// `Aᵀ x = b`, the unconjugated transpose: the adjoint system of the
-    /// FDFD operator, answered by the substitution sweeps alone.
-    Transposed,
-}
-
 /// The LU factorization of a [`BandedMatrix`] with partial pivoting.
 #[derive(Debug, Clone)]
 pub struct BandedLu {
@@ -495,9 +486,10 @@ impl BandedLu {
         self.n
     }
 
-    /// Solves `A x = b` or `Aᵀ x = b` (per `op`) for every right-hand side
-    /// in `xs`, overwriting each with its solution. One system is a block
-    /// of one: `lu.solve(op, std::slice::from_mut(&mut b))`.
+    /// Solves `A x = b` for every right-hand side in `xs`, overwriting each
+    /// with its solution: forward (`P·L`) then backward (`U`) substitution.
+    /// One system is a block of one:
+    /// `lu.solve(std::slice::from_mut(&mut b))`.
     ///
     /// Takes `&self`: one factorization serves any number of right-hand
     /// sides (forward + adjoint + multi-source sweeps), which is the
@@ -514,9 +506,9 @@ impl BandedLu {
     /// # Panics
     ///
     /// Panics if any right-hand side's length differs from `self.dim()`.
-    pub fn solve(&self, op: Sweep, xs: &mut [impl AsMut<[Complex64]>]) {
+    pub fn solve(&self, xs: &mut [impl AsMut<[Complex64]>]) {
         if let [x] = xs {
-            self.solve_scalar(op, x.as_mut());
+            self.solve_scalar(x.as_mut());
             return;
         }
         let n = self.n;
@@ -533,10 +525,10 @@ impl BandedLu {
             let wp = phys_width(chunk.len());
             let (xr, xi) = (&mut xr[..n * wp], &mut xi[..n * wp]);
             match chunk.len() {
-                1 => self.solve_scalar(op, chunk[0]),
-                2 => self.solve_chunk::<2>(op, chunk, xr, xi),
-                3..=4 => self.solve_chunk::<4>(op, chunk, xr, xi),
-                _ => self.solve_chunk::<RHS_BLOCK>(op, chunk, xr, xi),
+                1 => self.solve_scalar(chunk[0]),
+                2 => self.solve_chunk::<2>(chunk, xr, xi),
+                3..=4 => self.solve_chunk::<4>(chunk, xr, xi),
+                _ => self.solve_chunk::<RHS_BLOCK>(chunk, xr, xi),
             }
         }
     }
@@ -556,7 +548,6 @@ impl BandedLu {
     /// so padding cannot perturb real lanes.
     fn solve_chunk<const W: usize>(
         &self,
-        op: Sweep,
         chunk: &mut [&mut [Complex64]],
         xr: &mut [f64],
         xi: &mut [f64],
@@ -589,10 +580,7 @@ impl BandedLu {
                 row_i[r] = z.im;
             }
         }
-        match op {
-            Sweep::Forward => self.blocked_solve_planes::<W>(xr, xi, w),
-            Sweep::Transposed => self.blocked_solve_transposed_planes::<W>(xr, xi),
-        }
+        self.blocked_solve_planes::<W>(xr, xi, w);
         // Scatter back in place, tiled so the strided plane reads stay
         // inside a cache-resident window while each solution is written
         // sequentially.
@@ -606,9 +594,9 @@ impl BandedLu {
         }
     }
 
-    /// Blocked `P·L·U x = b`: the split-plane counterpart of the
-    /// [`Sweep::Forward`] arm of [`BandedLu::solve_scalar`], sweeping `w`
-    /// live lanes (padded to `W`) per pass.
+    /// Blocked `P·L·U x = b`: the split-plane counterpart of
+    /// [`BandedLu::solve_scalar`], sweeping `w` live lanes (padded to `W`)
+    /// per pass.
     ///
     /// Both substitutions run in column panels (≤ [`PANEL`] wide). Updates
     /// to rows *inside* a panel stay eager — later panel columns read them —
@@ -875,150 +863,47 @@ impl BandedLu {
         }
     }
 
-    /// Blocked `Aᵀ x = b`: the split-plane counterpart of the
-    /// [`Sweep::Transposed`] arm of [`BandedLu::solve_scalar`]. The
-    /// transposed sweeps are pure per-lane accumulations with no zero-skips,
-    /// so the blocked form only needs to preserve the ascending accumulation
-    /// order within each lane to stay bit-identical.
-    fn blocked_solve_transposed_planes<const W: usize>(&self, xr: &mut [f64], xi: &mut [f64]) {
-        let (n, kl, ldab) = (self.n, self.kl, self.ldab);
-        let kv = self.kl + self.ku;
-        let mut accr = [0.0f64; W];
-        let mut acci = [0.0f64; W];
-        // Solve Uᵀ y = b by forward substitution. Row j accumulates from
-        // rows ilo..j into a register block: the same f64 op sequence as
-        // the scalar register accumulator, lane by lane.
-        for j in 0..n {
-            let ilo = j.saturating_sub(kv);
-            let jo = j * W;
-            accr.copy_from_slice(&xr[jo..jo + W]);
-            acci.copy_from_slice(&xi[jo..jo + W]);
-            let len = j - ilo;
-            if len > 0 {
-                let col = &self.data[j * ldab + kv - len..j * ldab + kv];
-                let ss = ilo * W;
-                accumulate_strip::<W>(
-                    col,
-                    &xr[ss..ss + len * W],
-                    &xi[ss..ss + len * W],
-                    &mut accr,
-                    &mut acci,
-                );
-            }
-            let inv = self.data[j * ldab + kv].recip();
-            for r in 0..W {
-                let (are, aim) = (accr[r], acci[r]);
-                xr[jo + r] = fnma(aim, inv.im, are * inv.re);
-                xi[jo + r] = aim.mul_add(inv.re, are * inv.im);
-            }
-        }
-        // Solve Lᵀ x = y, applying pivots in reverse.
-        if kl > 0 {
-            for j in (0..n.saturating_sub(1)).rev() {
-                let km = kl.min(n - 1 - j);
-                let jo = j * W;
-                if km > 0 {
-                    let colj = j * ldab;
-                    accr.copy_from_slice(&xr[jo..jo + W]);
-                    acci.copy_from_slice(&xi[jo..jo + W]);
-                    let col = &self.data[colj + kv + 1..colj + kv + 1 + km];
-                    let ss = (j + 1) * W;
-                    accumulate_strip::<W>(
-                        col,
-                        &xr[ss..ss + km * W],
-                        &xi[ss..ss + km * W],
-                        &mut accr,
-                        &mut acci,
-                    );
-                    xr[jo..jo + W].copy_from_slice(&accr);
-                    xi[jo..jo + W].copy_from_slice(&acci);
-                }
-                let p = self.ipiv[j];
-                if p != j {
-                    let po = p * W;
-                    for r in 0..W {
-                        xr.swap(jo + r, po + r);
-                        xi.swap(jo + r, po + r);
-                    }
-                }
-            }
-        }
-    }
-
     /// The scalar sweeps: one system, in place. They are the reference the
     /// blocked kernel is pinned against bit for bit.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != self.dim()`.
-    fn solve_scalar(&self, op: Sweep, x: &mut [Complex64]) {
+    fn solve_scalar(&self, x: &mut [Complex64]) {
         assert_eq!(x.len(), self.n, "solve dimension mismatch");
         let (n, kl, ldab) = (self.n, self.kl, self.ldab);
         let kv = self.kl + self.ku;
-        match op {
-            Sweep::Forward => {
-                // Forward: apply L⁻¹ with the recorded pivots.
-                if kl > 0 {
-                    for j in 0..n.saturating_sub(1) {
-                        let p = self.ipiv[j];
-                        if p != j {
-                            x.swap(j, p);
-                        }
-                        let km = kl.min(n - 1 - j);
-                        let xj = x[j];
-                        if xj == Complex64::ZERO {
-                            continue;
-                        }
-                        let colj = j * ldab;
-                        for i in 1..=km {
-                            let m = self.data[colj + kv + i];
-                            x[j + i] = cmul_sub(x[j + i], m, xj);
-                        }
-                    }
+        // Forward: apply L⁻¹ with the recorded pivots.
+        if kl > 0 {
+            for j in 0..n.saturating_sub(1) {
+                let p = self.ipiv[j];
+                if p != j {
+                    x.swap(j, p);
                 }
-                // Backward: apply U⁻¹. U has bandwidth kv.
-                for j in (0..n).rev() {
-                    let inv = self.data[j * ldab + kv].recip();
-                    let xj = cmul_recip(x[j], inv);
-                    x[j] = xj;
-                    if xj == Complex64::ZERO {
-                        continue;
-                    }
-                    let ilo = j.saturating_sub(kv);
-                    for i in ilo..j {
-                        let u = self.data[j * ldab + kv + i - j];
-                        x[i] = cmul_sub(x[i], u, xj);
-                    }
+                let km = kl.min(n - 1 - j);
+                let xj = x[j];
+                if xj == Complex64::ZERO {
+                    continue;
+                }
+                let colj = j * ldab;
+                for i in 1..=km {
+                    let m = self.data[colj + kv + i];
+                    x[j + i] = cmul_sub(x[j + i], m, xj);
                 }
             }
-            Sweep::Transposed => {
-                // Solve Uᵀ y = b by forward substitution.
-                for j in 0..n {
-                    let ilo = j.saturating_sub(kv);
-                    let mut acc = x[j];
-                    for i in ilo..j {
-                        let u = self.data[j * ldab + kv + i - j];
-                        acc = cmul_sub(acc, u, x[i]);
-                    }
-                    x[j] = cmul_recip(acc, self.data[j * ldab + kv].recip());
-                }
-                // Solve Lᵀ x = y, applying pivots in reverse.
-                if kl > 0 {
-                    for j in (0..n.saturating_sub(1)).rev() {
-                        let km = kl.min(n - 1 - j);
-                        let colj = j * ldab;
-                        let mut acc = x[j];
-                        for i in 1..=km {
-                            let m = self.data[colj + kv + i];
-                            acc = cmul_sub(acc, m, x[j + i]);
-                        }
-                        x[j] = acc;
-                        let p = self.ipiv[j];
-                        if p != j {
-                            x.swap(j, p);
-                        }
-                    }
-                }
+        }
+        // Backward: apply U⁻¹. U has bandwidth kv.
+        for j in (0..n).rev() {
+            let inv = self.data[j * ldab + kv].recip();
+            let xj = cmul_recip(x[j], inv);
+            x[j] = xj;
+            if xj == Complex64::ZERO {
+                continue;
+            }
+            let ilo = j.saturating_sub(kv);
+            for i in ilo..j {
+                let u = self.data[j * ldab + kv + i - j];
+                x[i] = cmul_sub(x[i], u, xj);
             }
         }
     }
@@ -1178,29 +1063,6 @@ fn update_strip_lanes<const W: usize>(
     }
 }
 
-/// Band-strip accumulation `acc[r] -= col[k] · src[k][r]` over ascending `k`
-/// — the blocked form of the transposed sweeps' register accumulators. The
-/// loop-carried dependency is per lane, so the `W` lanes still vectorize.
-#[inline(always)]
-fn accumulate_strip<const W: usize>(
-    col: &[Complex64],
-    src_r: &[f64],
-    src_i: &[f64],
-    acc_r: &mut [f64; W],
-    acc_i: &mut [f64; W],
-) {
-    assert_eq!(src_r.len(), col.len() * W, "strip length mismatch");
-    assert_eq!(src_i.len(), col.len() * W, "strip length mismatch");
-    for (k, m) in col.iter().enumerate() {
-        let o = k * W;
-        for r in 0..W {
-            acc_r[r] =
-                m.im.mul_add(src_i[o + r], fnma(m.re, src_r[o + r], acc_r[r]));
-            acc_i[r] = fnma(m.im, src_r[o + r], fnma(m.re, src_i[o + r], acc_i[r]));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1282,28 +1144,26 @@ mod tests {
 
     /// One system through [`BandedLu::solve`], on a copy of `b`: the K=1
     /// scalar reference every blocked pin compares against.
-    fn solve1(lu: &BandedLu, op: Sweep, b: &[Complex64]) -> Vec<Complex64> {
+    fn solve1(lu: &BandedLu, b: &[Complex64]) -> Vec<Complex64> {
         let mut x = b.to_vec();
-        lu.solve(op, std::slice::from_mut(&mut x));
+        lu.solve(std::slice::from_mut(&mut x));
         x
     }
 
     /// A whole block through one [`BandedLu::solve`] call, on copies.
-    fn solve_block(lu: &BandedLu, op: Sweep, rhs: &[Vec<Complex64>]) -> Vec<Vec<Complex64>> {
+    fn solve_block(lu: &BandedLu, rhs: &[Vec<Complex64>]) -> Vec<Vec<Complex64>> {
         let mut xs = rhs.to_vec();
-        lu.solve(op, &mut xs);
+        lu.solve(&mut xs);
         xs
     }
 
     /// Asserts every lane of a block solve equals its K=1 solve, down to
-    /// the sign of zero, for both ops.
+    /// the sign of zero.
     fn assert_block_matches_scalar(lu: &BandedLu, rhs: &[Vec<Complex64>], what: &str) {
-        for op in [Sweep::Forward, Sweep::Transposed] {
-            let block = solve_block(lu, op, rhs);
-            assert_eq!(block.len(), rhs.len(), "{what}: block size");
-            for (r, (x, b)) in block.iter().zip(rhs).enumerate() {
-                assert_bits_eq(x, &solve1(lu, op, b), &format!("{what} {op:?} lane {r}"));
-            }
+        let block = solve_block(lu, rhs);
+        assert_eq!(block.len(), rhs.len(), "{what}: block size");
+        for (r, (x, b)) in block.iter().zip(rhs).enumerate() {
+            assert_bits_eq(x, &solve1(lu, b), &format!("{what} lane {r}"));
         }
     }
 
@@ -1315,7 +1175,7 @@ mod tests {
             .map(|k| Complex64::new(k as f64, -(k as f64) / 3.0))
             .collect();
         let lu = band.clone().factorize().unwrap();
-        let x = solve1(&lu, Sweep::Forward, &b);
+        let x = solve1(&lu, &b);
         let x_ref = dense_solve(&dense, &b);
         let diff: Vec<Complex64> = x.iter().zip(&x_ref).map(|(a, b)| *a - *b).collect();
         assert!(
@@ -1334,24 +1194,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_solve_residual() {
-        let n = 30;
-        let (band, _) = random_banded(n, 4, 4, 99);
-        let b: Vec<Complex64> = (0..n)
-            .map(|k| Complex64::new((k as f64).sin(), (k as f64).cos()))
-            .collect();
-        let lu = band.clone().factorize().unwrap();
-        let x = solve1(&lu, Sweep::Transposed, &b);
-        let r: Vec<Complex64> = band
-            .matvec_transposed(&x)
-            .iter()
-            .zip(&b)
-            .map(|(a, b)| *a - *b)
-            .collect();
-        assert!(znorm(&r) < 1e-10, "transpose residual {}", znorm(&r));
-    }
-
-    #[test]
     fn batched_solves_match_individual_solves_bitwise() {
         let n = 20;
         let (band, _) = random_banded(n, 3, 3, 42);
@@ -1364,33 +1206,6 @@ mod tests {
             })
             .collect();
         assert_block_matches_scalar(&lu, &rhs, "K=3");
-    }
-
-    /// Pins a transposed block against one-by-one transposed solves: every
-    /// component must match bit-for-bit, so a batched adjoint sweep can
-    /// never drift from the scalar path.
-    #[test]
-    fn transposed_batch_matches_one_by_one_bitwise() {
-        let n = 26;
-        let (band, _) = random_banded(n, 4, 2, 1234);
-        let lu = band.factorize().unwrap();
-        let rhs: Vec<Vec<Complex64>> = (0..4)
-            .map(|r| {
-                (0..n)
-                    .map(|k| {
-                        Complex64::new(
-                            (k as f64 + 0.3 * r as f64).sin(),
-                            (k * (r + 1)) as f64 * 0.07,
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
-        let batched = solve_block(&lu, Sweep::Transposed, &rhs);
-        assert_eq!(batched.len(), rhs.len());
-        for (x, b) in batched.iter().zip(&rhs) {
-            assert_bits_eq(x, &solve1(&lu, Sweep::Transposed, b), "transposed K=4");
-        }
     }
 
     /// Asserts two complex slices are equal down to the sign of zero.
@@ -1427,7 +1242,7 @@ mod tests {
 
     /// Bitwise pin: a block solve must reproduce the scalar path exactly
     /// for every block size K = 1..9 and K = 33 (odd tails across the
-    /// [`RHS_BLOCK`] chunk boundary: 8+1, 8+8+8+8+1), for both ops.
+    /// [`RHS_BLOCK`] chunk boundary: 8+1, 8+8+8+8+1).
     #[test]
     fn blocked_sweep_is_bit_identical_to_scalar_path() {
         let n = 41;
@@ -1466,8 +1281,7 @@ mod tests {
         let (band, _) = random_banded(9, 0, 0, 6);
         let lu = band.factorize().unwrap();
         let empty: Vec<Vec<Complex64>> = Vec::new();
-        assert!(solve_block(&lu, Sweep::Forward, &empty).is_empty());
-        assert!(solve_block(&lu, Sweep::Transposed, &empty).is_empty());
+        assert!(solve_block(&lu, &empty).is_empty());
         assert_block_matches_scalar(&lu, &mixed_rhs(9, 3), "diagonal-only");
     }
 
@@ -1478,7 +1292,7 @@ mod tests {
         let lu = band.factorize().unwrap();
         let mut rhs = vec![vec![Complex64::ONE; 8]; 3];
         rhs[2].pop();
-        lu.solve(Sweep::Forward, &mut rhs);
+        lu.solve(&mut rhs);
     }
 
     #[test]
@@ -1490,7 +1304,7 @@ mod tests {
         band.set(1, 1, Complex64::ZERO);
         let lu = band.factorize().expect("permutation matrix is nonsingular");
         let b = [Complex64::from_re(3.0), Complex64::from_re(5.0)];
-        let x = solve1(&lu, Sweep::Forward, &b);
+        let x = solve1(&lu, &b);
         assert!((x[0] - Complex64::from_re(5.0)).abs() < 1e-14);
         assert!((x[1] - Complex64::from_re(3.0)).abs() < 1e-14);
     }
@@ -1520,7 +1334,7 @@ mod tests {
         }
         let b: Vec<Complex64> = (0..n).map(|k| Complex64::from_re(k as f64 + 1.0)).collect();
         let lu = band.factorize().unwrap();
-        let x = solve1(&lu, Sweep::Forward, &b);
+        let x = solve1(&lu, &b);
         for (i, xi) in x.iter().enumerate() {
             let expect = b[i] / Complex64::new(i as f64 + 1.0, 0.5);
             assert!((*xi - expect).abs() < 1e-14);

@@ -2,11 +2,12 @@
 //!
 //! Dependency-free numerical kernels underpinning the MAPS photonic
 //! simulation stack: complex arithmetic, dense/banded/sparse matrices, a
-//! banded LU direct solver (with transpose solves for adjoint systems),
-//! BiCGSTAB, and a symmetric eigensolver.
+//! banded LU direct solver (one sweep direction, `A x = b`; the FDFD
+//! adjoint is a scaled forward solve in `maps-fdfd`), BiCGSTAB, and a
+//! symmetric eigensolver.
 //!
 //! ```
-//! use maps_linalg::{BandedMatrix, Complex64, Sweep};
+//! use maps_linalg::{BandedMatrix, Complex64};
 //!
 //! # fn main() -> Result<(), maps_linalg::LinalgError> {
 //! let mut a = BandedMatrix::zeros(3, 1, 1);
@@ -17,12 +18,12 @@
 //! // Each right-hand side is overwritten by its solution; one system is a
 //! // block of one.
 //! let mut x = vec![Complex64::ONE; 3];
-//! lu.solve(Sweep::Forward, std::slice::from_mut(&mut x));
+//! lu.solve(std::slice::from_mut(&mut x));
 //! assert!((x[0].re - 0.5).abs() < 1e-12);
 //! // A block of right-hand sides shares one pass over the factors, and
 //! // each solution is bit-identical to solving its system alone.
 //! let mut xs = vec![vec![Complex64::ONE; 3]; 2];
-//! lu.solve(Sweep::Forward, &mut xs);
+//! lu.solve(&mut xs);
 //! assert_eq!(xs[1], x);
 //! # Ok(())
 //! # }
@@ -35,7 +36,7 @@ pub mod eigen;
 pub mod iterative;
 pub mod sparse;
 
-pub use banded::{BandedLu, BandedMatrix, Sweep, RHS_BLOCK};
+pub use banded::{BandedLu, BandedMatrix, RHS_BLOCK};
 pub use complex::Complex64;
 pub use dense::{DMatrix, ZMatrix};
 pub use eigen::{symmetric_eigen, SymmetricEigen};

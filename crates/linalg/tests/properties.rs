@@ -1,7 +1,7 @@
 //! Property-based tests of the numerical kernels.
 
 use maps_linalg::dense::znorm;
-use maps_linalg::{BandedMatrix, Complex64, CooMatrix, Sweep};
+use maps_linalg::{BandedMatrix, Complex64, CooMatrix};
 use proptest::prelude::*;
 
 fn complex_strategy() -> impl Strategy<Value = Complex64> {
@@ -40,20 +40,15 @@ proptest! {
         let b: Vec<Complex64> = (0..n).map(|_| Complex64::new(next(), next())).collect();
         let lu = a.clone().factorize().unwrap();
         let mut x = b.clone();
-        lu.solve(Sweep::Forward, std::slice::from_mut(&mut x));
+        lu.solve(std::slice::from_mut(&mut x));
         let r: Vec<Complex64> = a.matvec(&x).iter().zip(&b).map(|(p, q)| *p - *q).collect();
         prop_assert!(znorm(&r) <= 1e-9 * (1.0 + znorm(&b)));
-        // Transposed solve too.
-        let mut xt = b.clone();
-        lu.solve(Sweep::Transposed, std::slice::from_mut(&mut xt));
-        let rt: Vec<Complex64> = a.matvec_transposed(&xt).iter().zip(&b).map(|(p, q)| *p - *q).collect();
-        prop_assert!(znorm(&rt) <= 1e-9 * (1.0 + znorm(&b)));
     }
 
     /// Every lane of one K-block solve is bit-identical to solving its
     /// system alone (K=1, the scalar sweeps) on random well-conditioned
-    /// banded systems, for both ops. K spans several `RHS_BLOCK` chunks and
-    /// every tail width (8+8+8+8+1 at K=33).
+    /// banded systems. K spans several `RHS_BLOCK` chunks and every tail
+    /// width (8+8+8+8+1 at K=33).
     #[test]
     fn blocked_multi_rhs_matches_per_rhs_bitwise(
         n in 3usize..28,
@@ -95,16 +90,14 @@ proptest! {
             })
             .collect();
         let lu = a.factorize().unwrap();
-        for op in [Sweep::Forward, Sweep::Transposed] {
-            let mut block = rhs.clone();
-            lu.solve(op, &mut block);
-            for (xs, b) in block.iter().zip(&rhs) {
-                let mut x = b.clone();
-                lu.solve(op, std::slice::from_mut(&mut x));
-                for (p, q) in xs.iter().zip(&x) {
-                    prop_assert_eq!(p.re.to_bits(), q.re.to_bits());
-                    prop_assert_eq!(p.im.to_bits(), q.im.to_bits());
-                }
+        let mut block = rhs.clone();
+        lu.solve(&mut block);
+        for (xs, b) in block.iter().zip(&rhs) {
+            let mut x = b.clone();
+            lu.solve(std::slice::from_mut(&mut x));
+            for (p, q) in xs.iter().zip(&x) {
+                prop_assert_eq!(p.re.to_bits(), q.re.to_bits());
+                prop_assert_eq!(p.im.to_bits(), q.im.to_bits());
             }
         }
     }
