@@ -15,7 +15,8 @@
 //!
 //! Reported medians (nanoseconds):
 //!
-//! - `factorize_ns` — assemble + banded-LU factorize (what a cache miss pays)
+//! - `factorize_ns` — assemble + factorize the symmetrized operator (what a
+//!   cache miss pays)
 //! - `solve_cold_ns` — full `solve_ez` with an empty cache (factorize + sweep)
 //! - `solve_cached_ns` — `solve_ez` answered from the cache (sweep only)
 //! - `invdes_iteration_ns` — one inverse-design iteration (forward + adjoint
@@ -33,7 +34,7 @@ use maps_data::{
     label_batch_resilient_par, sample_densities, DeviceKind, DeviceResolution, GenerateConfig,
     SamplerConfig, SamplingStrategy,
 };
-use maps_fdfd::{factor_cache, FdfdSolver, PmlConfig};
+use maps_fdfd::{factor_cache, FdfdSolver, PmlConfig, SymmetricOperator};
 use maps_invdes::{ExactAdjoint, InitStrategy, InverseDesigner, OptimConfig};
 use maps_linalg::Complex64;
 use std::time::Instant;
@@ -106,13 +107,11 @@ fn main() {
         (0..reps)
             .map(|_| {
                 let t = Instant::now();
-                let lu = solver
-                    .operator(&eps, omega)
-                    .to_banded()
+                let factor = SymmetricOperator::new(&eps, omega, solver.pml())
                     .factorize()
                     .expect("factorize");
                 let ns = t.elapsed().as_nanos();
-                std::hint::black_box(&lu);
+                std::hint::black_box(&factor);
                 ns
             })
             .collect(),

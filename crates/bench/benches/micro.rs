@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use maps_core::{ComplexField2d, FieldSolver, Grid2d, RealField2d};
 use maps_data::{DeviceKind, DeviceResolution};
-use maps_fdfd::{FdfdSolver, PmlConfig};
+use maps_fdfd::{FdfdSolver, PmlConfig, SymmetricOperator};
 use maps_invdes::Patch;
 use maps_linalg::{BandedMatrix, Complex64};
 use maps_nn::{Fno, FnoConfig, Model};
@@ -92,13 +92,12 @@ fn bench_banded_lu(c: &mut Criterion) {
     group.finish();
 }
 
-/// Matvec vs. substitution solve vs. factorize on the bending device's
-/// FDFD operator band at the device-zoo grid sizes (40×40 low-res →
-/// n=1600, bw=40; 80×80 default → n=6400, bw=80), the band the perfbench
-/// workloads factorize. Its indefinite, PML-lossy diagonal makes partial
-/// pivoting swap rows, so `factorize` runs its flush-on-swap path. The
-/// factorize/solve gap is the headroom the factorization cache converts
-/// into cached re-solve speedup.
+/// Matvec vs. guarded substitution solve vs. assemble + factorize of the
+/// bending device's symmetrized FDFD operator at the device-zoo grid sizes
+/// (40×40 low-res → n=1600, bw=40; 80×80 default → n=6400, bw=80): the
+/// production direct path (`SymmetricOperator::factorize`, the pivot-free
+/// `L·Δ·Lᵀ`) the perfbench workloads run. The factorize/solve gap is the
+/// headroom the factorization cache converts into cached re-solve speedup.
 fn bench_banded_ops_at_device_sizes(c: &mut Criterion) {
     let mut group = c.benchmark_group("banded_ops_device_grids");
     group.sample_size(10);
@@ -109,26 +108,31 @@ fn bench_banded_ops_at_device_sizes(c: &mut Criterion) {
         let problem = DeviceKind::Bending.build(res).problem;
         let (dx, dy) = problem.design_size;
         let eps = problem.eps_for(&Patch::constant(dx, dy, 0.5));
-        let solver = FdfdSolver::with_pml(PmlConfig::auto(problem.grid().dl));
-        let a = solver.operator(&eps, problem.omega()).to_banded();
-        let n = a.dim();
+        let pml = PmlConfig::auto(problem.grid().dl);
+        let omega = problem.omega();
+        let s = SymmetricOperator::new(&eps, omega, &pml);
+        let n = s.grid().len();
         assert_eq!(n, nx * nx, "device grid size");
         let x: Vec<Complex64> = (0..n)
             .map(|k| Complex64::new((k as f64 * 0.01).sin(), (k as f64 * 0.02).cos()))
             .collect();
-        let lu = a.clone().factorize().expect("factorize");
+        let factor = s.clone().factorize().expect("factorize");
         group.bench_with_input(BenchmarkId::new("matvec", nx), &nx, |b, _| {
-            b.iter(|| a.matvec(&x));
+            b.iter(|| s.apply(&x));
         });
         group.bench_with_input(BenchmarkId::new("solve", nx), &nx, |b, _| {
             b.iter(|| {
                 let mut y = x.clone();
-                lu.solve(std::slice::from_mut(&mut y));
+                factor.solve(std::slice::from_mut(&mut y));
                 y
             });
         });
         group.bench_with_input(BenchmarkId::new("factorize", nx), &nx, |b, _| {
-            b.iter(|| a.clone().factorize().expect("factorize"));
+            b.iter(|| {
+                SymmetricOperator::new(&eps, omega, &pml)
+                    .factorize()
+                    .expect("factorize")
+            });
         });
     }
     group.finish();

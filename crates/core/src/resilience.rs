@@ -16,7 +16,7 @@
 //!    the tight tolerance again (relax-then-retighten).
 //! 3. **Fall back** — if the primary is exhausted, an optional secondary
 //!    solver (the exact direct backend behind an iterative primary, an
-//!    iterative one behind the direct LU, or the FDFD solver behind a
+//!    iterative one behind the direct solve, or the FDFD solver behind a
 //!    neural surrogate) gets one attempt.
 //!
 //! [`RobustSolver::solve_by`] and [`RobustSolver::solve_batch_by`] report

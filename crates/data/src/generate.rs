@@ -6,7 +6,7 @@
 //! under the device objective, and the Maxwell residual self-check.
 //!
 //! Every solve against the same permittivity map and frequency reuses a
-//! single banded LU through the `maps_fdfd::factor_cache` — one
+//! single factorization through the `maps_fdfd::factor_cache` — one
 //! factorization per distinct (ε, ω) rather than per solve. The label and
 //! adjoint-excitation samples of one (density, variant) also share one
 //! forward solve, and port modes come from the `maps_fdfd` mode memo.

@@ -12,9 +12,9 @@
 //!
 //! One extra solve yields the full-field gradient via
 //! [`gradient_from_fields`]: [`crate::FdfdSolver`]'s `solve_adjoint_ez`,
-//! which answers `Aᵀ·e_adj = c` as the forward solve `A·z = D⁻¹·c`,
-//! `e_adj = D·z` (`Aᵀ = D·A·D⁻¹`, see [`crate::operator::symmetrizer`]),
-//! reusing the forward LU through the factor cache. It is the core of
+//! which answers `Aᵀ·e_adj = c` as `e_adj = D·S⁻¹·c` with the symmetrized
+//! `S = D·A` (`Aᵀ = S·D⁻¹`, see [`crate::operator::symmetrizer`]),
+//! reusing the forward factorization through the factor cache. It is the core of
 //! MAPS-InvDes (whose gradient backends compose the two solves) and the
 //! "adjoint gradient" rich label of MAPS-Data.
 

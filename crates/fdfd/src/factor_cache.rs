@@ -1,19 +1,25 @@
-//! Factorization reuse: one banded LU per (design, frequency, PML).
+//! Factorization reuse: one direct-solver factor per (design, frequency,
+//! PML).
 //!
-//! The banded LU factorization is `O(n·nx²)` — the dominant cost of every
-//! direct solve — while a substitution sweep is only `O(n·nx)`. Forward,
-//! adjoint, repeated monitor, and S-parameter solves against the *same*
-//! discretized operator therefore want to share one factorization. This
-//! module provides that sharing:
+//! The `L·Δ·Lᵀ` factorization of the symmetrized operator is `O(n·nx²)`,
+//! the dominant cost of every direct solve, while a substitution sweep is
+//! only `O(n·nx)`. Forward, adjoint, repeated monitor, and S-parameter
+//! solves against the *same* discretized operator therefore want to share
+//! one factorization. This module provides that sharing, and it owns the
+//! assembly: [`factor`] and [`factor_coalesced`] take (ε, ω, PML) and
+//! assemble the operator themselves, so no caller builds a band.
 //!
 //! - a cheap 128-bit [`Fingerprint`] of the operator inputs (permittivity
 //!   bits, `omega`, grid dims, spacing, PML config) identifies "the same
 //!   operator" without retaining the inputs;
-//! - a process-wide [`FactorCache`] maps fingerprints to `Arc<BandedLu>`
-//!   in one LRU ring of bounded capacity. The capacity is at least 1, so
-//!   the cache always retains the **most recent** factorization, and an
-//!   adjoint solve immediately following the forward solve of the same
-//!   design reuses its factor even at `MAPS_FACTOR_CACHE=0`;
+//! - a process-wide [`FactorCache`] maps fingerprints to
+//!   `Arc<SymmetricFactor>` in one LRU ring of bounded capacity. The
+//!   capacity is at least 1, so the cache always retains the **most
+//!   recent** factorization, and an adjoint solve immediately following the
+//!   forward solve of the same design reuses its factor even at
+//!   `MAPS_FACTOR_CACHE=0`. A leader that is about to build a factor into a
+//!   full ring evicts the least-recently-used entry first, so a miss never
+//!   holds more than `capacity` factors;
 //! - **single-flight coalescing** ([`FactorCache::factorize_coalesced`]):
 //!   concurrent misses of the same fingerprint elect one leader to
 //!   factorize while followers wait and share the result — the mechanism a
@@ -34,12 +40,13 @@
 //! unset/empty keeps the default (4 entries), `0`/`off` keeps only the
 //! most recent factor (capacity 1), any other integer sets the capacity.
 //! A cached factor for an `nx × ny` grid holds
-//! `(3·nx + 1)·nx·ny` complex doubles (~25 MB at the default 80×80 device
-//! grid), so capacities stay small.
+//! [`factor_bytes`](crate::operator::factor_bytes)`(nx, ny)` bytes (~8.6 MB
+//! at the default 80×80 device grid), so capacities stay small.
 
+use crate::operator::{SymmetricFactor, SymmetricOperator};
 use crate::pml::PmlConfig;
 use maps_core::RealField2d;
-use maps_linalg::{BandedLu, BandedMatrix, LinalgError};
+use maps_linalg::LinalgError;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
@@ -169,7 +176,7 @@ pub enum FactorOutcome {
 /// One in-flight factorization: followers block on the condvar until the
 /// leader publishes a result (or its abort) into the slot.
 struct Flight {
-    slot: Mutex<Option<Result<Arc<BandedLu>, LinalgError>>>,
+    slot: Mutex<Option<Result<Arc<SymmetricFactor>, LinalgError>>>,
     done: Condvar,
 }
 
@@ -181,13 +188,13 @@ impl Flight {
         }
     }
 
-    fn publish(&self, result: Result<Arc<BandedLu>, LinalgError>) {
+    fn publish(&self, result: Result<Arc<SymmetricFactor>, LinalgError>) {
         let mut slot = self.slot.lock().expect("flight slot");
         *slot = Some(result);
         self.done.notify_all();
     }
 
-    fn wait(&self) -> Result<Arc<BandedLu>, LinalgError> {
+    fn wait(&self) -> Result<Arc<SymmetricFactor>, LinalgError> {
         let mut slot = self.slot.lock().expect("flight slot");
         while slot.is_none() {
             slot = self.done.wait(slot).expect("flight wait");
@@ -224,7 +231,7 @@ impl Drop for FlightGuard<'_> {
 
 struct Entry {
     key: Fingerprint,
-    lu: Arc<BandedLu>,
+    factor: Arc<SymmetricFactor>,
     used: u64,
 }
 
@@ -237,7 +244,7 @@ struct Inner {
     clock: u64,
 }
 
-/// A bounded LRU cache of banded LU factorizations.
+/// A bounded LRU cache of direct-solver factorizations.
 ///
 /// The process-wide instance is [`global`]; independent instances are
 /// constructible for tests and special-purpose pipelines.
@@ -290,11 +297,8 @@ impl FactorCache {
     pub fn set_capacity(&self, capacity: usize) {
         let mut inner = self.inner.lock().expect("factor cache lock");
         inner.capacity = capacity.max(1);
-        while inner.ring.len() > inner.capacity {
-            evict_lru(&mut inner);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            maps_obs::counter("fdfd.factor_cache.evict").inc();
-        }
+        let capacity = inner.capacity;
+        self.evict_to(&mut inner, capacity);
     }
 
     /// Drops every cached factorization without touching the counters.
@@ -315,36 +319,46 @@ impl FactorCache {
 
     /// Looks up a factorization without counting a miss (used by
     /// [`FactorCache::factorize_with`]; exposed for diagnostics).
-    pub fn get(&self, key: &Fingerprint) -> Option<Arc<BandedLu>> {
+    pub fn get(&self, key: &Fingerprint) -> Option<Arc<SymmetricFactor>> {
         let mut inner = self.inner.lock().expect("factor cache lock");
         inner.clock += 1;
         let now = inner.clock;
         let e = inner.ring.iter_mut().find(|e| e.key == *key)?;
         e.used = now;
-        Some(Arc::clone(&e.lu))
+        Some(Arc::clone(&e.factor))
     }
 
     /// Inserts a factorization, evicting the least-recently-used ring entry
     /// when over capacity.
-    pub fn insert(&self, key: Fingerprint, lu: Arc<BandedLu>) {
+    pub fn insert(&self, key: Fingerprint, factor: Arc<SymmetricFactor>) {
         let mut inner = self.inner.lock().expect("factor cache lock");
         inner.clock += 1;
         let now = inner.clock;
         if let Some(e) = inner.ring.iter_mut().find(|e| e.key == key) {
             e.used = now;
-            e.lu = lu;
+            e.factor = factor;
             return;
         }
-        while inner.ring.len() >= inner.capacity {
-            evict_lru(&mut inner);
+        let room = inner.capacity - 1;
+        self.evict_to(&mut inner, room);
+        inner.ring.push(Entry {
+            key,
+            factor,
+            used: now,
+        });
+    }
+
+    /// Evicts least-recently-used entries until at most `len` remain.
+    fn evict_to(&self, inner: &mut Inner, len: usize) {
+        while inner.ring.len() > len {
+            evict_lru(inner);
             self.evictions.fetch_add(1, Ordering::Relaxed);
             maps_obs::counter("fdfd.factor_cache.evict").inc();
         }
-        inner.ring.push(Entry { key, lu, used: now });
     }
 
     /// The factorization for `key`, computing it with `assemble` +
-    /// [`BandedMatrix::factorize`] on a miss. See
+    /// [`SymmetricOperator::factorize`] on a miss. See
     /// [`FactorCache::factorize_coalesced`] for the concurrency contract.
     ///
     /// # Errors
@@ -353,16 +367,20 @@ impl FactorCache {
     pub fn factorize_with(
         &self,
         key: Fingerprint,
-        assemble: impl FnOnce() -> BandedMatrix,
-    ) -> Result<Arc<BandedLu>, LinalgError> {
-        self.factorize_coalesced(key, assemble).map(|(lu, _)| lu)
+        assemble: impl FnOnce() -> SymmetricOperator,
+    ) -> Result<Arc<SymmetricFactor>, LinalgError> {
+        self.factorize_coalesced(key, assemble)
+            .map(|(factor, _)| factor)
     }
 
     /// Single-flight factorization: concurrent misses of the same `key`
     /// elect one **leader** that assembles and factorizes; every concurrent
     /// **follower** blocks until the leader publishes and then shares the
-    /// same `Arc<BandedLu>`. A `N`-way stampede on one fingerprint therefore
-    /// costs exactly one `O(n·b²)` factorization instead of `N`.
+    /// same `Arc<SymmetricFactor>`. A `N`-way stampede on one fingerprint
+    /// therefore costs exactly one `O(n·b²)` factorization instead of `N`.
+    /// A leader facing a full ring evicts its least-recently-used entry
+    /// before it assembles, so the new factor never coexists with
+    /// `capacity` cached ones.
     ///
     /// Only the leader emits the `fdfd.factorize` span, so span-recorder
     /// tests can count actual factorizations. A leader that fails (or
@@ -381,12 +399,12 @@ impl FactorCache {
     pub fn factorize_coalesced(
         &self,
         key: Fingerprint,
-        assemble: impl FnOnce() -> BandedMatrix,
-    ) -> Result<(Arc<BandedLu>, FactorOutcome), LinalgError> {
-        if let Some(lu) = self.get(&key) {
+        assemble: impl FnOnce() -> SymmetricOperator,
+    ) -> Result<(Arc<SymmetricFactor>, FactorOutcome), LinalgError> {
+        if let Some(factor) = self.get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             maps_obs::counter("fdfd.factor_cache.hit").inc();
-            return Ok((lu, FactorOutcome::Hit));
+            return Ok((factor, FactorOutcome::Hit));
         }
         let shard = &self.flights[key.shard()];
         let flight = Arc::new(Flight::new());
@@ -394,10 +412,10 @@ impl FactorCache {
             let mut inflight = shard.lock().expect("flight shard");
             // Re-check under the shard lock: a leader that finished between
             // our lookup and here has already inserted into the cache.
-            if let Some(lu) = self.get(&key) {
+            if let Some(factor) = self.get(&key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 maps_obs::counter("fdfd.factor_cache.hit").inc();
-                return Ok((lu, FactorOutcome::Hit));
+                return Ok((factor, FactorOutcome::Hit));
             }
             match inflight.iter().find(|(k, _)| *k == key) {
                 Some((_, leader)) => Some(Arc::clone(leader)),
@@ -411,7 +429,9 @@ impl FactorCache {
             // Follower: wait for the leader's published result.
             self.coalesced.fetch_add(1, Ordering::Relaxed);
             maps_obs::counter("fdfd.factor_cache.coalesce.follower").inc();
-            return leader.wait().map(|lu| (lu, FactorOutcome::Follower));
+            return leader
+                .wait()
+                .map(|factor| (factor, FactorOutcome::Follower));
         }
         // Leader: factorize outside every lock, publish, then deregister.
         let mut guard = FlightGuard {
@@ -423,19 +443,24 @@ impl FactorCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         maps_obs::counter("fdfd.factor_cache.miss").inc();
         maps_obs::counter("fdfd.factor_cache.coalesce.leader").inc();
+        {
+            let mut inner = self.inner.lock().expect("factor cache lock");
+            let room = inner.capacity - 1;
+            self.evict_to(&mut inner, room);
+        }
         let result = {
             let _s = maps_obs::span("fdfd.factorize")
                 .field("cells", key.cells)
                 .field("fingerprint", key.hex());
             assemble().factorize().map(Arc::new)
         };
-        if let Ok(lu) = &result {
-            self.insert(key, Arc::clone(lu));
+        if let Ok(factor) = &result {
+            self.insert(key, Arc::clone(factor));
         }
         flight.publish(result.clone());
         guard.published = true;
         drop(guard);
-        result.map(|lu| (lu, FactorOutcome::Leader))
+        result.map(|factor| (factor, FactorOutcome::Leader))
     }
 }
 
@@ -487,7 +512,8 @@ pub fn global() -> &'static FactorCache {
 }
 
 /// One-call convenience over the [`global`] cache: fingerprint the inputs
-/// and return the shared factorization, assembling and factoring on a miss.
+/// and return the shared factorization, assembling the symmetrized operator
+/// and factoring it on a miss.
 ///
 /// # Errors
 ///
@@ -496,9 +522,8 @@ pub fn factor(
     eps_r: &RealField2d,
     omega: f64,
     pml: &PmlConfig,
-    assemble: impl FnOnce() -> BandedMatrix,
-) -> Result<Arc<BandedLu>, LinalgError> {
-    global().factorize_with(fingerprint(eps_r, omega, pml), assemble)
+) -> Result<Arc<SymmetricFactor>, LinalgError> {
+    factor_coalesced(eps_r, omega, pml).map(|(factor, _)| factor)
 }
 
 /// Like [`factor`], but also reports whether this call hit the cache, led
@@ -512,23 +537,35 @@ pub fn factor_coalesced(
     eps_r: &RealField2d,
     omega: f64,
     pml: &PmlConfig,
-    assemble: impl FnOnce() -> BandedMatrix,
-) -> Result<(Arc<BandedLu>, FactorOutcome), LinalgError> {
-    global().factorize_coalesced(fingerprint(eps_r, omega, pml), assemble)
+) -> Result<(Arc<SymmetricFactor>, FactorOutcome), LinalgError> {
+    global().factorize_coalesced(fingerprint(eps_r, omega, pml), || {
+        SymmetricOperator::new(eps_r, omega, pml)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use maps_core::Grid2d;
-    use maps_linalg::Complex64;
 
-    fn toy_banded(seed: f64) -> BandedMatrix {
-        let mut a = BandedMatrix::zeros(4, 1, 1);
-        for i in 0..4 {
-            a.set(i, i, Complex64::new(3.0 + seed, 0.2));
-        }
-        a
+    const NO_PML: PmlConfig = PmlConfig {
+        thickness: 0,
+        order: 3.0,
+        target_reflection: 1e-8,
+    };
+
+    /// A 2×2-cell operator without PML, diagonally dominant for
+    /// `seed ≥ 0`: a factor small enough to build in every test.
+    fn toy_operator(seed: f64) -> SymmetricOperator {
+        let eps = RealField2d::constant(Grid2d::new(2, 2, 1.0), 3.0 + seed);
+        SymmetricOperator::new(&eps, 2.0, &NO_PML)
+    }
+
+    /// `ω²·ε·dl² = 4` cancels the four unit couplings of cell 0's diagonal:
+    /// an exactly zero first pivot.
+    fn singular_operator() -> SymmetricOperator {
+        let eps = RealField2d::constant(Grid2d::new(2, 2, 1.0), 1.0);
+        SymmetricOperator::new(&eps, 2.0, &NO_PML)
     }
 
     fn key_for(tag: f64) -> Fingerprint {
@@ -571,7 +608,7 @@ mod tests {
     fn hit_returns_the_same_factorization() {
         let cache = FactorCache::new(2);
         let key = key_for(1.0);
-        let a = cache.factorize_with(key, || toy_banded(0.0)).unwrap();
+        let a = cache.factorize_with(key, || toy_operator(0.0)).unwrap();
         let b = cache
             .factorize_with(key, || panic!("must not refactorize on a hit"))
             .unwrap();
@@ -584,15 +621,34 @@ mod tests {
     fn lru_eviction_respects_capacity_and_recency() {
         let cache = FactorCache::new(2);
         let (k1, k2, k3) = (key_for(1.0), key_for(2.0), key_for(3.0));
-        cache.factorize_with(k1, || toy_banded(0.1)).unwrap();
-        cache.factorize_with(k2, || toy_banded(0.2)).unwrap();
+        cache.factorize_with(k1, || toy_operator(0.1)).unwrap();
+        cache.factorize_with(k2, || toy_operator(0.2)).unwrap();
         // Touch k1 so k2 is the LRU entry when k3 arrives.
         assert!(cache.get(&k1).is_some());
-        cache.factorize_with(k3, || toy_banded(0.3)).unwrap();
+        cache.factorize_with(k3, || toy_operator(0.3)).unwrap();
         assert_eq!(cache.stats().evictions, 1);
         assert!(cache.get(&k1).is_some(), "recently used entry survives");
         assert!(cache.get(&k2).is_none(), "LRU entry was evicted");
         assert!(cache.get(&k3).is_some());
+    }
+
+    /// A leader facing a full ring evicts the least-recently-used entry
+    /// before it assembles, so a miss never holds `capacity + 1` factors.
+    #[test]
+    fn leader_makes_room_before_it_assembles() {
+        let cache = FactorCache::new(2);
+        let (k1, k2, k3) = (key_for(1.0), key_for(2.0), key_for(3.0));
+        cache.factorize_with(k1, || toy_operator(0.1)).unwrap();
+        cache.factorize_with(k2, || toy_operator(0.2)).unwrap();
+        cache
+            .factorize_with(k3, || {
+                assert!(cache.get(&k1).is_none(), "k1 must be gone before assembly");
+                assert_eq!(cache.stats().evictions, 1);
+                toy_operator(0.3)
+            })
+            .unwrap();
+        assert!(cache.get(&k2).is_some() && cache.get(&k3).is_some());
+        assert_eq!(cache.stats().evictions, 1);
     }
 
     #[test]
@@ -600,7 +656,7 @@ mod tests {
         let cache = FactorCache::new(0);
         assert_eq!(cache.capacity(), 1, "capacity 0 is floored at 1");
         let key = key_for(4.0);
-        let a = cache.factorize_with(key, || toy_banded(0.0)).unwrap();
+        let a = cache.factorize_with(key, || toy_operator(0.0)).unwrap();
         // The immediately following lookup (the adjoint solve of the same
         // design) hits the one retained factor.
         let b = cache
@@ -609,7 +665,7 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         // A different design displaces it; the old key is gone.
         cache
-            .factorize_with(key_for(5.0), || toy_banded(0.5))
+            .factorize_with(key_for(5.0), || toy_operator(0.5))
             .unwrap();
         assert!(
             cache.get(&key).is_none(),
@@ -627,7 +683,7 @@ mod tests {
         let cache = FactorCache::new(3);
         for t in 0..3 {
             cache
-                .factorize_with(key_for(10.0 + t as f64), || toy_banded(t as f64))
+                .factorize_with(key_for(10.0 + t as f64), || toy_operator(t as f64))
                 .unwrap();
         }
         cache.set_capacity(1);
@@ -639,7 +695,7 @@ mod tests {
     fn clear_drops_everything() {
         let cache = FactorCache::new(2);
         let key = key_for(6.0);
-        cache.factorize_with(key, || toy_banded(0.0)).unwrap();
+        cache.factorize_with(key, || toy_operator(0.0)).unwrap();
         cache.clear();
         assert!(cache.get(&key).is_none());
     }
@@ -648,7 +704,9 @@ mod tests {
     fn outcome_reports_hit_and_leader() {
         let cache = FactorCache::new(2);
         let key = key_for(7.0);
-        let (a, first) = cache.factorize_coalesced(key, || toy_banded(0.0)).unwrap();
+        let (a, first) = cache
+            .factorize_coalesced(key, || toy_operator(0.0))
+            .unwrap();
         assert_eq!(first, FactorOutcome::Leader);
         let (b, second) = cache
             .factorize_coalesced(key, || panic!("hit must not refactorize"))
@@ -665,7 +723,7 @@ mod tests {
         let threads = 8;
         let barrier = std::sync::Barrier::new(threads);
         let factorizations = AtomicU64::new(0);
-        let outcomes: Vec<(FactorOutcome, Arc<BandedLu>)> = std::thread::scope(|s| {
+        let outcomes: Vec<(FactorOutcome, Arc<SymmetricFactor>)> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..threads)
                 .map(|_| {
                     s.spawn(|| {
@@ -676,7 +734,7 @@ mod tests {
                                 // Widen the race window so followers really
                                 // do arrive while the leader is working.
                                 std::thread::sleep(std::time::Duration::from_millis(30));
-                                toy_banded(0.0)
+                                toy_operator(0.0)
                             })
                             .unwrap();
                         (outcome, lu)
@@ -714,7 +772,7 @@ mod tests {
         let key = key_for(9.0);
         // A singular matrix: the leader's factorization fails and every
         // follower must see that failure instead of hanging.
-        let singular = || BandedMatrix::zeros(4, 1, 1);
+        let singular = singular_operator;
         let barrier = std::sync::Barrier::new(3);
         let errors: Vec<LinalgError> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..3)
@@ -752,7 +810,7 @@ mod tests {
             let gate = Arc::clone(&gate);
             std::thread::spawn(move || {
                 gate.wait(); // leader is inside its assemble closure
-                cache.factorize_coalesced(key, || toy_banded(0.0))
+                cache.factorize_coalesced(key, || toy_operator(0.0))
             })
         };
         let leader = {

@@ -3,7 +3,8 @@
 //! A 2-D `Ez`-polarized finite-difference frequency-domain (FDFD) Maxwell
 //! solver: Yee-grid Helmholtz operator with stretched-coordinate PML, slab
 //! eigenmode sources and monitors, Poynting flux, and exact adjoint
-//! gradients that reuse the forward LU factorization.
+//! gradients that reuse the forward factorization (a pivot-free `L·Δ·Lᵀ`
+//! of the symmetrized operator).
 //!
 //! This crate is the numerical substrate the MAPS paper's infrastructure
 //! rests on (the role played by ceviche-style Python solvers in the
@@ -51,7 +52,7 @@ pub use factor_cache::{
 pub use farfield::FarFieldProjector;
 pub use modes::{solve_slab_modes, ModeError, SlabMode};
 pub use monitor::{derive_h_fields, FluxMonitor, LinearFunctional, ModeMonitor};
-pub use operator::HelmholtzOperator;
+pub use operator::{HelmholtzOperator, SymmetricFactor, SymmetricOperator};
 pub use pml::PmlConfig;
 pub use simulation::{Backend, FdfdSolver};
 pub use source::{point_source, ModeSource};

@@ -7,30 +7,35 @@
 //!   (∂x (1/sx̄) ∂x (1/sx) + ∂y (1/sȳ) ∂y (1/sy) + ω² εr) Ez = −i ω Jz
 //! ```
 //!
-//! where `s` are the PML stretch factors. The operator is assembled as a
-//! banded matrix with bandwidth `nx` (fields stored row-major by `iy`), or
-//! as a CSR matrix for the iterative backend and the dataset's rich
-//! "Maxwell matrix" labels.
+//! where `s` are the PML stretch factors. [`HelmholtzOperator`] assembles
+//! this operator `A` as a CSR matrix for the iterative backend and the
+//! dataset's rich "Maxwell matrix" labels, as a general banded matrix
+//! (bandwidth `nx`, fields stored row-major by `iy`), or applies it as a
+//! stencil.
 //!
-//! Row `k = (ix, iy)` of the assembled operator `A` carries the factor
-//! `1/(sx[ix+½]·sy[iy+½])`, so scaling it by [`symmetrizer`]'s
-//! `D = diag(sx[ix+½]·sy[iy+½])` makes `D·A` complex symmetric (the standard
-//! SC-PML symmetrization). Hence `Aᵀ = D·A·D⁻¹`, and the adjoint system
-//! `Aᵀ·y = c` is the forward system `A·z = D⁻¹·c` with `y = D·z`.
+//! Row `k = (ix, iy)` of `A` carries the factor `1/(sx[ix+½]·sy[iy+½])`, so
+//! scaling it by [`symmetrizer`]'s `D = diag(sx[ix+½]·sy[iy+½])` makes
+//! `S = D·A` complex symmetric (the standard SC-PML symmetrization). Hence
+//! `Aᵀ = D·A·D⁻¹ = S·D⁻¹`. The direct solver factors `S` itself:
+//! [`SymmetricOperator`] assembles it straight from the stencil, with `ε`
+//! only on its diagonal, and [`SymmetricFactor`] holds its pivot-free
+//! `L·Δ·Lᵀ`. The forward system `A·x = b` is `S·x = D·b`, and the adjoint
+//! system `Aᵀ·y = c` is `y = D·S⁻¹·c`.
 
 use crate::pml::PmlConfig;
 use maps_core::{Grid2d, RealField2d};
-use maps_linalg::{BandedMatrix, Complex64, CooMatrix, CsrMatrix};
+use maps_linalg::{
+    BandedLdlt, BandedMatrix, Complex64, CooMatrix, CsrMatrix, LinalgError, SymBandedMatrix,
+};
 
-/// Bytes of the banded LU factor of the operator on an `nx × ny` grid.
-///
-/// [`HelmholtzOperator::to_banded`] gives the band `kl = ku = nx`, and LAPACK
-/// band storage keeps `2·kl + ku + 1 = 3·nx + 1` complex doubles per cell:
-/// 24.7 MB at 80×80. Saturates instead of overflowing, so it can size a grid
-/// from untrusted input before anything is allocated.
+/// Bytes one factor-cache entry holds for an `nx × ny` grid: the
+/// `L·Δ·Lᵀ` factor of the symmetrized operator, whose lower band keeps
+/// `nx + 1` complex doubles per cell, plus the operator's lower stencil,
+/// 3 per cell, which the residual guard applies. 8.6 MB at 80×80.
+/// Saturates instead of overflowing, so it can size a grid from untrusted
+/// input before anything is allocated.
 pub fn factor_bytes(nx: usize, ny: usize) -> usize {
-    nx.saturating_mul(3)
-        .saturating_add(1)
+    nx.saturating_add(4)
         .saturating_mul(nx)
         .saturating_mul(ny)
         .saturating_mul(std::mem::size_of::<Complex64>())
@@ -40,14 +45,202 @@ pub fn factor_bytes(nx: usize, ny: usize) -> usize {
 /// `k = iy·nx + ix` is `sx[ix+½]·sy[iy+½]`, the staggered stretch factors
 /// [`HelmholtzOperator::new`] divides row `k` by. `D·A` is complex
 /// symmetric, so `Aᵀ = D·A·D⁻¹`, and `D = 1` outside the PML. It needs no
-/// permittivity and no assembled operator, so an adjoint solve that hits
-/// the factor cache assembles nothing.
+/// permittivity and no assembled operator, so a solve that hits the factor
+/// cache assembles nothing.
 pub fn symmetrizer(grid: Grid2d, omega: f64, pml: &PmlConfig) -> Vec<Complex64> {
     let sxf = pml.stretch_factors(grid.nx, grid.dl, omega, 0.5);
     let syf = pml.stretch_factors(grid.ny, grid.dl, omega, 0.5);
     syf.iter()
         .flat_map(|sy| sxf.iter().map(move |sx| *sx * *sy))
         .collect()
+}
+
+/// Checks the operator inputs every assembly shares.
+///
+/// # Panics
+///
+/// Panics if `omega` is not positive or the PML is thicker than half the
+/// grid in either direction.
+fn check_assembly(grid: Grid2d, omega: f64, pml: &PmlConfig) {
+    assert!(omega > 0.0, "omega must be positive");
+    assert!(
+        2 * pml.thickness < grid.nx && 2 * pml.thickness < grid.ny,
+        "pml thicker than grid"
+    );
+}
+
+/// The symmetrized operator `S = D·A` at (ε, ω, PML), held as its lower
+/// stencil: per cell `k`, `S[k][k]`, `S[k][k−1]` and `S[k][k−nx]` (zero
+/// where the neighbour is a wall). The entries above the diagonal follow
+/// by symmetry.
+#[derive(Debug, Clone)]
+pub struct SymmetricOperator {
+    grid: Grid2d,
+    lower: Vec<[Complex64; 3]>,
+}
+
+impl SymmetricOperator {
+    /// Assembles `S = D·A` from the stencil for a permittivity map at
+    /// angular frequency `omega` with the given PML. With `D_k = sx[ix+½]·
+    /// sy[iy+½]` the row factor of `A` cancels: the x couplings of row `k`
+    /// are `sy[iy+½]/(dl²·sx̄)`, the y couplings `sx[ix+½]/(dl²·sȳ)`, and
+    /// the permittivity enters the diagonal only, as `D_k·ω²·ε_k`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `omega` is not positive or the PML is thicker than half the
+    /// grid in either direction.
+    pub fn new(eps_r: &RealField2d, omega: f64, pml: &PmlConfig) -> Self {
+        let grid = eps_r.grid();
+        check_assembly(grid, omega, pml);
+        let (nx, ny, dl) = (grid.nx, grid.ny, grid.dl);
+        let inv_dl2 = 1.0 / (dl * dl);
+        let recips = |s: Vec<Complex64>| s.iter().map(|s| s.recip()).collect::<Vec<_>>();
+        let inv_sxb = recips(pml.stretch_factors(nx, dl, omega, 0.0));
+        let inv_syb = recips(pml.stretch_factors(ny, dl, omega, 0.0));
+        let sxf = pml.stretch_factors(nx, dl, omega, 0.5);
+        let syf = pml.stretch_factors(ny, dl, omega, 0.5);
+        // The diagonal's coupling sums along each axis; like `A`, a wall
+        // drops the outward coupling at the far end only.
+        let sums = |inv: &[Complex64]| {
+            (0..inv.len())
+                .map(|i| -(inv.get(i + 1).copied().unwrap_or(Complex64::ZERO) + inv[i]) * inv_dl2)
+                .collect::<Vec<_>>()
+        };
+        let (cx, cy) = (sums(&inv_sxb), sums(&inv_syb));
+        let w2 = omega * omega;
+        let mut lower = Vec::with_capacity(grid.len());
+        for iy in 0..ny {
+            for ix in 0..nx {
+                let d = sxf[ix] * syf[iy];
+                let center = syf[iy] * cx[ix] + sxf[ix] * cy[iy] + d * (w2 * eps_r.get(ix, iy));
+                let west = if ix > 0 {
+                    syf[iy] * inv_sxb[ix] * inv_dl2
+                } else {
+                    Complex64::ZERO
+                };
+                let south = if iy > 0 {
+                    sxf[ix] * inv_syb[iy] * inv_dl2
+                } else {
+                    Complex64::ZERO
+                };
+                lower.push([center, west, south]);
+            }
+        }
+        SymmetricOperator { grid, lower }
+    }
+
+    /// The grid the operator acts on.
+    pub fn grid(&self) -> Grid2d {
+        self.grid
+    }
+
+    /// `y = S·x` from the stencil, without materializing a matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != grid.len()`.
+    pub fn apply(&self, x: &[Complex64]) -> Vec<Complex64> {
+        let mut y = vec![Complex64::ZERO; x.len()];
+        self.apply_into(x, &mut y);
+        y
+    }
+
+    /// Overwrites `y` with `S·x`. Row `k` takes its lower entries and, by
+    /// symmetry, the west and south entries of cells `k + 1` and `k + nx`;
+    /// a wall's coupling is stored as zero, so only the first and last grid
+    /// rows need bounds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` or `y` is not `grid.len()` long.
+    pub fn apply_into(&self, x: &[Complex64], y: &mut [Complex64]) {
+        let (n, nx) = (self.lower.len(), self.grid.nx);
+        assert!(x.len() == n && y.len() == n, "operator apply size mismatch");
+        let s = &self.lower;
+        let edge = |k: usize| {
+            let mut acc = s[k][0] * x[k];
+            if k >= 1 {
+                acc += s[k][1] * x[k - 1];
+            }
+            if k + 1 < n {
+                acc += s[k + 1][1] * x[k + 1];
+            }
+            if k >= nx {
+                acc += s[k][2] * x[k - nx];
+            }
+            if k + nx < n {
+                acc += s[k + nx][2] * x[k + nx];
+            }
+            acc
+        };
+        let inner = nx.min(n)..n.saturating_sub(nx).max(nx);
+        for k in (0..inner.start).chain(inner.end..n) {
+            y[k] = edge(k);
+        }
+        for k in inner {
+            y[k] = s[k][0] * x[k]
+                + s[k][1] * x[k - 1]
+                + s[k + 1][1] * x[k + 1]
+                + s[k][2] * x[k - nx]
+                + s[k + nx][2] * x[k + nx];
+        }
+    }
+
+    /// The lower band of `S` (bandwidth `nx`).
+    fn to_band(&self) -> SymBandedMatrix {
+        let nx = self.grid.nx;
+        let mut band = SymBandedMatrix::zeros(self.lower.len(), nx);
+        for (k, &[center, west, south]) in self.lower.iter().enumerate() {
+            band.set(k, k, center);
+            if k % nx > 0 {
+                band.set(k, k - 1, west);
+            }
+            if k >= nx {
+                band.set(k, k - nx, south);
+            }
+        }
+        band
+    }
+
+    /// Factors `S` as `L·Δ·Lᵀ`, keeping the stencil for the residual guard.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::Singular`] at an exactly zero pivot.
+    pub fn factorize(self) -> Result<SymmetricFactor, LinalgError> {
+        let ldlt = self.to_band().factorize()?;
+        Ok(SymmetricFactor { op: self, ldlt })
+    }
+}
+
+/// The factorization every direct solve uses: the `L·Δ·Lᵀ` of the
+/// symmetrized operator `S`, and `S`'s stencil beside it for the residual
+/// guard. One factor answers forward and adjoint solves alike.
+#[derive(Debug)]
+pub struct SymmetricFactor {
+    op: SymmetricOperator,
+    ldlt: BandedLdlt,
+}
+
+impl SymmetricFactor {
+    /// Solves `S·x = r` for every right-hand side in `xs`, in place, as one
+    /// block, then checks each solution's relative residual against the
+    /// kept stencil (one stencil matvec) and refines it once when it
+    /// exceeds [`maps_linalg::REFINE_ABOVE`]
+    /// ([`BandedLdlt::solve_refined`]). Each residual goes to the
+    /// `fdfd.solve.rel_residual` histogram and each refinement to the
+    /// `fdfd.solve.refined` counter.
+    pub fn solve(&self, xs: &mut [Vec<Complex64>]) {
+        let residuals = self.ldlt.solve_refined(xs, |x, y| self.op.apply_into(x, y));
+        let histogram = maps_obs::histogram("fdfd.solve.rel_residual");
+        for r in &residuals {
+            histogram.record(r.relative);
+            if r.refined {
+                maps_obs::counter("fdfd.solve.refined").inc();
+            }
+        }
+    }
 }
 
 /// The 5-point stencil of one grid row of the Helmholtz operator.
@@ -77,12 +270,8 @@ impl HelmholtzOperator {
     /// Panics if `omega` is not positive or the PML is thicker than half the
     /// grid in either direction.
     pub fn new(eps_r: &RealField2d, omega: f64, pml: &PmlConfig) -> Self {
-        assert!(omega > 0.0, "omega must be positive");
         let grid = eps_r.grid();
-        assert!(
-            2 * pml.thickness < grid.nx && 2 * pml.thickness < grid.ny,
-            "pml thicker than grid"
-        );
+        check_assembly(grid, omega, pml);
         let dl = grid.dl;
         let inv_dl2 = 1.0 / (dl * dl);
         // sx̄/sȳ on integer points, sx/sy on half-integer (staggered) points.
@@ -162,7 +351,9 @@ impl HelmholtzOperator {
         self.omega
     }
 
-    /// Assembles the banded-matrix form (bandwidth `nx`).
+    /// Assembles the general banded-matrix form (bandwidth `nx`), for the
+    /// pivoted LU and `matvec_transposed`; the direct solver factors
+    /// [`SymmetricOperator`] instead.
     pub fn to_banded(&self) -> BandedMatrix {
         let n = self.grid.len();
         let nx = self.grid.nx;
@@ -268,15 +459,52 @@ mod tests {
         )
     }
 
+    /// One cache entry is the factor's band plus the kept stencil.
     #[test]
-    fn factor_bytes_matches_the_assembled_band() {
-        let op = setup();
-        let a = op.to_banded();
-        let (kl, ku) = (a.lower_bandwidth(), a.upper_bandwidth());
-        let band_bytes = (2 * kl + ku + 1) * a.dim() * std::mem::size_of::<Complex64>();
-        assert_eq!(factor_bytes(32, 28), band_bytes);
-        assert_eq!(factor_bytes(80, 80), 24_678_400);
+    fn factor_bytes_matches_the_assembled_factor() {
+        let grid = Grid2d::new(32, 28, 0.05);
+        let op = SymmetricOperator::new(
+            &RealField2d::constant(grid, 2.25),
+            maps_core::omega_for_wavelength(1.55),
+            &PmlConfig::default(),
+        );
+        let band = op.to_band();
+        let entries = (band.bandwidth() + 1) * band.dim() + 3 * op.lower.len();
+        assert_eq!(
+            factor_bytes(32, 28),
+            entries * std::mem::size_of::<Complex64>()
+        );
+        assert_eq!(factor_bytes(80, 80), 8_601_600);
         assert_eq!(factor_bytes(usize::MAX / 2, 3), usize::MAX);
+    }
+
+    /// The symmetrized stencil is `D·A`: applying it equals scaling `A·x`
+    /// by `D`, to rounding, at PML 12 and 16.
+    #[test]
+    fn symmetric_operator_is_d_times_a() {
+        let grid = Grid2d::new(40, 36, 0.05);
+        let mut eps = RealField2d::constant(grid, 2.25);
+        eps.set(20, 18, 12.0);
+        let omega = maps_core::omega_for_wavelength(1.55);
+        let x: Vec<Complex64> = (0..grid.len())
+            .map(|k| Complex64::new((k as f64 * 0.01).sin(), (k as f64 * 0.013).cos()))
+            .collect();
+        for thickness in [12, 16] {
+            let pml = PmlConfig {
+                thickness,
+                ..PmlConfig::default()
+            };
+            let d = symmetrizer(grid, omega, &pml);
+            let dax: Vec<Complex64> = HelmholtzOperator::new(&eps, omega, &pml)
+                .apply(&x)
+                .iter()
+                .zip(&d)
+                .map(|(ax, d)| *ax * *d)
+                .collect();
+            let sx = SymmetricOperator::new(&eps, omega, &pml).apply(&x);
+            let diff: Vec<Complex64> = sx.iter().zip(&dax).map(|(a, b)| *a - *b).collect();
+            assert!(znorm(&diff) <= 1e-14 * znorm(&dax), "PML {thickness}");
+        }
     }
 
     #[test]

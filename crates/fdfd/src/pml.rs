@@ -52,8 +52,11 @@ impl PmlConfig {
     /// `offset` shifts the evaluation point by half a cell (0.0 for
     /// integer-grid "backward" factors, 0.5 for the staggered "forward"
     /// factors), matching the Yee staggering of the two first-derivative
-    /// operators.
+    /// operators. A thickness of 0 means no PML: every factor is 1.
     pub fn stretch_factors(&self, n: usize, dl: f64, omega: f64, offset: f64) -> Vec<Complex64> {
+        if self.thickness == 0 {
+            return vec![Complex64::ONE; n];
+        }
         let t = self.thickness as f64;
         let smax = self.sigma_max(dl);
         (0..n)
@@ -109,6 +112,20 @@ mod tests {
             let a = s[k].im;
             let b = s[79 - k].im;
             assert!((a - b).abs() < 1e-12, "asymmetry at {k}: {a} vs {b}");
+        }
+    }
+
+    /// Thickness 0 is no PML, not a layer of zero depth: `sigma_max`
+    /// divides by the depth, which made the last staggered factor `1 + i·∞`.
+    #[test]
+    fn zero_thickness_is_no_pml() {
+        let cfg = PmlConfig {
+            thickness: 0,
+            ..Default::default()
+        };
+        for offset in [0.0, 0.5] {
+            let s = cfg.stretch_factors(40, 0.05, 4.0, offset);
+            assert!(s.iter().all(|s| *s == Complex64::ONE), "{s:?}");
         }
     }
 

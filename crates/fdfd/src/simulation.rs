@@ -12,8 +12,11 @@ use rayon::prelude::*;
 /// Which linear-algebra backend performs the solve.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Backend {
-    /// Exact banded LU (default): `O(n·nx²)` but robust, and the
-    /// factorization is reused for the adjoint solve.
+    /// Exact direct solve (default): the pivot-free banded `L·Δ·Lᵀ` of the
+    /// symmetrized operator `S = D·A`, `O(n·nx²)` to factor, with every
+    /// solution's residual checked against `S` and refined once when it
+    /// exceeds 1e-12. The factorization is cached and reused for the
+    /// adjoint solve.
     Direct,
     /// Jacobi-preconditioned BiCGSTAB on the CSR operator.
     Iterative(IterativeOptions),
@@ -157,36 +160,58 @@ impl FdfdSolver {
         Ok(())
     }
 
-    /// The forward path every solve runs: overwrites each right-hand side
-    /// in `xs` with the solution of `A·x = b` at (ε, ω).
+    /// The path every solve runs: overwrites each right-hand side in `xs`
+    /// with the solution of `A·x = b` where `kinds[i]` is a forward solve,
+    /// and of `Aᵀ·y = c` where it is an adjoint solve, at (ε, ω).
     ///
-    /// The direct backend fetches the LU from the factor cache
-    /// (factorizing on a miss) and sweeps the whole block through one pass
-    /// over the factors. The iterative backend runs one BiCGSTAB per
-    /// right-hand side, its tolerance relaxed by `tol_factor` (> 1 loosens)
-    /// for this call only.
-    fn solve_forward(
+    /// The direct backend solves both with the symmetrized `S = D·A`
+    /// ([`symmetrizer`] gives `D`): a forward lane solves `S·x = D·b`, an
+    /// adjoint lane `y = D·S⁻¹·c`. It fetches the factor from the factor
+    /// cache (factorizing on a miss) and sweeps the whole block through one
+    /// pass over it, with the residual guard inside the `fdfd.backsub`
+    /// span. The iterative backend runs one BiCGSTAB per right-hand side on
+    /// `A`, an adjoint lane as `A·z = D⁻¹·c` with `y = D·z`, its tolerance
+    /// relaxed by `tol_factor` (> 1 loosens) for this call only.
+    fn solve_block(
         &self,
         eps_r: &RealField2d,
         omega: f64,
         tol_factor: f64,
         xs: &mut [Vec<Complex64>],
+        kinds: &[SolveKind],
     ) -> Result<(), SolveFieldError> {
+        let lanes = |kind: SolveKind| {
+            kinds
+                .iter()
+                .zip(0..)
+                .filter(move |(k, _)| **k == kind)
+                .map(|(_, i)| i)
+        };
+        let d = symmetrizer(eps_r.grid(), omega, &self.pml);
         match self.backend {
             Backend::Direct => {
+                for i in lanes(SolveKind::Forward) {
+                    for (x, d) in xs[i].iter_mut().zip(&d) {
+                        *x *= *d;
+                    }
+                }
                 // One factorization per distinct (eps, omega, PML): the
-                // process-wide cache shares the LU across forward, adjoint,
+                // process-wide cache shares it across forward, adjoint,
                 // and repeated monitor/S-param solves of the same design.
-                let lu = crate::factor_cache::factor(eps_r, omega, &self.pml, || {
-                    self.operator(eps_r, omega).to_banded()
-                })
-                .map_err(|e| SolveFieldError::Numerical {
-                    detail: e.to_string(),
+                let factor = crate::factor_cache::factor(eps_r, omega, &self.pml).map_err(|e| {
+                    SolveFieldError::Numerical {
+                        detail: e.to_string(),
+                    }
                 })?;
                 let _s = maps_obs::span("fdfd.backsub").field("rhs", xs.len());
-                lu.solve(xs);
+                factor.solve(xs);
             }
             Backend::Iterative(opts) => {
+                for i in lanes(SolveKind::Adjoint) {
+                    for (x, d) in xs[i].iter_mut().zip(&d) {
+                        *x /= *d;
+                    }
+                }
                 let a = self.operator(eps_r, omega).to_csr();
                 let _s = maps_obs::span("fdfd.bicgstab");
                 let opts = if tol_factor > 1.0 {
@@ -205,22 +230,14 @@ impl FdfdSolver {
                 }
             }
         }
+        // Either backend leaves `z` in an adjoint lane; the adjoint field
+        // is `y = D·z`.
+        for i in lanes(SolveKind::Adjoint) {
+            for (x, d) in xs[i].iter_mut().zip(&d) {
+                *x *= *d;
+            }
+        }
         Ok(())
-    }
-}
-
-/// `D⁻¹·c`: the forward right-hand side of the adjoint system `Aᵀ·y = c`,
-/// with `d` from [`symmetrizer`]. Its solution `z` gives `y = D·z`
-/// ([`scale_to_adjoint`]).
-fn adjoint_rhs(c: &ComplexField2d, d: &[Complex64]) -> Vec<Complex64> {
-    c.as_slice().iter().zip(d).map(|(c, d)| *c / *d).collect()
-}
-
-/// Turns the forward solution `z` of `A·z = D⁻¹·c` into the adjoint field
-/// `y = D·z`, in place.
-fn scale_to_adjoint(z: &mut [Complex64], d: &[Complex64]) {
-    for (z, d) in z.iter_mut().zip(d) {
-        *z *= *d;
     }
 }
 
@@ -263,7 +280,13 @@ impl FieldSolver for FdfdSolver {
             .field("cells", eps_r.grid().len());
         maps_obs::counter("fdfd.forward_solves").inc();
         let mut b = Self::rhs(source, omega);
-        self.solve_forward(eps_r, omega, tol_factor, std::slice::from_mut(&mut b))?;
+        self.solve_block(
+            eps_r,
+            omega,
+            tol_factor,
+            std::slice::from_mut(&mut b),
+            &[SolveKind::Forward],
+        )?;
         let field = ComplexField2d::from_vec(eps_r.grid(), b);
         maps_core::ensure_finite(&field, self.name())?;
         Ok(field)
@@ -275,21 +298,26 @@ impl FieldSolver for FdfdSolver {
         rhs: &ComplexField2d,
         omega: f64,
     ) -> Result<ComplexField2d, SolveFieldError> {
-        // Exact adjoint through the forward path: D·A is complex symmetric,
-        // so Aᵀ = D·A·D⁻¹ and Aᵀ·y = c is A·z = D⁻¹·c with y = D·z. On the
-        // direct backend the forward LU answers it (the factor cache keeps
-        // at least the most recent factorization, so a forward/adjoint pair
-        // costs one factorization plus two substitution sweeps); on the
-        // iterative backend it is one more BiCGSTAB solve.
+        // Exact adjoint through the forward factor: S = D·A is complex
+        // symmetric, so Aᵀ = S·D⁻¹ and Aᵀ·y = c is y = D·S⁻¹·c. On the
+        // direct backend the forward factor answers it (the factor cache
+        // keeps at least the most recent factorization, so a
+        // forward/adjoint pair costs one factorization plus two
+        // substitution sweeps); on the iterative backend it is one more
+        // BiCGSTAB solve.
         Self::check_inputs(eps_r, rhs, omega)?;
         let _span = maps_obs::span("fdfd.solve_adjoint_ez")
             .field("backend", self.name())
             .field("cells", eps_r.grid().len());
         maps_obs::counter("fdfd.adjoint_solves").inc();
-        let d = symmetrizer(eps_r.grid(), omega, &self.pml);
-        let mut x = adjoint_rhs(rhs, &d);
-        self.solve_forward(eps_r, omega, 1.0, std::slice::from_mut(&mut x))?;
-        scale_to_adjoint(&mut x, &d);
+        let mut x = rhs.as_slice().to_vec();
+        self.solve_block(
+            eps_r,
+            omega,
+            1.0,
+            std::slice::from_mut(&mut x),
+            &[SolveKind::Adjoint],
+        )?;
         let field = ComplexField2d::from_vec(eps_r.grid(), x);
         maps_core::ensure_finite(&field, self.name())?;
         Ok(field)
@@ -301,13 +329,14 @@ impl FieldSolver for FdfdSolver {
     /// ω) grouping key reduces to ω: requests are bucketed by exact `omega`
     /// bits, and each bucket's right-hand sides, forward and adjoint alike,
     /// are split into blocks of [`maps_linalg::RHS_BLOCK`] in request
-    /// order. An adjoint lane carries `D⁻¹·c` and is scaled by `D` after the
-    /// sweep, exactly as in `solve_adjoint_ez`, so one block mixes both
-    /// kinds. Every (ω-bucket × RHS-block) work item fetches its factor from
-    /// the factor cache (single-flight coalescing makes concurrent items of
-    /// the same bucket share one factorization) and solves its whole block
-    /// in place with one [`maps_linalg::BandedLu::solve`] call, which sweeps
-    /// the block through one pass over the factors. A K-excitation batch
+    /// order. A forward lane carries `D·b` and an adjoint lane `c` scaled
+    /// by `D` after the sweep, exactly as in `solve_ez` and
+    /// `solve_adjoint_ez`, so one block mixes both kinds. Every (ω-bucket ×
+    /// RHS-block) work item fetches its factor from the factor cache
+    /// (single-flight coalescing makes concurrent items of the same bucket
+    /// share one factorization) and solves its whole block in place with
+    /// one guarded [`crate::operator::SymmetricFactor::solve`] call, which
+    /// sweeps the block through one pass over the factor. A K-excitation batch
     /// over G distinct frequencies therefore pays G factorizations (fewer on
     /// cache hits) and ~K/`RHS_BLOCK` traversals of the band data instead
     /// of K.
@@ -395,31 +424,26 @@ impl FieldSolver for FdfdSolver {
                     .field("requests", members.len())
                     .field("forward", members.len() - adjoints)
                     .field("adjoint", adjoints);
-                let d = (adjoints > 0).then(|| symmetrizer(grid, omega, &self.pml));
-                // The symmetrizer of request `i`, if it is an adjoint lane.
-                let adjoint_scale = |i: usize| d.as_deref().filter(|_| is_adjoint(i));
                 // Each solution overwrites its right-hand side in place,
-                // in the vector its field will own; one pass over the L/U
-                // factors answers the whole block, reading the ~n·ldab band
-                // data once per block instead of once per right-hand side.
+                // in the vector its field will own; one pass over the
+                // factor answers the whole block, reading the band data
+                // once per block instead of once per right-hand side.
                 let mut xs: Vec<Vec<Complex64>> = members
                     .iter()
-                    .map(|&i| match adjoint_scale(i) {
-                        Some(d) => adjoint_rhs(requests[i].source, d),
-                        None => Self::rhs(requests[i].source, omega),
+                    .map(|&i| match requests[i].kind {
+                        SolveKind::Forward => Self::rhs(requests[i].source, omega),
+                        SolveKind::Adjoint => requests[i].source.as_slice().to_vec(),
                     })
                     .collect();
-                if let Err(e) = self.solve_forward(eps_r, omega, 1.0, &mut xs) {
+                let kinds: Vec<SolveKind> = members.iter().map(|&i| requests[i].kind).collect();
+                if let Err(e) = self.solve_block(eps_r, omega, 1.0, &mut xs, &kinds) {
                     return members.iter().map(|&i| (i, Err(e.clone()))).collect();
                 }
                 maps_obs::counter("fdfd.forward_solves").add((members.len() - adjoints) as u64);
                 maps_obs::counter("fdfd.adjoint_solves").add(adjoints as u64);
                 xs.into_iter()
                     .zip(members)
-                    .map(|(mut x, &i)| {
-                        if let Some(d) = adjoint_scale(i) {
-                            scale_to_adjoint(&mut x, d);
-                        }
+                    .map(|(x, &i)| {
                         let field = ComplexField2d::from_vec(grid, x);
                         (
                             i,
@@ -627,6 +651,31 @@ mod tests {
                 assert_eq!(a.re.to_bits(), e.re.to_bits());
                 assert_eq!(a.im.to_bits(), e.im.to_bits());
             }
+        }
+    }
+
+    /// Thickness 0 is no PML: a closed, lossless cavity whose operator is
+    /// real symmetric and indefinite (`D = 1`). Its field is finite, and the
+    /// residual guard refines the unpivoted solve to within 1e-12.
+    #[test]
+    fn closed_cavity_without_pml_is_refined_to_tolerance() {
+        let no_pml = PmlConfig {
+            thickness: 0,
+            ..PmlConfig::default()
+        };
+        let omega = maps_core::omega_for_wavelength(1.55);
+        for (n, eps_r) in [(40, 2.25), (80, 12.11)] {
+            let grid = Grid2d::new(n, n, 0.05);
+            let eps = RealField2d::constant(grid, eps_r);
+            let op = crate::operator::SymmetricOperator::new(&eps, omega, &no_pml);
+            let x = vec![Complex64::ONE; grid.len()];
+            assert!(op.apply(&x).iter().all(|z| z.re.is_finite() && z.im == 0.0));
+            let mut j = ComplexField2d::zeros(grid);
+            j.set(n / 2 - 3, n / 2 + 1, Complex64::ONE);
+            let solver = FdfdSolver::with_pml(no_pml);
+            let ez = solver.solve_ez(&eps, &j, omega).unwrap();
+            let r = solver.residual(&eps, &j, omega, &ez);
+            assert!(r <= 1e-12, "{n}x{n}, ε {eps_r}: residual {r:e}");
         }
     }
 

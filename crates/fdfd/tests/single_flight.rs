@@ -11,8 +11,7 @@
 
 use maps_core::{Grid2d, RealField2d};
 use maps_fdfd::factor_cache::{fingerprint, FactorCache, Fingerprint};
-use maps_fdfd::{FactorOutcome, PmlConfig};
-use maps_linalg::{BandedMatrix, Complex64};
+use maps_fdfd::{FactorOutcome, PmlConfig, SymmetricOperator};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
@@ -22,12 +21,15 @@ fn key_for(tag: f64) -> Fingerprint {
     fingerprint(&eps, 4.0, &PmlConfig::default())
 }
 
-fn toy_banded(seed: f64) -> BandedMatrix {
-    let mut a = BandedMatrix::zeros(6, 1, 1);
-    for i in 0..6 {
-        a.set(i, i, Complex64::new(3.0 + seed, 0.4));
-    }
-    a
+/// A 3×2-cell operator without PML: a factor small enough to build on
+/// every thread.
+fn toy_operator(seed: f64) -> SymmetricOperator {
+    let eps = RealField2d::constant(Grid2d::new(3, 2, 1.0), 5.0 + seed);
+    let no_pml = PmlConfig {
+        thickness: 0,
+        ..PmlConfig::default()
+    };
+    SymmetricOperator::new(&eps, 1.0, &no_pml)
 }
 
 #[test]
@@ -55,20 +57,20 @@ fn hammered_cache_never_double_factorizes() {
                     // threads.
                     let key = keys[(worker + round) % keys.len()];
                     let seed = 10.0 + ((worker + round) % keys.len()) as f64;
-                    let (lu, outcome) = cache
+                    let (factor, outcome) = cache
                         .factorize_coalesced(key, || {
                             assembled.fetch_add(1, Ordering::Relaxed);
                             // Hold the flight open long enough for peers to
                             // pile in behind the leader.
                             std::thread::sleep(std::time::Duration::from_millis(15));
-                            toy_banded(seed)
+                            toy_operator(seed)
                         })
                         .expect("factorize");
                     assert!(matches!(
                         outcome,
                         FactorOutcome::Hit | FactorOutcome::Leader | FactorOutcome::Follower
                     ));
-                    std::hint::black_box(&lu);
+                    std::hint::black_box(&factor);
                 }
             });
         }

@@ -5,9 +5,10 @@
 //! fields, with both fields checked finite. The exact path runs it over an
 //! [`FdfdSolver`], whose solves factorize through the process-wide
 //! `maps_fdfd::factor_cache`, so the forward solve and the adjoint solve
-//! (a forward solve of the diagonally rescaled right-hand side, since
-//! `Aᵀ = D·A·D⁻¹`) share one banded LU, and re-evaluations of the same
-//! design skip the factorization entirely. The generic path runs it over *any*
+//! (a solve against the same symmetrized operator, scaled by its
+//! diagonal `D`, since `Aᵀ = D·A·D⁻¹`) share one factorization, and
+//! re-evaluations of the same design skip the factorization entirely. The
+//! generic path runs it over *any*
 //! [`FieldSolver`] — including a trained neural operator, with the
 //! reciprocity-based default adjoint, which is how the paper drives inverse
 //! design from NN-predicted forward and adjoint fields (§IV-D, Fig. 6).
@@ -70,7 +71,7 @@ pub trait GradientSolver {
 /// The scalar gradient composition every backend shares: forward solve,
 /// finite check, objective and adjoint right-hand side, adjoint solve,
 /// finite check, gradient. Over an [`FdfdSolver`] the forward and adjoint
-/// solves share one LU through the factor cache.
+/// solves share one factorization through the factor cache.
 fn gradient_via_field_solver(
     solver: &dyn FieldSolver,
     eps_r: &RealField2d,
@@ -172,7 +173,8 @@ pub struct GradientEvaluation {
     pub adjoint: ComplexField2d,
 }
 
-/// Exact adjoint via the FDFD direct solver (one LU, two substitutions).
+/// Exact adjoint via the FDFD direct solver (one factorization, two
+/// substitutions).
 #[derive(Debug, Clone)]
 pub struct ExactAdjoint {
     solver: FdfdSolver,
@@ -309,7 +311,7 @@ mod tests {
     }
 
     /// Batched evaluation through the FDFD batch plane must reproduce the
-    /// scalar trait path bit-for-bit: the same LU answers both, and the
+    /// scalar trait path bit-for-bit: the same factor answers both, and the
     /// substitution sweeps are the same operations.
     #[test]
     fn batched_gradients_match_scalar_bitwise() {
@@ -357,9 +359,9 @@ mod tests {
     }
 
     /// `ExactAdjoint` is pinned to a plain, uncached reference: factorize
-    /// the assembled operator, forward-solve `b`, forward-solve `D⁻¹·c` and
-    /// scale the solution by `D` (the adjoint, since `Aᵀ = D·A·D⁻¹`), and
-    /// assemble the gradient from the two fields.
+    /// the symmetrized operator `S = D·A`, solve `S·x = D·b` for the
+    /// forward field, solve `S·z = c` and scale `z` by `D` for the adjoint
+    /// (`Aᵀ = S·D⁻¹`), and assemble the gradient from the two fields.
     #[test]
     fn exact_adjoint_matches_uncached_reference_bitwise() {
         let (eps, j, omega, w) = waveguide(48, 36);
@@ -367,19 +369,20 @@ mod tests {
         let exact = ExactAdjoint::default();
         let got = exact.objective_and_gradient(&eps, &j, omega, &obj).unwrap();
 
-        let lu = exact
-            .solver()
-            .operator(&eps, omega)
-            .to_banded()
+        let pml = exact.solver().pml();
+        let factor = maps_fdfd::SymmetricOperator::new(&eps, omega, pml)
             .factorize()
             .unwrap();
-        let mut b = FdfdSolver::rhs(&j, omega);
-        lu.solve(std::slice::from_mut(&mut b));
+        let d = maps_fdfd::operator::symmetrizer(eps.grid(), omega, pml);
+        let mut b: Vec<Complex64> = FdfdSolver::rhs(&j, omega)
+            .iter()
+            .zip(&d)
+            .map(|(b, d)| *b * *d)
+            .collect();
+        factor.solve(std::slice::from_mut(&mut b));
         let forward = ComplexField2d::from_vec(eps.grid(), b);
-        let d = maps_fdfd::operator::symmetrizer(eps.grid(), omega, exact.solver().pml());
-        let c = obj.adjoint_rhs(&forward);
-        let mut z: Vec<Complex64> = c.as_slice().iter().zip(&d).map(|(c, d)| *c / *d).collect();
-        lu.solve(std::slice::from_mut(&mut z));
+        let mut z = obj.adjoint_rhs(&forward).as_slice().to_vec();
+        factor.solve(std::slice::from_mut(&mut z));
         let y = z.iter().zip(&d).map(|(z, d)| *z * *d).collect();
         let adjoint = ComplexField2d::from_vec(eps.grid(), y);
         let reference = GradientEvaluation {

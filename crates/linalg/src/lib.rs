@@ -1,29 +1,33 @@
 //! # maps-linalg
 //!
 //! Dependency-free numerical kernels underpinning the MAPS photonic
-//! simulation stack: complex arithmetic, dense/banded/sparse matrices, a
-//! banded LU direct solver (one sweep direction, `A x = b`; the FDFD
-//! adjoint is a scaled forward solve in `maps-fdfd`), BiCGSTAB, and a
-//! symmetric eigensolver.
+//! simulation stack: complex arithmetic, dense/banded/sparse matrices, the
+//! pivot-free banded `L·Δ·Lᵀ` of a complex symmetric band (the direct
+//! solver behind every FDFD solve: `maps-fdfd` symmetrizes its operator),
+//! a pivoted banded LU for general bands, BiCGSTAB, and a symmetric
+//! eigensolver.
 //!
 //! ```
-//! use maps_linalg::{BandedMatrix, Complex64};
+//! use maps_linalg::{Complex64, SymBandedMatrix};
 //!
 //! # fn main() -> Result<(), maps_linalg::LinalgError> {
-//! let mut a = BandedMatrix::zeros(3, 1, 1);
+//! // A complex symmetric tridiagonal matrix (one sub-diagonal).
+//! let mut s = SymBandedMatrix::zeros(3, 1);
 //! for i in 0..3 {
-//!     a.set(i, i, Complex64::from_re(2.0));
+//!     s.set(i, i, Complex64::new(2.0, 0.5));
 //! }
-//! let lu = a.factorize()?;
+//! s.set(1, 0, Complex64::from_re(-1.0));
+//! let ldlt = s.clone().factorize()?;
 //! // Each right-hand side is overwritten by its solution; one system is a
 //! // block of one.
 //! let mut x = vec![Complex64::ONE; 3];
-//! lu.solve(std::slice::from_mut(&mut x));
-//! assert!((x[0].re - 0.5).abs() < 1e-12);
-//! // A block of right-hand sides shares one pass over the factors, and
+//! ldlt.solve(std::slice::from_mut(&mut x));
+//! let sx = s.matvec(&x);
+//! assert!((sx[0] - Complex64::ONE).abs() < 1e-12);
+//! // A block of right-hand sides shares one pass over the factor, and
 //! // each solution is bit-identical to solving its system alone.
 //! let mut xs = vec![vec![Complex64::ONE; 3]; 2];
-//! lu.solve(&mut xs);
+//! ldlt.solve(&mut xs);
 //! assert_eq!(xs[1], x);
 //! # Ok(())
 //! # }
@@ -34,13 +38,15 @@ pub mod complex;
 pub mod dense;
 pub mod eigen;
 pub mod iterative;
+pub mod ldlt;
 pub mod sparse;
 
-pub use banded::{BandedLu, BandedMatrix, RHS_BLOCK};
+pub use banded::{BandedLu, BandedMatrix};
 pub use complex::Complex64;
 pub use dense::{DMatrix, ZMatrix};
 pub use eigen::{symmetric_eigen, SymmetricEigen};
 pub use iterative::{bicgstab, IterativeOptions, IterativeStats};
+pub use ldlt::{BandedLdlt, Residual, SymBandedMatrix, REFINE_ABOVE, RHS_BLOCK};
 pub use sparse::{CooMatrix, CsrMatrix};
 
 use std::fmt;

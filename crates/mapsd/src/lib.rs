@@ -17,7 +17,7 @@
 //!   enforced at dequeue and between recovery attempts; late work is
 //!   dropped and counted, never silently delivered.
 //! - **Degrades gracefully**: each worker holds one `RobustSolver`
-//!   ladder — the exact direct LU, retried, then one BiCGSTAB attempt —
+//!   ladder — the exact direct solve, retried, then one BiCGSTAB attempt —
 //!   and every response carries the rung that answered (`fidelity`:
 //!   `direct`, `relaxed` or `fallback`) and the solver behind it
 //!   (`served_by`). A failed request leaves the next one untouched.

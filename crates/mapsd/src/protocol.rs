@@ -106,10 +106,11 @@ pub struct Envelope {
 /// daemon's memory (the body-size cap bounds bytes, this bounds solve cost).
 pub const MAX_CELLS: usize = 1 << 20;
 
-/// Hard cap on the banded LU factor one request may need, in bytes. The
-/// factor grows as `nx²·ny`, so the cell cap alone still admits a
-/// 1024×1024 grid whose factor is ~51 GB. 1 GiB admits square grids up to
-/// 281×281; the default 80×80 device grid needs 24.7 MB.
+/// Hard cap on the factor-cache entry one request may need, in bytes
+/// ([`maps_fdfd::operator::factor_bytes`]: the `L·Δ·Lᵀ` band plus the kept
+/// stencil). The entry grows as `nx²·ny`, so the cell cap alone still
+/// admits a 1024×1024 grid whose factor is ~17 GB. 1 GiB admits square
+/// grids up to 405×405; the default 80×80 device grid needs 8.6 MB.
 pub const MAX_FACTOR_BYTES: usize = 1 << 30;
 
 /// Hard cap on excitations per batch/label request.
@@ -417,7 +418,7 @@ pub struct SolveResult {
     /// envelope asked for it.
     pub field: Option<Vec<f64>>,
     /// The ladder rung that produced the answer: `direct` (the primary's
-    /// first attempt — the exact LU in production), `relaxed` (a retry of
+    /// first attempt — the exact direct solve in production), `relaxed` (a retry of
     /// the primary), or `fallback` (the fallback solver — BiCGSTAB in
     /// production).
     pub fidelity: Option<&'static str>,
@@ -737,6 +738,17 @@ mod tests {
         assert!(err.contains("cell cap"), "{err}");
         let env = parse_envelope(JobKind::Solve, &body(80, 80)).expect("80x80 is admitted");
         assert_eq!(env.eps.grid().len(), 6400);
+        // The largest admitted square grid, from the factor size alone.
+        let largest = (4..1024)
+            .take_while(|&n| maps_fdfd::operator::factor_bytes(n, n) <= MAX_FACTOR_BYTES)
+            .last()
+            .unwrap();
+        assert_eq!(largest, 405);
+        let err = parse_envelope(JobKind::Solve, &body(largest + 1, largest + 1)).unwrap_err();
+        assert!(err.contains("MiB factor"), "{err}");
+        // Parsing a uniform-ε body allocates only the grid's ε map.
+        let env = parse_envelope(JobKind::Solve, &body(largest, largest)).expect("admitted");
+        assert_eq!(env.eps.grid().len(), largest * largest);
     }
 
     #[test]

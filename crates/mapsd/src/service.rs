@@ -3,7 +3,7 @@
 //!
 //! Each worker thread owns one [`SolveService`] (built by a
 //! [`ServiceFactory`]). Its ladder is a `RobustSolver`: the exact direct
-//! LU as the primary, retried per `MAPS_SOLVE_RETRIES`, then one BiCGSTAB
+//! solve as the primary, retried per `MAPS_SOLVE_RETRIES`, then one BiCGSTAB
 //! attempt as the fallback. The [`Rung`] that answered becomes the
 //! response's `fidelity` (`direct`, `relaxed` or `fallback`), and the
 //! solver behind it its `served_by`. The ladder keeps no state between
@@ -44,13 +44,13 @@ pub type ServiceFactory = Arc<dyn Fn() -> SolveService + Send + Sync>;
 pub struct SolveService {
     pml: PmlConfig,
     /// Pre-warm the factor cache through the single-flight gate before
-    /// solving (off for ladders whose primary is not the FDFD LU).
+    /// solving (off for ladders whose primary is not the FDFD direct solve).
     prewarm: bool,
     ladder: Box<RobustSolver<dyn FieldSolver>>,
 }
 
 impl SolveService {
-    /// The production service: the FDFD direct LU as the primary, retry
+    /// The production service: the FDFD direct solve as the primary, retry
     /// policy from the `MAPS_SOLVE_*` env knobs, one BiCGSTAB attempt as
     /// the fallback.
     ///
@@ -223,11 +223,7 @@ impl SolveService {
     /// racing. Returns the coalesce outcome and the time it took, ms.
     fn prewarm(&self, eps: &RealField2d, omega: f64) -> (Option<&'static str>, f64) {
         let started = Instant::now();
-        let warmed = factor_coalesced(eps, omega, &self.pml, || {
-            FdfdSolver::with_pml(self.pml)
-                .operator(eps, omega)
-                .to_banded()
-        });
+        let warmed = factor_coalesced(eps, omega, &self.pml);
         let tag = match warmed {
             Ok((_, FactorOutcome::Hit)) => {
                 maps_obs::counter("mapsd.coalesce.hit").inc();

@@ -84,7 +84,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Every sample's forward/adjoint solves went through the batched solve
-    // plane; the factor cache amortizes one LU per (density, frequency).
+    // plane; the factor cache amortizes one factorization per (density,
+    // frequency).
     let metrics = maps::obs::global();
     let counter = |name: &str| metrics.counter_value(name).unwrap_or(0);
     println!(

@@ -68,6 +68,8 @@ sleep 0.5 # let the first workload tick land so counters are non-zero
 METRICS="$(http_get /metrics)"
 echo "$METRICS" | head -n1 | grep -q '200 OK' || { echo "$METRICS" | head -n5; echo "/metrics did not return 200"; exit 1; }
 echo "$METRICS" | grep -q '^fdfd_solve_batch_requests_total ' || { echo "/metrics missing fdfd_solve_batch_requests_total"; exit 1; }
+# Every direct solve records its relative residual (the LDLᵀ guard).
+echo "$METRICS" | grep -q '^fdfd_solve_rel_residual_count ' || { echo "/metrics missing fdfd_solve_rel_residual_count"; exit 1; }
 http_get /healthz | grep -q '200 OK' || { echo "/healthz did not return 200"; exit 1; }
 if command -v curl > /dev/null; then
   curl -fsS "http://$ADDR/metrics" | grep -q '^fdfd_solve_batch_requests_total ' \
