@@ -11,7 +11,7 @@ use maps_linalg::{BandedMatrix, Complex64};
 use maps_nn::{Fno, FnoConfig, Model};
 use maps_tensor::{Params, Tensor};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn bench_fdfd_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("fdfd_solve");
@@ -42,6 +42,24 @@ fn bench_neural_vs_fdfd(c: &mut Criterion) {
     let fdfd = FdfdSolver::with_pml(PmlConfig::auto(grid.dl));
     group.bench_function("fdfd_exact", |b| {
         b.iter(|| fdfd.solve_ez(&eps, &j, omega).expect("solve"));
+    });
+    // What an inverse-design iteration pays: the 40×40 bend with a fresh
+    // random density every call, so each call misses the factor cache and
+    // resumes from the exterior the previous design left cached.
+    let problem = DeviceKind::Bending.build(DeviceResolution::low()).problem;
+    let (dx, dy) = problem.design_size;
+    let bend_pml = PmlConfig::auto(problem.grid().dl);
+    let bend = FdfdSolver::with_pml(bend_pml);
+    let mut source = ComplexField2d::zeros(problem.grid());
+    source.set(8, n / 2, Complex64::ONE);
+    let mut rng = StdRng::seed_from_u64(1);
+    group.bench_function("fdfd_fresh_design", |b| {
+        b.iter(|| {
+            let density = (0..dx * dy).map(|_| rng.gen::<f64>()).collect();
+            let eps = problem.eps_for(&Patch::from_vec(dx, dy, density));
+            bend.solve_ez(&eps, &source, problem.omega())
+                .expect("solve")
+        });
     });
     let mut params = Params::new();
     let mut rng = StdRng::seed_from_u64(0);

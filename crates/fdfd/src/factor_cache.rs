@@ -28,19 +28,36 @@
 //!   sharded by fingerprint bits ([`FLIGHT_SHARDS`]) to kill lock
 //!   contention between unrelated designs.
 //!
+//! - **exterior reuse**: a leader resumes from a **donor**, the most
+//!   recently used cached factor of the same (grid, ω, PML). The two
+//!   stencils' bits give the first and last cells that differ, and each
+//!   half of the twisted factorization keeps the donor's columns outside
+//!   them and eliminates only the rows around the design window
+//!   ([`SymmetricOperator`]'s `factorize_from`). The leader picks its donor
+//!   before it evicts, then builds in the evicted entry's storage when
+//!   nothing else holds it; an evicted entry built on the donor's seams
+//!   already holds the exterior, so the steady inverse-design loop copies
+//!   and allocates nothing for it.
+//!
 //! Reuse is bit-identical by construction: a hit returns the *same*
 //! factorization a cold call would recompute (the factorization is a
-//! deterministic function of the fingerprinted inputs), so forward and
-//! adjoint solves produce exactly the same bits either way.
+//! deterministic function of the fingerprinted inputs), and a resumed
+//! build computes the same bits as a cold one, because every column it
+//! takes from the donor depends only on cells the two stencils share. So
+//! forward and adjoint solves produce exactly the same bits whatever the
+//! cache held.
 //!
 //! Telemetry: `fdfd.factor_cache.{hit,miss,evict}` counters in the
-//! [`maps_obs`] global registry, plus per-instance [`CacheStats`].
+//! [`maps_obs`] global registry, plus per-instance [`CacheStats`]; the
+//! leader's `fdfd.factorize` span carries `eliminated` and `reused`
+//! columns, and the `fdfd.factorize.resumed` counter counts builds that
+//! reused any.
 //!
 //! The capacity knob is the `MAPS_FACTOR_CACHE` environment variable:
 //! unset/empty keeps the default (4 entries), `0`/`off` keeps only the
 //! most recent factor (capacity 1), any other integer sets the capacity.
-//! A cached factor for an `nx × ny` grid holds
-//! [`factor_bytes`](crate::operator::factor_bytes)`(nx, ny)` bytes (~8.6 MB
+//! A cached factor for an `nx × ny` grid holds at most
+//! [`factor_bytes`](crate::operator::factor_bytes)`(nx, ny)` bytes (~8.9 MB
 //! at the default 80×80 device grid), so capacities stay small.
 
 use crate::operator::{SymmetricFactor, SymmetricOperator};
@@ -73,6 +90,9 @@ pub const FLIGHT_SHARDS: usize = 16;
 pub struct Fingerprint {
     h: [u64; 2],
     cells: usize,
+    /// Pass A's digest of the inputs before the permittivity: the
+    /// (grid, ω, PML) a donor must share.
+    shape: u64,
 }
 
 impl Fingerprint {
@@ -137,12 +157,14 @@ pub fn fingerprint(eps_r: &RealField2d, omega: f64, pml: &PmlConfig) -> Fingerpr
     h.write_u64(pml.thickness as u64);
     h.write_f64(pml.order);
     h.write_f64(pml.target_reflection);
+    let shape = h.a;
     for v in eps_r.as_slice() {
         h.write_f64(*v);
     }
     Fingerprint {
         h: [h.a, h.b],
         cells: grid.len(),
+        shape,
     }
 }
 
@@ -158,6 +180,9 @@ pub struct CacheStats {
     /// Lookups that joined another thread's in-flight factorization instead
     /// of computing their own (single-flight followers).
     pub coalesced: u64,
+    /// Misses whose factorization took columns from a donor's exterior
+    /// instead of eliminating every column.
+    pub resumed: u64,
 }
 
 /// How one coalesced factorization request was answered.
@@ -257,6 +282,7 @@ pub struct FactorCache {
     misses: AtomicU64,
     evictions: AtomicU64,
     coalesced: AtomicU64,
+    resumed: AtomicU64,
 }
 
 impl std::fmt::Debug for FactorCache {
@@ -284,6 +310,7 @@ impl FactorCache {
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
+            resumed: AtomicU64::new(0),
         }
     }
 
@@ -314,6 +341,7 @@ impl FactorCache {
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             coalesced: self.coalesced.load(Ordering::Relaxed),
+            resumed: self.resumed.load(Ordering::Relaxed),
         }
     }
 
@@ -348,13 +376,16 @@ impl FactorCache {
         });
     }
 
-    /// Evicts least-recently-used entries until at most `len` remain.
-    fn evict_to(&self, inner: &mut Inner, len: usize) {
+    /// Evicts least-recently-used entries until at most `len` remain,
+    /// returning their factors.
+    fn evict_to(&self, inner: &mut Inner, len: usize) -> Vec<Arc<SymmetricFactor>> {
+        let mut evicted = Vec::new();
         while inner.ring.len() > len {
-            evict_lru(inner);
+            evicted.extend(evict_lru(inner));
             self.evictions.fetch_add(1, Ordering::Relaxed);
             maps_obs::counter("fdfd.factor_cache.evict").inc();
         }
+        evicted
     }
 
     /// The factorization for `key`, computing it with `assemble` +
@@ -378,9 +409,12 @@ impl FactorCache {
     /// **follower** blocks until the leader publishes and then shares the
     /// same `Arc<SymmetricFactor>`. A `N`-way stampede on one fingerprint
     /// therefore costs exactly one `O(n·b²)` factorization instead of `N`.
-    /// A leader facing a full ring evicts its least-recently-used entry
-    /// before it assembles, so the new factor never coexists with
-    /// `capacity` cached ones.
+    /// A leader takes the most recently used factor of the same (grid, ω,
+    /// PML) as its donor, then, facing a full ring, evicts the
+    /// least-recently-used entry before it assembles, so the new factor
+    /// never coexists with `capacity` cached ones. It resumes from the
+    /// donor and builds in the evicted entry's storage when nothing else
+    /// holds it (the donor itself at capacity 1).
     ///
     /// Only the leader emits the `fdfd.factorize` span, so span-recorder
     /// tests can count actual factorizations. A leader that fails (or
@@ -443,16 +477,45 @@ impl FactorCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         maps_obs::counter("fdfd.factor_cache.miss").inc();
         maps_obs::counter("fdfd.factor_cache.coalesce.leader").inc();
-        {
+        let (donor, evicted) = {
             let mut inner = self.inner.lock().expect("factor cache lock");
+            let donor = inner
+                .ring
+                .iter()
+                .filter(|e| e.key.shape == key.shape)
+                .max_by_key(|e| e.used)
+                .map(|e| Arc::clone(&e.factor));
             let room = inner.capacity - 1;
-            self.evict_to(&mut inner, room);
-        }
+            (donor, self.evict_to(&mut inner, room))
+        };
         let result = {
-            let _s = maps_obs::span("fdfd.factorize")
+            let mut span = maps_obs::span("fdfd.factorize")
                 .field("cells", key.cells)
                 .field("fingerprint", key.hex());
-            assemble().factorize().map(Arc::new)
+            let op = assemble();
+            let cells = op.grid().len();
+            // Storage to build in: an evicted entry nothing else holds. When
+            // it is the donor, it is read from in place.
+            let (donor, spare) = match (donor, evicted.into_iter().next()) {
+                (Some(d), Some(e)) if Arc::ptr_eq(&d, &e) => {
+                    drop(e);
+                    match Arc::try_unwrap(d) {
+                        Ok(owned) => (None, Some(owned)),
+                        Err(d) => (Some(d), None),
+                    }
+                }
+                (d, e) => (d, e.and_then(|e| Arc::try_unwrap(e).ok())),
+            };
+            op.factorize_from(donor.as_deref(), spare)
+                .map(|(factor, reused)| {
+                    span.add_field("eliminated", cells - reused);
+                    span.add_field("reused", reused);
+                    if reused > 0 {
+                        self.resumed.fetch_add(1, Ordering::Relaxed);
+                        maps_obs::counter("fdfd.factorize.resumed").inc();
+                    }
+                    Arc::new(factor)
+                })
         };
         if let Ok(factor) = &result {
             self.insert(key, Arc::clone(factor));
@@ -464,16 +527,14 @@ impl FactorCache {
     }
 }
 
-fn evict_lru(inner: &mut Inner) {
-    if let Some(pos) = inner
+fn evict_lru(inner: &mut Inner) -> Option<Arc<SymmetricFactor>> {
+    let pos = inner
         .ring
         .iter()
         .enumerate()
         .min_by_key(|(_, e)| e.used)
-        .map(|(i, _)| i)
-    {
-        inner.ring.swap_remove(pos);
-    }
+        .map(|(i, _)| i)?;
+    Some(inner.ring.swap_remove(pos).factor)
 }
 
 /// Parses the `MAPS_FACTOR_CACHE` knob into an LRU capacity. The `off` /
@@ -602,6 +663,136 @@ mod tests {
         // Transposed dims with identical cell count.
         let eps4 = RealField2d::constant(Grid2d::new(6, 8, 0.1), 2.0);
         assert_ne!(base, fingerprint(&eps4, 4.0, &pml));
+    }
+
+    const WINDOW_PML: PmlConfig = PmlConfig {
+        thickness: 2,
+        order: 3.0,
+        target_reflection: 1e-8,
+    };
+
+    /// A 12×9 grid with a 2-cell PML, ε `value` in the design window
+    /// `(4..8, 3..6)` and 2.25 elsewhere: designs whose factors share both
+    /// halves' exterior.
+    fn windowed(value: f64) -> RealField2d {
+        let mut eps = RealField2d::constant(Grid2d::new(12, 9, 0.1), 2.25);
+        for iy in 3..6 {
+            for ix in 4..8 {
+                eps.set(ix, iy, value);
+            }
+        }
+        eps
+    }
+
+    fn build(cache: &FactorCache, eps: &RealField2d) -> Arc<SymmetricFactor> {
+        cache
+            .factorize_with(fingerprint(eps, 4.0, &WINDOW_PML), || {
+                SymmetricOperator::new(eps, 4.0, &WINDOW_PML)
+            })
+            .unwrap()
+    }
+
+    fn cold(eps: &RealField2d) -> SymmetricFactor {
+        SymmetricOperator::new(eps, 4.0, &WINDOW_PML)
+            .factorize()
+            .unwrap()
+    }
+
+    /// Capacity 1: the donor is the evicted entry. With nothing else
+    /// holding it the new factor is built in its storage; held elsewhere,
+    /// it is copied from. Either way the factor equals a cold build.
+    #[test]
+    fn capacity_one_resumes_from_the_evicted_donor() {
+        let cache = FactorCache::new(1);
+        build(&cache, &windowed(3.0));
+        build(&cache, &windowed(5.0));
+        let held = build(&cache, &windowed(7.0));
+        held.assert_same_bits(&cold(&windowed(7.0)), "built in the donor");
+        let copied = build(&cache, &windowed(9.0));
+        copied.assert_same_bits(&cold(&windowed(9.0)), "copied from a held donor");
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.evictions, stats.resumed), (4, 3, 2));
+    }
+
+    /// A leader's donor that a concurrent leader evicts mid-build stays
+    /// alive for the build, which still equals a cold one.
+    #[test]
+    fn donor_evicted_by_a_concurrent_leader_still_serves() {
+        let cache = FactorCache::new(2);
+        build(&cache, &windowed(3.0));
+        let donor = windowed(5.0);
+        build(&cache, &donor);
+        let donor = fingerprint(&donor, 4.0, &WINDOW_PML);
+        cache
+            .factorize_with(key_for(1.0), || toy_operator(0.1))
+            .unwrap();
+        assert!(cache.get(&donor).is_some(), "the donor is the most recent");
+        let eps = windowed(7.0);
+        let f = cache
+            .factorize_with(fingerprint(&eps, 4.0, &WINDOW_PML), || {
+                // This leader took its donor and evicted the toy factor;
+                // two more leaders refill the ring and evict the donor.
+                cache
+                    .factorize_with(key_for(2.0), || toy_operator(0.2))
+                    .unwrap();
+                cache
+                    .factorize_with(key_for(3.0), || toy_operator(0.3))
+                    .unwrap();
+                assert!(cache.get(&donor).is_none(), "the donor was evicted");
+                SymmetricOperator::new(&eps, 4.0, &WINDOW_PML)
+            })
+            .unwrap();
+        f.assert_same_bits(&cold(&eps), "evicted donor");
+        assert_eq!(cache.stats().resumed, 1);
+    }
+
+    /// A 1×12 chain without PML at ω = dl = 1: cell `k`'s diagonal is
+    /// `ε_k − 3` (`ε − 2` in the last cell) and its coupling 1, so leading
+    /// diagonals 1, 2, 2, 2 eliminate to pivots 1, 1, 1, 1, and a next
+    /// diagonal of 1 to an exactly zero pivot. Cells 0..4 lead the top
+    /// half to cell 4 and cells 11..8 the bottom half to cell 8. Designs
+    /// that differ only in that cell resume from the seams of the design
+    /// before, and the one whose pivot there is zero fails at the cell a
+    /// cold build reports.
+    #[test]
+    fn singular_pivot_in_the_redone_rows_reports_the_cold_index() {
+        let chain = |top: f64, bottom: f64| {
+            let values = [
+                4.0, 5.0, 5.0, 5.0, top, 6.0, 6.0, 6.0, bottom, 5.0, 5.0, 3.0,
+            ];
+            let mut eps = RealField2d::constant(Grid2d::new(1, 12, 1.0), 0.0);
+            for (iy, v) in values.into_iter().enumerate() {
+                eps.set(0, iy, v);
+            }
+            eps
+        };
+        for (cell, seams, designs) in [
+            (
+                4,
+                [Some(3), Some(4)],
+                [4.25, 4.5, 4.0].map(|v| chain(v, 4.5)),
+            ),
+            (
+                8,
+                [Some(5), Some(2)],
+                [4.25, 4.5, 4.0].map(|v| chain(4.5, v)),
+            ),
+        ] {
+            let cache = FactorCache::new(4);
+            let key = |eps: &RealField2d| fingerprint(eps, 1.0, &NO_PML);
+            let op = |eps: &RealField2d| SymmetricOperator::new(eps, 1.0, &NO_PML);
+            cache
+                .factorize_with(key(&designs[0]), || op(&designs[0]))
+                .unwrap();
+            let donor = cache
+                .factorize_with(key(&designs[1]), || op(&designs[1]))
+                .unwrap();
+            assert_eq!(donor.seam_columns(), seams, "cell {cell}: donor seams");
+            let singular = LinalgError::Singular { index: cell };
+            assert_eq!(op(&designs[2]).factorize().unwrap_err(), singular);
+            let resumed = cache.factorize_with(key(&designs[2]), || op(&designs[2]));
+            assert_eq!(resumed.unwrap_err(), singular, "cell {cell}: resumed");
+        }
     }
 
     #[test]

@@ -21,23 +21,40 @@
 //! only on its diagonal, and [`SymmetricFactor`] holds its pivot-free
 //! `L·Δ·Lᵀ`. The forward system `A·x = b` is `S·x = D·b`, and the adjoint
 //! system `Aᵀ·y = c` is `y = D·S⁻¹·c`.
+//!
+//! The factorization is twisted: it meets in the middle grid row,
+//! `b = ⌊ny/2⌋·nx`. The top half eliminates cells `0..b` in natural order;
+//! the bottom half factors the Schur complement on cells `b..n` in reversed
+//! order, so cell `n − 1` is its first pivot. Without pivoting, a half's
+//! first `c` factor columns depend only on the cells up to `c + nx` counted
+//! from its own end. An inverse-design step changes only a window of cells,
+//! so a factor of a design that agrees with a cached one outside the
+//! window takes both halves' exterior columns from it
+//! (`SymmetricOperator::factorize_from`) and eliminates only the rows
+//! around the window, bit-identical to factoring from scratch.
 
 use crate::pml::PmlConfig;
 use maps_core::{Grid2d, RealField2d};
 use maps_linalg::{
-    BandedLdlt, BandedMatrix, Complex64, CooMatrix, CsrMatrix, LinalgError, SymBandedMatrix,
+    BandedLdlt, BandedMatrix, Complex64, CooMatrix, CsrMatrix, LinalgError, Seam, SymBandedMatrix,
 };
+use std::ops::Range;
+use std::sync::Arc;
 
-/// Bytes one factor-cache entry holds for an `nx × ny` grid: the
-/// `L·Δ·Lᵀ` factor of the symmetrized operator, whose lower band keeps
-/// `nx + 1` complex doubles per cell, plus the operator's lower stencil,
-/// 3 per cell, which the residual guard applies. 8.6 MB at 80×80.
-/// Saturates instead of overflowing, so it can size a grid from untrusted
-/// input before anything is allocated.
+/// Bytes one factor-cache entry holds for an `nx × ny` grid: the two
+/// halves of the twisted `L·Δ·Lᵀ`, whose lower bands keep `nx + 1` complex
+/// doubles for each of the `n + nx` columns (the top overlaps the bottom by
+/// one grid row), the operator's lower stencil, 3 per cell, which the
+/// residual guard applies, and the two seams, `nx·(nx + 1)` each. 8.9 MB
+/// at 80×80. Saturates instead of overflowing, so it can size a grid from
+/// untrusted input before anything is allocated.
 pub fn factor_bytes(nx: usize, ny: usize) -> usize {
-    nx.saturating_add(4)
-        .saturating_mul(nx)
-        .saturating_mul(ny)
+    let n = nx.saturating_mul(ny);
+    let bands = nx.saturating_add(1).saturating_mul(n.saturating_add(nx));
+    let seams = nx.saturating_mul(nx.saturating_add(1)).saturating_mul(2);
+    bands
+        .saturating_add(n.saturating_mul(3))
+        .saturating_add(seams)
         .saturating_mul(std::mem::size_of::<Complex64>())
 }
 
@@ -187,11 +204,23 @@ impl SymmetricOperator {
         }
     }
 
-    /// The lower band of `S` (bandwidth `nx`).
-    fn to_band(&self) -> SymBandedMatrix {
+    /// The first and last cells whose stencil differs, bit for bit, from
+    /// `other`'s, or `None` when none does.
+    fn differing(&self, other: &SymmetricOperator) -> Option<(usize, usize)> {
+        let bits = |s: &[Complex64; 3]| s.map(|z| (z.re.to_bits(), z.im.to_bits()));
+        let differs = |k: &usize| bits(&self.lower[*k]) != bits(&other.lower[*k]);
+        let n = self.lower.len();
+        let first = (0..n).find(differs)?;
+        Some((first, (0..n).rev().find(differs).unwrap_or(first)))
+    }
+
+    /// Writes the lower stencil of `cells` into the top half's natural
+    /// band: cell `k` puts its diagonal in column `k`, its west coupling in
+    /// column `k − 1` and its south coupling in column `k − nx`.
+    fn assemble_top(&self, band: &mut SymBandedMatrix, cells: Range<usize>) {
         let nx = self.grid.nx;
-        let mut band = SymBandedMatrix::zeros(self.lower.len(), nx);
-        for (k, &[center, west, south]) in self.lower.iter().enumerate() {
+        for k in cells {
+            let [center, west, south] = self.lower[k];
             band.set(k, k, center);
             if k % nx > 0 {
                 band.set(k, k - 1, west);
@@ -200,39 +229,267 @@ impl SymmetricOperator {
                 band.set(k, k - nx, south);
             }
         }
-        band
     }
 
-    /// Factors `S` as `L·Δ·Lᵀ`, keeping the stencil for the residual guard.
+    /// Writes `columns` of the bottom half's reversed band: column
+    /// `m = n − 1 − k` holds cell `k`'s lower stencil, `[center, west,
+    /// south]` at offsets 0, 1 and `nx`.
+    fn assemble_bottom(&self, band: &mut SymBandedMatrix, columns: Range<usize>) {
+        let (nx, n) = (self.grid.nx, self.lower.len());
+        for m in columns {
+            let k = n - 1 - m;
+            let [center, west, south] = self.lower[k];
+            band.set(m, m, center);
+            if k % nx > 0 {
+                band.set(m + 1, m, west);
+            }
+            band.set(m + nx, m, south);
+        }
+    }
+
+    /// Factors `S` as a twisted `L·Δ·Lᵀ`, keeping the stencil for the
+    /// residual guard.
     ///
     /// # Errors
     ///
-    /// Returns [`LinalgError::Singular`] at an exactly zero pivot.
+    /// Returns [`LinalgError::Singular`] at an exactly zero pivot, with the
+    /// index of its cell.
     pub fn factorize(self) -> Result<SymmetricFactor, LinalgError> {
-        let ldlt = self.to_band().factorize()?;
-        Ok(SymmetricFactor { op: self, ldlt })
+        self.factorize_from(None, None).map(|(factor, _)| factor)
+    }
+
+    /// [`SymmetricOperator::factorize`], resuming each half from a factor
+    /// of another design where the two stencils agree. Returns the factor
+    /// and the number of columns it took from that factor instead of
+    /// eliminating them.
+    ///
+    /// `donor` is a factor to read from; `spare` a spent factor whose
+    /// storage the new one is built in, and, without a `donor`, the factor
+    /// read from as well. Comparing stencil bits gives the first and last
+    /// differing cells `p` and `q`. Each half resumes from the donor's
+    /// seam on its side when the seam ends before the first difference
+    /// counted from that half's end (and, for the bottom, before the block
+    /// the top hands over): it takes the donor's factor columns before the
+    /// seam, unless the spare was built on the same seam and holds them
+    /// already, restores the seam, assembles the rest from the stencil and
+    /// eliminates from the seam. When the comparison allows a seam further
+    /// along, one is copied on the way. A resumed factor is bit-identical
+    /// to a fresh one, and so is its error.
+    ///
+    /// # Errors
+    ///
+    /// As [`SymmetricOperator::factorize`].
+    pub(crate) fn factorize_from(
+        self,
+        donor: Option<&SymmetricFactor>,
+        spare: Option<SymmetricFactor>,
+    ) -> Result<(SymmetricFactor, usize), LinalgError> {
+        let (grid, n) = (self.grid, self.lower.len());
+        let nx = grid.nx;
+        let fits = |f: &SymmetricFactor| (f.op.grid.nx, f.op.grid.ny) == (nx, grid.ny);
+        let donor = donor.filter(|f| fits(f));
+        let spare = spare.filter(fits);
+        // The meeting row: the top eliminates cells `..b`, the bottom the
+        // other `nb` in reversed order, its last `nx` columns the block the
+        // top hands over.
+        let b = (grid.ny / 2) * nx;
+        let nb = n - b;
+        let reference = donor.or(spare.as_ref());
+        // The columns each half's seam must end within.
+        let limits = reference.map_or([0, 0], |f| match self.differing(&f.op) {
+            Some((p, q)) => [p.min(b), (n - 1 - q).min(nb - nx)],
+            None => [b, nb - nx],
+        });
+        let [top_seam, bottom_seam] = reference.map_or([None, None], |f| f.seams.clone());
+        let (spare_top, spare_bottom, [spare_top_seam, spare_bottom_seam]) = match spare {
+            Some(f) => (Some(f.top), Some(f.bottom), f.seams),
+            None => (None, None, [None, None]),
+        };
+
+        let top_plan = Resume::new(nx, limits[0], top_seam);
+        let mut top = top_plan.band(
+            b + nx,
+            nx,
+            donor.map(|f| &f.top),
+            spare_top.map(|f| (f, spare_top_seam)),
+        );
+        self.assemble_top(&mut top, top_plan.assembled_from(nx)..b + nx);
+        let (top, top_snapshot) = top.eliminate(top_plan.column, b, top_plan.snapshot)?;
+
+        let bottom_plan = Resume::new(nx, limits[1], bottom_seam);
+        let mut bottom = bottom_plan.band(
+            nb,
+            nx,
+            donor.map(|f| &f.bottom),
+            spare_bottom.map(|f| (f, spare_bottom_seam)),
+        );
+        self.assemble_bottom(&mut bottom, bottom_plan.assembled_from(nx)..nb - nx);
+        // What the top's elimination left in cells `b..b + nx` is the
+        // bottom's last `nx` reversed columns.
+        for i in b..b + nx {
+            for j in b..=i {
+                bottom.set(n - 1 - i, n - 1 - j, top.get(i, j));
+            }
+        }
+        let (bottom, bottom_snapshot) = bottom
+            .eliminate(bottom_plan.column, nb, bottom_plan.snapshot)
+            .map_err(|e| match e {
+                LinalgError::Singular { index } => LinalgError::Singular {
+                    index: n - 1 - index,
+                },
+                e => e,
+            })?;
+        let reused = top_plan.column + bottom_plan.column;
+        let seams = [
+            top_plan.keep(top_snapshot),
+            bottom_plan.keep(bottom_snapshot),
+        ];
+        Ok((
+            SymmetricFactor {
+                op: self,
+                top,
+                bottom,
+                seams,
+            },
+            reused,
+        ))
     }
 }
 
-/// The factorization every direct solve uses: the `L·Δ·Lᵀ` of the
+/// Where one half of a factorization starts: behind a seam of the factor
+/// it reads from, or at column 0, and where it takes a seam of its own.
+struct Resume {
+    /// The first column eliminated: the seam's column when resuming.
+    column: usize,
+    /// The column to take a new seam at, further along than `seam`.
+    snapshot: Option<usize>,
+    /// The seam resumed from.
+    seam: Option<Arc<Seam>>,
+}
+
+impl Resume {
+    /// Resumes from `seam` when it ends within the first `limit` columns,
+    /// and plans a new seam at the last column that does, `limit − nx`,
+    /// when that lies further along.
+    fn new(nx: usize, limit: usize, seam: Option<Arc<Seam>>) -> Self {
+        let seam = seam.filter(|s| s.column() + nx <= limit);
+        let column = seam.as_ref().map_or(0, |s| s.column());
+        Resume {
+            column,
+            snapshot: limit.checked_sub(nx).filter(|&c| c > column),
+            seam,
+        }
+    }
+
+    /// The first column (in the top also the first cell) the stencil is
+    /// assembled from.
+    fn assembled_from(&self, nx: usize) -> usize {
+        if self.seam.is_some() {
+            self.column + nx
+        } else {
+            0
+        }
+    }
+
+    /// The half's band, ready to assemble from [`Resume::assembled_from`]:
+    /// the factor columns before the seam and the seam itself in place, the
+    /// columns after it zero. It is built in `spare`'s storage when there
+    /// is one. A spare that is itself the factor read from (no `donor`), or
+    /// was built on the same seam, already holds the factor columns; they
+    /// are otherwise copied from `donor`.
+    fn band(
+        &self,
+        dim: usize,
+        nx: usize,
+        donor: Option<&BandedLdlt>,
+        spare: Option<(BandedLdlt, Option<Arc<Seam>>)>,
+    ) -> SymBandedMatrix {
+        let (mut band, holds_columns) = match spare {
+            Some((f, seam)) => {
+                let same_seam =
+                    matches!((&seam, &self.seam), (Some(a), Some(b)) if Arc::ptr_eq(a, b));
+                (f.into_band(), donor.is_none() || same_seam)
+            }
+            None => (SymBandedMatrix::zeros(dim, nx), false),
+        };
+        if let Some(seam) = &self.seam {
+            if !holds_columns {
+                let donor = donor.expect("a seam comes from the donor or the spare");
+                band.copy_columns(donor, 0..self.column);
+            }
+            band.restore(seam);
+        }
+        band.clear_columns(self.assembled_from(nx)..dim);
+        band
+    }
+
+    /// The seam the new half keeps: its own snapshot, else the one it
+    /// resumed from.
+    fn keep(self, snapshot: Option<Seam>) -> Option<Arc<Seam>> {
+        snapshot.map(Arc::new).or(self.seam)
+    }
+}
+
+/// The factorization every direct solve uses: the twisted `L·Δ·Lᵀ` of the
 /// symmetrized operator `S`, and `S`'s stencil beside it for the residual
 /// guard. One factor answers forward and adjoint solves alike.
 #[derive(Debug)]
 pub struct SymmetricFactor {
     op: SymmetricOperator,
-    ldlt: BandedLdlt,
+    /// Cells `..b` eliminated in natural order, over the leading `b + nx`
+    /// rows and columns.
+    top: BandedLdlt,
+    /// The Schur complement on cells `b..`, factored in reversed order.
+    bottom: BandedLdlt,
+    /// The top's and the bottom's seams, shared with the factors resumed
+    /// from them.
+    seams: [Option<Arc<Seam>>; 2],
 }
 
 impl SymmetricFactor {
+    /// Asserts both halves of two factors agree entry by entry, down to the
+    /// sign of zero.
+    #[cfg(test)]
+    pub(crate) fn assert_same_bits(&self, other: &SymmetricFactor, what: &str) {
+        for (a, b, half) in [
+            (&self.top, &other.top, "top"),
+            (&self.bottom, &other.bottom, "bottom"),
+        ] {
+            let (n, kd) = (a.dim(), a.bandwidth());
+            assert_eq!((n, kd, a.pivots()), (b.dim(), b.bandwidth(), b.pivots()));
+            for j in 0..n {
+                for i in j..(j + kd + 1).min(n) {
+                    let (x, y) = (a.get(i, j), b.get(i, j));
+                    assert!(
+                        x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
+                        "{what}: {half} ({i},{j}): {x:?} vs {y:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The columns of the top's and the bottom's seams.
+    #[cfg(test)]
+    pub(crate) fn seam_columns(&self) -> [Option<usize>; 2] {
+        self.seams
+            .each_ref()
+            .map(|s| s.as_ref().map(|s| s.column()))
+    }
+
     /// Solves `S·x = r` for every right-hand side in `xs`, in place, as one
-    /// block, then checks each solution's relative residual against the
-    /// kept stencil (one stencil matvec) and refines it once when it
-    /// exceeds [`maps_linalg::REFINE_ABOVE`]
-    /// ([`BandedLdlt::solve_refined`]). Each residual goes to the
-    /// `fdfd.solve.rel_residual` histogram and each refinement to the
-    /// `fdfd.solve.refined` counter.
+    /// block through both halves ([`BandedLdlt::solve_twisted`]), then
+    /// checks each solution's relative residual against the kept stencil
+    /// (one stencil matvec) and refines it once when it exceeds
+    /// [`maps_linalg::REFINE_ABOVE`] ([`maps_linalg::solve_refined`]). Each
+    /// residual goes to the `fdfd.solve.rel_residual` histogram and each
+    /// refinement to the `fdfd.solve.refined` counter.
     pub fn solve(&self, xs: &mut [Vec<Complex64>]) {
-        let residuals = self.ldlt.solve_refined(xs, |x, y| self.op.apply_into(x, y));
+        let residuals = maps_linalg::solve_refined(
+            xs,
+            |xs| self.top.solve_twisted(&self.bottom, xs),
+            |x, y| self.op.apply_into(x, y),
+        );
         let histogram = maps_obs::histogram("fdfd.solve.rel_residual");
         for r in &residuals {
             histogram.record(r.relative);
@@ -459,23 +716,139 @@ mod tests {
         )
     }
 
-    /// One cache entry is the factor's band plus the kept stencil.
+    /// One cache entry is both halves of the twisted factor, the kept
+    /// stencil and the two seams, here of a factor that snapshotted both.
     #[test]
     fn factor_bytes_matches_the_assembled_factor() {
         let grid = Grid2d::new(32, 28, 0.05);
-        let op = SymmetricOperator::new(
-            &RealField2d::constant(grid, 2.25),
-            maps_core::omega_for_wavelength(1.55),
-            &PmlConfig::default(),
-        );
-        let band = op.to_band();
-        let entries = (band.bandwidth() + 1) * band.dim() + 3 * op.lower.len();
+        let (omega, pml) = (maps_core::omega_for_wavelength(1.55), PmlConfig::default());
+        let base = RealField2d::constant(grid, 2.25);
+        let mut design = base.clone();
+        design.set(16, 14, 12.0);
+        let donor = SymmetricOperator::new(&base, omega, &pml)
+            .factorize()
+            .unwrap();
+        let (f, _) = SymmetricOperator::new(&design, omega, &pml)
+            .factorize_from(Some(&donor), None)
+            .unwrap();
+        let band = |h: &BandedLdlt| (h.bandwidth() + 1) * h.dim();
+        let seams: Vec<usize> = f.seams.iter().flatten().map(|s| s.entries()).collect();
+        assert_eq!(seams.len(), 2, "both halves took a seam");
+        let entries =
+            band(&f.top) + band(&f.bottom) + 3 * f.op.lower.len() + seams.iter().sum::<usize>();
         assert_eq!(
             factor_bytes(32, 28),
             entries * std::mem::size_of::<Complex64>()
         );
-        assert_eq!(factor_bytes(80, 80), 8_601_600);
+        assert_eq!(factor_bytes(80, 80), 8_912_640);
         assert_eq!(factor_bytes(usize::MAX / 2, 3), usize::MAX);
+    }
+
+    /// `‖S·x − b‖/‖b‖` of every solution of a guarded solve with `f`.
+    fn guarded_residuals(op: &SymmetricOperator, f: &SymmetricFactor) -> Vec<f64> {
+        let n = op.grid().len();
+        let rhs: Vec<Vec<Complex64>> = (0..2)
+            .map(|r| {
+                (0..n)
+                    .map(|k| Complex64::new(((k + r) as f64 * 0.7).sin(), (k as f64 * 0.3).cos()))
+                    .collect()
+            })
+            .collect();
+        let mut xs = rhs.clone();
+        f.solve(&mut xs);
+        xs.iter()
+            .zip(&rhs)
+            .map(|(x, b)| {
+                let r: Vec<Complex64> = op.apply(x).iter().zip(b).map(|(p, q)| *p - *q).collect();
+                znorm(&r) / znorm(b)
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// Random grids (`ny` 1, 2, 3 or odd, PML up to 2 cells where it
+        /// fits) and a chain of designs that re-randomize one random window
+        /// of a random ε, then a second window: row 0, the last row, the
+        /// meeting row, or another random one. Every
+        /// factor resumed from its predecessor equals the fresh one bit
+        /// for bit: in fresh storage, in the storage of an unrelated
+        /// design's factor (whose exterior must be overwritten), in the
+        /// donor's own, and in a spent factor built on the donor's seams
+        /// (which holds the exterior already). Each meets 1e-12 after the
+        /// guard.
+        #[test]
+        fn resumed_twisted_factor_is_bit_identical_to_fresh(
+            nx in 1usize..12,
+            ny_pick in 0usize..7,
+            seed in 0u64..u64::MAX,
+            pml_pick in 0usize..3,
+        ) {
+            let ny = [1, 2, 3, 5, 7, 9, 13][ny_pick];
+            let grid = Grid2d::new(nx, ny, 0.1);
+            let thickness = pml_pick.min((nx.min(ny) - 1) / 2);
+            let pml = PmlConfig { thickness, ..PmlConfig::default() };
+            let omega = maps_core::omega_for_wavelength(1.55);
+            let mut state = seed | 1;
+            let mut next = move |m: usize| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state % m as u64) as usize
+            };
+            let window = |next: &mut dyn FnMut(usize) -> usize| {
+                let (x0, y0) = (next(nx), next(ny));
+                (x0..x0 + 1 + next(nx - x0), y0..y0 + 1 + next(ny - y0))
+            };
+            // The second window is row 0, the last row or the meeting row
+            // (each in the PML when there is one) as often as a random one.
+            let first = window(&mut next);
+            let second = match next(4) {
+                0 => (0..nx, 0..1),
+                1 => (0..nx, ny - 1..ny),
+                2 => (0..nx, ny / 2..ny / 2 + 1),
+                _ => window(&mut next),
+            };
+            let what = format!("{nx}x{ny} PML {thickness} seed {seed} {first:?} {second:?}");
+            let mut paint = |eps: &mut RealField2d, (xs, ys): &(Range<usize>, Range<usize>)| {
+                for iy in ys.clone() {
+                    for ix in xs.clone() {
+                        eps.set(ix, iy, 1.0 + next(1100) as f64 / 100.0);
+                    }
+                }
+            };
+            let whole = (0..nx, 0..ny);
+            let mut unrelated = RealField2d::constant(grid, 1.0);
+            paint(&mut unrelated, &whole);
+            let mut eps = RealField2d::constant(grid, 1.0);
+            paint(&mut eps, &whole);
+            let mut built: Vec<Option<SymmetricFactor>> = Vec::new();
+            for step in 0..7 {
+                paint(&mut eps, if step < 5 { &first } else { &second });
+                let op = SymmetricOperator::new(&eps, omega, &pml);
+                let fresh = op.clone().factorize().unwrap();
+                let (donor, spare) = match step {
+                    0 => (None, None),
+                    3 => {
+                        let op = SymmetricOperator::new(&unrelated, omega, &pml);
+                        (Some(2), Some(op.factorize().unwrap()))
+                    }
+                    4 => (None, built[3].take()),
+                    // Built in the donor's storage, so on the same seams.
+                    5 => (Some(4), built[1].take()),
+                    _ => (Some(step - 1), None),
+                };
+                let donor = donor.and_then(|i: usize| built[i].as_ref());
+                let (f, _) = op.factorize_from(donor, spare).unwrap();
+                f.assert_same_bits(&fresh, &format!("{what} step {step}"));
+                let op = SymmetricOperator::new(&eps, omega, &pml);
+                for r in guarded_residuals(&op, &f) {
+                    assert!(r <= 1e-12, "{what} step {step}: residual {r:e}");
+                }
+                built.push(Some(f));
+            }
+        }
     }
 
     /// The symmetrized stencil is `D·A`: applying it equals scaling `A·x`

@@ -10,10 +10,10 @@
 //! multiply-adds.
 //!
 //! Without pivoting nothing bounds the growth of `L` for an arbitrary
-//! complex symmetric matrix, so [`BandedLdlt::solve_refined`] checks every
-//! solution's relative residual and refines it once when it exceeds
-//! [`REFINE_ABOVE`]. The pivoted LU in [`crate::banded`] is the reference
-//! the tests compare against.
+//! complex symmetric matrix, so [`solve_refined`] checks every solution's
+//! relative residual and refines it once when it exceeds [`REFINE_ABOVE`].
+//! The pivoted LU in [`crate::banded`] is the reference the tests compare
+//! against.
 //!
 //! Both halves are cache-blocked without changing a bit of the result.
 //! [`SymBandedMatrix::factorize`] eliminates panels of columns and defers
@@ -25,8 +25,21 @@
 //! bit-identical to them; the tests keep the unblocked factorization and
 //! the one-system solve as the references and pin both kernels against
 //! them.
+//!
+//! The elimination stops and resumes at any column
+//! ([`SymBandedMatrix::eliminate`]). Without pivoting, the factor's first
+//! `c` columns and the `kd` partially updated columns after them depend
+//! only on the band's leading `c + kd` rows and columns. A [`Seam`] copies
+//! those `kd` columns, so a band that agrees with an earlier one on that
+//! leading block can take the earlier factor's first `c` columns and the
+//! seam and eliminate only from `c`, bit-identical to eliminating from 0.
+//! A factorization may also stop short of `n` pivots and leave the rest of
+//! the band as the Schur complement; [`BandedLdlt::solve_twisted`] solves
+//! with such a partial factor joined to a factor of its Schur complement
+//! in reversed order, the twisted factorization `maps-fdfd` builds.
 
 use crate::{Complex64, LinalgError};
+use std::ops::Range;
 
 /// Right-hand sides [`BandedLdlt::solve`] sweeps per pass over the factor
 /// when handed a block of two or more systems.
@@ -38,8 +51,8 @@ use crate::{Complex64, LinalgError};
 /// bandwidth win without bloating the interleaved scratch planes.
 pub const RHS_BLOCK: usize = 8;
 
-/// Relative residual `‖S·x − b‖/‖b‖` above which
-/// [`BandedLdlt::solve_refined`] refines a solution once.
+/// Relative residual `‖S·x − b‖/‖b‖` above which [`solve_refined`] refines
+/// a solution once.
 pub const REFINE_ABOVE: f64 = 1e-12;
 
 /// Columns eliminated per panel by [`SymBandedMatrix::factorize`]. Panels
@@ -186,6 +199,45 @@ impl SymBandedMatrix {
         y
     }
 
+    /// Zeroes every stored entry of `columns`.
+    pub fn clear_columns(&mut self, columns: Range<usize>) {
+        let ld = self.kd + 1;
+        let planes = columns.start * ld..columns.end * ld;
+        self.re[planes.clone()].fill(0.0);
+        self.im[planes].fill(0.0);
+    }
+
+    /// Copies `columns` of `factor`, a factorization of the same bandwidth,
+    /// into this band: the finished factor columns a resumed elimination
+    /// starts behind.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bandwidths differ or `columns` is out of range.
+    pub fn copy_columns(&mut self, factor: &BandedLdlt, columns: Range<usize>) {
+        assert_eq!(self.kd, factor.kd, "copy between bands of different width");
+        let ld = self.kd + 1;
+        let planes = columns.start * ld..columns.end * ld;
+        self.re[planes.clone()].copy_from_slice(&factor.re[planes.clone()]);
+        self.im[planes.clone()].copy_from_slice(&factor.im[planes]);
+    }
+
+    /// Writes a [`Seam`] back into its `kd` columns, whole.
+    ///
+    /// Rows from `seam.column() + kd` on are entries no pivot before the
+    /// seam reaches: the snapshotted band's own. A caller whose band
+    /// differs there re-sets them afterwards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the seam's columns do not fit this band.
+    pub fn restore(&mut self, seam: &Seam) {
+        let ld = self.kd + 1;
+        let planes = seam.column * ld..seam.column * ld + seam.re.len();
+        self.re[planes.clone()].copy_from_slice(&seam.re);
+        self.im[planes].copy_from_slice(&seam.im);
+    }
+
     /// Factors the matrix as `L·Δ·Lᵀ` without pivoting, consuming it.
     ///
     /// This is the right-looking elimination of the unblocked reference,
@@ -207,92 +259,79 @@ impl SymBandedMatrix {
     ///
     /// Returns [`LinalgError::Singular`] at the first exactly zero pivot.
     pub fn factorize(self) -> Result<BandedLdlt, LinalgError> {
+        let n = self.n;
+        self.eliminate(0, n, None).map(|(factor, _)| factor)
+    }
+
+    /// Eliminates pivots `from..pivots`, consuming the band: the
+    /// elimination [`SymBandedMatrix::factorize`] runs, over a column range.
+    ///
+    /// Columns before `from` must already hold factor columns and the `kd`
+    /// columns from `from` the state eliminating them left: the band itself
+    /// when `from` is 0, or a restored [`Seam`] behind copied factor
+    /// columns. With `pivots < n` the last panel's updates are applied too,
+    /// so the columns from `pivots` on hold the Schur complement of the
+    /// eliminated block. With `snapshot = Some(c)`, the seam at column `c`
+    /// is copied when the elimination reaches it. Every element ends as it
+    /// would from one uninterrupted elimination, whatever `from` and `c`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::Singular`] at the first exactly zero pivot.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `from ≤ pivots ≤ n`, and, with a snapshot at `c`,
+    /// `from ≤ c ≤ pivots` and `c + kd ≤ n`.
+    pub fn eliminate(
+        self,
+        from: usize,
+        pivots: usize,
+        snapshot: Option<usize>,
+    ) -> Result<(BandedLdlt, Option<Seam>), LinalgError> {
         let SymBandedMatrix {
             n,
             kd,
             mut re,
             mut im,
         } = self;
+        assert!(from <= pivots && pivots <= n, "pivot range out of band");
         let ld = kd + 1;
-        // The unscaled pivot columns of the current panel: entry `t` of
-        // pivot `p0 + idx` is at `idx·ld + t`, the `v` its updates use.
-        let mut vr = vec![0.0f64; FACTOR_PANEL * ld];
-        let mut vi = vec![0.0f64; FACTOR_PANEL * ld];
-        let mut active = [Pending::default(); FACTOR_PANEL];
-        for p0 in (0..n).step_by(FACTOR_PANEL) {
-            let p1 = (p0 + FACTOR_PANEL).min(n);
-            for j in p0..p1 {
-                let c = j * ld;
-                let q = (j - p0) * ld;
-                let km = kd.min(n - 1 - j);
-                scale_pivot_column(
-                    &mut re[c..=c + km],
-                    &mut im[c..=c + km],
-                    &mut vr[q..=q + km],
-                    &mut vi[q..=q + km],
-                )
-                .map_err(|()| LinalgError::Singular { index: j })?;
-                // Eager updates of the panel's own later columns.
-                let (col_r, rest_r) = re[c..].split_at_mut(ld);
-                let (col_i, rest_i) = im[c..].split_at_mut(ld);
-                for t in 1..=km.min(p1 - 1 - j) {
-                    let (fr, fi) = (vr[q + t], vi[q + t]);
-                    if fr == 0.0 && fi == 0.0 {
-                        continue;
-                    }
-                    let k0 = (t - 1) * ld;
-                    let len = km + 1 - t;
-                    update_column(
-                        &mut rest_r[k0..k0 + len],
-                        &mut rest_i[k0..k0 + len],
-                        &col_r[t..=km],
-                        &col_i[t..=km],
-                        fr,
-                        fi,
-                    );
-                }
-            }
-            if p1 == n {
-                break;
-            }
-            // Deferred updates of the columns right of the panel.
-            let (panel_r, trail_r) = re.split_at_mut(p1 * ld);
-            let (panel_i, trail_i) = im.split_at_mut(p1 * ld);
-            for k in p1..=(p1 - 1 + kd).min(n - 1) {
-                let mut m = 0;
-                for j in p0..p1 {
-                    let t = k - j;
-                    let km = kd.min(n - 1 - j);
-                    let q = (j - p0) * ld + t;
-                    if t > km || (vr[q] == 0.0 && vi[q] == 0.0) {
-                        continue;
-                    }
-                    active[m] = Pending {
-                        off: j * ld + t,
-                        fr: vr[q],
-                        fi: vi[q],
-                        rows: km + 1 - t,
-                    };
-                    m += 1;
-                }
-                let k0 = (k - p1) * ld;
-                flush_column(
-                    &mut trail_r[k0..k0 + ld],
-                    &mut trail_i[k0..k0 + ld],
-                    panel_r,
-                    panel_i,
-                    &active[..m],
+        let seam = match snapshot {
+            Some(column) => {
+                assert!(
+                    from <= column && column <= pivots && column + kd <= n,
+                    "seam outside the eliminated range"
                 );
+                eliminate_panels(&mut re, &mut im, n, kd, from..column)?;
+                let planes = column * ld..(column + kd) * ld;
+                Some(Seam {
+                    column,
+                    re: re[planes.clone()].to_vec(),
+                    im: im[planes].to_vec(),
+                })
             }
-        }
-        Ok(BandedLdlt { n, kd, re, im })
+            None => None,
+        };
+        let start = seam.as_ref().map_or(from, |s| s.column);
+        eliminate_panels(&mut re, &mut im, n, kd, start..pivots)?;
+        Ok((
+            BandedLdlt {
+                n,
+                kd,
+                pivots,
+                re,
+                im,
+            },
+            seam,
+        ))
     }
 
     /// The unblocked right-looking elimination that
-    /// [`SymBandedMatrix::factorize`] reorders: the reference its factor is
-    /// pinned against bit for bit.
+    /// [`SymBandedMatrix::eliminate`] reorders: the reference its factor
+    /// is pinned against bit for bit, here also stopping after `pivots`.
     #[cfg(test)]
-    fn factorize_unblocked(self) -> Result<BandedLdlt, LinalgError> {
+    fn factorize_unblocked(self, pivots: usize) -> Result<BandedLdlt, LinalgError> {
         let SymBandedMatrix {
             n,
             kd,
@@ -302,7 +341,7 @@ impl SymBandedMatrix {
         let ld = kd + 1;
         let at = |re: &[f64], im: &[f64], o: usize| Complex64::new(re[o], im[o]);
         let mut v = vec![Complex64::ZERO; ld];
-        for j in 0..n {
+        for j in 0..pivots {
             let c = j * ld;
             let d = at(&re, &im, c);
             if d == Complex64::ZERO {
@@ -328,7 +367,120 @@ impl SymBandedMatrix {
                 }
             }
         }
-        Ok(BandedLdlt { n, kd, re, im })
+        Ok(BandedLdlt {
+            n,
+            kd,
+            pivots,
+            re,
+            im,
+        })
+    }
+}
+
+/// Eliminates the pivots of `range` in panels of [`FACTOR_PANEL`], the last
+/// panel's deferred updates included unless it ends the band.
+fn eliminate_panels(
+    re: &mut [f64],
+    im: &mut [f64],
+    n: usize,
+    kd: usize,
+    range: Range<usize>,
+) -> Result<(), LinalgError> {
+    let ld = kd + 1;
+    // The unscaled pivot columns of the current panel: entry `t` of
+    // pivot `p0 + idx` is at `idx·ld + t`, the `v` its updates use.
+    let mut vr = vec![0.0f64; FACTOR_PANEL * ld];
+    let mut vi = vec![0.0f64; FACTOR_PANEL * ld];
+    let mut active = [Pending::default(); FACTOR_PANEL];
+    for p0 in range.clone().step_by(FACTOR_PANEL) {
+        let p1 = (p0 + FACTOR_PANEL).min(range.end);
+        for j in p0..p1 {
+            let c = j * ld;
+            let q = (j - p0) * ld;
+            let km = kd.min(n - 1 - j);
+            scale_pivot_column(
+                &mut re[c..=c + km],
+                &mut im[c..=c + km],
+                &mut vr[q..=q + km],
+                &mut vi[q..=q + km],
+            )
+            .map_err(|()| LinalgError::Singular { index: j })?;
+            // Eager updates of the panel's own later columns.
+            let (col_r, rest_r) = re[c..].split_at_mut(ld);
+            let (col_i, rest_i) = im[c..].split_at_mut(ld);
+            for t in 1..=km.min(p1 - 1 - j) {
+                let (fr, fi) = (vr[q + t], vi[q + t]);
+                if fr == 0.0 && fi == 0.0 {
+                    continue;
+                }
+                let k0 = (t - 1) * ld;
+                let len = km + 1 - t;
+                update_column(
+                    &mut rest_r[k0..k0 + len],
+                    &mut rest_i[k0..k0 + len],
+                    &col_r[t..=km],
+                    &col_i[t..=km],
+                    fr,
+                    fi,
+                );
+            }
+        }
+        if p1 == n {
+            break;
+        }
+        // Deferred updates of the columns right of the panel.
+        let (panel_r, trail_r) = re.split_at_mut(p1 * ld);
+        let (panel_i, trail_i) = im.split_at_mut(p1 * ld);
+        for k in p1..=(p1 - 1 + kd).min(n - 1) {
+            let mut m = 0;
+            for j in p0..p1 {
+                let t = k - j;
+                let km = kd.min(n - 1 - j);
+                let q = (j - p0) * ld + t;
+                if t > km || (vr[q] == 0.0 && vi[q] == 0.0) {
+                    continue;
+                }
+                active[m] = Pending {
+                    off: j * ld + t,
+                    fr: vr[q],
+                    fi: vi[q],
+                    rows: km + 1 - t,
+                };
+                m += 1;
+            }
+            let k0 = (k - p1) * ld;
+            flush_column(
+                &mut trail_r[k0..k0 + ld],
+                &mut trail_i[k0..k0 + ld],
+                panel_r,
+                panel_i,
+                &active[..m],
+            );
+        }
+    }
+    Ok(())
+}
+
+/// The `kd` partially updated columns a factorization holds at column `c`
+/// after eliminating the pivots before it, copied whole: with the first `c`
+/// factor columns, everything an elimination resuming at `c` needs
+/// ([`SymBandedMatrix::restore`], [`SymBandedMatrix::eliminate`]).
+#[derive(Debug, Clone)]
+pub struct Seam {
+    column: usize,
+    re: Vec<f64>,
+    im: Vec<f64>,
+}
+
+impl Seam {
+    /// The column the seam starts at: the pivots eliminated before it.
+    pub fn column(&self) -> usize {
+        self.column
+    }
+
+    /// Complex entries the seam holds, `kd·(kd + 1)`.
+    pub fn entries(&self) -> usize {
+        self.re.len()
     }
 }
 
@@ -447,7 +599,7 @@ fn flush_rows<const R: usize>(
     (*dr, *di) = (ar, ai);
 }
 
-/// What [`BandedLdlt::solve_refined`] found for one right-hand side.
+/// What [`solve_refined`] found for one right-hand side.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Residual {
     /// The relative residual `‖S·x − b‖/‖b‖` of the returned solution
@@ -458,14 +610,88 @@ pub struct Residual {
     pub refined: bool,
 }
 
-/// The `L·Δ·Lᵀ` factorization of a [`SymBandedMatrix`].
+/// Solves every right-hand side in `xs` in place with `solve`, guarded:
+/// `apply(x, y)` must overwrite `y` with `S·x`. Each solution's relative
+/// residual is computed from it, and a solution whose residual exceeds
+/// [`REFINE_ABOVE`] is refined once, `x += S⁻¹·(b − S·x)`, the corrections
+/// of a block solved as one block. Returns each solution's final residual,
+/// in input order.
 ///
-/// Column `j` holds `1/Δ[j]` at `j·(kd+1)` and `L[j+r][j]` for
-/// `r = 1..=kd` after it, in split planes.
+/// `solve` is any direct solve of `S` over a block, such as
+/// [`BandedLdlt::solve`] or [`BandedLdlt::solve_twisted`]: the one guard
+/// every direct solve shares.
+///
+/// A non-finite residual is not refined: refinement cannot repair a
+/// non-finite right-hand side, and the caller's finiteness check reports
+/// it.
+pub fn solve_refined(
+    xs: &mut [impl AsMut<[Complex64]>],
+    solve: impl Fn(&mut [&mut [Complex64]]),
+    apply: impl Fn(&[Complex64], &mut [Complex64]),
+) -> Vec<Residual> {
+    let rhs: Vec<Vec<Complex64>> = xs.iter_mut().map(|x| x.as_mut().to_vec()).collect();
+    solve(&mut xs.iter_mut().map(AsMut::as_mut).collect::<Vec<_>>());
+    // Overwrites `r` with `b − S·x` and returns its norm relative to
+    // `b`'s.
+    let n = rhs.first().map_or(0, Vec::len);
+    let mut r = vec![Complex64::ZERO; n];
+    let residual = |x: &[Complex64], b: &[Complex64], r: &mut [Complex64]| {
+        apply(x, r);
+        let (mut num, mut den) = (0.0, 0.0);
+        for (r, b) in r.iter_mut().zip(b) {
+            *r = *b - *r;
+            num += r.norm_sqr();
+            den += b.norm_sqr();
+        }
+        (if den == 0.0 { num } else { num / den }).sqrt()
+    };
+    let mut out = Vec::with_capacity(xs.len());
+    let mut corrections = Vec::new();
+    let mut lanes = Vec::new();
+    for (i, (x, b)) in xs.iter_mut().zip(&rhs).enumerate() {
+        let relative = residual(x.as_mut(), b, &mut r);
+        out.push(Residual {
+            relative,
+            refined: false,
+        });
+        if relative > REFINE_ABOVE && relative.is_finite() {
+            corrections.push(r.clone());
+            lanes.push(i);
+        }
+    }
+    if lanes.is_empty() {
+        return out;
+    }
+    solve(
+        &mut corrections
+            .iter_mut()
+            .map(Vec::as_mut_slice)
+            .collect::<Vec<_>>(),
+    );
+    for (dx, i) in corrections.iter().zip(lanes) {
+        let x = xs[i].as_mut();
+        for (x, dx) in x.iter_mut().zip(dx) {
+            *x += *dx;
+        }
+        out[i] = Residual {
+            relative: residual(x, &rhs[i], &mut r),
+            refined: true,
+        };
+    }
+    out
+}
+
+/// The `L·Δ·Lᵀ` factorization of a [`SymBandedMatrix`], complete or
+/// stopped after its first `pivots` columns.
+///
+/// Column `j < pivots` holds `1/Δ[j]` at `j·(kd+1)` and `L[j+r][j]` for
+/// `r = 1..=kd` after it, in split planes; the columns from `pivots` on
+/// hold the Schur complement of the eliminated block.
 #[derive(Debug, Clone)]
 pub struct BandedLdlt {
     n: usize,
     kd: usize,
+    pivots: usize,
     re: Vec<f64>,
     im: Vec<f64>,
 }
@@ -474,6 +700,39 @@ impl BandedLdlt {
     /// Matrix dimension.
     pub fn dim(&self) -> usize {
         self.n
+    }
+
+    /// Number of sub-diagonals of the band.
+    pub fn bandwidth(&self) -> usize {
+        self.kd
+    }
+
+    /// Columns eliminated: `dim()` for a complete factorization.
+    pub fn pivots(&self) -> usize {
+        self.pivots
+    }
+
+    /// The stored entry `(i, j)`, `i ≥ j`: `1/Δ[j]` or `L[i][j]` for
+    /// `j < pivots`, the Schur complement's entry from there on, zero
+    /// outside the band.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j > i` or `i` is out of range.
+    pub fn get(&self, i: usize, j: usize) -> Complex64 {
+        assert!(j <= i && i < self.n, "factor index out of range");
+        if i - j > self.kd {
+            return Complex64::ZERO;
+        }
+        let o = j * (self.kd + 1) + i - j;
+        Complex64::new(self.re[o], self.im[o])
+    }
+
+    /// Gives the factor's storage back as a band of the same shape, to be
+    /// overwritten: every entry is stale until set.
+    pub fn into_band(self) -> SymBandedMatrix {
+        let BandedLdlt { n, kd, re, im, .. } = self;
+        SymBandedMatrix { n, kd, re, im }
     }
 
     /// Solves `S x = b` for every right-hand side in `xs`, overwriting each
@@ -495,155 +754,120 @@ impl BandedLdlt {
     ///
     /// # Panics
     ///
-    /// Panics if any right-hand side's length differs from `self.dim()`.
+    /// Panics if the factorization is partial or any right-hand side's
+    /// length differs from `self.dim()`.
     pub fn solve(&self, xs: &mut [impl AsMut<[Complex64]>]) {
-        let n = self.n;
-        let mut rows: Vec<&mut [Complex64]> = xs.iter_mut().map(AsMut::as_mut).collect();
-        for x in &rows {
-            assert_eq!(x.len(), n, "solve dimension mismatch");
-        }
-        // One scratch pair serves every chunk, sliced to each chunk's
-        // physical width.
-        let wmax = phys_width(rows.len().min(RHS_BLOCK));
-        let mut xr = vec![0.0f64; n * wmax];
-        let mut xi = vec![0.0f64; n * wmax];
-        for chunk in rows.chunks_mut(RHS_BLOCK) {
-            let wp = phys_width(chunk.len());
-            let (xr, xi) = (&mut xr[..n * wp], &mut xi[..n * wp]);
-            match chunk {
-                [x] => self.solve_lanes([&mut **x]),
-                [x, y] => self.solve_lanes([&mut **x, &mut **y]),
-                _ if chunk.len() <= 4 => self.solve_chunk::<4>(chunk, xr, xi),
-                _ => self.solve_chunk::<RHS_BLOCK>(chunk, xr, xi),
-            }
-        }
+        assert_eq!(self.pivots, self.n, "solve needs a complete factorization");
+        solve_split(self, None, xs);
     }
 
-    /// [`BandedLdlt::solve`], guarded: `apply(x, y)` must overwrite `y`
-    /// with `S·x`. Each solution's relative residual is computed from it,
-    /// and a solution whose residual exceeds [`REFINE_ABOVE`] is refined
-    /// once, `x += S⁻¹·(b − S·x)`, the corrections of a block solved as one
-    /// block. Returns each solution's final residual, in input order.
+    /// Solves with the twisted factorization whose top is `self`, a partial
+    /// factor of the leading rows of `S` stopped at `b = self.pivots()`,
+    /// and whose bottom is `bottom`, the complete factor of the Schur
+    /// complement on rows `b..`, rows in reversed order. `S` has
+    /// `b + bottom.dim()` rows, and `self` holds its leading
+    /// `self.dim() ≤ b + bottom.dim()` rows and columns.
     ///
-    /// A non-finite residual is not refined: refinement cannot repair a
-    /// non-finite right-hand side, and the caller's finiteness check
-    /// reports it.
+    /// Both halves run in one scratch block: the top's `L` sweep bounded at
+    /// `b` pivots, the rows from `b` reversed, the bottom's full solve,
+    /// the rows reversed back, and the top's `Δ⁻¹`/`Lᵀ` sweep bounded at `b`.
+    /// Lanes are blocked as in [`BandedLdlt::solve`] and stay bit-identical
+    /// to solving their systems alone.
     ///
     /// # Panics
     ///
-    /// Panics if any right-hand side's length differs from `self.dim()`.
-    pub fn solve_refined(
-        &self,
-        xs: &mut [impl AsMut<[Complex64]>],
-        apply: impl Fn(&[Complex64], &mut [Complex64]),
-    ) -> Vec<Residual> {
-        let rhs: Vec<Vec<Complex64>> = xs.iter_mut().map(|x| x.as_mut().to_vec()).collect();
-        self.solve(xs);
-        // Overwrites `r` with `b − S·x` and returns its norm relative to
-        // `b`'s.
-        let mut r = vec![Complex64::ZERO; self.n];
-        let residual = |x: &[Complex64], b: &[Complex64], r: &mut [Complex64]| {
-            apply(x, r);
-            let (mut num, mut den) = (0.0, 0.0);
-            for (r, b) in r.iter_mut().zip(b) {
-                *r = *b - *r;
-                num += r.norm_sqr();
-                den += b.norm_sqr();
-            }
-            (if den == 0.0 { num } else { num / den }).sqrt()
-        };
-        let mut out = Vec::with_capacity(xs.len());
-        let mut corrections = Vec::new();
-        let mut lanes = Vec::new();
-        for (i, (x, b)) in xs.iter_mut().zip(&rhs).enumerate() {
-            let relative = residual(x.as_mut(), b, &mut r);
-            out.push(Residual {
-                relative,
-                refined: false,
-            });
-            if relative > REFINE_ABOVE && relative.is_finite() {
-                corrections.push(r.clone());
-                lanes.push(i);
-            }
-        }
-        if lanes.is_empty() {
-            return out;
-        }
-        self.solve(&mut corrections);
-        for (dx, i) in corrections.iter().zip(lanes) {
-            let x = xs[i].as_mut();
-            for (x, dx) in x.iter_mut().zip(dx) {
-                *x += *dx;
-            }
-            out[i] = Residual {
-                relative: residual(x, &rhs[i], &mut r),
-                refined: true,
-            };
-        }
-        out
+    /// Panics if the halves do not fit together or a right-hand side's
+    /// length differs from `b + bottom.dim()`.
+    pub fn solve_twisted(&self, bottom: &BandedLdlt, xs: &mut [impl AsMut<[Complex64]>]) {
+        assert!(
+            bottom.pivots == bottom.n && self.n <= self.pivots + bottom.n,
+            "twisted halves do not fit together"
+        );
+        solve_split(self, Some(bottom), xs);
     }
 
-    /// One chunk of the blocked kernel at physical lane width
-    /// `W ≥ chunk.len() ≥ 3`: gather the right-hand sides into split re/im
-    /// planes with lane-major rows (lane `r` of row `i` lives at
-    /// `plane[i·W + r]`, so the per-row inner loops touch `W` contiguous
-    /// `f64` per plane), sweep, and scatter the solutions back in place.
-    /// `xr`/`xi` are caller-owned scratch of length `n·W`.
-    ///
-    /// The width is monomorphized so the strip kernels compile with
-    /// compile-time trip counts, and [`phys_width`] picks the narrowest that
-    /// covers the chunk, so a tail chunk never pays for lanes it does not
-    /// fill. Padding lanes start at zero and are computed and discarded;
-    /// lanes never mix, so padding cannot perturb real lanes.
-    fn solve_chunk<const W: usize>(
-        &self,
-        chunk: &mut [&mut [Complex64]],
-        xr: &mut [f64],
-        xi: &mut [f64],
-    ) {
-        const SCATTER_TILE: usize = 512;
-        let n = self.n;
-        let w = chunk.len();
-        debug_assert!(w >= 3 && w <= W);
-        // Re-slice to the exact `n·W` length so the optimizer sees the
-        // same compile-time size relation it had when the planes were
-        // allocated, keeping the sweep loops free of bounds checks.
-        let xr = &mut xr[..n * W];
-        let xi = &mut xi[..n * W];
-        if w < W {
-            // Padding lanes must start at zero; a full chunk overwrites
-            // every lane below, so only padded chunks pay this clear.
-            xr.fill(0.0);
-            xi.fill(0.0);
-        }
-        // Gather: row-outer order keeps the plane writes contiguous while
-        // the per-lane reads advance as `w` sequential streams.
-        let bs: [&[Complex64]; W] = core::array::from_fn(|r| &*chunk[r.min(w - 1)]);
-        for i in 0..n {
-            let (row_r, row_i) = (&mut xr[i * W..(i + 1) * W], &mut xi[i * W..(i + 1) * W]);
-            for r in 0..w {
-                let z = bs[r][i];
-                row_r[r] = z.re;
-                row_i[r] = z.im;
-            }
-        }
-        self.sweep_l_blocked::<W>(xr, xi, w);
-        self.sweep_lt_blocked::<W>(xr, xi);
-        // Scatter back in place, tiled so the strided plane reads stay
-        // inside a cache-resident window while each solution is written
-        // sequentially.
-        for t0 in (0..n).step_by(SCATTER_TILE) {
-            let t1 = (t0 + SCATTER_TILE).min(n);
-            for (r, x) in chunk.iter_mut().enumerate() {
-                for (i, z) in (t0..t1).zip(&mut x[t0..t1]) {
-                    *z = Complex64::new(xr[i * W + r], xi[i * W + r]);
+    /// The `L` sweep over the pivots, for `L` systems side by side: each
+    /// system in split planes of its own, vectorized along the rows of the
+    /// factor, and the `L` systems in the same loops so each column of the
+    /// factor is loaded once for all of them. `L = 1` is the reference the
+    /// blocked kernel is pinned against bit for bit; every system runs the
+    /// same ops at any `L`. A system whose entry is zero skips its column's
+    /// update.
+    fn sweep_l_lanes<const L: usize>(&self, mut zr: [&mut [f64]; L], mut zi: [&mut [f64]; L]) {
+        let (n, kd, ld) = (self.n, self.kd, self.kd + 1);
+        for j in 0..self.pivots.min(n.saturating_sub(1)) {
+            let km = kd.min(n - 1 - j);
+            let c = j * ld + 1;
+            let (lr, li) = (&self.re[c..c + km], &self.im[c..c + km]);
+            let b: [(f64, f64); L] = core::array::from_fn(|r| (zr[r][j], zi[r][j]));
+            let live = b.map(|(br, bi)| br != 0.0 || bi != 0.0);
+            if live.iter().all(|&l| l) {
+                let dr = zr.each_mut().map(|z| &mut z[j + 1..j + 1 + km]);
+                let di = zi.each_mut().map(|z| &mut z[j + 1..j + 1 + km]);
+                for q in 0..km {
+                    for r in 0..L {
+                        let (br, bi) = b[r];
+                        dr[r][q] = li[q].mul_add(bi, fnma(lr[q], br, dr[r][q]));
+                        di[r][q] = fnma(li[q], br, fnma(lr[q], bi, di[r][q]));
+                    }
+                }
+            } else {
+                for r in (0..L).filter(|&r| live[r]) {
+                    let (br, bi) = b[r];
+                    let rows = j + 1..j + 1 + km;
+                    update_column(&mut zr[r][rows.clone()], &mut zi[r][rows], lr, li, br, bi);
                 }
             }
         }
     }
 
-    /// Blocked `L` sweep over `w` live lanes (padded to `W`): the
-    /// split-plane counterpart of the one-system `L` sweep.
+    /// The `Δ⁻¹` and `Lᵀ` sweep over the pivots, row-oriented, for `L`
+    /// systems side by side: row `j` is `Δ⁻¹` of its entry minus the dot
+    /// product of column `j` of `L` with the rows below, entry `o` of the
+    /// column adding into partial `o % DOT_SUMS`, each partial in
+    /// descending `o`. The entry next to the diagonal, the row solved last,
+    /// comes last, so the chain from one row to the next is one update and
+    /// the [`reduce`] tree.
+    fn sweep_lt_lanes<const L: usize>(&self, zr: [&mut [f64]; L], zi: [&mut [f64]; L]) {
+        let (n, kd, ld) = (self.n, self.kd, self.kd + 1);
+        for j in (0..self.pivots).rev() {
+            let km = kd.min(n - 1 - j);
+            let c = j * ld;
+            let (lr, li) = (&self.re[c + 1..c + 1 + km], &self.im[c + 1..c + 1 + km]);
+            let yr = zr.each_ref().map(|z| &z[j + 1..j + 1 + km]);
+            let yi = zi.each_ref().map(|z| &z[j + 1..j + 1 + km]);
+            let mut sr = [[0.0f64; DOT_SUMS]; L];
+            let mut si = [[0.0f64; DOT_SUMS]; L];
+            let mut o = km - km % DOT_SUMS;
+            for p in 0..DOT_SUMS {
+                if o + p < km {
+                    for r in 0..L {
+                        let (y_r, y_i) = (yr[r][o + p], yi[r][o + p]);
+                        dot_step(&mut sr[r][p], &mut si[r][p], lr[o + p], li[o + p], y_r, y_i);
+                    }
+                }
+            }
+            while o > 0 {
+                o -= DOT_SUMS;
+                for p in 0..DOT_SUMS {
+                    for r in 0..L {
+                        let (y_r, y_i) = (yr[r][o + p], yi[r][o + p]);
+                        dot_step(&mut sr[r][p], &mut si[r][p], lr[o + p], li[o + p], y_r, y_i);
+                    }
+                }
+            }
+            let inv = Complex64::new(self.re[c], self.im[c]);
+            for r in 0..L {
+                let y = cmul_recip(Complex64::new(zr[r][j], zi[r][j]), inv);
+                zr[r][j] = y.re - reduce(sr[r]);
+                zi[r][j] = y.im - reduce(si[r]);
+            }
+        }
+    }
+
+    /// Blocked `L` sweep over the pivots, `w` live lanes (padded to `W`)
+    /// in lane-major planes: the counterpart of
+    /// [`BandedLdlt::sweep_l_lanes`].
     ///
     /// It runs in column panels of [`PANEL`]. Updates to rows *inside* a
     /// panel stay eager, since later panel columns read them, while updates
@@ -664,6 +888,10 @@ impl BandedLdlt {
         if kd == 0 || n < 2 {
             return;
         }
+        // Re-slice to the exact `n·W` length so the optimizer sees the
+        // compile-time size relation, keeping the loops free of bounds
+        // checks.
+        let (xr, xi) = (&mut xr[..n * W], &mut xi[..n * W]);
         // Per-panel state: the lane values of each column, its liveness,
         // the plane offset of its multipliers (`plane[offs + i]` is its
         // multiplier for row `i`), and the last row it updates.
@@ -672,10 +900,10 @@ impl BandedLdlt {
         let mut lives = [0usize; PANEL];
         let mut offs = [0usize; PANEL];
         let mut ends = [0usize; PANEL];
-        let nm1 = n - 1;
+        let end = self.pivots.min(n - 1);
         let mut p0 = 0usize;
-        while p0 < nm1 {
-            let p1 = (p0 + PANEL).min(nm1);
+        while p0 < end {
+            let p1 = (p0 + PANEL).min(end);
             let pw = p1 - p0;
             for idx in 0..pw {
                 let c = p0 + idx;
@@ -776,12 +1004,14 @@ impl BandedLdlt {
         }
     }
 
-    /// Blocked `Δ⁻¹` and `Lᵀ` sweep: the one-system backward sweep with
-    /// every lane keeping its own [`DOT_SUMS`] partial sums, filled in the
-    /// same row order and combined by the same [`reduce`] tree.
+    /// Blocked `Δ⁻¹` and `Lᵀ` sweep over the pivots: the one-system
+    /// backward sweep with every lane keeping its own [`DOT_SUMS`] partial
+    /// sums, filled in the same row order and combined by the same
+    /// [`reduce`] tree.
     fn sweep_lt_blocked<const W: usize>(&self, xr: &mut [f64], xi: &mut [f64]) {
         let (n, kd, ld) = (self.n, self.kd, self.kd + 1);
-        for j in (0..n).rev() {
+        let (xr, xi) = (&mut xr[..n * W], &mut xi[..n * W]);
+        for j in (0..self.pivots).rev() {
             let km = kd.min(n - 1 - j);
             let c = j * ld;
             let (lr, li) = (&self.re[c + 1..c + 1 + km], &self.im[c + 1..c + 1 + km]);
@@ -831,105 +1061,175 @@ impl BandedLdlt {
             }
         }
     }
+}
 
-    /// The one-system sweeps, for `L` systems side by side: each system in
-    /// split planes of its own, vectorized along the rows of the factor,
-    /// and the `L` systems in the same loops so each column of the factor
-    /// is loaded once for all of them. `L = 1` is the reference the blocked
-    /// kernel is pinned against bit for bit; every system runs the same ops
-    /// at any `L`.
-    ///
-    /// The `L` sweep is column-oriented, and a system whose entry is zero
-    /// skips its column's update. The `Lᵀ` sweep is row-oriented: row `j` is
-    /// `Δ⁻¹` of its entry minus the dot product of column `j` of `L` with
-    /// the rows below, entry `o` of the column adding into partial
-    /// `o % DOT_SUMS`, each partial in descending `o`. The entry next to the
-    /// diagonal, the row solved last, comes last, so the chain from one row
-    /// to the next is one update and the [`reduce`] tree.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any `x.len() != self.dim()`.
-    fn solve_lanes<const L: usize>(&self, xs: [&mut [Complex64]; L]) {
-        for x in &xs {
-            assert_eq!(x.len(), self.n, "solve dimension mismatch");
+/// The solve behind [`BandedLdlt::solve`] (no `bottom`: `top` is complete)
+/// and [`BandedLdlt::solve_twisted`]. One scratch block serves every chunk
+/// and both halves, sliced to each chunk's physical width.
+fn solve_split(top: &BandedLdlt, bottom: Option<&BandedLdlt>, xs: &mut [impl AsMut<[Complex64]>]) {
+    let n = bottom.map_or(top.n, |f| top.pivots + f.n);
+    let mut rows: Vec<&mut [Complex64]> = xs.iter_mut().map(AsMut::as_mut).collect();
+    for x in &rows {
+        assert_eq!(x.len(), n, "solve dimension mismatch");
+    }
+    let wmax = phys_width(rows.len().min(RHS_BLOCK));
+    let mut xr = vec![0.0f64; n * wmax];
+    let mut xi = vec![0.0f64; n * wmax];
+    let halves = Halves { top, bottom };
+    for chunk in rows.chunks_mut(RHS_BLOCK) {
+        let wp = phys_width(chunk.len());
+        let (xr, xi) = (&mut xr[..n * wp], &mut xi[..n * wp]);
+        match wp {
+            1 => halves.solve_lanes::<1>(chunk, xr, xi),
+            2 => halves.solve_lanes::<2>(chunk, xr, xi),
+            4 => halves.solve_chunk::<4>(chunk, xr, xi),
+            _ => halves.solve_chunk::<RHS_BLOCK>(chunk, xr, xi),
         }
-        let (n, kd, ld) = (self.n, self.kd, self.kd + 1);
-        let mut zr: [Vec<f64>; L] = core::array::from_fn(|r| xs[r].iter().map(|z| z.re).collect());
-        let mut zi: [Vec<f64>; L] = core::array::from_fn(|r| xs[r].iter().map(|z| z.im).collect());
-        for j in 0..n.saturating_sub(1) {
-            let km = kd.min(n - 1 - j);
-            let c = j * ld + 1;
-            let (lr, li) = (&self.re[c..c + km], &self.im[c..c + km]);
-            let b: [(f64, f64); L] = core::array::from_fn(|r| (zr[r][j], zi[r][j]));
-            let live = b.map(|(br, bi)| br != 0.0 || bi != 0.0);
-            if live.iter().all(|&l| l) {
-                let dr = zr.each_mut().map(|z| &mut z[j + 1..j + 1 + km]);
-                let di = zi.each_mut().map(|z| &mut z[j + 1..j + 1 + km]);
-                for q in 0..km {
-                    for r in 0..L {
-                        let (br, bi) = b[r];
-                        dr[r][q] = li[q].mul_add(bi, fnma(lr[q], br, dr[r][q]));
-                        di[r][q] = fnma(li[q], br, fnma(lr[q], bi, di[r][q]));
-                    }
-                }
-            } else {
-                for r in (0..L).filter(|&r| live[r]) {
-                    let (br, bi) = b[r];
-                    let rows = j + 1..j + 1 + km;
-                    update_column(&mut zr[r][rows.clone()], &mut zi[r][rows], lr, li, br, bi);
-                }
-            }
-        }
-        for j in (0..n).rev() {
-            let km = kd.min(n - 1 - j);
-            let c = j * ld;
-            let (lr, li) = (&self.re[c + 1..c + 1 + km], &self.im[c + 1..c + 1 + km]);
-            let yr = zr.each_ref().map(|z| &z[j + 1..j + 1 + km]);
-            let yi = zi.each_ref().map(|z| &z[j + 1..j + 1 + km]);
-            let mut sr = [[0.0f64; DOT_SUMS]; L];
-            let mut si = [[0.0f64; DOT_SUMS]; L];
-            let mut o = km - km % DOT_SUMS;
-            for p in 0..DOT_SUMS {
-                if o + p < km {
-                    for r in 0..L {
-                        let (y_r, y_i) = (yr[r][o + p], yi[r][o + p]);
-                        dot_step(&mut sr[r][p], &mut si[r][p], lr[o + p], li[o + p], y_r, y_i);
-                    }
-                }
-            }
-            while o > 0 {
-                o -= DOT_SUMS;
-                for p in 0..DOT_SUMS {
-                    for r in 0..L {
-                        let (y_r, y_i) = (yr[r][o + p], yi[r][o + p]);
-                        dot_step(&mut sr[r][p], &mut si[r][p], lr[o + p], li[o + p], y_r, y_i);
-                    }
-                }
-            }
-            let inv = Complex64::new(self.re[c], self.im[c]);
-            for r in 0..L {
-                let y = cmul_recip(Complex64::new(zr[r][j], zi[r][j]), inv);
-                zr[r][j] = y.re - reduce(sr[r]);
-                zi[r][j] = y.im - reduce(si[r]);
+    }
+}
+
+/// A complete factor (`bottom` none) or the two halves of a twisted one.
+#[derive(Clone, Copy)]
+struct Halves<'a> {
+    top: &'a BandedLdlt,
+    bottom: Option<&'a BandedLdlt>,
+}
+
+impl Halves<'_> {
+    /// One or two systems in the one-system sweeps: `xr`/`xi` hold one
+    /// `n`-long plane per system.
+    fn solve_lanes<const L: usize>(
+        self,
+        chunk: &mut [&mut [Complex64]],
+        xr: &mut [f64],
+        xi: &mut [f64],
+    ) {
+        let n = xr.len() / L;
+        let (mut pr, mut pi) = (xr.chunks_exact_mut(n), xi.chunks_exact_mut(n));
+        let mut zr: [&mut [f64]; L] = core::array::from_fn(|_| pr.next().expect("plane"));
+        let mut zi: [&mut [f64]; L] = core::array::from_fn(|_| pi.next().expect("plane"));
+        for (r, x) in chunk.iter().enumerate() {
+            for (i, z) in x.iter().enumerate() {
+                (zr[r][i], zi[r][i]) = (z.re, z.im);
             }
         }
-        for (x, (zr, zi)) in xs.into_iter().zip(zr.into_iter().zip(zi)) {
-            for (z, (re, im)) in x.iter_mut().zip(zr.into_iter().zip(zi)) {
-                *z = Complex64::new(re, im);
+        let (top, m) = (self.top, self.top.n);
+        top.sweep_l_lanes(
+            zr.each_mut().map(|z| &mut z[..m]),
+            zi.each_mut().map(|z| &mut z[..m]),
+        );
+        if let Some(bottom) = self.bottom {
+            let b = top.pivots;
+            for z in zr.iter_mut().chain(zi.iter_mut()) {
+                z[b..].reverse();
+            }
+            let (br, bi) = (
+                zr.each_mut().map(|z| &mut z[b..]),
+                zi.each_mut().map(|z| &mut z[b..]),
+            );
+            bottom.sweep_l_lanes(br, bi);
+            let (br, bi) = (
+                zr.each_mut().map(|z| &mut z[b..]),
+                zi.each_mut().map(|z| &mut z[b..]),
+            );
+            bottom.sweep_lt_lanes(br, bi);
+            for z in zr.iter_mut().chain(zi.iter_mut()) {
+                z[b..].reverse();
+            }
+        }
+        top.sweep_lt_lanes(
+            zr.each_mut().map(|z| &mut z[..m]),
+            zi.each_mut().map(|z| &mut z[..m]),
+        );
+        for (r, x) in chunk.iter_mut().enumerate() {
+            for (i, z) in x.iter_mut().enumerate() {
+                *z = Complex64::new(zr[r][i], zi[r][i]);
+            }
+        }
+    }
+
+    /// One chunk of the blocked kernel at physical lane width
+    /// `W ≥ chunk.len() ≥ 3`: gather the right-hand sides into split re/im
+    /// planes with lane-major rows (lane `r` of row `i` lives at
+    /// `plane[i·W + r]`, so the per-row inner loops touch `W` contiguous
+    /// `f64` per plane), sweep, and scatter the solutions back in place.
+    /// `xr`/`xi` are caller-owned scratch of length `n·W`.
+    ///
+    /// The width is monomorphized so the strip kernels compile with
+    /// compile-time trip counts, and [`phys_width`] picks the narrowest that
+    /// covers the chunk, so a tail chunk never pays for lanes it does not
+    /// fill. Padding lanes start at zero and are computed and discarded;
+    /// lanes never mix, so padding cannot perturb real lanes.
+    fn solve_chunk<const W: usize>(
+        self,
+        chunk: &mut [&mut [Complex64]],
+        xr: &mut [f64],
+        xi: &mut [f64],
+    ) {
+        const SCATTER_TILE: usize = 512;
+        let n = xr.len() / W;
+        let w = chunk.len();
+        debug_assert!(w >= 3 && w <= W);
+        if w < W {
+            // Padding lanes must start at zero; a full chunk overwrites
+            // every lane below, so only padded chunks pay this clear.
+            xr.fill(0.0);
+            xi.fill(0.0);
+        }
+        // Gather: row-outer order keeps the plane writes contiguous while
+        // the per-lane reads advance as `w` sequential streams.
+        let bs: [&[Complex64]; W] = core::array::from_fn(|r| &*chunk[r.min(w - 1)]);
+        for i in 0..n {
+            let (row_r, row_i) = (&mut xr[i * W..(i + 1) * W], &mut xi[i * W..(i + 1) * W]);
+            for r in 0..w {
+                let z = bs[r][i];
+                row_r[r] = z.re;
+                row_i[r] = z.im;
+            }
+        }
+        let top = self.top;
+        top.sweep_l_blocked::<W>(xr, xi, w);
+        if let Some(bottom) = self.bottom {
+            let b = top.pivots * W;
+            reverse_rows::<W>(&mut xr[b..]);
+            reverse_rows::<W>(&mut xi[b..]);
+            bottom.sweep_l_blocked::<W>(&mut xr[b..], &mut xi[b..], w);
+            bottom.sweep_lt_blocked::<W>(&mut xr[b..], &mut xi[b..]);
+            reverse_rows::<W>(&mut xr[b..]);
+            reverse_rows::<W>(&mut xi[b..]);
+        }
+        top.sweep_lt_blocked::<W>(xr, xi);
+        // Scatter back in place, tiled so the strided plane reads stay
+        // inside a cache-resident window while each solution is written
+        // sequentially.
+        for t0 in (0..n).step_by(SCATTER_TILE) {
+            let t1 = (t0 + SCATTER_TILE).min(n);
+            for (r, x) in chunk.iter_mut().enumerate() {
+                for (i, z) in (t0..t1).zip(&mut x[t0..t1]) {
+                    *z = Complex64::new(xr[i * W + r], xi[i * W + r]);
+                }
             }
         }
     }
 }
 
+/// Reverses the order of the `W`-wide rows of a lane-major plane.
+fn reverse_rows<const W: usize>(plane: &mut [f64]) {
+    let rows = plane.len() / W;
+    for i in 0..rows / 2 {
+        let (head, tail) = plane.split_at_mut((rows - 1 - i) * W);
+        head[i * W..(i + 1) * W].swap_with_slice(&mut tail[..W]);
+    }
+}
+
 /// The physical lane width a chunk of `len ≤ RHS_BLOCK` right-hand sides is
-/// monomorphized at: the narrower of 4 and [`RHS_BLOCK`] that covers it.
-/// One or two right-hand sides take the one-system loops (width 0: no
-/// plane scratch).
+/// solved at: one or two systems take the one-system loops, a plane each;
+/// wider chunks the blocked kernel, monomorphized at the narrower of 4 and
+/// [`RHS_BLOCK`] that covers them.
 #[inline(always)]
 fn phys_width(len: usize) -> usize {
     match len {
-        0..=2 => 0,
+        0..=2 => len,
         3..=4 => 4,
         _ => RHS_BLOCK,
     }
@@ -1127,11 +1427,96 @@ mod tests {
     /// Asserts every lane of a block solve equals its K=1 solve, down to
     /// the sign of zero.
     fn assert_block_matches_scalar(f: &BandedLdlt, rhs: &[Vec<Complex64>], what: &str) {
+        assert_lanes_match(|xs| f.solve(xs), rhs, what);
+    }
+
+    /// [`assert_block_matches_scalar`] for any block solve.
+    fn assert_lanes_match(
+        solve: impl Fn(&mut [Vec<Complex64>]),
+        rhs: &[Vec<Complex64>],
+        what: &str,
+    ) {
         let mut block = rhs.to_vec();
-        f.solve(&mut block);
+        solve(&mut block);
         for (r, (x, b)) in block.iter().zip(rhs).enumerate() {
-            assert_bits_eq(x, &solve1(f, b), &format!("{what} lane {r}"));
+            let mut one = vec![b.clone()];
+            solve(&mut one);
+            assert_bits_eq(x, &one[0], &format!("{what} lane {r}"));
         }
+    }
+
+    /// The split planes of a factor, as complex entries.
+    fn planes(f: &BandedLdlt) -> Vec<Complex64> {
+        f.re.iter()
+            .zip(&f.im)
+            .map(|(re, im)| Complex64::new(*re, *im))
+            .collect()
+    }
+
+    /// Asserts two eliminations agree bit for bit, or fail at the same
+    /// column.
+    fn assert_same_elimination(
+        got: Result<BandedLdlt, LinalgError>,
+        want: &Result<BandedLdlt, LinalgError>,
+        what: &str,
+    ) {
+        match (got, want) {
+            (Ok(f), Ok(g)) => {
+                assert_eq!(f.pivots, g.pivots, "{what}: pivots");
+                assert_bits_eq(&planes(&f), &planes(g), what);
+            }
+            (Err(e), Err(g)) => assert_eq!(&e, g, "{what}: error"),
+            (got, want) => panic!(
+                "{what}: {:?} vs {:?}",
+                got.map(|_| ()),
+                want.as_ref().map(|_| ())
+            ),
+        }
+    }
+
+    /// A random band whose off-diagonal entries with `(3i + j) % zeros == 0`
+    /// are `-0 − 0i`.
+    fn band_with_negative_zeros(n: usize, kd: usize, seed: u64, zeros: usize) -> SymBandedMatrix {
+        let mut band = random_sym_band(n, kd, seed, 0.0);
+        for j in 0..n {
+            for i in j + 1..(j + kd + 1).min(n) {
+                if (3 * i + j) % zeros == 0 {
+                    band.set(i, j, Complex64::new(-0.0, -0.0));
+                }
+            }
+        }
+        band
+    }
+
+    /// The twisted factorization of `band` split at `split`: the top
+    /// eliminates the leading `split` pivots of the leading `split + kd`
+    /// rows, and the bottom factors the Schur complement on the rows from
+    /// `split`, reversed, its leading entries taken from the top's
+    /// remainder.
+    fn twisted(band: &SymBandedMatrix, split: usize) -> (BandedLdlt, BandedLdlt) {
+        let (n, kd) = (band.dim(), band.bandwidth());
+        let m = (split + kd).min(n);
+        let mut top = SymBandedMatrix::zeros(m, kd);
+        for j in 0..m {
+            for i in j..(j + kd + 1).min(m) {
+                top.set(i, j, band.get(i, j));
+            }
+        }
+        let (top, _) = top.eliminate(0, split, None).unwrap();
+        let nb = n - split;
+        let mut bottom = SymBandedMatrix::zeros(nb, kd);
+        for j in 0..nb {
+            for i in j..(j + kd + 1).min(nb) {
+                let (lo, hi) = (n - 1 - i, n - 1 - j);
+                let v = if hi < m {
+                    top.get(hi, lo)
+                } else {
+                    band.get(lo, hi)
+                };
+                bottom.set(i, j, v);
+            }
+        }
+        (top, bottom.factorize().unwrap())
     }
 
     /// A batch of `count` right-hand sides with mixed sparsity: dense lanes,
@@ -1160,14 +1545,11 @@ mod tests {
     /// Factors `band` with the panel kernel and the unblocked reference and
     /// asserts the two agree bit for bit, or fail at the same column.
     fn assert_factor_matches_reference(band: &SymBandedMatrix, what: &str) {
-        match (band.clone().factorize(), band.clone().factorize_unblocked()) {
+        match (
+            band.clone().factorize(),
+            band.clone().factorize_unblocked(band.dim()),
+        ) {
             (Ok(f), Ok(reference)) => {
-                let planes = |f: &BandedLdlt| {
-                    f.re.iter()
-                        .zip(&f.im)
-                        .map(|(re, im)| Complex64::new(*re, *im))
-                        .collect::<Vec<_>>()
-                };
                 assert_bits_eq(&planes(&f), &planes(&reference), what);
             }
             (Err(e), Err(reference)) => assert_eq!(e, reference, "{what}: error"),
@@ -1240,6 +1622,98 @@ mod tests {
                 &band,
                 &format!("n={n} kd={kd} seed={seed} zeros={zeros}"),
             );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// An elimination stopped at `pivots` (every pivot, or fewer, the
+        /// rest left as the Schur complement) matches the unblocked
+        /// reference stopped there. Taking a seam changes no bits, and
+        /// resuming from it, behind the factor's first `c` columns copied
+        /// into stale storage and the rest of the band set afresh, gives
+        /// the same factor, or fails at the same column.
+        #[test]
+        fn resumed_elimination_is_bit_identical_to_straight(
+            n in 1usize..101,
+            kd in 0usize..13,
+            seed in 0u64..u64::MAX,
+            zeros in 2usize..6,
+            cut in 0usize..1000,
+            at in 0usize..1000,
+        ) {
+            let band = band_with_negative_zeros(n, kd, seed, zeros);
+            let pivots = if cut % 3 == 0 { n } else { cut % (n + 1) };
+            let what = format!("n={n} kd={kd} seed={seed} pivots={pivots}");
+            let straight = band.clone().eliminate(0, pivots, None).map(|(f, _)| f);
+            assert_same_elimination(
+                band.clone().factorize_unblocked(pivots),
+                &straight,
+                &format!("{what} unblocked"),
+            );
+            proptest::prop_assume!(kd <= n);
+            let c = at % (pivots.min(n - kd) + 1);
+            let what = format!("{what} seam={c}");
+            let snapped = band.clone().eliminate(0, pivots, Some(c)).map(|(f, _)| f);
+            assert_same_elimination(snapped, &straight, &format!("{what} snapshot"));
+            let head = band.clone().eliminate(0, c, Some(c));
+            if let Err(e) = &head {
+                assert_eq!(Err(e), straight.as_ref().map(|_| ()), "{what}: before the seam");
+            }
+            let Ok((head, Some(seam))) = head else {
+                continue;
+            };
+            assert_eq!((seam.column(), seam.entries()), (c, kd * (kd + 1)));
+            let mut resumed = band_with_negative_zeros(n, kd, seed ^ 1, zeros)
+                .factorize()
+                .map_or_else(|_| SymBandedMatrix::zeros(n, kd), BandedLdlt::into_band);
+            resumed.copy_columns(&head, 0..c);
+            resumed.restore(&seam);
+            resumed.clear_columns(c + kd..n);
+            for j in c..n {
+                for i in (j.max(c + kd))..(j + kd + 1).min(n) {
+                    resumed.set(i, j, band.get(i, j));
+                }
+            }
+            let resumed = resumed.eliminate(c, pivots, None).map(|(f, _)| f);
+            assert_same_elimination(resumed, &straight, &format!("{what} resumed"));
+        }
+    }
+
+    /// The twisted solve, top and bottom of one band joined at the split,
+    /// solves the band: at a split inside it, at 0 (no top pivots) and at
+    /// `n − kd` (the top holds the whole band), on a band wider than
+    /// [`DOT_SUMS`] with a remainder row count. Every blocked lane
+    /// (K = 1..9 and 33, ±0 lanes included) equals its K=1 solve.
+    #[test]
+    fn twisted_solve_matches_the_band_and_blocks_match_k1() {
+        let (n, kd) = (61, 11);
+        let band = random_sym_band(n, kd, 2024, 4.0);
+        for split in [30, 0, n - kd] {
+            let (top, bottom) = twisted(&band, split);
+            let solve = |xs: &mut [Vec<Complex64>]| top.solve_twisted(&bottom, xs);
+            for b in mixed_rhs(n, 3) {
+                let mut x = vec![b.clone()];
+                solve(&mut x);
+                let r = rel_residual(&band, &x[0], &b);
+                assert!(r < 1e-13, "split {split}: residual {r:e}");
+            }
+            for k in (1..=9).chain([33]) {
+                assert_lanes_match(solve, &mixed_rhs(n, k), &format!("split {split} K={k}"));
+            }
+            let signed: Vec<Vec<Complex64>> = (0..5)
+                .map(|r| {
+                    (0..n)
+                        .map(|k| match (k + r) % 3 {
+                            0 => Complex64::new(-0.0, 0.0),
+                            1 => Complex64::new(0.0, -0.0),
+                            _ => Complex64::new(-0.0, -0.0),
+                        })
+                        .collect()
+                })
+                .collect();
+            assert_lanes_match(solve, &signed, &format!("split {split} zero signs"));
         }
     }
 
@@ -1373,7 +1847,11 @@ mod tests {
         assert!(unguarded > REFINE_ABOVE, "unguarded residual {unguarded:e}");
         let easy = random_sym_band(n, 2, 12, 4.0);
         let mut xs = vec![b.clone(), vec![Complex64::ZERO; n]];
-        let report = f.solve_refined(&mut xs, |x, y| y.copy_from_slice(&band.matvec(x)));
+        let report = solve_refined(
+            &mut xs,
+            |xs| f.solve(xs),
+            |x, y| y.copy_from_slice(&band.matvec(x)),
+        );
         assert!(report[0].refined, "{report:?}");
         assert!(report[0].relative <= 1e-15, "{report:?}");
         let recomputed = rel_residual(&band, &xs[0], &b);
@@ -1392,9 +1870,11 @@ mod tests {
         );
         let fe = easy.clone().factorize().unwrap();
         let mut x = b.clone();
-        let report = fe.solve_refined(std::slice::from_mut(&mut x), |x, y| {
-            y.copy_from_slice(&easy.matvec(x))
-        });
+        let report = solve_refined(
+            std::slice::from_mut(&mut x),
+            |xs| fe.solve(xs),
+            |x, y| y.copy_from_slice(&easy.matvec(x)),
+        );
         assert!(!report[0].refined && report[0].relative <= REFINE_ABOVE);
         assert_bits_eq(&x, &solve1(&fe, &b), "unrefined lane");
     }

@@ -46,7 +46,9 @@ pub use complex::Complex64;
 pub use dense::{DMatrix, ZMatrix};
 pub use eigen::{symmetric_eigen, SymmetricEigen};
 pub use iterative::{bicgstab, IterativeOptions, IterativeStats};
-pub use ldlt::{BandedLdlt, Residual, SymBandedMatrix, REFINE_ABOVE, RHS_BLOCK};
+pub use ldlt::{
+    solve_refined, BandedLdlt, Residual, Seam, SymBandedMatrix, REFINE_ABOVE, RHS_BLOCK,
+};
 pub use sparse::{CooMatrix, CsrMatrix};
 
 use std::fmt;

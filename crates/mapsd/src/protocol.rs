@@ -107,10 +107,11 @@ pub struct Envelope {
 pub const MAX_CELLS: usize = 1 << 20;
 
 /// Hard cap on the factor-cache entry one request may need, in bytes
-/// ([`maps_fdfd::operator::factor_bytes`]: the `L·Δ·Lᵀ` band plus the kept
-/// stencil). The entry grows as `nx²·ny`, so the cell cap alone still
-/// admits a 1024×1024 grid whose factor is ~17 GB. 1 GiB admits square
-/// grids up to 405×405; the default 80×80 device grid needs 8.6 MB.
+/// ([`maps_fdfd::operator::factor_bytes`]: both halves of the twisted
+/// `L·Δ·Lᵀ`, the kept stencil and the two seams). The entry grows as
+/// `nx²·ny`, so the cell cap alone still admits a 1024×1024 grid whose
+/// factor is ~17 GB. 1 GiB admits square grids up to 404×404; the default
+/// 80×80 device grid needs 8.9 MB.
 pub const MAX_FACTOR_BYTES: usize = 1 << 30;
 
 /// Hard cap on excitations per batch/label request.
@@ -726,7 +727,7 @@ mod tests {
     }
 
     /// Admission bounds the factor, not just the cells: a 1024×1024 grid
-    /// is within the cell cap, but its ~51 GB factor is not.
+    /// is within the cell cap, but its ~17 GB factor is not.
     #[test]
     fn oversized_grids_are_rejected_before_allocation() {
         let body = |nx: usize, ny: usize| {
@@ -743,7 +744,7 @@ mod tests {
             .take_while(|&n| maps_fdfd::operator::factor_bytes(n, n) <= MAX_FACTOR_BYTES)
             .last()
             .unwrap();
-        assert_eq!(largest, 405);
+        assert_eq!(largest, 404);
         let err = parse_envelope(JobKind::Solve, &body(largest + 1, largest + 1)).unwrap_err();
         assert!(err.contains("MiB factor"), "{err}");
         // Parsing a uniform-ε body allocates only the grid's ε map.

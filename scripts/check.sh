@@ -39,6 +39,17 @@ grep -q '"traceEvents"' "$TRACE_DIR/trace.json" || { echo "trace.json is not a C
 if command -v python3 > /dev/null; then
   python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$TRACE_DIR/trace.json"
 fi
+# 25 design iterations at two wavelengths: after the first, every miss
+# resumes from the exterior of the previous design at its wavelength.
+python3 - "$TRACE_DIR/trace.json" <<'PY'
+import json, sys
+
+events = json.load(open(sys.argv[1]))["traceEvents"]
+builds = [e for e in events if e.get("name") == "fdfd.factorize"]
+resumed = [e for e in builds if int(e["args"]["reused"]) > 0]
+assert resumed, f"no fdfd.factorize of {len(builds)} reused a cached exterior"
+print(f"trace: {len(resumed)} of {len(builds)} factorizations resumed from a cached exterior")
+PY
 
 echo "==> telemetry smoke (/metrics + /healthz on an ephemeral port)"
 SERVE_LOG="target/telemetry_smoke.log"

@@ -9,7 +9,7 @@ use maps::core::{omega_for_wavelength, ComplexField2d, FieldSolver, Grid2d, Real
 use maps::data::{DeviceKind, DeviceResolution};
 use maps::fdfd::factor_cache::{self, DEFAULT_CAPACITY};
 use maps::fdfd::{FdfdSolver, PmlConfig};
-use maps::invdes::{ExactAdjoint, InitStrategy, InverseDesigner, OptimConfig};
+use maps::invdes::{ExactAdjoint, InitStrategy, InverseDesigner, OptimConfig, Patch};
 use maps::linalg::Complex64;
 use std::sync::Mutex;
 
@@ -84,6 +84,40 @@ fn cache_hit_is_bit_identical_to_cold_solve() {
 
     assert_bit_identical(&cold, &warm, "cached vs cold");
     assert_bit_identical(&cold, &recold, "recomputed vs cold");
+}
+
+/// A design resumed from the cached exterior of the designs before it, then
+/// hit, solves to the same bits as a cold build of that design.
+#[test]
+fn hit_after_a_resumed_build_is_bit_identical_to_cold() {
+    let _guard = exclusive_cache();
+    let cache = factor_cache::global();
+
+    let device = DeviceKind::Bending.build(DeviceResolution::low());
+    let problem = &device.problem;
+    let (dx, dy) = problem.design_size;
+    let designs = [0.3, 0.5, 0.7].map(|v| problem.eps_for(&Patch::constant(dx, dy, v)));
+    let j = point_source(problem.grid(), 8, 20);
+    let omega = problem.omega();
+    let solver = FdfdSolver::with_pml(PmlConfig::auto(problem.grid().dl));
+
+    let before = cache.stats();
+    for eps in &designs {
+        solver.solve_ez(eps, &j, omega).expect("miss");
+    }
+    let hit = solver.solve_ez(&designs[2], &j, omega).expect("hit");
+    let after = cache.stats();
+    assert_eq!(after.misses - before.misses, 3);
+    assert_eq!(after.hits - before.hits, 1);
+    assert_eq!(
+        after.resumed - before.resumed,
+        1,
+        "the third design resumes from the second's seams"
+    );
+
+    cache.clear();
+    let cold = solver.solve_ez(&designs[2], &j, omega).expect("cold");
+    assert_bit_identical(&hit, &cold, "hit after a resumed build vs cold");
 }
 
 #[test]
