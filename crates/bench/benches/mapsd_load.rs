@@ -143,7 +143,7 @@ fn run_chaos(grid: (usize, usize), clients: usize, per_client: usize) -> ChaosOu
     let queue_bound = 4;
     let factory: ServiceFactory = Arc::new(|| {
         // Every third direct solve faults and its retry answers, so those
-        // responses are visibly tagged `relaxed` instead of being a silent
+        // responses are visibly tagged `retry` instead of being a silent
         // second full-fidelity solve. BiCGSTAB stands behind the retries,
         // as in production.
         let direct = FaultInjectingSolver::new(

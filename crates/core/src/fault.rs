@@ -3,8 +3,8 @@
 //! [`FaultInjectingSolver`] wraps any [`FieldSolver`] and fails on a
 //! [`FaultPlan`] schedule keyed by *call index* (every forward or adjoint
 //! attempt consumes one index, retries included), so every recovery path —
-//! retry, tolerance relaxation, fallback, quarantine, optimizer-level
-//! revert — is testable without contriving ill-conditioned physics.
+//! retry, fallback, quarantine, optimizer-level revert — is testable without
+//! contriving ill-conditioned physics.
 //!
 //! The double is deliberately part of the library (not `#[cfg(test)]`): the
 //! integration suites of `maps-invdes` and `maps-data` and the CI smoke run
@@ -24,12 +24,6 @@ pub enum InjectedFault {
     /// A successfully-returned field containing one NaN cell — the silent
     /// failure mode that output validation must catch.
     NonFinite,
-    /// Emulates a slow-converging iterative solve: fails unless the call
-    /// arrives through a relaxed entry point with `tol_factor >= min_relax`.
-    SlowConverge {
-        /// Minimum tolerance relaxation at which the solve "converges".
-        min_relax: f64,
-    },
 }
 
 /// A deterministic failure schedule keyed by call index (0-based).
@@ -127,16 +121,10 @@ impl<S: FieldSolver> FaultInjectingSolver<S> {
         &self.inner
     }
 
-    /// Consumes a call index; returns the fault to apply, if scheduled and
-    /// not neutralized by the relaxation factor.
-    fn next_fault(&self, tol_factor: f64) -> Option<InjectedFault> {
+    /// Consumes a call index; returns the fault to apply, if scheduled.
+    fn next_fault(&self) -> Option<InjectedFault> {
         let idx = self.calls.fetch_add(1, Ordering::Relaxed);
         let fault = self.plan.fault_for(idx)?;
-        if let InjectedFault::SlowConverge { min_relax } = fault {
-            if tol_factor >= min_relax {
-                return None; // "converges" once sufficiently relaxed
-            }
-        }
         self.injected.fetch_add(1, Ordering::Relaxed);
         Some(fault)
     }
@@ -145,7 +133,6 @@ impl<S: FieldSolver> FaultInjectingSolver<S> {
         &self,
         fault: InjectedFault,
         grid: crate::grid::Grid2d,
-        tol_factor: f64,
     ) -> Result<ComplexField2d, SolveFieldError> {
         match fault {
             InjectedFault::Error => Err(SolveFieldError::Numerical {
@@ -156,11 +143,6 @@ impl<S: FieldSolver> FaultInjectingSolver<S> {
                 f.set(0, 0, Complex64::new(f64::NAN, 0.0));
                 Ok(f)
             }
-            InjectedFault::SlowConverge { min_relax } => Err(SolveFieldError::Numerical {
-                detail: format!(
-                    "injected slow convergence: needs tolerance x{min_relax}, got x{tol_factor}"
-                ),
-            }),
         }
     }
 }
@@ -172,24 +154,9 @@ impl<S: FieldSolver> FieldSolver for FaultInjectingSolver<S> {
         source: &ComplexField2d,
         omega: f64,
     ) -> Result<ComplexField2d, SolveFieldError> {
-        match self.next_fault(1.0) {
-            Some(fault) => self.apply(fault, eps_r.grid(), 1.0),
+        match self.next_fault() {
+            Some(fault) => self.apply(fault, eps_r.grid()),
             None => self.inner.solve_ez(eps_r, source, omega),
-        }
-    }
-
-    fn solve_ez_relaxed(
-        &self,
-        eps_r: &RealField2d,
-        source: &ComplexField2d,
-        omega: f64,
-        tol_factor: f64,
-    ) -> Result<ComplexField2d, SolveFieldError> {
-        match self.next_fault(tol_factor) {
-            Some(fault) => self.apply(fault, eps_r.grid(), tol_factor),
-            None => self
-                .inner
-                .solve_ez_relaxed(eps_r, source, omega, tol_factor),
         }
     }
 
@@ -199,24 +166,9 @@ impl<S: FieldSolver> FieldSolver for FaultInjectingSolver<S> {
         rhs: &ComplexField2d,
         omega: f64,
     ) -> Result<ComplexField2d, SolveFieldError> {
-        match self.next_fault(1.0) {
-            Some(fault) => self.apply(fault, eps_r.grid(), 1.0),
+        match self.next_fault() {
+            Some(fault) => self.apply(fault, eps_r.grid()),
             None => self.inner.solve_adjoint_ez(eps_r, rhs, omega),
-        }
-    }
-
-    fn solve_adjoint_ez_relaxed(
-        &self,
-        eps_r: &RealField2d,
-        rhs: &ComplexField2d,
-        omega: f64,
-        tol_factor: f64,
-    ) -> Result<ComplexField2d, SolveFieldError> {
-        match self.next_fault(tol_factor) {
-            Some(fault) => self.apply(fault, eps_r.grid(), tol_factor),
-            None => self
-                .inner
-                .solve_adjoint_ez_relaxed(eps_r, rhs, omega, tol_factor),
         }
     }
 
@@ -281,20 +233,5 @@ mod tests {
             .count();
         assert_eq!(failures, 4, "calls 0, 5, 10, 15");
         assert_eq!(s.injected(), 4);
-    }
-
-    #[test]
-    fn slow_converge_yields_to_relaxation() {
-        let g = Grid2d::new(2, 2, 0.1);
-        let eps = RealField2d::constant(g, 1.0);
-        let j = ComplexField2d::zeros(g);
-        let s = FaultInjectingSolver::new(
-            EchoSolver,
-            FaultPlan::new().always(InjectedFault::SlowConverge { min_relax: 50.0 }),
-        );
-        assert!(s.solve_ez(&eps, &j, 1.0).is_err());
-        assert!(s.solve_ez_relaxed(&eps, &j, 1.0, 10.0).is_err());
-        assert!(s.solve_ez_relaxed(&eps, &j, 1.0, 100.0).is_ok());
-        assert_eq!(s.injected(), 2);
     }
 }

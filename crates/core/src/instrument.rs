@@ -92,50 +92,6 @@ impl<S: FieldSolver> FieldSolver for InstrumentedSolver<S> {
         result
     }
 
-    fn solve_ez_relaxed(
-        &self,
-        eps_r: &RealField2d,
-        source: &ComplexField2d,
-        omega: f64,
-        tol_factor: f64,
-    ) -> Result<ComplexField2d, SolveFieldError> {
-        let span = maps_obs::span("solver.solve")
-            .field("solver", self.inner.name())
-            .field("cells", eps_r.grid().len())
-            .field("tol_factor", format!("{tol_factor:.0}"));
-        let result = self
-            .inner
-            .solve_ez_relaxed(eps_r, source, omega, tol_factor);
-        self.solve_seconds.record(span.elapsed().as_secs_f64());
-        match &result {
-            Ok(_) => self.solves.inc(),
-            Err(_) => self.failures.inc(),
-        }
-        result
-    }
-
-    fn solve_adjoint_ez_relaxed(
-        &self,
-        eps_r: &RealField2d,
-        rhs: &ComplexField2d,
-        omega: f64,
-        tol_factor: f64,
-    ) -> Result<ComplexField2d, SolveFieldError> {
-        let span = maps_obs::span("solver.adjoint_solve")
-            .field("solver", self.inner.name())
-            .field("cells", eps_r.grid().len())
-            .field("tol_factor", format!("{tol_factor:.0}"));
-        let result = self
-            .inner
-            .solve_adjoint_ez_relaxed(eps_r, rhs, omega, tol_factor);
-        self.adjoint_seconds.record(span.elapsed().as_secs_f64());
-        match &result {
-            Ok(_) => self.adjoint_solves.inc(),
-            Err(_) => self.failures.inc(),
-        }
-        result
-    }
-
     /// Forwards the whole batch to the inner solver (keeping its grouping
     /// and factorization amortization intact) under a `solver.solve_batch`
     /// span, then books each request into the same per-direction counters

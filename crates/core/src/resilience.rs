@@ -1,23 +1,22 @@
-//! Fault-tolerant solving: bounded retries, tolerance relaxation, solver
-//! fallback chains, and mandatory output validation.
+//! Fault-tolerant solving: bounded retries, solver fallback chains, and
+//! mandatory output validation.
 //!
 //! A production inverse-design or dataset-generation run performs thousands
 //! of solves; a single stalled BiCGSTAB or silent NaN field must degrade the
 //! run, not abort it. [`RobustSolver`] wraps any [`FieldSolver`] with a
 //! [`RetryPolicy`]:
 //!
-//! 1. **Validate** — every returned field is scanned for NaN/∞ (unless
-//!    disabled); a non-finite field becomes [`SolveFieldError::NonFinite`]
-//!    and is treated like any other retryable failure.
-//! 2. **Retry with relaxation** — retryable failures are re-attempted up to
-//!    `max_retries` times through [`FieldSolver::solve_ez_relaxed`], with the
-//!    tolerance loosened by `relax_factor` per attempt (capped at
-//!    `max_relax`). Relaxation is per-call only: the next solve starts from
-//!    the tight tolerance again (relax-then-retighten).
+//! 1. **Validate** — every returned field is scanned for NaN/∞; a
+//!    non-finite field becomes [`SolveFieldError::NonFinite`] and is treated
+//!    like any other retryable failure.
+//! 2. **Retry** — retryable failures are re-attempted up to `max_retries`
+//!    times. A retry is the same call again: it rescues a transient failure
+//!    and changes nothing about how the primary solves.
 //! 3. **Fall back** — if the primary is exhausted, an optional secondary
 //!    solver (the exact direct backend behind an iterative primary, an
 //!    iterative one behind the direct solve, or the FDFD solver behind a
-//!    neural surrogate) gets one attempt.
+//!    neural surrogate) gets one attempt. An iterative primary that stalls
+//!    stalls again on a retry; its remedy is the direct fallback.
 //!
 //! [`RobustSolver::solve_by`] and [`RobustSolver::solve_batch_by`] report
 //! the [`Rung`] that answered and honour a deadline; the [`FieldSolver`]
@@ -36,61 +35,24 @@ use std::time::Instant;
 pub struct RetryPolicy {
     /// Additional attempts on the primary solver after the first failure.
     pub max_retries: usize,
-    /// Tolerance relaxation multiplier applied per retry (attempt `k`
-    /// relaxes by `relax_factor^k`). Ignored by solvers without a tolerance.
-    pub relax_factor: f64,
-    /// Cap on the cumulative relaxation factor.
-    pub max_relax: f64,
-    /// Scan every output field for NaN/∞ and convert silent numerical
-    /// breakdowns into [`SolveFieldError::NonFinite`]. On by default; the
-    /// scan is `O(n)` against solves that are `O(n·b²)` or worse.
-    pub validate_output: bool,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            max_retries: 2,
-            relax_factor: 10.0,
-            max_relax: 1e3,
-            validate_output: true,
-        }
+        RetryPolicy { max_retries: 2 }
     }
 }
 
 impl RetryPolicy {
-    /// Builds a policy from environment knobs, falling back to defaults:
-    ///
-    /// - `MAPS_SOLVE_RETRIES` — `max_retries` (usize)
-    /// - `MAPS_SOLVE_VALIDATE` — `0`/`false`/`off` disables output
-    ///   validation, `1`/`true`/`on` (the default) keeps it
-    ///
-    /// The relaxation schedule keeps its defaults; callers whose primary
-    /// has a tolerance set `relax_factor` and `max_relax` in code.
-    /// Malformed values warn once via [`maps_obs::warn_invalid_env`] and
-    /// fall back to the default instead of being silently ignored.
+    /// Builds a policy from `MAPS_SOLVE_RETRIES` (`max_retries`, a usize),
+    /// falling back to the default. A malformed value warns once via
+    /// [`maps_obs::warn_invalid_env`] and falls back to the default instead
+    /// of being silently ignored.
     pub fn from_env() -> Self {
-        let defaults = RetryPolicy::default();
-        let mut policy = defaults;
-        policy.max_retries = maps_obs::parse_env_or("MAPS_SOLVE_RETRIES", defaults.max_retries);
-        if let Ok(raw) = std::env::var("MAPS_SOLVE_VALIDATE") {
-            match raw.trim() {
-                "" => {}
-                "0" | "false" | "off" => policy.validate_output = false,
-                "1" | "true" | "on" => policy.validate_output = true,
-                other => maps_obs::warn_invalid_env(
-                    "MAPS_SOLVE_VALIDATE",
-                    other,
-                    "one of 0/false/off/1/true/on",
-                ),
-            }
+        let default = RetryPolicy::default().max_retries;
+        RetryPolicy {
+            max_retries: maps_obs::parse_env_or("MAPS_SOLVE_RETRIES", default),
         }
-        policy
-    }
-
-    /// The tolerance factor used on 1-based retry attempt `k`.
-    fn factor_for_attempt(&self, k: usize) -> f64 {
-        self.relax_factor.powi(k as i32).min(self.max_relax)
     }
 }
 
@@ -99,7 +61,7 @@ impl RetryPolicy {
 pub enum Rung {
     /// The primary's first attempt.
     Primary,
-    /// The primary, on a (relaxed) retry.
+    /// The primary, on a retry.
     Retry,
     /// The fallback solver.
     Fallback,
@@ -136,8 +98,8 @@ struct StatCells {
     deadlined: AtomicU64,
 }
 
-/// A [`FieldSolver`] wrapper that retries, relaxes, falls back, and
-/// validates according to a [`RetryPolicy`]. See the module docs for the
+/// A [`FieldSolver`] wrapper that retries, falls back, and validates
+/// according to a [`RetryPolicy`]. See the module docs for the
 /// recovery sequence.
 ///
 /// The primary is the last field, so `S` may be unsized:
@@ -171,23 +133,15 @@ impl<S: FieldSolver> RobustSolver<S> {
     }
 }
 
-/// One attempt of `solver` at `req`, with the tolerance relaxed by
-/// `factor` (1 = the solver's own tolerance).
+/// One attempt of `solver` at `req`.
 fn attempt<T: FieldSolver + ?Sized>(
     solver: &T,
     eps_r: &RealField2d,
     req: &SolveRequest<'_>,
-    factor: f64,
 ) -> Result<ComplexField2d, SolveFieldError> {
-    match (req.kind, factor == 1.0) {
-        (SolveKind::Forward, true) => solver.solve_ez(eps_r, req.source, req.omega),
-        (SolveKind::Forward, false) => {
-            solver.solve_ez_relaxed(eps_r, req.source, req.omega, factor)
-        }
-        (SolveKind::Adjoint, true) => solver.solve_adjoint_ez(eps_r, req.source, req.omega),
-        (SolveKind::Adjoint, false) => {
-            solver.solve_adjoint_ez_relaxed(eps_r, req.source, req.omega, factor)
-        }
+    match req.kind {
+        SolveKind::Forward => solver.solve_ez(eps_r, req.source, req.omega),
+        SolveKind::Adjoint => solver.solve_adjoint_ez(eps_r, req.source, req.omega),
     }
 }
 
@@ -236,25 +190,23 @@ impl<S: FieldSolver + ?Sized> RobustSolver<S> {
         })
     }
 
-    /// Validates a primary/fallback result per the policy, counting
-    /// non-finite rejections.
+    /// Scans a primary/fallback result for NaN/∞, counting non-finite
+    /// rejections.
     fn check(
         &self,
         result: Result<ComplexField2d, SolveFieldError>,
         producer: &str,
     ) -> Result<ComplexField2d, SolveFieldError> {
         let field = result?;
-        if self.policy.validate_output {
-            if let Err(e) = ensure_finite(&field, producer) {
-                self.stats.nonfinite.fetch_add(1, Ordering::Relaxed);
-                maps_obs::counter("solve.nonfinite").inc();
-                return Err(e);
-            }
+        if let Err(e) = ensure_finite(&field, producer) {
+            self.stats.nonfinite.fetch_add(1, Ordering::Relaxed);
+            maps_obs::counter("solve.nonfinite").inc();
+            return Err(e);
         }
         Ok(field)
     }
 
-    /// The retry→relax→fallback sequence for `req`, seeded with the
+    /// The retry→fallback sequence for `req`, seeded with the
     /// primary's first-attempt result. The batch path obtains its first
     /// attempts from the primary's `solve_ez_batch` (amortizing one
     /// factorization per frequency group), so only the requests that
@@ -282,19 +234,15 @@ impl<S: FieldSolver + ?Sized> RobustSolver<S> {
             .field("solver", self.primary.name())
             .field("direction", direction);
         for k in 1..=self.policy.max_retries {
-            self.check_deadline(deadline, "a relaxed retry")?;
-            let factor = self.policy.factor_for_attempt(k);
+            self.check_deadline(deadline, "a retry")?;
             self.stats.retries.fetch_add(1, Ordering::Relaxed);
             maps_obs::counter("solve.retries").inc();
             maps_obs::error!(
-                "{} {direction} solve failed ({last_err}); retry {k}/{} at tolerance x{factor:.0}",
+                "{} {direction} solve failed ({last_err}); retry {k}/{}",
                 self.primary.name(),
                 self.policy.max_retries
             );
-            match self.check(
-                attempt(&self.primary, eps_r, req, factor),
-                self.primary.name(),
-            ) {
+            match self.check(attempt(&self.primary, eps_r, req), self.primary.name()) {
                 Ok(field) => {
                     self.stats.recovered.fetch_add(1, Ordering::Relaxed);
                     maps_obs::counter("solve.recovered").inc();
@@ -316,7 +264,7 @@ impl<S: FieldSolver + ?Sized> RobustSolver<S> {
                 self.primary.name(),
                 fb.name()
             );
-            match self.check(attempt(fb.as_ref(), eps_r, req, 1.0), fb.name()) {
+            match self.check(attempt(fb.as_ref(), eps_r, req), fb.name()) {
                 Ok(field) => {
                     self.stats.recovered.fetch_add(1, Ordering::Relaxed);
                     maps_obs::counter("solve.recovered").inc();
@@ -334,7 +282,7 @@ impl<S: FieldSolver + ?Sized> RobustSolver<S> {
     /// deadline, returning the field and the [`Rung`] that produced it.
     ///
     /// The deadline is checked before the first attempt, before every
-    /// relaxed retry, and before the fallback attempt — a recovery sequence
+    /// retry, and before the fallback attempt — a recovery sequence
     /// never outlives the caller's patience. An attempt already in flight
     /// is not interrupted (the solvers are synchronous), so one attempt's
     /// worth of overshoot is possible; what the deadline guarantees is that
@@ -351,7 +299,7 @@ impl<S: FieldSolver + ?Sized> RobustSolver<S> {
         deadline: Option<Instant>,
     ) -> Result<(ComplexField2d, Rung), SolveFieldError> {
         self.check_deadline(deadline, "the first attempt")?;
-        let first = attempt(&self.primary, eps_r, &req, 1.0);
+        let first = attempt(&self.primary, eps_r, &req);
         self.drive_from(first, eps_r, &req, deadline)
     }
 
@@ -425,6 +373,7 @@ mod tests {
     use super::*;
     use crate::fault::{FaultInjectingSolver, FaultPlan, InjectedFault};
     use crate::grid::Grid2d;
+    use crate::solver::tests::RelaxedFails;
     use maps_linalg::Complex64;
 
     struct EchoSolver;
@@ -497,43 +446,6 @@ mod tests {
         let stats = robust.stats();
         assert_eq!(stats.nonfinite, 1);
         assert_eq!(stats.retries, 1);
-        assert_eq!(stats.recovered, 1);
-    }
-
-    #[test]
-    fn validation_can_be_disabled() {
-        let (_, eps, j) = fixtures();
-        let faulty = FaultInjectingSolver::new(
-            EchoSolver,
-            FaultPlan::new().fail_at(0, InjectedFault::NonFinite),
-        );
-        let robust = RobustSolver::new(
-            faulty,
-            RetryPolicy {
-                validate_output: false,
-                ..RetryPolicy::default()
-            },
-        );
-        // With validation off the NaN field sails through (the hazard the
-        // default guards against).
-        let out = robust.solve_ez(&eps, &j, 1.0).unwrap();
-        assert!(out.as_slice().iter().any(|z| z.re.is_nan()));
-        assert_eq!(robust.stats().nonfinite, 0);
-    }
-
-    #[test]
-    fn slow_converge_recovers_under_relaxation() {
-        let (_, eps, j) = fixtures();
-        // Fails at tight tolerance on every call; succeeds once relaxed ≥10×.
-        let faulty = FaultInjectingSolver::new(
-            EchoSolver,
-            FaultPlan::new().always(InjectedFault::SlowConverge { min_relax: 10.0 }),
-        );
-        let robust = RobustSolver::new(faulty, RetryPolicy::default());
-        let out = robust.solve_ez(&eps, &j, 1.0).unwrap();
-        assert_eq!(out.as_slice(), j.as_slice());
-        let stats = robust.stats();
-        assert_eq!(stats.retries, 1, "first relaxed retry (x10) must succeed");
         assert_eq!(stats.recovered, 1);
     }
 
@@ -727,13 +639,39 @@ mod tests {
         assert_eq!(robust.stats().deadlined, 0);
     }
 
+    /// A retry repeats the plain call: the primary's relaxed entry points
+    /// always fail, so each direction answers on the retry rung only if its
+    /// retry calls `solve_ez` / `solve_adjoint_ez` again.
     #[test]
-    fn retry_policy_env_parsing() {
-        // from_env falls back to defaults when the knobs are unset; the
-        // factor schedule relaxes then caps.
-        let p = RetryPolicy::default();
-        assert_eq!(p.factor_for_attempt(1), 10.0);
-        assert_eq!(p.factor_for_attempt(2), 100.0);
-        assert_eq!(p.factor_for_attempt(5), 1e3, "capped at max_relax");
+    fn retry_repeats_the_plain_call_in_both_directions() {
+        let (_, eps, j) = fixtures();
+        // Calls 0 and 2 are the forward's and the adjoint's first attempts.
+        let faulty = FaultInjectingSolver::new(
+            RelaxedFails,
+            FaultPlan::new()
+                .fail_at(0, InjectedFault::Error)
+                .fail_at(2, InjectedFault::Error),
+        );
+        let robust = RobustSolver::new(faulty, RetryPolicy::default());
+        for req in [
+            SolveRequest::forward(&j, 1.0),
+            SolveRequest::adjoint(&j, 1.0),
+        ] {
+            let (_, rung) = robust.solve_by(&eps, req, None).unwrap();
+            assert_eq!(rung, Rung::Retry, "{:?}", req.kind);
+        }
+        assert_eq!(robust.stats().retries, 2);
+    }
+
+    #[test]
+    fn from_env_reads_the_retry_count() {
+        // No other test in this crate reads MAPS_SOLVE_RETRIES.
+        std::env::remove_var("MAPS_SOLVE_RETRIES");
+        assert_eq!(RetryPolicy::from_env().max_retries, 2);
+        std::env::set_var("MAPS_SOLVE_RETRIES", "5");
+        assert_eq!(RetryPolicy::from_env().max_retries, 5);
+        std::env::set_var("MAPS_SOLVE_RETRIES", "banana");
+        assert_eq!(RetryPolicy::from_env().max_retries, 2);
+        std::env::remove_var("MAPS_SOLVE_RETRIES");
     }
 }

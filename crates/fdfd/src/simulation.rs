@@ -170,13 +170,11 @@ impl FdfdSolver {
     /// cache (factorizing on a miss) and sweeps the whole block through one
     /// pass over it, with the residual guard inside the `fdfd.backsub`
     /// span. The iterative backend runs one BiCGSTAB per right-hand side on
-    /// `A`, an adjoint lane as `A·z = D⁻¹·c` with `y = D·z`, its tolerance
-    /// relaxed by `tol_factor` (> 1 loosens) for this call only.
+    /// `A`, an adjoint lane as `A·z = D⁻¹·c` with `y = D·z`.
     fn solve_block(
         &self,
         eps_r: &RealField2d,
         omega: f64,
-        tol_factor: f64,
         xs: &mut [Vec<Complex64>],
         kinds: &[SolveKind],
     ) -> Result<(), SolveFieldError> {
@@ -214,11 +212,6 @@ impl FdfdSolver {
                 }
                 let a = self.operator(eps_r, omega).to_csr();
                 let _s = maps_obs::span("fdfd.bicgstab");
-                let opts = if tol_factor > 1.0 {
-                    opts.relaxed(tol_factor)
-                } else {
-                    opts
-                };
                 for x in xs.iter_mut() {
                     let (solution, stats) =
                         bicgstab(&a, x, opts).map_err(|e| SolveFieldError::Numerical {
@@ -264,16 +257,6 @@ impl FieldSolver for FdfdSolver {
         source: &ComplexField2d,
         omega: f64,
     ) -> Result<ComplexField2d, SolveFieldError> {
-        self.solve_ez_relaxed(eps_r, source, omega, 1.0)
-    }
-
-    fn solve_ez_relaxed(
-        &self,
-        eps_r: &RealField2d,
-        source: &ComplexField2d,
-        omega: f64,
-        tol_factor: f64,
-    ) -> Result<ComplexField2d, SolveFieldError> {
         Self::check_inputs(eps_r, source, omega)?;
         let _span = maps_obs::span("fdfd.solve_ez")
             .field("backend", self.name())
@@ -283,7 +266,6 @@ impl FieldSolver for FdfdSolver {
         self.solve_block(
             eps_r,
             omega,
-            tol_factor,
             std::slice::from_mut(&mut b),
             &[SolveKind::Forward],
         )?;
@@ -314,7 +296,6 @@ impl FieldSolver for FdfdSolver {
         self.solve_block(
             eps_r,
             omega,
-            1.0,
             std::slice::from_mut(&mut x),
             &[SolveKind::Adjoint],
         )?;
@@ -436,7 +417,7 @@ impl FieldSolver for FdfdSolver {
                     })
                     .collect();
                 let kinds: Vec<SolveKind> = members.iter().map(|&i| requests[i].kind).collect();
-                if let Err(e) = self.solve_block(eps_r, omega, 1.0, &mut xs, &kinds) {
+                if let Err(e) = self.solve_block(eps_r, omega, &mut xs, &kinds) {
                     return members.iter().map(|&i| (i, Err(e.clone()))).collect();
                 }
                 maps_obs::counter("fdfd.forward_solves").add((members.len() - adjoints) as u64);
@@ -560,28 +541,6 @@ mod tests {
             matches!(err, SolveFieldError::NonFinite { .. }),
             "NaN must not escape silently: {err:?}"
         );
-    }
-
-    #[test]
-    fn relaxed_entry_point_rescues_tight_iterative_solve() {
-        let grid = Grid2d::new(36, 32, 0.05);
-        let eps = RealField2d::constant(grid, 1.0);
-        let omega = maps_core::omega_for_wavelength(1.55);
-        let mut j = ComplexField2d::zeros(grid);
-        j.set(18, 16, Complex64::ONE);
-        // A tolerance this problem cannot reach within the iteration
-        // budget fails tight...
-        let solver = FdfdSolver::new().backend(Backend::Iterative(IterativeOptions {
-            tolerance: 1e-9,
-            max_iterations: 400,
-        }));
-        let tight = solver.solve_ez(&eps, &j, omega);
-        assert!(tight.is_err(), "1e-9 should not converge in 400 iterations");
-        // ...but succeeds once relaxed by 1e3 (→ 1e-6), and the rescued
-        // field genuinely solves Maxwell at the relaxed tolerance.
-        let ez = solver.solve_ez_relaxed(&eps, &j, omega, 1e3).unwrap();
-        let r = solver.residual(&eps, &j, omega, &ez);
-        assert!(r < 1e-4, "residual {r}");
     }
 
     #[test]

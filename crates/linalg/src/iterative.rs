@@ -40,21 +40,6 @@ impl Default for IterativeOptions {
     }
 }
 
-impl IterativeOptions {
-    /// Returns options with the convergence tolerance relaxed by `factor`
-    /// (> 1 loosens), capped at a relative residual of `1e-2` so a "rescued"
-    /// solve still resembles a solution. Retry policies use this to give a
-    /// stalled solve a second chance before falling back to a direct solver.
-    #[must_use]
-    pub fn relaxed(self, factor: f64) -> Self {
-        assert!(factor.is_finite() && factor >= 1.0, "factor must be >= 1");
-        IterativeOptions {
-            tolerance: (self.tolerance * factor).min(1e-2),
-            max_iterations: self.max_iterations,
-        }
-    }
-}
-
 /// Solves `A x = b` with Jacobi-preconditioned BiCGSTAB.
 ///
 /// # Errors
@@ -258,19 +243,9 @@ mod tests {
     }
 
     #[test]
-    fn relaxed_options_loosen_and_cap() {
-        let opts = IterativeOptions::default();
-        let r = opts.relaxed(10.0);
-        assert!((r.tolerance - 1e-7).abs() < 1e-20);
-        assert_eq!(r.max_iterations, opts.max_iterations);
-        // A huge factor is capped so the result still resembles a solution.
-        assert_eq!(opts.relaxed(1e12).tolerance, 1e-2);
-    }
-
-    #[test]
     fn relaxed_tolerance_rescues_a_capped_solve() {
-        // Under a tight iteration budget the tight tolerance fails but the
-        // relaxed one converges — the exact scenario retry policies exploit.
+        // Under a tight iteration budget the tight tolerance fails but a
+        // looser one converges within the same budget.
         let a = laplacian_plus_shift(64, Complex64::new(0.3, 0.4));
         let b = vec![Complex64::ONE; 64];
         let tight = IterativeOptions {
@@ -278,7 +253,10 @@ mod tests {
             max_iterations: 8,
         };
         assert!(bicgstab(&a, &b, tight).is_err());
-        let relaxed = tight.relaxed(1e9);
+        let relaxed = IterativeOptions {
+            tolerance: 1e-3,
+            ..tight
+        };
         let (_, stats) = bicgstab(&a, &b, relaxed).unwrap();
         assert!(stats.residual <= relaxed.tolerance);
     }

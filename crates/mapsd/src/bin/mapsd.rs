@@ -5,7 +5,7 @@
 //! ```
 //!
 //! Configuration is entirely env-driven (`MAPS_D_*` for the daemon,
-//! `MAPS_SOLVE_*` for the recovery ladder, `MAPS_TRACE`/`MAPS_METRICS*`
+//! `MAPS_SOLVE_RETRIES` for the recovery ladder, `MAPS_TRACE`/`MAPS_METRICS*`
 //! for telemetry export). The bound address is printed on startup — with
 //! `MAPS_D_ADDR=127.0.0.1:0` that is how scripts discover the ephemeral
 //! port. `POST /shutdown` drains and exits; telemetry is exported on the

@@ -19,7 +19,7 @@
 //! - **Degrades gracefully**: each worker holds one `RobustSolver`
 //!   ladder — the exact direct solve, retried, then one BiCGSTAB attempt —
 //!   and every response carries the rung that answered (`fidelity`:
-//!   `direct`, `relaxed` or `fallback`) and the solver behind it
+//!   `direct`, `retry` or `fallback`) and the solver behind it
 //!   (`served_by`). A failed request leaves the next one untouched.
 //! - **Stops cleanly**: drain-on-stop answers every admitted job;
 //!   `GET /readyz` folds daemon state into the watchdog readiness.

@@ -27,7 +27,7 @@
 //! ```
 //!
 //! Responses carry one entry per excitation, each tagged with the fidelity
-//! actually served (`"direct"`, `"relaxed"`, `"fallback"`) and how its
+//! actually served (`"direct"`, `"retry"`, `"fallback"`) and how its
 //! factorization was obtained (`"hit"`, `"leader"`, `"follower"`) — the
 //! observable face of graceful degradation and single-flight coalescing.
 
@@ -419,12 +419,12 @@ pub struct SolveResult {
     /// envelope asked for it.
     pub field: Option<Vec<f64>>,
     /// The ladder rung that produced the answer: `direct` (the primary's
-    /// first attempt — the exact direct solve in production), `relaxed` (a retry of
-    /// the primary), or `fallback` (the fallback solver — BiCGSTAB in
-    /// production).
+    /// first attempt — the exact direct solve in production), `retry` (the
+    /// same call to the primary again), or `fallback` (the fallback solver —
+    /// BiCGSTAB in production).
     pub fidelity: Option<&'static str>,
     /// Name of the solver that produced the answer: the primary's for
-    /// `direct` and `relaxed`, the fallback's for `fallback`.
+    /// `direct` and `retry`, the fallback's for `fallback`.
     pub served_by: Option<String>,
     /// How the factorization was obtained: `hit`, `leader`, `follower`.
     pub coalesce: Option<&'static str>,

@@ -582,7 +582,7 @@ fn handle_job(
                     degraded = result
                         .results
                         .iter()
-                        .any(|r| matches!(r.fidelity, Some("relaxed") | Some("fallback")));
+                        .any(|r| matches!(r.fidelity, Some("retry") | Some("fallback")));
                     fill_event_from_result(&mut ev, &result, degraded);
                     let _ = write_response(
                         stream,
@@ -664,10 +664,10 @@ fn fill_event_from_result(ev: &mut reqlog::WideEvent, result: &JobResult, degrad
         "cache_hit",
         result.results.iter().any(|r| r.coalesce == Some("hit")),
     );
-    // Worst fidelity across excitations: fallback > relaxed > direct.
+    // Worst fidelity across excitations: fallback > retry > direct.
     let rank = |f: Option<&str>| match f {
         Some("fallback") => 2,
-        Some("relaxed") => 1,
+        Some("retry") => 1,
         Some("direct") => 0,
         _ => -1,
     };
@@ -707,7 +707,7 @@ fn register_counters() {
         "mapsd.coalesce.hit",
         "mapsd.coalesce.leader",
         "mapsd.coalesce.follower",
-        "mapsd.degraded.relaxed",
+        "mapsd.degraded.retry",
         "mapsd.degraded.fallback",
         "mapsd.deadline.dropped_at_dequeue",
         "mapsd.deadline.dropped_mid_job",

@@ -5,7 +5,7 @@
 //! [`ServiceFactory`]). Its ladder is a `RobustSolver`: the exact direct
 //! solve as the primary, retried per `MAPS_SOLVE_RETRIES`, then one BiCGSTAB
 //! attempt as the fallback. The [`Rung`] that answered becomes the
-//! response's `fidelity` (`direct`, `relaxed` or `fallback`), and the
+//! response's `fidelity` (`direct`, `retry` or `fallback`), and the
 //! solver behind it its `served_by`. The ladder keeps no state between
 //! requests, so a request that fails changes nothing about how the next
 //! one is served.
@@ -50,9 +50,9 @@ pub struct SolveService {
 }
 
 impl SolveService {
-    /// The production service: the FDFD direct solve as the primary, retry
-    /// policy from the `MAPS_SOLVE_*` env knobs, one BiCGSTAB attempt as
-    /// the fallback.
+    /// The production service: the FDFD direct solve as the primary,
+    /// retried `MAPS_SOLVE_RETRIES` times, one BiCGSTAB attempt as the
+    /// fallback.
     ///
     /// Any other [`FieldSolver`] — a trained surrogate such as
     /// `maps_train::NeuralFieldSolver` — can take either rung through
@@ -262,8 +262,8 @@ impl SolveService {
                 let fidelity = match rung {
                     Rung::Primary => "direct",
                     Rung::Retry => {
-                        maps_obs::counter("mapsd.degraded.relaxed").inc();
-                        "relaxed"
+                        maps_obs::counter("mapsd.degraded.retry").inc();
+                        "retry"
                     }
                     Rung::Fallback => {
                         maps_obs::counter("mapsd.degraded.fallback").inc();
@@ -384,6 +384,34 @@ mod tests {
         assert_eq!(r.fidelity, Some("fallback"));
         assert_eq!(r.served_by.as_deref(), Some("fdfd-bicgstab"));
         assert_eq!(job.retries, 2);
+    }
+
+    /// A primary whose first attempt faults answers on its retry: the
+    /// response says `retry`, names the primary, and counts one retry. No
+    /// other test in this binary answers on the retry rung, so the global
+    /// counter moves by exactly one.
+    #[test]
+    fn transient_fault_is_served_by_the_retry() {
+        let primary = FaultInjectingSolver::new(
+            FdfdSolver::new(),
+            FaultPlan::new().fail_at(0, InjectedFault::Error),
+        )
+        .with_name("flaky-direct");
+        let ladder = RobustSolver::new(primary, RetryPolicy::default()).with_fallback(Box::new(
+            FdfdSolver::new().backend(Backend::Iterative(IterativeOptions::default())),
+        ));
+        let svc = SolveService::with_parts(Box::new(ladder), true);
+        let env = envelope(r#"{"nx":30,"ny":26,"dx":0.05,"eps":1.0,"omega":4.0}"#);
+
+        let before = maps_obs::counter("mapsd.degraded.retry").get();
+        let job = svc.execute(&env, 0.0, None);
+        assert_eq!(job.status, 200);
+        let r = &job.results[0];
+        assert!(r.is_ok(), "the retry rescues the request: {:?}", r.error);
+        assert_eq!(r.fidelity, Some("retry"));
+        assert_eq!(r.served_by.as_deref(), Some("flaky-direct"));
+        assert_eq!(job.retries, 1);
+        assert_eq!(maps_obs::counter("mapsd.degraded.retry").get(), before + 1);
     }
 
     /// The exact solver, failing every request above the given ω.

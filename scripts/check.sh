@@ -149,6 +149,12 @@ echo "$DMETRICS" | awk '/^mapsd_coalesce_(leader|hit|follower)_total /{n+=$2} EN
   || { echo "$DMETRICS" | grep '^mapsd_' || true; echo "/metrics shows no coalescing on an identical burst"; exit 1; }
 echo "$DMETRICS" | awk '/^mapsd_shed_total /{n=$2} END{exit !(n>0)}' \
   || { echo "$DMETRICS" | grep '^mapsd_' || true; echo "/metrics shows no shed on an oversubscribed burst"; exit 1; }
+# A retry rung answer is counted under its own name, registered at zero.
+echo "$DMETRICS" | grep -q '^mapsd_degraded_retry_total ' \
+  || { echo "$DMETRICS" | grep '^mapsd_' || true; echo "/metrics missing mapsd_degraded_retry_total"; exit 1; }
+if echo "$DMETRICS" | grep -q '^mapsd_degraded_relaxed_total '; then
+  echo "/metrics still exposes mapsd_degraded_relaxed_total"; exit 1
+fi
 mapsd_post /shutdown '' | head -n1 | grep -q '202' || { echo "/shutdown did not answer 202"; exit 1; }
 wait "$MAPSD_PID" || { cat "$MAPSD_LOG"; echo "mapsd exited non-zero after drain"; exit 1; }
 trap - EXIT
