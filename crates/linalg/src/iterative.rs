@@ -7,11 +7,6 @@
 use crate::dense::{zdotc, znorm};
 use crate::sparse::CsrMatrix;
 use crate::{Complex64, LinalgError};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Process-wide sequence number distinguishing the residual trajectory of
-/// one BiCGSTAB call from the next in the series registry.
-static SOLVE_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Convergence report for an iterative solve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,6 +37,11 @@ impl Default for IterativeOptions {
 
 /// Solves `A x = b` with Jacobi-preconditioned BiCGSTAB.
 ///
+/// While the flight recorder is on, every iteration appends its relative
+/// residual to the `bicgstab.residual` series, stepped by the iteration
+/// within its solve (from 1). All solves share that one series, so the
+/// rows of concurrent solves interleave.
+///
 /// # Errors
 ///
 /// Returns [`LinalgError::NoConvergence`] when the relative residual does not
@@ -59,13 +59,9 @@ pub fn bicgstab(
     let _span = maps_obs::span("linalg.bicgstab").field("n", b.len());
     // Per-inner-iteration residual trajectories are hot, so they are only
     // captured while the flight recorder is on (explicitly or via an export
-    // knob). Each solve gets its own numbered series.
-    let trajectory = if maps_obs::recorder::is_enabled() {
-        let id = SOLVE_SEQ.fetch_add(1, Ordering::Relaxed);
-        Some(maps_obs::series(&format!("bicgstab.residual.{id:04}")))
-    } else {
-        None
-    };
+    // knob).
+    let trajectory =
+        maps_obs::recorder::is_enabled().then(|| maps_obs::series("bicgstab.residual"));
     let result = bicgstab_inner(a, b, options, trajectory.as_ref());
     match &result {
         Ok((_, stats)) => {

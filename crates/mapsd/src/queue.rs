@@ -10,7 +10,7 @@
 //! instance before it sheds.
 //!
 //! Shapes:
-//! - [`WorkQueue::submit`] admits or sheds in O(clients) under one lock;
+//! - [`WorkQueue::submit_job`] admits or sheds in O(clients) under one lock;
 //!   admission returns the response channel and an RAII [`ClientPermit`]
 //!   that releases the client's slot when the connection handler finishes.
 //! - [`WorkQueue::pop`] blocks workers on a condvar; it returns `None`

@@ -6,7 +6,7 @@
 
 use crate::layers::Conv2d;
 use crate::model::Model;
-use maps_tensor::{Conv2dSpec, Dtype, Params, Tape, Tensor};
+use maps_tensor::{Conv2dSpec, Params, Tape, Tensor};
 use rand::Rng;
 
 /// Configuration of the [`BlackBoxNet`].
@@ -71,7 +71,7 @@ impl BlackBoxNet {
         }
     }
 
-    fn fwd<E: Dtype, T: Tape<E>>(&self, params: &Params<E>, x: Tensor<E, T>) -> Tensor<E, T> {
+    fn fwd<T: Tape>(&self, params: &Params, x: Tensor<f64, T>) -> Tensor<f64, T> {
         let mut h = x;
         for conv in &self.convs {
             h = conv.forward(params, h).gelu().avg_pool2();

@@ -7,7 +7,7 @@
 
 use crate::layers::{Conv2d, SpectralConv2d};
 use crate::model::Model;
-use maps_tensor::{Conv2dSpec, Dtype, Params, Tape, Tensor};
+use maps_tensor::{Conv2dSpec, Params, Tape, Tensor};
 use rand::Rng;
 
 /// Configuration of the [`Ffno`] baseline.
@@ -93,7 +93,7 @@ impl Ffno {
         }
     }
 
-    fn fwd<E: Dtype, T: Tape<E>>(&self, params: &Params<E>, x: Tensor<E, T>) -> Tensor<E, T> {
+    fn fwd<T: Tape>(&self, params: &Params, x: Tensor<f64, T>) -> Tensor<f64, T> {
         let mut h = self.lift.forward(params, x);
         for block in &self.blocks {
             let sh = block.spec_h.forward(params, h.with_empty_tape());

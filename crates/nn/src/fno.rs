@@ -2,7 +2,7 @@
 
 use crate::layers::{Conv2d, SpectralConv2d};
 use crate::model::Model;
-use maps_tensor::{Conv2dSpec, Dtype, Params, Tape, Tensor};
+use maps_tensor::{Conv2dSpec, Params, Tape, Tensor};
 use rand::Rng;
 
 /// Configuration of the [`Fno`] baseline.
@@ -82,7 +82,7 @@ impl Fno {
         self.config
     }
 
-    fn fwd<E: Dtype, T: Tape<E>>(&self, params: &Params<E>, x: Tensor<E, T>) -> Tensor<E, T> {
+    fn fwd<T: Tape>(&self, params: &Params, x: Tensor<f64, T>) -> Tensor<f64, T> {
         let mut h = self.lift.forward(params, x);
         let depth = self.blocks.len();
         for (i, (spec, bypass)) in self.blocks.iter().enumerate() {

@@ -5,7 +5,7 @@
 //! same code compiles down to pure value arithmetic.
 
 use crate::init::{kaiming_uniform, spectral_uniform};
-use maps_tensor::{Conv2dSpec, Dtype, ParamId, Params, Tape, Tensor};
+use maps_tensor::{Conv2dSpec, ParamId, Params, Tape, Tensor};
 use rand::Rng;
 
 /// A 2-D convolution layer with bias.
@@ -32,11 +32,7 @@ impl Conv2d {
     }
 
     /// Applies the layer.
-    pub fn forward<E: Dtype, T: Tape<E>>(
-        &self,
-        params: &Params<E>,
-        x: Tensor<E, T>,
-    ) -> Tensor<E, T> {
+    pub fn forward<T: Tape>(&self, params: &Params, x: Tensor<f64, T>) -> Tensor<f64, T> {
         let w = params.get(self.weight).clone();
         let b = params.get(self.bias).clone();
         x.conv2d(w, self.spec).add_bias_channel(b)
@@ -59,11 +55,7 @@ impl Linear {
     }
 
     /// Applies the layer.
-    pub fn forward<E: Dtype, T: Tape<E>>(
-        &self,
-        params: &Params<E>,
-        x: Tensor<E, T>,
-    ) -> Tensor<E, T> {
+    pub fn forward<T: Tape>(&self, params: &Params, x: Tensor<f64, T>) -> Tensor<f64, T> {
         let w = params.get(self.weight).clone();
         let b = params.get(self.bias).clone();
         x.matmul(w).add_bias_cols(b)
@@ -101,11 +93,7 @@ impl SpectralConv2d {
     }
 
     /// Applies the layer.
-    pub fn forward<E: Dtype, T: Tape<E>>(
-        &self,
-        params: &Params<E>,
-        x: Tensor<E, T>,
-    ) -> Tensor<E, T> {
+    pub fn forward<T: Tape>(&self, params: &Params, x: Tensor<f64, T>) -> Tensor<f64, T> {
         let wr = params.get(self.w_re).clone();
         let wi = params.get(self.w_im).clone();
         x.spectral_conv(wr, wi, self.modes_h, self.modes_w)

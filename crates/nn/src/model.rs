@@ -25,11 +25,7 @@ use maps_tensor::{OwnedTape, Params, Tensor};
 /// [`impl_model_forward!`]: crate::impl_model_forward
 pub trait Model {
     /// Runs the forward pass recording on an autodiff tape (training).
-    fn forward(
-        &self,
-        params: &Params,
-        x: Tensor<f64, OwnedTape<f64>>,
-    ) -> Tensor<f64, OwnedTape<f64>>;
+    fn forward(&self, params: &Params, x: Tensor<f64, OwnedTape>) -> Tensor<f64, OwnedTape>;
     /// Runs the forward pass tape-free (inference).
     fn infer(&self, params: &Params, x: Tensor<f64>) -> Tensor<f64>;
     /// Number of expected input channels.
@@ -47,7 +43,7 @@ pub trait Model {
 /// delegating to an inherent generic method on the implementing type:
 ///
 /// ```ignore
-/// fn fwd<E: Dtype, T: Tape<E>>(&self, params: &Params<E>, x: Tensor<E, T>) -> Tensor<E, T>
+/// fn fwd<T: Tape>(&self, params: &Params, x: Tensor<f64, T>) -> Tensor<f64, T>
 /// ```
 ///
 /// Invoke inside the `impl Model for …` block.
@@ -56,15 +52,15 @@ macro_rules! impl_model_forward {
     () => {
         fn forward(
             &self,
-            params: &::maps_tensor::Params<f64>,
-            x: ::maps_tensor::Tensor<f64, ::maps_tensor::OwnedTape<f64>>,
-        ) -> ::maps_tensor::Tensor<f64, ::maps_tensor::OwnedTape<f64>> {
+            params: &::maps_tensor::Params,
+            x: ::maps_tensor::Tensor<f64, ::maps_tensor::OwnedTape>,
+        ) -> ::maps_tensor::Tensor<f64, ::maps_tensor::OwnedTape> {
             self.fwd(params, x)
         }
 
         fn infer(
             &self,
-            params: &::maps_tensor::Params<f64>,
+            params: &::maps_tensor::Params,
             x: ::maps_tensor::Tensor<f64>,
         ) -> ::maps_tensor::Tensor<f64> {
             self.fwd(params, x)
@@ -73,11 +69,7 @@ macro_rules! impl_model_forward {
 }
 
 impl<M: Model + ?Sized> Model for &M {
-    fn forward(
-        &self,
-        params: &Params,
-        x: Tensor<f64, OwnedTape<f64>>,
-    ) -> Tensor<f64, OwnedTape<f64>> {
+    fn forward(&self, params: &Params, x: Tensor<f64, OwnedTape>) -> Tensor<f64, OwnedTape> {
         (**self).forward(params, x)
     }
     fn infer(&self, params: &Params, x: Tensor<f64>) -> Tensor<f64> {

@@ -10,7 +10,7 @@
 
 use crate::layers::{Conv2d, SpectralConv2d};
 use crate::model::Model;
-use maps_tensor::{Conv2dSpec, Dtype, Params, Tape, Tensor};
+use maps_tensor::{Conv2dSpec, Params, Tape, Tensor};
 use rand::Rng;
 
 /// Configuration of the [`NeurOLight`] baseline.
@@ -92,7 +92,7 @@ impl NeurOLight {
         }
     }
 
-    fn fwd<E: Dtype, T: Tape<E>>(&self, params: &Params<E>, x: Tensor<E, T>) -> Tensor<E, T> {
+    fn fwd<T: Tape>(&self, params: &Params, x: Tensor<f64, T>) -> Tensor<f64, T> {
         let mut h = self.lift.forward(params, x);
         for block in &self.blocks {
             let s = block.spectral.forward(params, h.with_empty_tape());

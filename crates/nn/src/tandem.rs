@@ -9,7 +9,7 @@
 
 use crate::layers::Conv2d;
 use crate::model::Model;
-use maps_tensor::{Conv2dSpec, Dtype, OwnedTape, Params, Tape, Tensor};
+use maps_tensor::{Conv2dSpec, OwnedTape, Params, Tape, Tensor};
 use rand::Rng;
 
 /// Configuration of the inverse generator head.
@@ -75,11 +75,7 @@ impl Generator {
     }
 
     /// Produces a density in `(0, 1)` via `0.5·(tanh + 1)`.
-    pub fn forward<E: Dtype, T: Tape<E>>(
-        &self,
-        params: &Params<E>,
-        x: Tensor<E, T>,
-    ) -> Tensor<E, T> {
+    pub fn forward<T: Tape>(&self, params: &Params, x: Tensor<f64, T>) -> Tensor<f64, T> {
         let mut h = x;
         for layer in &self.layers {
             h = layer.forward(params, h).gelu();
@@ -87,8 +83,8 @@ impl Generator {
         self.head
             .forward(params, h)
             .tanh()
-            .add_scalar(E::ONE)
-            .scale(E::from_f64(0.5))
+            .add_scalar(1.0)
+            .scale(0.5)
     }
 
     /// The configuration used at construction.
@@ -131,8 +127,8 @@ impl<F: Model> Tandem<F> {
         gen_params: &Params,
         fwd_params: &Params,
         target_spec: &Tensor,
-        assemble: impl FnOnce(Tensor<f64, OwnedTape<f64>>, &Tensor) -> Tensor<f64, OwnedTape<f64>>,
-    ) -> (Tensor, Tensor<f64, OwnedTape<f64>>) {
+        assemble: impl FnOnce(Tensor<f64, OwnedTape>, &Tensor) -> Tensor<f64, OwnedTape>,
+    ) -> (Tensor, Tensor<f64, OwnedTape>) {
         let density = self.generator.forward(gen_params, target_spec.trace());
         let density_value = density.no_tape();
         let fwd_input = assemble(density, target_spec);

@@ -2,7 +2,7 @@
 
 use crate::layers::Conv2d;
 use crate::model::Model;
-use maps_tensor::{Conv2dSpec, Dtype, Params, Tape, Tensor};
+use maps_tensor::{Conv2dSpec, Params, Tape, Tensor};
 use rand::Rng;
 
 /// Configuration of the [`UNet`] baseline.
@@ -43,7 +43,7 @@ impl ConvBlock {
         }
     }
 
-    fn forward<E: Dtype, T: Tape<E>>(&self, params: &Params<E>, x: Tensor<E, T>) -> Tensor<E, T> {
+    fn forward<T: Tape>(&self, params: &Params, x: Tensor<f64, T>) -> Tensor<f64, T> {
         let h = self.c1.forward(params, x).gelu();
         self.c2.forward(params, h).gelu()
     }
@@ -93,7 +93,7 @@ impl UNet {
         }
     }
 
-    fn fwd<E: Dtype, T: Tape<E>>(&self, params: &Params<E>, x: Tensor<E, T>) -> Tensor<E, T> {
+    fn fwd<T: Tape>(&self, params: &Params, x: Tensor<f64, T>) -> Tensor<f64, T> {
         // Skip tensors keep empty tapes; the downstream concat merges each
         // encoder sub-graph back into the main tape exactly once.
         let e1 = self.enc1.forward(params, x);

@@ -16,9 +16,9 @@
 //! | `/healthz`        | `200 ok` while the process is alive                 |
 //! | `/readyz`         | `200 ready`, or `503` + stalled spans when wedged   |
 //!
-//! `/trace` reads the flight-recorder ring with [`recorder::snapshot`] —
-//! a clone, never a drain — so a mid-run scrape cannot eat the trace the
-//! process will export at exit.
+//! `/trace` clones the newest `N` spans of the flight-recorder ring (all
+//! of them without `last`) — a clone, never a drain — so a mid-run scrape
+//! cannot eat the trace the process will export at exit.
 //!
 //! The server is deliberately minimal: GET only, one connection at a time,
 //! short read/write timeouts, no keep-alive. A scrape every few seconds is
@@ -290,15 +290,11 @@ pub fn telemetry_response(req: &Request) -> Option<(u16, &'static str, String)> 
         "/healthz" => Some((200, "text/plain", "ok\n".to_string())),
         "/readyz" => Some(readiness_response(&[])),
         "/trace" => {
-            let mut spans = recorder::snapshot();
-            if let Some(last) = req
+            let last = req
                 .query_param("last")
                 .and_then(|v| v.parse::<usize>().ok())
-            {
-                if spans.len() > last {
-                    spans.drain(..spans.len() - last);
-                }
-            }
+                .unwrap_or(usize::MAX);
+            let spans = recorder::snapshot_last(last);
             Some((200, "application/json", crate::chrome_trace(&spans)))
         }
         "/requests" => {

@@ -75,8 +75,8 @@ pub fn enabled(l: Level) -> bool {
 }
 
 /// Writes one line to stderr. Callers must check [`enabled`] first — the
-/// [`error!`]/[`info!`]/[`debug!`] macros do this so that disabled levels
-/// never format their arguments.
+/// [`error!`](crate::error!)/[`info!`](crate::info!)/[`debug!`](crate::debug!)
+/// macros do this so that disabled levels never format their arguments.
 pub fn emit(l: Level, msg: &str) {
     eprintln!("[maps:{l}] {msg}");
 }

@@ -141,10 +141,15 @@ pub fn take() -> Vec<SpanRecord> {
 /// Clones the captured spans without draining them (exporters use this so
 /// the trace, profile, and report can all read the same capture).
 pub fn snapshot() -> Vec<SpanRecord> {
-    RECORDS
-        .lock()
-        .expect("span recorder")
-        .iter()
+    snapshot_last(usize::MAX)
+}
+
+/// Clones the newest `n` captured spans (all of them when fewer), oldest
+/// first, without draining them. The lock every span close takes is held
+/// for those `n` clones only, not for a copy of the whole ring.
+pub(crate) fn snapshot_last(n: usize) -> Vec<SpanRecord> {
+    let ring = RECORDS.lock().expect("span recorder");
+    ring.range(ring.len().saturating_sub(n)..)
         .cloned()
         .collect()
 }

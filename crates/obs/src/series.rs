@@ -3,7 +3,8 @@
 //! Metrics gauges only keep the *last* value of a quantity; a convergence
 //! study needs the whole trajectory. A [`Series`] is an append-only list of
 //! `(step, value)` points addressable by name through a process-wide
-//! registry:
+//! registry. It keeps the newest 65,536 points and drops the oldest, so a
+//! long-lived process holds a bounded amount per name:
 //!
 //! ```
 //! maps_obs::series("invdes.objective").push(0, 0.12);
@@ -23,18 +24,21 @@
 //! a CSV parses back to bit-identical `f64`s and two identical seeded runs
 //! produce byte-identical files.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 
+/// Points one series keeps; a push beyond it drops the oldest point.
+const MAX_SERIES_POINTS: usize = 65_536;
+
 struct SeriesInner {
     name: String,
-    points: Mutex<Vec<(u64, f64)>>,
+    points: Mutex<VecDeque<(u64, f64)>>,
 }
 
-/// An append-only `(step, value)` trajectory. Cheap to clone; clones share
-/// state.
+/// An append-only `(step, value)` trajectory of at most the newest 65,536
+/// points. Cheap to clone; clones share state.
 #[derive(Clone)]
 pub struct Series(Arc<SeriesInner>);
 
@@ -44,14 +48,15 @@ impl Series {
         &self.0.name
     }
 
-    /// Appends one point. Steps are recorded as given — pushes are not
-    /// deduplicated or sorted, so callers control row order.
+    /// Appends one point, dropping the oldest when the series is full.
+    /// Steps are recorded as given — pushes are not deduplicated or
+    /// sorted, so callers control row order.
     pub fn push(&self, step: u64, value: f64) {
-        self.0
-            .points
-            .lock()
-            .expect("series points")
-            .push((step, value));
+        let mut points = self.0.points.lock().expect("series points");
+        if points.len() == MAX_SERIES_POINTS {
+            points.pop_front();
+        }
+        points.push_back((step, value));
     }
 
     /// Number of recorded points.
@@ -66,7 +71,8 @@ impl Series {
 
     /// A copy of the recorded points, in push order.
     pub fn points(&self) -> Vec<(u64, f64)> {
-        self.0.points.lock().expect("series points").clone()
+        let points = self.0.points.lock().expect("series points");
+        points.iter().copied().collect()
     }
 
     /// Renders the series as CSV with a `step,value` header. Values use the
@@ -135,7 +141,7 @@ pub fn series(name: &str) -> Series {
         || {
             Arc::new(SeriesInner {
                 name: name.to_string(),
-                points: Mutex::new(Vec::new()),
+                points: Mutex::new(VecDeque::new()),
             })
         },
     )))
@@ -208,15 +214,35 @@ pub fn write_series_csv(dir: impl AsRef<Path>) -> std::io::Result<Vec<PathBuf>> 
 mod tests {
     use super::*;
 
+    /// A series outside the registry, so tests do not share state.
+    fn detached(name: &str) -> Series {
+        Series(Arc::new(SeriesInner {
+            name: name.into(),
+            points: Mutex::new(VecDeque::new()),
+        }))
+    }
+
+    #[test]
+    fn a_full_series_drops_its_oldest_points() {
+        let s = detached("capped");
+        let pushed = MAX_SERIES_POINTS as u64 + 3;
+        for step in 0..pushed {
+            s.push(step, step as f64 * 0.5);
+        }
+        let points = s.points();
+        assert_eq!(points.len(), MAX_SERIES_POINTS);
+        for (k, (step, value)) in points.iter().enumerate() {
+            let want = k as u64 + 3;
+            assert_eq!((*step, *value), (want, want as f64 * 0.5), "row {k}");
+        }
+    }
+
     #[test]
     // The "excessive precision" literal is the point: its shortest
     // round-trip representation needs all those digits.
     #[allow(clippy::excessive_precision)]
     fn csv_roundtrips_exotic_floats() {
-        let s = Series(Arc::new(SeriesInner {
-            name: "t".into(),
-            points: Mutex::new(Vec::new()),
-        }));
+        let s = detached("t");
         let values = [
             0.1,
             -3.25,

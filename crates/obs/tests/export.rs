@@ -150,6 +150,44 @@ fn ring_drops_oldest_first() {
     }
 }
 
+/// `/trace?last=N` serves exactly the newest `N` spans, oldest first, and
+/// leaves the ring as it was.
+#[test]
+fn trace_last_n_serves_the_newest_spans_in_order() {
+    let _guard = RECORDER_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    recorder::enable();
+    for k in 0..10 {
+        let _s = maps_obs::span(format!("last.{k}"));
+    }
+    let get = |query: &str| {
+        let req = maps_obs::http::Request {
+            method: "GET".into(),
+            path: "/trace".into(),
+            query: query.into(),
+            body: Vec::new(),
+        };
+        let (status, _, body) = maps_obs::http::telemetry_response(&req).expect("routed");
+        assert_eq!(status, 200);
+        let trace: Value = serde_json::from_str(&body).expect("trace JSON parses");
+        let events = trace.field("traceEvents").and_then(Value::as_arr);
+        let events = events.expect("traceEvents array");
+        let field = |e: &Value, key| e.field(key).and_then(Value::as_str).map(String::from);
+        events
+            .iter()
+            .filter(|e| field(e, "ph").is_ok_and(|ph| ph == "X"))
+            .map(|e| field(e, "name").expect("span name"))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(get("last=3"), ["last.7", "last.8", "last.9"]);
+    assert_eq!(get("last=0"), Vec::<String>::new());
+    assert_eq!(get("last=50").len(), 10);
+    assert_eq!(get("").len(), 10);
+    assert_eq!(recorder::take().len(), 10, "/trace must not drain the ring");
+    recorder::disable();
+}
+
 #[test]
 fn profile_totals_agree_with_span_histograms() {
     let _guard = RECORDER_LOCK

@@ -7,10 +7,10 @@
 //! plumbing, spectral (Fourier) convolutions with analytic backward, and
 //! data/physics loss heads.
 //!
-//! Tape presence lives in the tensor's type: `Tensor<E, NoneTape>` (the
+//! Tape presence lives in the tensor's type: `Tensor<f64, NoneTape>` (the
 //! default) computes values only, while [`Tensor::trace`] yields a
-//! `Tensor<E, OwnedTape<E>>` that records one backward closure per op.
-//! Storage is `f64`, through the one-implementation [`Dtype`] trait.
+//! `Tensor<f64, OwnedTape>` that records one backward closure per op.
+//! Every tensor holds `f64`.
 //!
 //! Training — trace, run ops, differentiate:
 //!
@@ -43,7 +43,7 @@
 //! ```
 //! use maps_tensor::{Params, Tensor};
 //!
-//! let mut params = Params::<f64>::new();
+//! let mut params = Params::new();
 //! let w = params.alloc(Tensor::from_vec(&[2], vec![3.0, -2.0]));
 //! let loss = params.get(w).trace().square().sum();
 //! let grads = loss.backward();
@@ -51,12 +51,10 @@
 //! assert_eq!(g.as_slice(), &[6.0, -4.0]); // 2w
 //! ```
 
-pub mod dtype;
 pub mod ops;
 pub mod spectral;
 pub mod tape;
 pub mod tensor;
 
-pub use dtype::Dtype;
 pub use tape::{tape_nodes_recorded, Gradients, Merge, NoneTape, OwnedTape, ParamId, Params, Tape};
 pub use tensor::{Conv2dSpec, Tensor};

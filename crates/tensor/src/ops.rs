@@ -1,10 +1,11 @@
-//! Differentiable tensor ops, generic over dtype and tape.
+//! Differentiable tensor ops, generic over the tape.
 //!
-//! Every op is a method on [`Tensor<E, T>`] that computes its value
-//! eagerly and — only when `T` is an [`OwnedTape`] — records a backward
-//! closure. On [`crate::NoneTape`] the `record` call is a statically
-//! dispatched no-op whose builder closure is never invoked, so inference
-//! performs exactly the forward arithmetic and nothing else.
+//! Every op is a method on [`Tensor<f64, T>`] that computes its value
+//! eagerly and — only when `T` is an [`OwnedTape`](crate::OwnedTape) —
+//! records a backward closure. On [`NoneTape`](crate::NoneTape) the
+//! `record` call is a statically dispatched no-op whose builder closure is
+//! never invoked, so inference performs exactly the forward arithmetic and
+//! nothing else.
 //!
 //! Elementwise ops are macro-generated from their forward expression and
 //! per-element partial derivatives; structural ops (matmul, conv,
@@ -15,7 +16,6 @@
 //! compiles, `plain.add(taped)` does not (it would drop the tape). Both
 //! operands' gradients are tracked either way, keyed by uid.
 
-use crate::dtype::Dtype;
 use crate::spectral;
 use crate::tape::{Merge, Tape};
 use crate::tensor::{
@@ -32,8 +32,8 @@ macro_rules! unary_op {
         // Op names intentionally mirror the std trait methods (`neg` etc.):
         // the std traits cannot express the tape-consuming signature.
         #[allow(clippy::should_implement_trait)]
-        pub fn $name(self) -> Tensor<E, T> {
-            let out_data: Vec<E> = self.data.iter().map(|&$x| $fwd).collect();
+        pub fn $name(self) -> Tensor<f64, T> {
+            let out_data: Vec<f64> = self.data.iter().map(|&$x| $fwd).collect();
             let (inp, mut tape) = self.split_tape();
             let out = Tensor::from_parts(inp.shape().to_vec(), out_data);
             let (in_uid, out_uid) = (inp.uid, out.uid);
@@ -60,8 +60,8 @@ macro_rules! unary_op {
 macro_rules! unary_scalar_op {
     ($(#[$meta:meta])* $name:ident, |$x:ident, $k:ident| $fwd:expr, |$g:ident, $kb:ident| $bwd:expr) => {
         $(#[$meta])*
-        pub fn $name(self, k: E) -> Tensor<E, T> {
-            let out_data: Vec<E> = self
+        pub fn $name(self, k: f64) -> Tensor<f64, T> {
+            let out_data: Vec<f64> = self
                 .data
                 .iter()
                 .map(|&$x| {
@@ -97,7 +97,7 @@ macro_rules! binary_op {
         // Op names intentionally mirror the std trait methods (`add`/`sub`/
         // `mul`): the std traits cannot express the `Merge` tape signature.
         #[allow(clippy::should_implement_trait)]
-        pub fn $name<R>(self, rhs: Tensor<E, R>) -> Tensor<E, T>
+        pub fn $name<R>(self, rhs: Tensor<f64, R>) -> Tensor<f64, T>
         where
             T: Merge<R, Output = T>,
         {
@@ -106,7 +106,7 @@ macro_rules! binary_op {
                 rhs.shape,
                 concat!(stringify!($name), " shape mismatch")
             );
-            let out_data: Vec<E> = self
+            let out_data: Vec<f64> = self
                 .data
                 .iter()
                 .zip(rhs.data.iter())
@@ -143,31 +143,22 @@ macro_rules! binary_op {
 const GELU_C: f64 = 0.7978845608028654; // √(2/π)
 const GELU_A: f64 = 0.044715;
 
-impl<E: Dtype, T: Tape<E>> Tensor<E, T> {
+impl<T: Tape> Tensor<f64, T> {
     unary_op!(
         /// Rectified linear unit.
         relu,
-        |x| x.max(E::ZERO),
-        |g, x, _y| if x > E::ZERO { g } else { E::ZERO }
+        |x| x.max(0.0),
+        |g, x, _y| if x > 0.0 { g } else { 0.0 }
     );
 
     unary_op!(
         /// GELU activation (tanh approximation).
         gelu,
-        |x| {
-            let c = E::from_f64(GELU_C);
-            let a = E::from_f64(GELU_A);
-            let half = E::from_f64(0.5);
-            half * x * (E::ONE + (c * (x + a * x * x * x)).tanh())
-        },
+        |x| 0.5 * x * (1.0 + (GELU_C * (x + GELU_A * x * x * x)).tanh()),
         |g, x, _y| {
-            let c = E::from_f64(GELU_C);
-            let a = E::from_f64(GELU_A);
-            let half = E::from_f64(0.5);
-            let three = E::from_f64(3.0);
-            let t = (c * (x + a * x * x * x)).tanh();
-            let du = c * (E::ONE + three * a * x * x);
-            g * (half * (E::ONE + t) + half * x * (E::ONE - t * t) * du)
+            let t = (GELU_C * (x + GELU_A * x * x * x)).tanh();
+            let du = GELU_C * (1.0 + 3.0 * GELU_A * x * x);
+            g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
         }
     );
 
@@ -175,7 +166,7 @@ impl<E: Dtype, T: Tape<E>> Tensor<E, T> {
         /// Hyperbolic tangent.
         tanh,
         |x| x.tanh(),
-        |g, _x, y| g * (E::ONE - y * y)
+        |g, _x, y| g * (1.0 - y * y)
     );
 
     unary_op!(
@@ -228,7 +219,7 @@ impl<E: Dtype, T: Tape<E>> Tensor<E, T> {
     );
 
     /// Sum of all elements, producing a scalar.
-    pub fn sum(self) -> Tensor<E, T> {
+    pub fn sum(self) -> Tensor<f64, T> {
         let total = self.sum_value();
         let (inp, mut tape) = self.split_tape();
         let out = Tensor::scalar(total);
@@ -247,13 +238,13 @@ impl<E: Dtype, T: Tape<E>> Tensor<E, T> {
     }
 
     /// Mean of all elements, producing a scalar.
-    pub fn mean(self) -> Tensor<E, T> {
+    pub fn mean(self) -> Tensor<f64, T> {
         let n = self.len();
-        self.sum().scale(E::ONE / E::from_usize(n))
+        self.sum().scale(1.0 / n as f64)
     }
 
     /// 2-D matrix multiply `[m, k] × [k, n]`.
-    pub fn matmul<R>(self, rhs: Tensor<E, R>) -> Tensor<E, T>
+    pub fn matmul<R>(self, rhs: Tensor<f64, R>) -> Tensor<f64, T>
     where
         T: Merge<R, Output = T>,
     {
@@ -273,7 +264,7 @@ impl<E: Dtype, T: Tape<E>> Tensor<E, T> {
     }
 
     /// Adds a per-column bias `b[M]` to a matrix `x[N, M]`.
-    pub fn add_bias_cols<R>(self, bias: Tensor<E, R>) -> Tensor<E, T>
+    pub fn add_bias_cols<R>(self, bias: Tensor<f64, R>) -> Tensor<f64, T>
     where
         T: Merge<R, Output = T>,
     {
@@ -303,7 +294,7 @@ impl<E: Dtype, T: Tape<E>> Tensor<E, T> {
     }
 
     /// Adds a per-channel bias `b[C]` to an NCHW tensor.
-    pub fn add_bias_channel<R>(self, bias: Tensor<E, R>) -> Tensor<E, T>
+    pub fn add_bias_channel<R>(self, bias: Tensor<f64, R>) -> Tensor<f64, T>
     where
         T: Merge<R, Output = T>,
     {
@@ -331,10 +322,10 @@ impl<E: Dtype, T: Tape<E>> Tensor<E, T> {
                 let gd = g.as_slice();
                 grads.accumulate(xu, g.clone());
                 grads.accumulate_with(bu, &[c], |ch| {
-                    let mut acc = E::ZERO;
+                    let mut acc = 0.0;
                     for in_ in 0..n {
                         let off = (in_ * c + ch) * hw;
-                        acc += gd[off..off + hw].iter().copied().sum();
+                        acc += gd[off..off + hw].iter().sum::<f64>();
                     }
                     acc
                 });
@@ -344,7 +335,7 @@ impl<E: Dtype, T: Tape<E>> Tensor<E, T> {
     }
 
     /// 2-D convolution of `x[N,Cin,H,W]` with `w[Cout,Cin,Kh,Kw]`.
-    pub fn conv2d<R>(self, weight: Tensor<E, R>, spec: Conv2dSpec) -> Tensor<E, T>
+    pub fn conv2d<R>(self, weight: Tensor<f64, R>, spec: Conv2dSpec) -> Tensor<f64, T>
     where
         T: Merge<R, Output = T>,
     {
@@ -364,7 +355,7 @@ impl<E: Dtype, T: Tape<E>> Tensor<E, T> {
     }
 
     /// 2×2 average pooling.
-    pub fn avg_pool2(self) -> Tensor<E, T> {
+    pub fn avg_pool2(self) -> Tensor<f64, T> {
         let (x, mut tape) = self.split_tape();
         let out = avg_pool2(&x);
         let (xu, ou) = (x.uid, out.uid);
@@ -379,7 +370,7 @@ impl<E: Dtype, T: Tape<E>> Tensor<E, T> {
     }
 
     /// Nearest-neighbour 2× upsampling.
-    pub fn upsample2(self) -> Tensor<E, T> {
+    pub fn upsample2(self) -> Tensor<f64, T> {
         let (x, mut tape) = self.split_tape();
         let out = upsample2(&x);
         let (xu, ou) = (x.uid, out.uid);
@@ -398,7 +389,7 @@ impl<E: Dtype, T: Tape<E>> Tensor<E, T> {
     /// # Panics
     ///
     /// Panics if batch or spatial dimensions disagree.
-    pub fn concat_channels<R>(self, rhs: Tensor<E, R>) -> Tensor<E, T>
+    pub fn concat_channels<R>(self, rhs: Tensor<f64, R>) -> Tensor<f64, T>
     where
         T: Merge<R, Output = T>,
     {
@@ -457,7 +448,7 @@ impl<E: Dtype, T: Tape<E>> Tensor<E, T> {
     }
 
     /// Slices channels `[from, to)` of an NCHW tensor.
-    pub fn slice_channels(self, from: usize, to: usize) -> Tensor<E, T> {
+    pub fn slice_channels(self, from: usize, to: usize) -> Tensor<f64, T> {
         let (n, c, h, w) = unpack4(&self.shape, "slice_channels input");
         assert!(from < to && to <= c, "channel slice out of range");
         let hw = h * w;
@@ -501,13 +492,7 @@ impl<E: Dtype, T: Tape<E>> Tensor<E, T> {
     /// the `2·mh × 2·mw` lowest-frequency corner modes and multiplies
     /// them by a complex weight stored as two real tensors
     /// `[Cin, Cout, 2mh, 2mw]`.
-    pub fn spectral_conv(
-        self,
-        w_re: Tensor<E>,
-        w_im: Tensor<E>,
-        mh: usize,
-        mw: usize,
-    ) -> Tensor<E, T> {
+    pub fn spectral_conv(self, w_re: Tensor, w_im: Tensor, mh: usize, mw: usize) -> Tensor<f64, T> {
         let (x, mut tape) = self.split_tape();
         let out = spectral::spectral_conv_forward(&x, &w_re, &w_im, mh, mw);
         let (xu, ru, iu, ou) = (x.uid, w_re.uid, w_im.uid, out.uid);
@@ -524,15 +509,15 @@ impl<E: Dtype, T: Tape<E>> Tensor<E, T> {
     }
 
     /// Global average pooling: `[N, C, H, W] → [N, C]`.
-    pub fn global_avg_pool(self) -> Tensor<E, T> {
+    pub fn global_avg_pool(self) -> Tensor<f64, T> {
         let (n, c, h, w) = unpack4(&self.shape, "global_avg_pool input");
         let hw = h * w;
-        let inv = E::ONE / E::from_usize(hw);
+        let inv = 1.0 / hw as f64;
         let mut out = Tensor::zeros(&[n, c]);
         {
             let od = out.as_mut_slice();
             for nc in 0..n * c {
-                od[nc] = self.data[nc * hw..(nc + 1) * hw].iter().copied().sum::<E>() * inv;
+                od[nc] = self.data[nc * hw..(nc + 1) * hw].iter().sum::<f64>() * inv;
             }
         }
         let (x, mut tape) = self.split_tape();
@@ -548,7 +533,7 @@ impl<E: Dtype, T: Tape<E>> Tensor<E, T> {
     }
 
     /// Mean-squared error against a same-shape tensor (scalar output).
-    pub fn mse<R>(self, rhs: Tensor<E, R>) -> Tensor<E, T>
+    pub fn mse<R>(self, rhs: Tensor<f64, R>) -> Tensor<f64, T>
     where
         T: Merge<R, Output = T>,
     {
@@ -558,12 +543,12 @@ impl<E: Dtype, T: Tape<E>> Tensor<E, T> {
     /// Normalized MSE: `‖a − b‖² / ‖b‖²` where `b` is treated as the
     /// ground-truth (its gradient still flows, but the normalizer uses
     /// its current value as a constant).
-    pub fn nmse<R>(self, rhs: Tensor<E, R>) -> Tensor<E, T>
+    pub fn nmse<R>(self, rhs: Tensor<f64, R>) -> Tensor<f64, T>
     where
         T: Merge<R, Output = T>,
     {
-        let denom = rhs.norm_sqr().max(E::from_f64(1e-30));
-        self.sub(rhs).square().sum().scale(E::ONE / denom)
+        let denom = rhs.norm_sqr().max(1e-30);
+        self.sub(rhs).square().sum().scale(1.0 / denom)
     }
 }
 
@@ -573,7 +558,7 @@ mod tests {
 
     /// Generic finite-difference gradient check for a scalar-valued graph.
     pub(crate) fn grad_check(
-        build: impl Fn(Tensor<f64, crate::OwnedTape<f64>>) -> Tensor<f64, crate::OwnedTape<f64>>,
+        build: impl Fn(Tensor<f64, crate::OwnedTape>) -> Tensor<f64, crate::OwnedTape>,
         input: Tensor<f64>,
         probes: &[usize],
         tol: f64,
@@ -744,10 +729,10 @@ mod tests {
     fn grad_spectral_conv_weights() {
         // Check weight gradients through a param store.
         let x = ramp(&[2, 2, 4, 4]);
-        let mut params = crate::Params::<f64>::new();
+        let mut params = crate::Params::new();
         let wr = params.alloc(ramp(&[2, 3, 2, 2]));
         let wi = params.alloc(ramp(&[2, 3, 2, 2]).map(|v| v * 0.3 - 0.01));
-        let run = |params: &crate::Params<f64>| -> (f64, Vec<f64>, Vec<f64>) {
+        let run = |params: &crate::Params| -> (f64, Vec<f64>, Vec<f64>) {
             let wrv = params.get(wr).clone();
             let wiv = params.get(wi).clone();
             let loss = x.trace().spectral_conv(wrv, wiv, 1, 1).square().sum();

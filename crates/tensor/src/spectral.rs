@@ -10,7 +10,7 @@
 //! twiddle tables built only for the kept frequencies. The forward pass is
 //! analyse → weight mix → synthesise; the backward pass is analyse(g)/HW →
 //! conjugate-weight mix → synthesise, with the weight gradients
-//! conj(x̂)·ĝ accumulated in `f64`. This is the same linear map as a full
+//! conj(x̂)·ĝ summed over the batch. This is the same linear map as a full
 //! FFT followed by truncation, not an approximation of it.
 //!
 //! **Cost.** O(HW·2m) per plane and direction, `m` the larger mode count.
@@ -18,10 +18,8 @@
 //! `4·mh·mw` of them, and for extents that are not powers of two (40 at
 //! the low-fidelity grid) Bluestein's algorithm runs three transforms of
 //! a padded length (128 for 40); at FNO mode counts (`2m` ≤ 12, log₂ HW ≈
-//! 11 at 40×40) the direct sums are several times cheaper. All sums run in
-//! `f64`.
+//! 11 at 40×40) the direct sums are several times cheaper.
 
-use crate::dtype::Dtype;
 use crate::tensor::{unpack4, Tensor};
 use std::f64::consts::TAU;
 
@@ -68,15 +66,15 @@ impl Axis {
 }
 
 /// Split real/imaginary planes of complex values.
-type Split<'a, E = f64> = (&'a [E], &'a [E]);
+type Split<'a> = (&'a [f64], &'a [f64]);
 
 /// `acc += a·b`, or `acc += conj(a)·b` when `conj`, elementwise.
-fn mul_acc<E: Dtype>(acc: (&mut [f64], &mut [f64]), a: Split<E>, b: Split, conj: bool) {
+fn mul_acc(acc: (&mut [f64], &mut [f64]), a: Split, b: Split, conj: bool) {
     let s = if conj { -1.0 } else { 1.0 };
     let lanes = acc.0.iter_mut().zip(acc.1.iter_mut());
     for ((yr, yi), ((ar, ai), (br, bi))) in lanes.zip(a.0.iter().zip(a.1).zip(b.0.iter().zip(b.1)))
     {
-        let (ar, ai) = (ar.to_f64(), s * ai.to_f64());
+        let (ar, ai) = (*ar, s * ai);
         *yr += ar * br - ai * bi;
         *yi += ar * bi + ai * br;
     }
@@ -92,8 +90,6 @@ struct KeptDft {
     /// The `H × 2mw` half-transformed plane, split real/imaginary.
     half_re: Vec<f64>,
     half_im: Vec<f64>,
-    /// One output row of [`KeptDft::synthesise`].
-    line: Vec<f64>,
 }
 
 impl KeptDft {
@@ -102,7 +98,6 @@ impl KeptDft {
         KeptDft {
             half_re: vec![0.0; h * cols.k],
             half_im: vec![0.0; h * cols.k],
-            line: vec![0.0; w],
             rows,
             cols,
         }
@@ -115,7 +110,7 @@ impl KeptDft {
 
     /// Kept modes of a real plane, times `scale`, row-major over `(i, j)`:
     /// `X[i,j] = scale·Σ_{y,x} plane[y,x]·e^{−2πi(f_i·y/H + g_j·x/W)}`.
-    fn analyse<E: Dtype>(&mut self, plane: &[E], scale: f64, re: &mut [f64], im: &mut [f64]) {
+    fn analyse(&mut self, plane: &[f64], scale: f64, re: &mut [f64], im: &mut [f64]) {
         let (h, w, kw) = (self.rows.n, self.cols.n, self.cols.k);
         // Row pass: A[y,j] = Σ_x plane[y,x]·e^{−2πi·g_j·x/W}.
         for y in 0..h {
@@ -123,8 +118,7 @@ impl KeptDft {
             let ai = &mut self.half_im[y * kw..(y + 1) * kw];
             ar.fill(0.0);
             ai.fill(0.0);
-            for (x, v) in plane[y * w..(y + 1) * w].iter().enumerate() {
-                let v = v.to_f64();
+            for (x, &v) in plane[y * w..(y + 1) * w].iter().enumerate() {
                 let c = &self.cols.cos_t[x * kw..(x + 1) * kw];
                 let s = &self.cols.sin_t[x * kw..(x + 1) * kw];
                 for ((ar, ai), (c, s)) in ar.iter_mut().zip(ai.iter_mut()).zip(c.iter().zip(s)) {
@@ -157,7 +151,7 @@ impl KeptDft {
 
     /// Real part of the unnormalized inverse DFT of kept modes `(re, im)`:
     /// `plane[y,x] = Re Σ_{i,j} X[i,j]·e^{+2πi(f_i·y/H + g_j·x/W)}`.
-    fn synthesise<E: Dtype>(&mut self, re: &[f64], im: &[f64], plane: &mut [E]) {
+    fn synthesise(&mut self, re: &[f64], im: &[f64], plane: &mut [f64]) {
         let (h, w, kw) = (self.rows.n, self.cols.n, self.cols.k);
         // Column pass: B[y,j] = Σ_i X[i,j]·e^{+2πi·f_i·y/H}.
         self.half_re.fill(0.0);
@@ -178,23 +172,21 @@ impl KeptDft {
         }
         // Row pass: plane[y,x] = Σ_j Re(B[y,j]·e^{+2πi·g_j·x/W}).
         for y in 0..h {
-            self.line.fill(0.0);
+            let row = &mut plane[y * w..(y + 1) * w];
+            row.fill(0.0);
             for j in 0..kw {
                 let (br, bi) = (self.half_re[y * kw + j], self.half_im[y * kw + j]);
                 let c = &self.cols.cos[j * w..(j + 1) * w];
                 let s = &self.cols.sin[j * w..(j + 1) * w];
-                for (acc, (c, s)) in self.line.iter_mut().zip(c.iter().zip(s)) {
+                for (acc, (c, s)) in row.iter_mut().zip(c.iter().zip(s)) {
                     *acc += br * c - bi * s;
                 }
-            }
-            for (o, v) in plane[y * w..(y + 1) * w].iter_mut().zip(&self.line) {
-                *o = E::from_f64(*v);
             }
         }
     }
 
     /// [`KeptDft::analyse`] of every `H × W` plane of `data`, concatenated.
-    fn analyse_all<E: Dtype>(&mut self, data: &[E], scale: f64) -> (Vec<f64>, Vec<f64>) {
+    fn analyse_all(&mut self, data: &[f64], scale: f64) -> (Vec<f64>, Vec<f64>) {
         let (hw, k) = (self.rows.n * self.cols.n, self.modes());
         let planes = data.len() / hw;
         let (mut re, mut im) = (vec![0.0; planes * k], vec![0.0; planes * k]);
@@ -211,13 +203,13 @@ impl KeptDft {
 /// plane `(n, co)` from `Σ_ci W[ci,co]·X[n,ci]`, or, when `adjoint`,
 /// output plane `(n, ci)` from `Σ_co conj(W[ci,co])·X[n,co]`, where `X`
 /// are the kept modes of the input planes.
-fn mix_synthesise<E: Dtype>(
+fn mix_synthesise(
     dft: &mut KeptDft,
     modes: Split,
-    w_re: &Tensor<E>,
-    w_im: &Tensor<E>,
+    w_re: &Tensor,
+    w_im: &Tensor,
     adjoint: bool,
-    out: &mut Tensor<E>,
+    out: &mut Tensor,
 ) {
     let (cin, cout, _, _) = unpack4(w_re.shape(), "spectral weight");
     let (wr, wi) = (w_re.as_slice(), w_im.as_slice());
@@ -245,13 +237,13 @@ fn mix_synthesise<E: Dtype>(
 /// * `w_re`, `w_im`: `[Cin, Cout, 2mh, 2mw]` complex weight halves.
 ///
 /// Returns `[N, Cout, H, W]`.
-pub fn spectral_conv_forward<E: Dtype>(
-    x: &Tensor<E>,
-    w_re: &Tensor<E>,
-    w_im: &Tensor<E>,
+pub fn spectral_conv_forward(
+    x: &Tensor,
+    w_re: &Tensor,
+    w_im: &Tensor,
     mh: usize,
     mw: usize,
-) -> Tensor<E> {
+) -> Tensor {
     let (n, cin, h, w) = unpack4(x.shape(), "spectral input");
     let (cin2, cout, kh, kw) = unpack4(w_re.shape(), "spectral weight");
     assert_eq!(cin, cin2, "spectral channel mismatch");
@@ -268,14 +260,14 @@ pub fn spectral_conv_forward<E: Dtype>(
 /// Backward pass of [`spectral_conv_forward`].
 ///
 /// Returns `(grad_x, grad_w_re, grad_w_im)`.
-pub fn spectral_conv_backward<E: Dtype>(
-    grad_out: &Tensor<E>,
-    x: &Tensor<E>,
-    w_re: &Tensor<E>,
-    w_im: &Tensor<E>,
+pub fn spectral_conv_backward(
+    grad_out: &Tensor,
+    x: &Tensor,
+    w_re: &Tensor,
+    w_im: &Tensor,
     mh: usize,
     mw: usize,
-) -> (Tensor<E>, Tensor<E>, Tensor<E>) {
+) -> (Tensor, Tensor, Tensor) {
     let (n, cin, h, w) = unpack4(x.shape(), "spectral input");
     let (_, cout, _, _) = unpack4(w_re.shape(), "spectral weight");
     let mut dft = KeptDft::new(h, w, mh, mw);
@@ -299,9 +291,12 @@ pub fn spectral_conv_backward<E: Dtype>(
             }
         }
     }
-    let cast =
-        |v: Vec<f64>| Tensor::from_vec(w_re.shape(), v.into_iter().map(E::from_f64).collect());
-    (grad_x, cast(gwr), cast(gwi))
+    let shape = w_re.shape();
+    (
+        grad_x,
+        Tensor::from_vec(shape, gwr),
+        Tensor::from_vec(shape, gwi),
+    )
 }
 
 #[cfg(test)]

@@ -18,7 +18,6 @@
 //! [`crate::Tensor::with_empty_tape`]) accumulates gradient from each
 //! path automatically.
 
-use crate::dtype::Dtype;
 use crate::tensor::Tensor;
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -27,7 +26,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A recorded backward step: reads the output gradient from
 /// [`Gradients`] and accumulates into the operands' slots.
-pub type BackwardOp<E> = Box<dyn FnOnce(&mut Gradients<E>)>;
+pub type BackwardOp = Box<dyn FnOnce(&mut Gradients)>;
 
 static NEXT_SEQ: AtomicU64 = AtomicU64::new(1);
 
@@ -66,18 +65,18 @@ pub struct NoneTape;
 /// A gradient tape owning the backward closures of every op recorded
 /// since its [`crate::Tensor::trace`] call.
 #[derive(Default)]
-pub struct OwnedTape<E: Dtype> {
+pub struct OwnedTape {
     /// `(seq, op)` pairs in ascending `seq` order.
-    ops: Vec<(u64, BackwardOp<E>)>,
+    ops: Vec<(u64, BackwardOp)>,
 }
 
-impl<E: Dtype> fmt::Debug for OwnedTape<E> {
+impl fmt::Debug for OwnedTape {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "OwnedTape<{}>({} ops)", E::NAME, self.ops.len())
+        write!(f, "OwnedTape({} ops)", self.ops.len())
     }
 }
 
-impl<E: Dtype> OwnedTape<E> {
+impl OwnedTape {
     /// Number of recorded backward ops.
     pub fn len(&self) -> usize {
         self.ops.len()
@@ -88,7 +87,7 @@ impl<E: Dtype> OwnedTape<E> {
         self.ops.is_empty()
     }
 
-    fn execute(self, grads: &mut Gradients<E>) {
+    fn execute(self, grads: &mut Gradients) {
         debug_assert!(self.ops.windows(2).all(|w| w[0].0 <= w[1].0));
         for (_, op) in self.ops.into_iter().rev() {
             op(grads);
@@ -98,17 +97,13 @@ impl<E: Dtype> OwnedTape<E> {
 
 /// The capability a tensor's tape parameter provides: recording backward
 /// ops (or statically refusing to).
-pub trait Tape<E: Dtype>:
+pub trait Tape:
     Default + Merge<Self, Output = Self> + Merge<NoneTape, Output = Self> + Sized + 'static
 {
-    /// `true` for tapes that record ([`OwnedTape`]); `false` for
-    /// [`NoneTape`]. Lets kernels skip gradient-only work entirely.
-    const OWNS: bool;
-
     /// Records one backward op. The builder closure is *not called* on
     /// [`NoneTape`], so inference pays neither the boxing nor whatever
     /// state the closure would capture.
-    fn record(&mut self, build: impl FnOnce() -> BackwardOp<E>);
+    fn record(&mut self, build: impl FnOnce() -> BackwardOp);
 }
 
 impl Merge<NoneTape> for NoneTape {
@@ -119,17 +114,17 @@ impl Merge<NoneTape> for NoneTape {
     }
 }
 
-impl<E: Dtype> Merge<NoneTape> for OwnedTape<E> {
-    type Output = OwnedTape<E>;
+impl Merge<NoneTape> for OwnedTape {
+    type Output = OwnedTape;
     #[inline]
-    fn merge(self, _: NoneTape) -> OwnedTape<E> {
+    fn merge(self, _: NoneTape) -> OwnedTape {
         self
     }
 }
 
-impl<E: Dtype> Merge<OwnedTape<E>> for OwnedTape<E> {
-    type Output = OwnedTape<E>;
-    fn merge(mut self, other: OwnedTape<E>) -> OwnedTape<E> {
+impl Merge<OwnedTape> for OwnedTape {
+    type Output = OwnedTape;
+    fn merge(mut self, other: OwnedTape) -> OwnedTape {
         if other.ops.is_empty() {
             return self;
         }
@@ -159,15 +154,13 @@ impl<E: Dtype> Merge<OwnedTape<E>> for OwnedTape<E> {
     }
 }
 
-impl<E: Dtype> Tape<E> for NoneTape {
-    const OWNS: bool = false;
+impl Tape for NoneTape {
     #[inline(always)]
-    fn record(&mut self, _build: impl FnOnce() -> BackwardOp<E>) {}
+    fn record(&mut self, _build: impl FnOnce() -> BackwardOp) {}
 }
 
-impl<E: Dtype> Tape<E> for OwnedTape<E> {
-    const OWNS: bool = true;
-    fn record(&mut self, build: impl FnOnce() -> BackwardOp<E>) {
+impl Tape for OwnedTape {
+    fn record(&mut self, build: impl FnOnce() -> BackwardOp) {
         let seq = NEXT_SEQ.fetch_add(1, Ordering::Relaxed);
         TAPE_NODES.with(|n| n.set(n.get() + 1));
         self.ops.push((seq, build()));
@@ -177,17 +170,17 @@ impl<E: Dtype> Tape<E> for OwnedTape<E> {
 /// Gradients produced by [`crate::Tensor::backward`], keyed by tensor
 /// uid. Inputs, parameters, and intermediates that participated in the
 /// loss all have entries.
-pub struct Gradients<E: Dtype = f64> {
-    grads: HashMap<u64, Tensor<E>>,
+pub struct Gradients {
+    grads: HashMap<u64, Tensor>,
 }
 
-impl<E: Dtype> fmt::Debug for Gradients<E> {
+impl fmt::Debug for Gradients {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Gradients<{}>({} entries)", E::NAME, self.grads.len())
+        write!(f, "Gradients({} entries)", self.grads.len())
     }
 }
 
-impl<E: Dtype> Gradients<E> {
+impl Gradients {
     fn new() -> Self {
         Gradients {
             grads: HashMap::new(),
@@ -197,7 +190,7 @@ impl<E: Dtype> Gradients<E> {
     /// Gradient of the loss with respect to `t` (input, parameter, or
     /// intermediate), if it received any. Identity is by uid, so the
     /// original untraced tensor works as a key after `trace()`.
-    pub fn wrt<T>(&self, t: &Tensor<E, T>) -> Option<&Tensor<E>> {
+    pub fn wrt<T>(&self, t: &Tensor<f64, T>) -> Option<&Tensor> {
         self.grads.get(&t.uid)
     }
 
@@ -205,8 +198,8 @@ impl<E: Dtype> Gradients<E> {
     /// the graph, already accumulated across all the uses of each leaf.
     pub fn param_grads<'a>(
         &'a self,
-        params: &'a Params<E>,
-    ) -> impl Iterator<Item = (ParamId, &'a Tensor<E>)> + 'a {
+        params: &'a Params,
+    ) -> impl Iterator<Item = (ParamId, &'a Tensor)> + 'a {
         params
             .ids()
             .filter_map(move |id| self.grads.get(&params.get(id).uid).map(|g| (id, g)))
@@ -226,12 +219,12 @@ impl<E: Dtype> Gradients<E> {
     /// cloned (storage is shared). Backward ops use this to read their
     /// output's gradient; `None` means the op's output never reached the
     /// loss.
-    pub(crate) fn get(&self, uid: u64) -> Option<Tensor<E>> {
+    pub(crate) fn get(&self, uid: u64) -> Option<Tensor> {
         self.grads.get(&uid).cloned()
     }
 
     /// Accumulates `delta` into the gradient slot of `uid`.
-    pub(crate) fn accumulate(&mut self, uid: u64, delta: Tensor<E>) {
+    pub(crate) fn accumulate(&mut self, uid: u64, delta: Tensor) {
         match self.grads.entry(uid) {
             std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().accumulate(&delta),
             std::collections::hash_map::Entry::Vacant(e) => {
@@ -241,7 +234,7 @@ impl<E: Dtype> Gradients<E> {
     }
 
     /// Accumulates an elementwise-computed contribution into `uid`.
-    pub(crate) fn accumulate_with(&mut self, uid: u64, shape: &[usize], f: impl Fn(usize) -> E) {
+    pub(crate) fn accumulate_with(&mut self, uid: u64, shape: &[usize], f: impl Fn(usize) -> f64) {
         let entry = self
             .grads
             .entry(uid)
@@ -253,18 +246,18 @@ impl<E: Dtype> Gradients<E> {
     }
 }
 
-impl<E: Dtype> Tensor<E, OwnedTape<E>> {
+impl Tensor<f64, OwnedTape> {
     /// Runs reverse-mode differentiation from a scalar loss, consuming
     /// the loss tensor and its tape.
     ///
     /// # Panics
     ///
     /// Panics if the tensor is not a scalar (single-element) value.
-    pub fn backward(self) -> Gradients<E> {
+    pub fn backward(self) -> Gradients {
         assert_eq!(self.len(), 1, "backward requires a scalar loss");
         let (value, tape) = self.split_tape();
         let mut grads = Gradients::new();
-        grads.accumulate(value.uid, Tensor::full(value.shape(), E::ONE));
+        grads.accumulate(value.uid, Tensor::full(value.shape(), 1.0));
         tape.execute(&mut grads);
         grads
     }
@@ -286,12 +279,12 @@ static STORE_COUNTER: AtomicU64 = AtomicU64::new(1);
 
 /// Storage for trainable parameters, stable across training steps.
 #[derive(Debug, Clone)]
-pub struct Params<E: Dtype = f64> {
+pub struct Params {
     store: u64,
-    tensors: Vec<Tensor<E>>,
+    tensors: Vec<Tensor>,
 }
 
-impl<E: Dtype> Default for Params<E> {
+impl Default for Params {
     fn default() -> Self {
         Params {
             store: STORE_COUNTER.fetch_add(1, Ordering::Relaxed),
@@ -300,14 +293,14 @@ impl<E: Dtype> Default for Params<E> {
     }
 }
 
-impl<E: Dtype> Params<E> {
+impl Params {
     /// Creates an empty store.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Registers a new parameter and returns its handle.
-    pub fn alloc(&mut self, tensor: Tensor<E>) -> ParamId {
+    pub fn alloc(&mut self, tensor: Tensor) -> ParamId {
         self.tensors.push(tensor);
         ParamId {
             store: self.store,
@@ -326,7 +319,7 @@ impl<E: Dtype> Params<E> {
     /// # Panics
     ///
     /// Panics if `id` belongs to a different store.
-    pub fn get(&self, id: ParamId) -> &Tensor<E> {
+    pub fn get(&self, id: ParamId) -> &Tensor {
         assert!(self.owns(id), "parameter id from a different store");
         &self.tensors[id.index]
     }
@@ -337,7 +330,7 @@ impl<E: Dtype> Params<E> {
     /// # Panics
     ///
     /// Panics if `id` belongs to a different store.
-    pub fn get_mut(&mut self, id: ParamId) -> &mut Tensor<E> {
+    pub fn get_mut(&mut self, id: ParamId) -> &mut Tensor {
         assert!(self.owns(id), "parameter id from a different store");
         &mut self.tensors[id.index]
     }
@@ -403,7 +396,7 @@ mod tests {
 
     #[test]
     fn param_grads_are_accumulated_per_leaf() {
-        let mut params = Params::<f64>::new();
+        let mut params = Params::new();
         let w = params.alloc(Tensor::from_vec(&[2], vec![2.0, 3.0]));
         let wv = params.get(w).clone();
         let loss = wv.clone().trace().mul(wv).sum();

@@ -1,14 +1,13 @@
-//! Dense n-dimensional tensors, generic over element type and tape.
+//! Dense n-dimensional `f64` tensors, generic over their tape.
 //!
 //! The layout is row-major ("C order"); convolutional tensors use the
-//! `[N, C, H, W]` convention. [`Tensor<E, T>`] carries its autodiff tape
+//! `[N, C, H, W]` convention. [`Tensor<f64, T>`] carries its autodiff tape
 //! in the type: the default `T = NoneTape` records nothing and costs
-//! nothing, while `T = OwnedTape<E>` accumulates backward closures that
+//! nothing, while `T = OwnedTape` accumulates backward closures that
 //! [`Tensor::backward`] replays in reverse. Values share storage through
 //! an `Arc`, so cloning a tensor (or capturing it in a backward closure)
 //! is a reference-count bump, not a copy.
 
-use crate::dtype::Dtype;
 use crate::tape::{NoneTape, OwnedTape};
 use std::fmt;
 use std::ops::Range;
@@ -25,19 +24,24 @@ pub(crate) fn new_uid() -> u64 {
     NEXT_UID.fetch_add(1, Ordering::Relaxed)
 }
 
-/// A dense row-major tensor of `E` carrying tape `T`.
+/// A dense row-major `f64` tensor carrying tape `T`.
 ///
-/// `Tensor` (all defaults) is a plain `f64` value with no tape — exactly
-/// what data loading and inference use. `tensor.trace()` starts gradient
+/// `Tensor` (all defaults) is a plain value with no tape — exactly what
+/// data loading and inference use. `tensor.trace()` starts gradient
 /// recording; see [`crate::tape`] for the typestate rules.
-pub struct Tensor<E: Dtype = f64, T = NoneTape> {
+///
+/// The element parameter `E` is a declaration only: it has no bound, and
+/// every method, op and trait impl is for `E = f64`. It stays because code
+/// outside the workspace spells the full type (the `perfbench` harness
+/// names `Tensor<f64>`); it goes when that code stops naming it.
+pub struct Tensor<E = f64, T = NoneTape> {
     pub(crate) shape: Vec<usize>,
     pub(crate) data: Arc<Vec<E>>,
     pub(crate) uid: u64,
     pub(crate) tape: T,
 }
 
-impl<E: Dtype, T: Clone> Clone for Tensor<E, T> {
+impl<T: Clone> Clone for Tensor<f64, T> {
     /// Clones share storage *and identity*: the clone has the same uid,
     /// so gradients flow to the original through any op the clone enters.
     fn clone(&self) -> Self {
@@ -50,33 +54,32 @@ impl<E: Dtype, T: Clone> Clone for Tensor<E, T> {
     }
 }
 
-impl<E: Dtype, T> fmt::Debug for Tensor<E, T> {
+impl<T> fmt::Debug for Tensor<f64, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "Tensor<{}>{:?} ({} elements)",
-            E::NAME,
+            "Tensor<f64>{:?} ({} elements)",
             self.shape,
             self.data.len()
         )
     }
 }
 
-impl<E: Dtype, T, U> PartialEq<Tensor<E, U>> for Tensor<E, T> {
-    fn eq(&self, other: &Tensor<E, U>) -> bool {
+impl<T, U> PartialEq<Tensor<f64, U>> for Tensor<f64, T> {
+    fn eq(&self, other: &Tensor<f64, U>) -> bool {
         self.shape == other.shape && self.data == other.data
     }
 }
 
-impl<E: Dtype> Tensor<E, NoneTape> {
+impl Tensor {
     /// Creates a tensor of zeros.
     pub fn zeros(shape: &[usize]) -> Self {
         let len = shape.iter().product();
-        Tensor::from_parts(shape.to_vec(), vec![E::ZERO; len])
+        Tensor::from_parts(shape.to_vec(), vec![0.0; len])
     }
 
     /// Creates a tensor filled with `value`.
-    pub fn full(shape: &[usize], value: E) -> Self {
+    pub fn full(shape: &[usize], value: f64) -> Self {
         let len = shape.iter().product();
         Tensor::from_parts(shape.to_vec(), vec![value; len])
     }
@@ -86,7 +89,7 @@ impl<E: Dtype> Tensor<E, NoneTape> {
     /// # Panics
     ///
     /// Panics if the element count does not match the shape.
-    pub fn from_vec(shape: &[usize], data: Vec<E>) -> Self {
+    pub fn from_vec(shape: &[usize], data: Vec<f64>) -> Self {
         assert_eq!(
             shape.iter().product::<usize>(),
             data.len(),
@@ -96,11 +99,11 @@ impl<E: Dtype> Tensor<E, NoneTape> {
     }
 
     /// A scalar (rank-0) tensor.
-    pub fn scalar(value: E) -> Self {
+    pub fn scalar(value: f64) -> Self {
         Tensor::from_parts(vec![], vec![value])
     }
 
-    pub(crate) fn from_parts(shape: Vec<usize>, data: Vec<E>) -> Self {
+    pub(crate) fn from_parts(shape: Vec<usize>, data: Vec<f64>) -> Self {
         Tensor {
             shape,
             data: Arc::new(data),
@@ -113,12 +116,12 @@ impl<E: Dtype> Tensor<E, NoneTape> {
     ///
     /// The uid is preserved: in-place edits update "the same variable",
     /// which is what optimizers stepping parameters rely on.
-    pub fn as_mut_slice(&mut self) -> &mut [E] {
+    pub fn as_mut_slice(&mut self) -> &mut [f64] {
         Arc::make_mut(&mut self.data).as_mut_slice()
     }
 
     /// Consumes the tensor, returning the data (cloning only if shared).
-    pub fn into_vec(self) -> Vec<E> {
+    pub fn into_vec(self) -> Vec<f64> {
         Arc::try_unwrap(self.data).unwrap_or_else(|arc| (*arc).clone())
     }
 
@@ -127,7 +130,7 @@ impl<E: Dtype> Tensor<E, NoneTape> {
     /// # Panics
     ///
     /// Panics if the shapes differ.
-    pub fn accumulate(&mut self, other: &Tensor<E>) {
+    pub fn accumulate(&mut self, other: &Tensor) {
         assert_eq!(self.shape, other.shape, "accumulate shape mismatch");
         let dst = Arc::make_mut(&mut self.data);
         for (a, b) in dst.iter_mut().zip(other.data.iter()) {
@@ -139,7 +142,7 @@ impl<E: Dtype> Tensor<E, NoneTape> {
     /// [`OwnedTape`] and keeps this tensor's identity, so after
     /// `backward()` the gradient is available via
     /// [`crate::tape::Gradients::wrt`] on `self`.
-    pub fn trace(&self) -> Tensor<E, OwnedTape<E>> {
+    pub fn trace(&self) -> Tensor<f64, OwnedTape> {
         Tensor {
             shape: self.shape.clone(),
             data: Arc::clone(&self.data),
@@ -149,7 +152,7 @@ impl<E: Dtype> Tensor<E, NoneTape> {
     }
 }
 
-impl<E: Dtype, T> Tensor<E, T> {
+impl<T> Tensor<f64, T> {
     /// The tensor's shape.
     pub fn shape(&self) -> &[usize] {
         &self.shape
@@ -166,7 +169,7 @@ impl<E: Dtype, T> Tensor<E, T> {
     }
 
     /// Borrow of the row-major data.
-    pub fn as_slice(&self) -> &[E] {
+    pub fn as_slice(&self) -> &[f64] {
         &self.data
     }
 
@@ -175,7 +178,7 @@ impl<E: Dtype, T> Tensor<E, T> {
     /// # Panics
     ///
     /// Panics if the tensor has more than one element.
-    pub fn item(&self) -> E {
+    pub fn item(&self) -> f64 {
         assert_eq!(
             self.data.len(),
             1,
@@ -185,62 +188,20 @@ impl<E: Dtype, T> Tensor<E, T> {
     }
 
     /// Sum of all elements.
-    pub fn sum_value(&self) -> E {
+    pub fn sum_value(&self) -> f64 {
         self.data.iter().copied().sum()
     }
 
-    /// Mean of all elements.
-    pub fn mean_value(&self) -> E {
-        self.sum_value() / E::from_usize(self.data.len())
-    }
-
     /// Squared L2 norm.
-    pub fn norm_sqr(&self) -> E {
+    pub fn norm_sqr(&self) -> f64 {
         self.data.iter().map(|&x| x * x).sum()
     }
 
-    /// Returns a reshaped value copy with the same number of elements
-    /// (tape-free: reshaping is data plumbing, not a differentiable op).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the element counts disagree.
-    pub fn reshape(&self, shape: &[usize]) -> Tensor<E> {
-        assert_eq!(
-            shape.iter().product::<usize>(),
-            self.data.len(),
-            "tensor shape/data mismatch"
-        );
-        Tensor {
-            shape: shape.to_vec(),
-            data: Arc::clone(&self.data),
-            uid: new_uid(),
-            tape: NoneTape,
-        }
-    }
-
     /// Elementwise unary map, producing a fresh tape-free value.
-    pub fn map(&self, f: impl Fn(E) -> E) -> Tensor<E> {
+    pub fn map(&self, f: impl Fn(f64) -> f64) -> Tensor {
         Tensor::from_parts(
             self.shape.clone(),
             self.data.iter().map(|&a| f(a)).collect(),
-        )
-    }
-
-    /// Elementwise binary map against a same-shape tensor (tape-free).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn zip_map<U>(&self, other: &Tensor<E, U>, f: impl Fn(E, E) -> E) -> Tensor<E> {
-        assert_eq!(self.shape, other.shape, "zip_map shape mismatch");
-        Tensor::from_parts(
-            self.shape.clone(),
-            self.data
-                .iter()
-                .zip(other.data.iter())
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
         )
     }
 
@@ -248,7 +209,7 @@ impl<E: Dtype, T> Tensor<E, T> {
     /// the building block for using a value twice in one graph (residual
     /// connections, skip paths) and for `Gradients::wrt` lookups after a
     /// trace.
-    pub fn no_tape(&self) -> Tensor<E> {
+    pub fn no_tape(&self) -> Tensor {
         Tensor {
             shape: self.shape.clone(),
             data: Arc::clone(&self.data),
@@ -258,7 +219,7 @@ impl<E: Dtype, T> Tensor<E, T> {
     }
 
     /// Splits the tensor into its tape-free value and its tape.
-    pub fn split_tape(self) -> (Tensor<E>, T) {
+    pub fn split_tape(self) -> (Tensor, T) {
         let Tensor {
             shape,
             data,
@@ -277,7 +238,7 @@ impl<E: Dtype, T> Tensor<E, T> {
     }
 
     /// Re-attaches a tape (the inverse of [`Tensor::split_tape`]).
-    pub fn put_tape<U>(self, tape: U) -> Tensor<E, U> {
+    pub fn put_tape<U>(self, tape: U) -> Tensor<f64, U> {
         Tensor {
             shape: self.shape,
             data: self.data,
@@ -290,7 +251,7 @@ impl<E: Dtype, T> Tensor<E, T> {
     /// type — dfdx's branching idiom. `x.with_empty_tape()` lets `x` feed
     /// two sub-graphs whose tapes merge again at a later binary op, with
     /// gradients from both paths accumulating on `x`.
-    pub fn with_empty_tape(&self) -> Tensor<E, T>
+    pub fn with_empty_tape(&self) -> Tensor<f64, T>
     where
         T: Default,
     {
@@ -303,15 +264,9 @@ impl<E: Dtype, T> Tensor<E, T> {
     }
 }
 
-impl<E: Dtype, T> fmt::Display for Tensor<E, T> {
+impl<T> fmt::Display for Tensor<f64, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "Tensor<{}>{:?} ({} elements)",
-            E::NAME,
-            self.shape,
-            self.data.len()
-        )
+        fmt::Debug::fmt(self, f)
     }
 }
 
@@ -320,19 +275,19 @@ impl<E: Dtype, T> fmt::Display for Tensor<E, T> {
 /// # Panics
 ///
 /// Panics if either input is not rank-2 or inner dimensions disagree.
-pub fn matmul<E: Dtype>(a: &Tensor<E>, b: &Tensor<E>) -> Tensor<E> {
+pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(a.shape().len(), 2, "matmul lhs must be rank 2");
     assert_eq!(b.shape().len(), 2, "matmul rhs must be rank 2");
     let (m, k) = (a.shape()[0], a.shape()[1]);
     let (k2, n) = (b.shape()[0], b.shape()[1]);
     assert_eq!(k, k2, "matmul inner dimension mismatch");
-    let mut out = vec![E::ZERO; m * n];
+    let mut out = vec![0.0; m * n];
     let ad = a.as_slice();
     let bd = b.as_slice();
     for i in 0..m {
         for p in 0..k {
             let av = ad[i * k + p];
-            if av == E::ZERO {
+            if av == 0.0 {
                 continue;
             }
             let brow = &bd[p * n..(p + 1) * n];
@@ -346,7 +301,7 @@ pub fn matmul<E: Dtype>(a: &Tensor<E>, b: &Tensor<E>) -> Tensor<E> {
 }
 
 /// 2-D matrix transpose of a rank-2 tensor.
-pub fn transpose2<E: Dtype>(t: &Tensor<E>) -> Tensor<E> {
+pub fn transpose2(t: &Tensor) -> Tensor {
     let (m, n) = (t.shape()[0], t.shape()[1]);
     let mut out = Tensor::zeros(&[n, m]);
     let od = out.as_mut_slice();
@@ -400,7 +355,7 @@ fn tap_spans(n: usize, out: usize, k: usize, spec: Conv2dSpec) -> Vec<Range<usiz
 }
 
 /// `dst[i·dst_step] += src[i·src_step]·w` for every `i` both slices hold.
-fn axpy<E: Dtype>(dst: &mut [E], dst_step: usize, src: &[E], src_step: usize, w: E) {
+fn axpy(dst: &mut [f64], dst_step: usize, src: &[f64], src_step: usize, w: f64) {
     if (dst_step, src_step) == (1, 1) {
         for (d, &v) in dst.iter_mut().zip(src) {
             *d += v * w;
@@ -494,12 +449,12 @@ impl ConvGeometry {
 /// # Panics
 ///
 /// Panics on rank or channel mismatches.
-pub fn conv2d<E: Dtype>(x: &Tensor<E>, w: &Tensor<E>, spec: Conv2dSpec) -> Tensor<E> {
+pub fn conv2d(x: &Tensor, w: &Tensor, spec: Conv2dSpec) -> Tensor {
     let g = ConvGeometry::new(x.shape(), w.shape(), spec);
     let (wd, kw, wo) = (g.x.3, g.w.2, g.out.1);
     let mut out = Tensor::zeros(&g.out_shape);
     let (xd, wdat, od) = (x.as_slice(), w.as_slice(), out.as_mut_slice());
-    let mut acc = vec![E::ZERO; wo];
+    let mut acc = vec![0.0; wo];
     g.rows(|x_row, w_row, o_row| {
         let (xrow, orow) = (&xd[x_row..x_row + wd], &mut od[o_row..o_row + wo]);
         let taps = g
@@ -513,7 +468,7 @@ pub fn conv2d<E: Dtype>(x: &Tensor<E>, w: &Tensor<E>, spec: Conv2dSpec) -> Tenso
                 axpy(&mut orow[span], 1, xs, spec.stride, wv);
             }
         } else {
-            acc.fill(E::ZERO);
+            acc.fill(0.0);
             for (wv, span, xs) in taps {
                 axpy(&mut acc[span], 1, xs, spec.stride, wv);
             }
@@ -526,12 +481,12 @@ pub fn conv2d<E: Dtype>(x: &Tensor<E>, w: &Tensor<E>, spec: Conv2dSpec) -> Tenso
 }
 
 /// Gradient of [`conv2d`] with respect to the input.
-pub fn conv2d_backward_input<E: Dtype>(
-    grad_out: &Tensor<E>,
-    w: &Tensor<E>,
+pub fn conv2d_backward_input(
+    grad_out: &Tensor,
+    w: &Tensor,
     input_shape: &[usize],
     spec: Conv2dSpec,
-) -> Tensor<E> {
+) -> Tensor {
     let g = ConvGeometry::new(input_shape, w.shape(), spec);
     let (wd, wo) = (g.x.3, g.out.1);
     assert_eq!(grad_out.shape(), g.out_shape, "conv2d grad shape mismatch");
@@ -548,12 +503,12 @@ pub fn conv2d_backward_input<E: Dtype>(
 }
 
 /// Gradient of [`conv2d`] with respect to the weight.
-pub fn conv2d_backward_weight<E: Dtype>(
-    grad_out: &Tensor<E>,
-    x: &Tensor<E>,
+pub fn conv2d_backward_weight(
+    grad_out: &Tensor,
+    x: &Tensor,
     weight_shape: &[usize],
     spec: Conv2dSpec,
-) -> Tensor<E> {
+) -> Tensor {
     let g = ConvGeometry::new(x.shape(), weight_shape, spec);
     let (wd, wo) = (g.x.3, g.out.1);
     let mut gw = Tensor::zeros(weight_shape);
@@ -562,7 +517,7 @@ pub fn conv2d_backward_weight<E: Dtype>(
         let (grow, xrow) = (&god[o_row..o_row + wo], &xd[x_row..x_row + wd]);
         for (kx, span, ix) in &g.cols {
             let xs = xrow[*ix..].iter().step_by(spec.stride);
-            let dot: E = grow[span.clone()]
+            let dot: f64 = grow[span.clone()]
                 .iter()
                 .zip(xs)
                 .map(|(&a, &b)| a * b)
@@ -579,11 +534,10 @@ pub(crate) fn unpack4(shape: &[usize], what: &str) -> (usize, usize, usize, usiz
 }
 
 /// 2×2 average pooling on `[N, C, H, W]` (H and W must be even).
-pub fn avg_pool2<E: Dtype>(x: &Tensor<E>) -> Tensor<E> {
+pub fn avg_pool2(x: &Tensor) -> Tensor {
     let (n, c, h, w) = unpack4(x.shape(), "avg_pool2 input");
     assert!(h % 2 == 0 && w % 2 == 0, "avg_pool2 requires even extents");
     let (ho, wo) = (h / 2, w / 2);
-    let quarter = E::from_f64(0.25);
     let mut out = Tensor::zeros(&[n, c, ho, wo]);
     let xd = x.as_slice();
     let od = out.as_mut_slice();
@@ -594,7 +548,7 @@ pub fn avg_pool2<E: Dtype>(x: &Tensor<E>) -> Tensor<E> {
             for ox in 0..wo {
                 let i0 = xoff + (2 * oy) * w + 2 * ox;
                 let s = xd[i0] + xd[i0 + 1] + xd[i0 + w] + xd[i0 + w + 1];
-                od[ooff + oy * wo + ox] = s * quarter;
+                od[ooff + oy * wo + ox] = s * 0.25;
             }
         }
     }
@@ -602,10 +556,9 @@ pub fn avg_pool2<E: Dtype>(x: &Tensor<E>) -> Tensor<E> {
 }
 
 /// Gradient of [`avg_pool2`].
-pub fn avg_pool2_backward<E: Dtype>(grad_out: &Tensor<E>, input_shape: &[usize]) -> Tensor<E> {
+pub fn avg_pool2_backward(grad_out: &Tensor, input_shape: &[usize]) -> Tensor {
     let (n, c, h, w) = unpack4(input_shape, "avg_pool2 input");
     let (ho, wo) = (h / 2, w / 2);
-    let quarter = E::from_f64(0.25);
     let mut gx = Tensor::zeros(input_shape);
     let gd = grad_out.as_slice();
     let gxd = gx.as_mut_slice();
@@ -614,7 +567,7 @@ pub fn avg_pool2_backward<E: Dtype>(grad_out: &Tensor<E>, input_shape: &[usize])
         let ooff = nc * ho * wo;
         for oy in 0..ho {
             for ox in 0..wo {
-                let g = gd[ooff + oy * wo + ox] * quarter;
+                let g = gd[ooff + oy * wo + ox] * 0.25;
                 let i0 = xoff + (2 * oy) * w + 2 * ox;
                 gxd[i0] += g;
                 gxd[i0 + 1] += g;
@@ -627,7 +580,7 @@ pub fn avg_pool2_backward<E: Dtype>(grad_out: &Tensor<E>, input_shape: &[usize])
 }
 
 /// Nearest-neighbour 2× upsampling on `[N, C, H, W]`.
-pub fn upsample2<E: Dtype>(x: &Tensor<E>) -> Tensor<E> {
+pub fn upsample2(x: &Tensor) -> Tensor {
     let (n, c, h, w) = unpack4(x.shape(), "upsample2 input");
     let (ho, wo) = (h * 2, w * 2);
     let mut out = Tensor::zeros(&[n, c, ho, wo]);
@@ -646,7 +599,7 @@ pub fn upsample2<E: Dtype>(x: &Tensor<E>) -> Tensor<E> {
 }
 
 /// Gradient of [`upsample2`].
-pub fn upsample2_backward<E: Dtype>(grad_out: &Tensor<E>, input_shape: &[usize]) -> Tensor<E> {
+pub fn upsample2_backward(grad_out: &Tensor, input_shape: &[usize]) -> Tensor {
     let (n, c, h, w) = unpack4(input_shape, "upsample2 input");
     let (ho, wo) = (h * 2, w * 2);
     let mut gx = Tensor::zeros(input_shape);
@@ -671,10 +624,10 @@ mod tests {
     /// The plain direct-loop convolution the span-hoisted kernels are
     /// pinned against.
     mod reference {
-        use super::super::{unpack4, Conv2dSpec, Dtype, Tensor};
+        use super::super::{unpack4, Conv2dSpec, Tensor};
 
         /// Forward: the direct loop, bounds-checking every multiply-add.
-        pub fn conv2d<E: Dtype>(x: &Tensor<E>, w: &Tensor<E>, spec: Conv2dSpec) -> Tensor<E> {
+        pub fn conv2d(x: &Tensor, w: &Tensor, spec: Conv2dSpec) -> Tensor {
             let (n, cin, h, wd) = unpack4(x.shape(), "conv2d input");
             let (cout, cin2, kh, kw) = unpack4(w.shape(), "conv2d weight");
             assert_eq!(cin, cin2, "conv2d channel mismatch");
@@ -702,7 +655,7 @@ mod tests {
                                 let orow = ((in_ * cout + co) * ho + oy) * wo;
                                 for ox in 0..wo {
                                     let base_ix = (ox * spec.stride) as isize - pad;
-                                    let mut acc = E::ZERO;
+                                    let mut acc = 0.0;
                                     for kx in 0..kw {
                                         let ix = base_ix + kx as isize;
                                         if ix < 0 || ix >= wd as isize {
@@ -721,12 +674,12 @@ mod tests {
         }
 
         /// Input gradient, scattered tap by tap.
-        pub fn conv2d_backward_input<E: Dtype>(
-            grad_out: &Tensor<E>,
-            w: &Tensor<E>,
+        pub fn conv2d_backward_input(
+            grad_out: &Tensor,
+            w: &Tensor,
             input_shape: &[usize],
             spec: Conv2dSpec,
-        ) -> Tensor<E> {
+        ) -> Tensor {
             let (n, cin, h, wd) = unpack4(input_shape, "conv2d input");
             let (cout, _cin, kh, kw) = unpack4(w.shape(), "conv2d weight");
             let (gn, gcout, ho, wo) = unpack4(grad_out.shape(), "conv2d grad");
@@ -753,7 +706,7 @@ mod tests {
                                 let wrow = woff + ky * kw;
                                 for ox in 0..wo {
                                     let g = god[orow + ox];
-                                    if g == E::ZERO {
+                                    if g == 0.0 {
                                         continue;
                                     }
                                     let base_ix = (ox * spec.stride) as isize - pad;
@@ -774,12 +727,12 @@ mod tests {
         }
 
         /// Weight gradient, accumulated tap by tap.
-        pub fn conv2d_backward_weight<E: Dtype>(
-            grad_out: &Tensor<E>,
-            x: &Tensor<E>,
+        pub fn conv2d_backward_weight(
+            grad_out: &Tensor,
+            x: &Tensor,
             weight_shape: &[usize],
             spec: Conv2dSpec,
-        ) -> Tensor<E> {
+        ) -> Tensor {
             let (n, cin, h, wd) = unpack4(x.shape(), "conv2d input");
             let (cout, _cin, kh, kw) = unpack4(weight_shape, "conv2d weight");
             let (_, _, ho, wo) = unpack4(grad_out.shape(), "conv2d grad");
@@ -805,7 +758,7 @@ mod tests {
                                 let wrow = woff + ky * kw;
                                 for ox in 0..wo {
                                     let g = god[orow + ox];
-                                    if g == E::ZERO {
+                                    if g == 0.0 {
                                         continue;
                                     }
                                     let base_ix = (ox * spec.stride) as isize - pad;

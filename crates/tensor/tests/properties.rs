@@ -9,7 +9,7 @@ fn tensor_strategy(len: usize) -> impl Strategy<Value = Tensor> {
 
 /// Central finite differences against the taped gradient.
 fn fd_check(
-    build: impl Fn(Tensor<f64, OwnedTape<f64>>) -> Tensor<f64, OwnedTape<f64>>,
+    build: impl Fn(Tensor<f64, OwnedTape>) -> Tensor<f64, OwnedTape>,
     input: &Tensor,
     tol: f64,
 ) {
@@ -108,7 +108,7 @@ proptest! {
         t in prop::collection::vec(-2.0..2.0f64, 6),
         k in -2.0..2.0f64,
     ) {
-        let graph = move |x: Tensor<f64, OwnedTape<f64>>| {
+        let graph = move |x: Tensor<f64, OwnedTape>| {
             let z = x.scale(k).tanh().add_scalar(0.1);
             z.with_empty_tape().mul(z).sum()
         };

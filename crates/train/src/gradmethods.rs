@@ -51,7 +51,7 @@ pub fn ad_pred_field_gradient(
 
 /// `|w·e|²` as a differentiable graph over a `[1, 2, H, W]` field
 /// prediction (any tape; on `NoneTape` this is a plain evaluation).
-pub fn differentiable_modal_power<T: Tape<f64>>(
+pub fn differentiable_modal_power<T: Tape>(
     pred: Tensor<f64, T>,
     functional: &LinearFunctional,
     grid: maps_core::Grid2d,

@@ -15,11 +15,6 @@ pub enum LossKind {
     },
 }
 
-/// Data loss: normalized MSE between prediction and target.
-pub fn nmse_loss<T: Tape<f64>>(pred: Tensor<f64, T>, target: Tensor) -> Tensor<f64, T> {
-    pred.nmse(target)
-}
-
 /// Physics loss: squared residual of the interior Helmholtz equation
 /// applied to the *predicted* field (self-supervision; needs no labels).
 ///
@@ -31,7 +26,7 @@ pub fn nmse_loss<T: Tape<f64>>(pred: Tensor<f64, T>, target: Tensor) -> Tensor<f
 /// * `eps`: `[N, 1, H, W]` relative permittivity (constant).
 /// * `source_term`: `[N, 2, H, W]` precomputed `s·iω·J` channels (constant).
 /// * `mask`: `[N, 1, H, W]` interior mask, 1 inside / 0 near boundaries.
-pub fn physics_residual_loss<T: Tape<f64>>(
+pub fn physics_residual_loss<T: Tape>(
     pred: Tensor<f64, T>,
     eps: Tensor,
     source_term: Tensor,

@@ -15,6 +15,9 @@ cargo test --workspace -q
 echo "==> cargo test --doc --workspace -q (doc examples are the API contract)"
 cargo test --doc --workspace -q
 
+echo "==> cargo doc --workspace --no-deps with RUSTDOCFLAGS=-D warnings (every doc link resolves)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> cargo test --release -p maps-linalg -p maps-tensor -p maps-nn -p maps-fdfd -p maps-data -p maps-invdes -q (bit-identity pins on the optimized build)"
 cargo test --release -p maps-linalg -p maps-tensor -p maps-nn -p maps-fdfd -p maps-data -p maps-invdes -q
 

@@ -112,12 +112,9 @@ fn bicgstab_residual_trajectory_has_one_row_per_iteration() {
     let (_, stats) = bicgstab(&a, &b, IterativeOptions::default()).unwrap();
     recorder::disable();
 
-    let trajectories: Vec<maps::obs::Series> = maps::obs::all_series()
-        .into_iter()
-        .filter(|s| s.name().starts_with("bicgstab.residual."))
-        .collect();
-    assert_eq!(trajectories.len(), 1, "one trajectory per solve");
-    let points = trajectories[0].points();
+    let points = maps::obs::series_get("bicgstab.residual")
+        .expect("the residual series exists")
+        .points();
     assert_eq!(points.len(), stats.iterations, "one row per iteration");
     // Steps are 1..=iterations in order; the last value matches the
     // reported final residual.
@@ -126,6 +123,51 @@ fn bicgstab_residual_trajectory_has_one_row_per_iteration() {
         assert!(value.is_finite() && *value >= 0.0);
     }
     assert_eq!(points.last().unwrap().1, stats.residual);
+    maps::obs::series_reset();
+}
+
+#[test]
+fn bicgstab_solves_append_to_one_residual_series() {
+    let _guard = lock();
+    maps::obs::series_reset();
+    recorder::enable();
+
+    let n = 64;
+    let mut coo = CooMatrix::new(n, n);
+    for i in 0..n {
+        coo.push(i, i, Complex64::new(2.5, 0.3));
+        if i > 0 {
+            coo.push(i, i - 1, Complex64::from_re(-1.0));
+        }
+        if i + 1 < n {
+            coo.push(i, i + 1, Complex64::from_re(-1.0));
+        }
+    }
+    let a = coo.to_csr();
+    let rhs = |phase: f64| -> Vec<Complex64> {
+        (0..n)
+            .map(|k| Complex64::new((k as f64 * 0.13 + phase).sin(), 0.2))
+            .collect()
+    };
+    let (_, first) = bicgstab(&a, &rhs(0.0), IterativeOptions::default()).unwrap();
+    let (_, second) = bicgstab(&a, &rhs(1.7), IterativeOptions::default()).unwrap();
+    recorder::disable();
+
+    let names: Vec<String> = maps::obs::all_series()
+        .iter()
+        .map(|s| s.name().to_string())
+        .filter(|name| name.starts_with("bicgstab."))
+        .collect();
+    assert_eq!(names, ["bicgstab.residual"], "one series for every solve");
+    let points = maps::obs::series_get("bicgstab.residual").unwrap().points();
+    assert_eq!(points.len(), first.iterations + second.iterations);
+    // The first solve's rows, then the second's, each stepped from 1.
+    let (head, tail) = points.split_at(first.iterations);
+    for (rows, stats) in [(head, first), (tail, second)] {
+        let steps: Vec<u64> = rows.iter().map(|(step, _)| *step).collect();
+        assert_eq!(steps, (1..=stats.iterations as u64).collect::<Vec<_>>());
+        assert_eq!(rows.last().unwrap().1, stats.residual);
+    }
     maps::obs::series_reset();
 }
 
