@@ -9,7 +9,9 @@ use maps_fdfd::{FdfdSolver, PmlConfig, SymmetricOperator};
 use maps_invdes::Patch;
 use maps_linalg::{BandedMatrix, Complex64};
 use maps_nn::{Fno, FnoConfig, Model};
+use maps_tensor::spectral::spectral_conv_forward;
 use maps_tensor::{Params, Tensor};
+use maps_train::featurize::encode_input;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -179,12 +181,44 @@ fn bench_fno_forward(c: &mut Criterion) {
             depth: 3,
         },
     );
-    let x = Tensor::zeros(&[1, 4, 40, 40]);
+    // The input the surrogate workload feeds: the 40×40 bend at a seeded
+    // random density with its mode source. An all-zero input would leave
+    // every GELU input and every mode at zero, hiding both kernels timed
+    // below.
+    let mut device = DeviceKind::Bending.build(DeviceResolution::low());
+    let fdfd = FdfdSolver::with_pml(PmlConfig::auto(device.grid().dl));
+    device.problem.calibrate(&fdfd).expect("calibrate the bend");
+    let problem = &device.problem;
+    let (dx, dy) = problem.design_size;
+    let mut rng = StdRng::seed_from_u64(1);
+    let density = (0..dx * dy).map(|_| rng.gen::<f64>()).collect();
+    let eps = problem.eps_for(&Patch::from_vec(dx, dy, density));
+    let source = problem.source().expect("a calibrated bend has a source");
+    let x = encode_input(&eps, &source, problem.omega(), model.wants_wave_prior());
     group.bench_function("taped_f64_batch1_40x40", |b| {
         b.iter(|| model.forward(&params, x.trace()).no_tape().len());
     });
     group.bench_function("infer_f64_batch1_40x40", |b| {
         b.iter(|| model.infer(&params, x.clone()).len());
+    });
+    // The two kernels of a hidden FNO layer, at its shape.
+    let mut uniform = |shape: &[usize], scale: f64| {
+        let len = shape.iter().product();
+        Tensor::from_vec(
+            shape,
+            (0..len).map(|_| scale * (rng.gen::<f64>() - 0.5)).collect(),
+        )
+    };
+    let hidden = uniform(&[1, 12, 40, 40], 2.0);
+    let (w_re, w_im) = (
+        uniform(&[12, 12, 12, 12], 1.0),
+        uniform(&[12, 12, 12, 12], 1.0),
+    );
+    group.bench_function("gelu_1x12x40x40", |b| {
+        b.iter(|| hidden.clone().gelu().len());
+    });
+    group.bench_function("spectral_conv_1x12x40x40", |b| {
+        b.iter(|| spectral_conv_forward(&hidden, &w_re, &w_im, 6, 6).len());
     });
     group.finish();
 }

@@ -26,7 +26,11 @@
 //!   multi-client solve service (`mapsd`) relies on to answer a stampede of
 //!   identical designs with one factorization. In-flight bookkeeping is
 //!   sharded by fingerprint bits ([`FLIGHT_SHARDS`]) to kill lock
-//!   contention between unrelated designs.
+//!   contention between unrelated designs;
+//! - **failure memory**: the cache remembers the most recent build that
+//!   failed with [`LinalgError::Singular`], and a lookup of that
+//!   fingerprint returns the same error without assembling, so a retry of
+//!   a singular operator does not repeat its factorization.
 //!
 //! - **exterior reuse**: a leader resumes from a **donor**, the most
 //!   recently used cached factor of the same (grid, ω, PML). The two
@@ -267,6 +271,11 @@ struct Inner {
     /// capacity.
     capacity: usize,
     clock: u64,
+    /// The most recent build that failed with [`LinalgError::Singular`].
+    /// The error is a deterministic function of the fingerprinted inputs
+    /// (a resumed build fails exactly like a cold one), so it stands for
+    /// every later build of the same key.
+    failed: Option<(Fingerprint, LinalgError)>,
 }
 
 /// A bounded LRU cache of direct-solver factorizations.
@@ -304,6 +313,7 @@ impl FactorCache {
                 ring: Vec::new(),
                 capacity: capacity.max(1),
                 clock: 0,
+                failed: None,
             }),
             flights: (0..FLIGHT_SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
             hits: AtomicU64::new(0),
@@ -328,10 +338,12 @@ impl FactorCache {
         self.evict_to(&mut inner, capacity);
     }
 
-    /// Drops every cached factorization without touching the counters.
+    /// Drops every cached factorization and the remembered failure,
+    /// without touching the counters.
     pub fn clear(&self) {
         let mut inner = self.inner.lock().expect("factor cache lock");
         inner.ring.clear();
+        inner.failed = None;
     }
 
     /// Instance counters.
@@ -354,6 +366,25 @@ impl FactorCache {
         let e = inner.ring.iter_mut().find(|e| e.key == *key)?;
         e.used = now;
         Some(Arc::clone(&e.factor))
+    }
+
+    /// A cache hit on `key`, counted as one: its cached factor, or the error
+    /// its most recent failed build returned.
+    fn hit(
+        &self,
+        key: &Fingerprint,
+    ) -> Option<Result<(Arc<SymmetricFactor>, FactorOutcome), LinalgError>> {
+        let found = match self.get(key) {
+            Some(factor) => Ok((factor, FactorOutcome::Hit)),
+            None => {
+                let inner = self.inner.lock().expect("factor cache lock");
+                let (_, e) = inner.failed.as_ref().filter(|(k, _)| k == key)?;
+                Err(e.clone())
+            }
+        };
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        maps_obs::counter("fdfd.factor_cache.hit").inc();
+        Some(found)
     }
 
     /// Inserts a factorization, evicting the least-recently-used ring entry
@@ -420,7 +451,12 @@ impl FactorCache {
     /// tests can count actual factorizations. A leader that fails (or
     /// panics) publishes the failure to its followers — the error is a
     /// deterministic function of the fingerprinted inputs, so re-running it
-    /// per follower would only repeat the same failure N times.
+    /// per follower would only repeat the same failure N times. For the
+    /// same reason the cache remembers the most recent
+    /// [`LinalgError::Singular`] failure, and a later call with its key
+    /// (a retry) returns that error as a hit, without assembling. A leader
+    /// that panicked is not remembered: its followers get
+    /// [`LinalgError::Aborted`], and the next call elects a new leader.
     ///
     /// Telemetry: `fdfd.factor_cache.coalesce.{leader,follower}` counters,
     /// plus the per-instance [`CacheStats::coalesced`] follower count.
@@ -435,10 +471,8 @@ impl FactorCache {
         key: Fingerprint,
         assemble: impl FnOnce() -> SymmetricOperator,
     ) -> Result<(Arc<SymmetricFactor>, FactorOutcome), LinalgError> {
-        if let Some(factor) = self.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            maps_obs::counter("fdfd.factor_cache.hit").inc();
-            return Ok((factor, FactorOutcome::Hit));
+        if let Some(hit) = self.hit(&key) {
+            return hit;
         }
         let shard = &self.flights[key.shard()];
         let flight = Arc::new(Flight::new());
@@ -446,10 +480,8 @@ impl FactorCache {
             let mut inflight = shard.lock().expect("flight shard");
             // Re-check under the shard lock: a leader that finished between
             // our lookup and here has already inserted into the cache.
-            if let Some(factor) = self.get(&key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                maps_obs::counter("fdfd.factor_cache.hit").inc();
-                return Ok((factor, FactorOutcome::Hit));
+            if let Some(hit) = self.hit(&key) {
+                return hit;
             }
             match inflight.iter().find(|(k, _)| *k == key) {
                 Some((_, leader)) => Some(Arc::clone(leader)),
@@ -517,8 +549,12 @@ impl FactorCache {
                     Arc::new(factor)
                 })
         };
-        if let Ok(factor) = &result {
-            self.insert(key, Arc::clone(factor));
+        match &result {
+            Ok(factor) => self.insert(key, Arc::clone(factor)),
+            Err(e @ LinalgError::Singular { .. }) => {
+                self.inner.lock().expect("factor cache lock").failed = Some((key, e.clone()));
+            }
+            Err(_) => {}
         }
         flight.publish(result.clone());
         guard.published = true;
@@ -988,7 +1024,56 @@ mod tests {
                 "followers see the leader's error: {e:?}"
             );
         }
-        assert!(cache.get(&key).is_none(), "failures are not cached");
+        assert!(cache.get(&key).is_none(), "a failed build caches no factor");
+    }
+
+    /// A retry of a singular operator gets the remembered error without
+    /// assembling again; `clear` forgets it.
+    #[test]
+    fn singular_failure_is_remembered_until_cleared() {
+        let cache = FactorCache::new(2);
+        let key = key_for(11.0);
+        let assembled = AtomicU64::new(0);
+        let lookup = || {
+            cache
+                .factorize_with(key, || {
+                    assembled.fetch_add(1, Ordering::Relaxed);
+                    singular_operator()
+                })
+                .unwrap_err()
+        };
+        let (first, retry) = (lookup(), lookup());
+        assert_eq!(first, LinalgError::Singular { index: 0 });
+        assert_eq!(retry, first, "the retry returns the same error");
+        assert_eq!(assembled.load(Ordering::Relaxed), 1, "assembled once");
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.hits), (1, 1));
+        // A success under another key keeps the failure remembered.
+        cache
+            .factorize_with(key_for(12.0), || toy_operator(0.0))
+            .unwrap();
+        assert_eq!(lookup(), first);
+        assert_eq!(assembled.load(Ordering::Relaxed), 1);
+        cache.clear();
+        assert_eq!(lookup(), first);
+        assert_eq!(assembled.load(Ordering::Relaxed), 2, "clear forgets it");
+    }
+
+    /// A leader that panics leaves nothing behind: the next call with its
+    /// key assembles and factorizes as a new leader.
+    #[test]
+    fn panicked_leader_is_not_remembered() {
+        let cache = FactorCache::new(2);
+        let key = key_for(13.0);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.factorize_with(key, || panic!("injected leader panic"))
+        }));
+        assert!(panicked.is_err(), "the leader panicked");
+        let (_, outcome) = cache
+            .factorize_coalesced(key, || toy_operator(0.0))
+            .expect("a new leader factorizes");
+        assert_eq!(outcome, FactorOutcome::Leader);
+        assert_eq!(cache.stats().misses, 2);
     }
 
     #[test]

@@ -143,6 +143,12 @@ macro_rules! binary_op {
 const GELU_C: f64 = 0.7978845608028654; // √(2/π)
 const GELU_A: f64 = 0.044715;
 
+/// `e^{−2u}` for GELU's tanh argument `u = √(2/π)·(x + 0.044715·x³)`.
+#[inline(always)]
+fn gelu_exp(x: f64) -> f64 {
+    (-2.0 * GELU_C * (x + GELU_A * x * x * x)).exp()
+}
+
 impl<T: Tape> Tensor<f64, T> {
     unary_op!(
         /// Rectified linear unit.
@@ -152,13 +158,24 @@ impl<T: Tape> Tensor<f64, T> {
     );
 
     unary_op!(
-        /// GELU activation (tanh approximation).
+        /// GELU activation (tanh approximation),
+        /// `0.5·x·(1 + tanh u)` with `u = √(2/π)·(x + 0.044715·x³)`.
+        ///
+        /// Evaluated in the equivalent sigmoid form
+        /// `x·σ(2u) = x / (1 + e^{−2u})`: one `exp` is cheaper than one
+        /// `tanh`, and the form does not cancel in `1 + tanh u` for
+        /// negative `x`. The backward `σ + 2x·σ·(1 − σ)·u′` reuses the same
+        /// `σ` and takes `1 − σ` as `e^{−2u}·σ`, which does not cancel
+        /// where `σ → 1` either. Where `e^{−2u}` overflows that product is
+        /// `∞·0 = NaN`, and `min(1.0)`, which ignores NaN, gives the exact
+        /// `1 − σ = 1`.
         gelu,
-        |x| 0.5 * x * (1.0 + (GELU_C * (x + GELU_A * x * x * x)).tanh()),
+        |x| x / (1.0 + gelu_exp(x)),
         |g, x, _y| {
-            let t = (GELU_C * (x + GELU_A * x * x * x)).tanh();
+            let e = gelu_exp(x);
+            let s = 1.0 / (1.0 + e);
             let du = GELU_C * (1.0 + 3.0 * GELU_A * x * x);
-            g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
+            g * (s + 2.0 * x * s * (e * s).min(1.0) * du)
         }
     );
 
@@ -627,6 +644,77 @@ mod tests {
                 1e-5,
             );
         }
+    }
+
+    /// GELU in its defining tanh form, and its derivative: the reference
+    /// of [`gelu_matches_the_tanh_form`].
+    fn gelu_tanh_form(x: f64) -> (f64, f64) {
+        let t = (GELU_C * (x + GELU_A * x * x * x)).tanh();
+        let du = GELU_C * (1.0 + 3.0 * GELU_A * x * x);
+        (
+            0.5 * x * (1.0 + t),
+            0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du,
+        )
+    }
+
+    /// GELU and its gradient `g·f′(x)` match the tanh form to
+    /// `1e-15·max(1, |x|)` (the gradient's bound times `|g|`) over a dense
+    /// sweep of [−40, 40] and the IEEE edge cases; NaN comes out exactly
+    /// where the tanh form gives NaN, and signed zeros keep their sign.
+    #[test]
+    fn gelu_matches_the_tanh_form() {
+        let sub = f64::MIN_POSITIVE / 3.0;
+        let edges = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            sub,
+            -sub,
+            5e-324,
+            -5e-324,
+            1e300,
+            -1e300,
+        ];
+        let xs: Vec<f64> = (0..=160_000)
+            .map(|i| -40.0 + 5e-4 * f64::from(i))
+            .chain(edges)
+            .collect();
+        let n = xs.len();
+        let g: Vec<f64> = (0..n).map(|i| 1.5 - (i as f64 * 0.37).sin()).collect();
+        let x = Tensor::from_vec(&[n], xs.clone());
+        let y = x.clone().gelu();
+        let loss = x
+            .trace()
+            .gelu()
+            .mul(Tensor::from_vec(&[n], g.clone()))
+            .sum();
+        let dx = loss.backward().wrt(&x).expect("gelu gradient").clone();
+        for (i, &xi) in xs.iter().enumerate() {
+            let (f, df) = gelu_tanh_form(xi);
+            let tol = 1e-15 * xi.abs().max(1.0);
+            for (what, got, want, tol) in [
+                ("forward", y.as_slice()[i], f, tol),
+                ("backward", dx.as_slice()[i], g[i] * df, tol * g[i].abs()),
+            ] {
+                let ok = if want.is_nan() {
+                    got.is_nan()
+                } else if want.is_infinite() {
+                    got == want
+                } else {
+                    (got - want).abs() <= tol
+                };
+                assert!(ok, "{what} at x = {xi:e}: {got:e} vs tanh form {want:e}");
+            }
+        }
+        let zeros = Tensor::from_vec(&[2], vec![0.0, -0.0]).gelu();
+        let bits: Vec<u64> = zeros.as_slice().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(
+            bits,
+            [0.0f64.to_bits(), (-0.0f64).to_bits()],
+            "GELU(±0) is ±0"
+        );
     }
 
     #[test]

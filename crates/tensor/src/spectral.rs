@@ -19,50 +19,67 @@
 //! the low-fidelity grid) Bluestein's algorithm runs three transforms of
 //! a padded length (128 for 40); at FNO mode counts (`2m` ≤ 12, log₂ HW ≈
 //! 11 at 40×40) the direct sums are several times cheaper.
+//!
+//! Two things make the sums fast. **Hermitian folding:** along a real row,
+//! kept column frequencies `j` and `−j` are conjugates, so the row passes
+//! sum only the `mw + 1` unique ones (7 of 12 at `mw = 6`); analyse writes
+//! the partners as conjugates, and synthesise first adds each partner's
+//! conjugate into its unique index. **Register blocking:** every pass keeps
+//! its sums in `[f64; 8]` lane arrays for four rows at once, over rows of
+//! frequencies or pixels zero-padded to whole lane chunks, with every width
+//! a compile-time constant. The sums then stay in registers and share each
+//! twiddle load, where runtime-width accumulators would go through memory
+//! on every term. The sums use `f64::mul_add`, a hardware FMA only when the
+//! target has one (see the crate's build script).
 
 use crate::tensor::{unpack4, Tensor};
+use std::array::from_fn;
 use std::f64::consts::TAU;
 
-/// Twiddles `e^{2πi·f·p/n}` of one axis for its kept frequencies `f`: the
-/// `m` lowest non-negative and the `m` lowest negative ones.
-struct Axis {
-    n: usize,
-    /// Kept-frequency count, `2m`.
-    k: usize,
-    /// `cos` and `sin` of the twiddle angles, frequency-major (`[f][p]`).
-    cos: Vec<f64>,
-    sin: Vec<f64>,
-    /// The same tables position-major (`[p][f]`).
-    cos_t: Vec<f64>,
-    sin_t: Vec<f64>,
+/// Lane width of the register-blocked kernels: every accumulator is an
+/// `[f64; LANES]` array, and the rows they run along (unique or kept
+/// frequencies, pixels) are zero-padded to a multiple of it.
+const LANES: usize = 8;
+
+/// Rows each kernel blocks together. Their accumulators share every
+/// twiddle or mode load and run independent FMA chains.
+const ROWS: usize = 4;
+
+/// The first [`LANES`] values of `s`.
+#[inline(always)]
+fn lanes(s: &[f64]) -> &[f64; LANES] {
+    s[..LANES].try_into().expect("a full lane chunk")
 }
 
-impl Axis {
-    fn new(n: usize, m: usize) -> Self {
-        assert!(2 * m <= n, "mode count 2×{m} exceeds extent {n}");
-        let k = 2 * m;
-        let roots: Vec<(f64, f64)> = (0..n)
-            .map(|t| (TAU * t as f64 / n as f64).sin_cos())
-            .collect();
-        let (mut cos, mut sin) = (Vec::with_capacity(k * n), Vec::with_capacity(k * n));
-        for f in (0..m).chain(n - m..n) {
-            for p in 0..n {
-                // Reducing f·p mod n in integers keeps the angle exact.
-                let (s, c) = roots[f * p % n];
-                cos.push(c);
-                sin.push(s);
-            }
-        }
-        let transpose = |t: &[f64]| (0..k * n).map(|i| t[(i % k) * n + i / k]).collect();
-        Axis {
-            n,
-            k,
-            cos_t: transpose(&cos),
-            sin_t: transpose(&sin),
-            cos,
-            sin,
+/// Tables of `cos` and `sin` of `2π·f·p/n` for each frequency `f` of
+/// `freqs` (index `i`) and position `p < n`, the pair `(i, p)` stored at
+/// `at(i, p)` of `len` entries. Every other entry is zero: the padding
+/// lanes, which the kernels multiply through.
+fn twiddles(
+    n: usize,
+    freqs: &[usize],
+    len: usize,
+    at: impl Fn(usize, usize) -> usize,
+) -> (Vec<f64>, Vec<f64>) {
+    let roots: Vec<(f64, f64)> = (0..n)
+        .map(|t| (TAU * t as f64 / n as f64).sin_cos())
+        .collect();
+    let (mut cos, mut sin) = (vec![0.0; len], vec![0.0; len]);
+    for (i, &f) in freqs.iter().enumerate() {
+        for p in 0..n {
+            // Reducing f·p mod n in integers keeps the angle exact.
+            let (s, c) = roots[f * p % n];
+            (cos[at(i, p)], sin[at(i, p)]) = (c, s);
         }
     }
+    (cos, sin)
+}
+
+/// The kept frequencies of an axis of extent `n`: the `m` lowest
+/// non-negative ones, then the `m` lowest negative ones (as `n − f`).
+fn kept(n: usize, m: usize) -> Vec<usize> {
+    assert!(2 * m <= n, "mode count 2×{m} exceeds extent {n}");
+    (0..m).chain(n - m..n).collect()
 }
 
 /// Split real/imaginary planes of complex values.
@@ -82,69 +99,182 @@ fn mul_acc(acc: (&mut [f64], &mut [f64]), a: Split, b: Split, conj: bool) {
 
 /// The kept-mode 2-D DFT of one `H × W` plane shape, with its scratch.
 ///
-/// The inner loops run along a contiguous row of kept frequencies or of
-/// pixels, so they vectorize.
+/// Kept column index `j < mw` is frequency `j` and `j ≥ mw` frequency
+/// `−(2mw − j)`. For a real row, indices `j` and `2mw − j` (`0 < j < mw`)
+/// hold conjugate frequencies, so only the `mw + 1` *unique* indices
+/// `0..=mw` are transformed along a row; index `mw` (frequency `−mw`, the
+/// Nyquist frequency when `2mw = W`) has no kept partner.
+///
+/// Every kernel runs [`ROWS`] rows at a time over [`LANES`]-wide chunks of
+/// a padded row, with its accumulators in fixed-size arrays (registers).
 struct KeptDft {
-    rows: Axis,
-    cols: Axis,
-    /// The `H × 2mw` half-transformed plane, split real/imaginary.
+    h: usize,
+    w: usize,
+    /// Column modes: kept column indices are `0..2mw`.
+    mw: usize,
+    /// Kept row frequencies, `2mh`.
+    kh: usize,
+    /// Kept column frequencies, `2mw`.
+    kw: usize,
+    /// Unique column frequencies, padded to lanes: the analyse table's row
+    /// stride and the synthesise table's row count.
+    up: usize,
+    /// Kept column frequencies, padded to lanes: the row stride of the
+    /// half-transformed plane and of the padded modes.
+    kp: usize,
+    /// Pixels per row, padded to lanes: the synthesise table's row stride.
+    wp: usize,
+    /// Row twiddles `e^{2πi·f_i·y/H}`, frequency-major (`[i][y]`).
+    row_cos: Vec<f64>,
+    row_sin: Vec<f64>,
+    /// Unique column twiddles `e^{2πi·g_l·x/W}`, position-major (`[x][l]`)
+    /// for the analyse row pass.
+    ana_cos: Vec<f64>,
+    ana_sin: Vec<f64>,
+    /// The same frequency-major (`[l][x]`) for the synthesise row pass.
+    syn_cos: Vec<f64>,
+    syn_sin: Vec<f64>,
+    /// The `H × kp` half-transformed plane, split real/imaginary.
     half_re: Vec<f64>,
     half_im: Vec<f64>,
+    /// Synthesise's input modes, `2mh × kp`, zero past column `2mw`.
+    modes_re: Vec<f64>,
+    modes_im: Vec<f64>,
 }
 
 impl KeptDft {
     fn new(h: usize, w: usize, mh: usize, mw: usize) -> Self {
-        let (rows, cols) = (Axis::new(h, mh), Axis::new(w, mw));
+        let (rows, cols) = (kept(h, mh), kept(w, mw));
+        let (kh, kw) = (rows.len(), cols.len());
+        let unique = &cols[..(mw + 1).min(kw)];
+        let (up, kp, wp) = (
+            unique.len().next_multiple_of(LANES),
+            kw.next_multiple_of(LANES),
+            w.next_multiple_of(LANES),
+        );
+        let (row_cos, row_sin) = twiddles(h, &rows, kh * h, |i, y| i * h + y);
+        let (ana_cos, ana_sin) = twiddles(w, unique, w * up, |l, x| x * up + l);
+        let (syn_cos, syn_sin) = twiddles(w, unique, up * wp, |l, x| l * wp + x);
         KeptDft {
-            half_re: vec![0.0; h * cols.k],
-            half_im: vec![0.0; h * cols.k],
-            rows,
-            cols,
+            h,
+            w,
+            mw,
+            kh,
+            kw,
+            up,
+            kp,
+            wp,
+            row_cos,
+            row_sin,
+            ana_cos,
+            ana_sin,
+            syn_cos,
+            syn_sin,
+            half_re: vec![0.0; h * kp],
+            half_im: vec![0.0; h * kp],
+            modes_re: vec![0.0; kh * kp],
+            modes_im: vec![0.0; kh * kp],
         }
     }
 
     /// Kept modes per plane, `2mh·2mw`.
     fn modes(&self) -> usize {
-        self.rows.k * self.cols.k
+        self.kh * self.kw
     }
 
     /// Kept modes of a real plane, times `scale`, row-major over `(i, j)`:
     /// `X[i,j] = scale·Σ_{y,x} plane[y,x]·e^{−2πi(f_i·y/H + g_j·x/W)}`.
     fn analyse(&mut self, plane: &[f64], scale: f64, re: &mut [f64], im: &mut [f64]) {
-        let (h, w, kw) = (self.rows.n, self.cols.n, self.cols.k);
-        // Row pass: A[y,j] = Σ_x plane[y,x]·e^{−2πi·g_j·x/W}.
-        for y in 0..h {
-            let ar = &mut self.half_re[y * kw..(y + 1) * kw];
-            let ai = &mut self.half_im[y * kw..(y + 1) * kw];
-            ar.fill(0.0);
-            ai.fill(0.0);
-            for (x, &v) in plane[y * w..(y + 1) * w].iter().enumerate() {
-                let c = &self.cols.cos_t[x * kw..(x + 1) * kw];
-                let s = &self.cols.sin_t[x * kw..(x + 1) * kw];
-                for ((ar, ai), (c, s)) in ar.iter_mut().zip(ai.iter_mut()).zip(c.iter().zip(s)) {
-                    *ar += v * c;
-                    *ai -= v * s;
+        let (h, kp, m) = (self.h, self.kp, self.mw);
+        let tail = h - h % ROWS;
+        for y in (0..tail).step_by(ROWS) {
+            self.analyse_rows::<ROWS>(plane, y);
+        }
+        for y in tail..h {
+            self.analyse_rows::<1>(plane, y);
+        }
+        // The partners of the unique indices: A[y,2mw−j] = conj(A[y,j]).
+        for (ar, ai) in self
+            .half_re
+            .chunks_exact_mut(kp)
+            .zip(self.half_im.chunks_exact_mut(kp))
+        {
+            for j in 1..m {
+                (ar[2 * m - j], ai[2 * m - j]) = (ar[j], -ai[j]);
+            }
+        }
+        let tail = self.kh - self.kh % ROWS;
+        for i in (0..tail).step_by(ROWS) {
+            self.analyse_cols::<ROWS>(i, scale, re, im);
+        }
+        for i in tail..self.kh {
+            self.analyse_cols::<1>(i, scale, re, im);
+        }
+    }
+
+    /// Analyse row pass on rows `y0..y0 + R`, unique indices only:
+    /// `A[y,l] = Σ_x plane[y,x]·e^{−2πi·g_l·x/W}`.
+    #[inline(always)]
+    fn analyse_rows<const R: usize>(&mut self, plane: &[f64], y0: usize) {
+        let (w, up, kp) = (self.w, self.up, self.kp);
+        let rows: [&[f64]; R] = from_fn(|r| &plane[(y0 + r) * w..][..w]);
+        for c in (0..up).step_by(LANES) {
+            let (mut ar, mut ai) = ([[0.0; LANES]; R], [[0.0; LANES]; R]);
+            let table = self
+                .ana_cos
+                .chunks_exact(up)
+                .zip(self.ana_sin.chunks_exact(up));
+            for (x, (ct, st)) in table.enumerate() {
+                let (ct, st) = (lanes(&ct[c..]), lanes(&st[c..]));
+                for r in 0..R {
+                    let v = rows[r][x];
+                    for l in 0..LANES {
+                        ar[r][l] = v.mul_add(ct[l], ar[r][l]);
+                        ai[r][l] = v.mul_add(st[l], ai[r][l]);
+                    }
+                }
+            }
+            for r in 0..R {
+                let o = (y0 + r) * kp + c;
+                self.half_re[o..o + LANES].copy_from_slice(&ar[r]);
+                for (d, s) in self.half_im[o..o + LANES].iter_mut().zip(&ai[r]) {
+                    *d = -s;
                 }
             }
         }
-        // Column pass: X[i,j] = Σ_y e^{−2πi·f_i·y/H}·A[y,j].
-        for i in 0..self.rows.k {
-            let xr = &mut re[i * kw..(i + 1) * kw];
-            let xi = &mut im[i * kw..(i + 1) * kw];
-            xr.fill(0.0);
-            xi.fill(0.0);
-            for y in 0..h {
-                let (c, s) = (self.rows.cos[i * h + y], self.rows.sin[i * h + y]);
-                let ar = &self.half_re[y * kw..(y + 1) * kw];
-                let ai = &self.half_im[y * kw..(y + 1) * kw];
-                for ((xr, xi), (ar, ai)) in xr.iter_mut().zip(xi.iter_mut()).zip(ar.iter().zip(ai))
-                {
-                    *xr += c * ar + s * ai;
-                    *xi += c * ai - s * ar;
+    }
+
+    /// Analyse column pass on kept rows `i0..i0 + R`:
+    /// `X[i,j] = scale·Σ_y e^{−2πi·f_i·y/H}·A[y,j]`.
+    #[inline(always)]
+    fn analyse_cols<const R: usize>(&self, i0: usize, scale: f64, re: &mut [f64], im: &mut [f64]) {
+        let (h, kw, kp) = (self.h, self.kw, self.kp);
+        let tw: [(&[f64], &[f64]); R] = from_fn(|r| {
+            let o = (i0 + r) * h;
+            (&self.row_cos[o..o + h], &self.row_sin[o..o + h])
+        });
+        for c in (0..kp).step_by(LANES) {
+            let (mut xr, mut xi) = ([[0.0; LANES]; R], [[0.0; LANES]; R]);
+            let half = self
+                .half_re
+                .chunks_exact(kp)
+                .zip(self.half_im.chunks_exact(kp));
+            for (y, (ar, ai)) in half.enumerate() {
+                let (ar, ai) = (lanes(&ar[c..]), lanes(&ai[c..]));
+                for r in 0..R {
+                    let (cs, sn) = (tw[r].0[y], tw[r].1[y]);
+                    for l in 0..LANES {
+                        xr[r][l] = cs.mul_add(ar[l], sn.mul_add(ai[l], xr[r][l]));
+                        xi[r][l] = cs.mul_add(ai[l], (-sn).mul_add(ar[l], xi[r][l]));
+                    }
                 }
             }
-            for v in xr.iter_mut().chain(xi.iter_mut()) {
-                *v *= scale;
+            let n = LANES.min(kw - c);
+            for r in 0..R {
+                let o = (i0 + r) * kw + c;
+                for (l, (dr, di)) in re[o..o + n].iter_mut().zip(&mut im[o..o + n]).enumerate() {
+                    (*dr, *di) = (xr[r][l] * scale, xi[r][l] * scale);
+                }
             }
         }
     }
@@ -152,42 +282,112 @@ impl KeptDft {
     /// Real part of the unnormalized inverse DFT of kept modes `(re, im)`:
     /// `plane[y,x] = Re Σ_{i,j} X[i,j]·e^{+2πi(f_i·y/H + g_j·x/W)}`.
     fn synthesise(&mut self, re: &[f64], im: &[f64], plane: &mut [f64]) {
-        let (h, w, kw) = (self.rows.n, self.cols.n, self.cols.k);
-        // Column pass: B[y,j] = Σ_i X[i,j]·e^{+2πi·f_i·y/H}.
-        self.half_re.fill(0.0);
-        self.half_im.fill(0.0);
-        for i in 0..self.rows.k {
-            let xr = &re[i * kw..(i + 1) * kw];
-            let xi = &im[i * kw..(i + 1) * kw];
-            for y in 0..h {
-                let (c, s) = (self.rows.cos[i * h + y], self.rows.sin[i * h + y]);
-                let br = &mut self.half_re[y * kw..(y + 1) * kw];
-                let bi = &mut self.half_im[y * kw..(y + 1) * kw];
-                for ((br, bi), (xr, xi)) in br.iter_mut().zip(bi.iter_mut()).zip(xr.iter().zip(xi))
-                {
-                    *br += c * xr - s * xi;
-                    *bi += c * xi + s * xr;
-                }
+        let (h, kw, kp, m) = (self.h, self.kw, self.kp, self.mw);
+        for (i, (pr, pi)) in self
+            .modes_re
+            .chunks_exact_mut(kp)
+            .zip(self.modes_im.chunks_exact_mut(kp))
+            .enumerate()
+        {
+            pr[..kw].copy_from_slice(&re[i * kw..(i + 1) * kw]);
+            pi[..kw].copy_from_slice(&im[i * kw..(i + 1) * kw]);
+        }
+        let tail = h - h % ROWS;
+        for y in (0..tail).step_by(ROWS) {
+            self.synthesise_cols::<ROWS>(y);
+        }
+        for y in tail..h {
+            self.synthesise_cols::<1>(y);
+        }
+        // Re(B[y,2mw−j]·e^{−iθ}) = Re(conj(B[y,2mw−j])·e^{+iθ}): fold each
+        // partner into its unique index. The partners stay behind in lanes
+        // past index mw, where the synthesise table's rows are zero.
+        for (br, bi) in self
+            .half_re
+            .chunks_exact_mut(kp)
+            .zip(self.half_im.chunks_exact_mut(kp))
+        {
+            for j in 1..m {
+                br[j] += br[2 * m - j];
+                bi[j] -= bi[2 * m - j];
             }
         }
-        // Row pass: plane[y,x] = Σ_j Re(B[y,j]·e^{+2πi·g_j·x/W}).
-        for y in 0..h {
-            let row = &mut plane[y * w..(y + 1) * w];
-            row.fill(0.0);
-            for j in 0..kw {
-                let (br, bi) = (self.half_re[y * kw + j], self.half_im[y * kw + j]);
-                let c = &self.cols.cos[j * w..(j + 1) * w];
-                let s = &self.cols.sin[j * w..(j + 1) * w];
-                for (acc, (c, s)) in row.iter_mut().zip(c.iter().zip(s)) {
-                    *acc += br * c - bi * s;
+        for y in (0..tail).step_by(ROWS) {
+            self.synthesise_rows::<ROWS>(y, plane);
+        }
+        for y in tail..h {
+            self.synthesise_rows::<1>(y, plane);
+        }
+    }
+
+    /// Synthesise column pass on rows `y0..y0 + R`:
+    /// `B[y,j] = Σ_i X[i,j]·e^{+2πi·f_i·y/H}`.
+    #[inline(always)]
+    fn synthesise_cols<const R: usize>(&mut self, y0: usize) {
+        let (h, kp) = (self.h, self.kp);
+        for c in (0..kp).step_by(LANES) {
+            let (mut br, mut bi) = ([[0.0; LANES]; R], [[0.0; LANES]; R]);
+            let modes = self
+                .modes_re
+                .chunks_exact(kp)
+                .zip(self.modes_im.chunks_exact(kp));
+            let tw = self
+                .row_cos
+                .chunks_exact(h)
+                .zip(self.row_sin.chunks_exact(h));
+            for ((xr, xi), (cs, sn)) in modes.zip(tw) {
+                let (xr, xi) = (lanes(&xr[c..]), lanes(&xi[c..]));
+                for r in 0..R {
+                    let (cs, sn) = (cs[y0 + r], sn[y0 + r]);
+                    for l in 0..LANES {
+                        br[r][l] = cs.mul_add(xr[l], (-sn).mul_add(xi[l], br[r][l]));
+                        bi[r][l] = cs.mul_add(xi[l], sn.mul_add(xr[l], bi[r][l]));
+                    }
                 }
+            }
+            for r in 0..R {
+                let o = (y0 + r) * kp + c;
+                self.half_re[o..o + LANES].copy_from_slice(&br[r]);
+                self.half_im[o..o + LANES].copy_from_slice(&bi[r]);
+            }
+        }
+    }
+
+    /// Synthesise row pass on rows `y0..y0 + R` of the folded plane:
+    /// `plane[y,x] = Σ_l Re(B[y,l]·e^{+2πi·g_l·x/W})` over the padded
+    /// unique indices.
+    #[inline(always)]
+    fn synthesise_rows<const R: usize>(&self, y0: usize, plane: &mut [f64]) {
+        let (w, wp, kp) = (self.w, self.wp, self.kp);
+        let b: [(&[f64], &[f64]); R] = from_fn(|r| {
+            let o = (y0 + r) * kp;
+            (&self.half_re[o..o + kp], &self.half_im[o..o + kp])
+        });
+        for c in (0..wp).step_by(LANES) {
+            let mut acc = [[0.0; LANES]; R];
+            let table = self
+                .syn_cos
+                .chunks_exact(wp)
+                .zip(self.syn_sin.chunks_exact(wp));
+            for (l, (ct, st)) in table.enumerate() {
+                let (ct, st) = (lanes(&ct[c..]), lanes(&st[c..]));
+                for r in 0..R {
+                    let (br, bi) = (b[r].0[l], b[r].1[l]);
+                    for x in 0..LANES {
+                        acc[r][x] = br.mul_add(ct[x], (-bi).mul_add(st[x], acc[r][x]));
+                    }
+                }
+            }
+            let n = LANES.min(w - c);
+            for r in 0..R {
+                plane[(y0 + r) * w + c..][..n].copy_from_slice(&acc[r][..n]);
             }
         }
     }
 
     /// [`KeptDft::analyse`] of every `H × W` plane of `data`, concatenated.
     fn analyse_all(&mut self, data: &[f64], scale: f64) -> (Vec<f64>, Vec<f64>) {
-        let (hw, k) = (self.rows.n * self.cols.n, self.modes());
+        let (hw, k) = (self.h * self.w, self.modes());
         let planes = data.len() / hw;
         let (mut re, mut im) = (vec![0.0; planes * k], vec![0.0; planes * k]);
         for p in 0..planes {
@@ -213,7 +413,7 @@ fn mix_synthesise(
 ) {
     let (cin, cout, _, _) = unpack4(w_re.shape(), "spectral weight");
     let (wr, wi) = (w_re.as_slice(), w_im.as_slice());
-    let (k, hw) = (dft.modes(), dft.rows.n * dft.cols.n);
+    let (k, hw) = (dft.modes(), dft.h * dft.w);
     let (inputs, outputs) = if adjoint { (cout, cin) } else { (cin, cout) };
     let (mut yr, mut yi) = (vec![0.0; k], vec![0.0; k]);
     for (no, plane) in out.as_mut_slice().chunks_exact_mut(hw).enumerate() {
@@ -537,5 +737,19 @@ mod tests {
     fn matches_full_dft_reference_with_all_modes() {
         check_against_reference(2, 2, 3, (8, 6), (4, 3));
         check_against_reference(1, 2, 1, (7, 12), (3, 6));
+    }
+
+    #[test]
+    fn matches_full_dft_reference_across_lane_chunks() {
+        // mw + 1 = 10 unique column frequencies fill two lane chunks and
+        // 2mw = 18 kept ones three; 10 kept rows end in a partial row block.
+        check_against_reference(2, 2, 3, (20, 21), (5, 9));
+    }
+
+    #[test]
+    fn matches_full_dft_reference_with_ragged_lanes() {
+        // W = 41 leaves one pixel in the last lane chunk and H = 33 one row
+        // after the last full row block.
+        check_against_reference(1, 2, 2, (33, 41), (7, 8));
     }
 }

@@ -5,7 +5,10 @@
 //! A file-local mutex serializes them so stats deltas and recorded spans
 //! are attributable to one test at a time.
 
-use maps::core::{omega_for_wavelength, ComplexField2d, FieldSolver, Grid2d, RealField2d};
+use maps::core::{
+    omega_for_wavelength, ComplexField2d, FieldSolver, Grid2d, RealField2d, RetryPolicy,
+    RobustSolver,
+};
 use maps::data::{DeviceKind, DeviceResolution};
 use maps::fdfd::factor_cache::{self, DEFAULT_CAPACITY};
 use maps::fdfd::{FdfdSolver, PmlConfig};
@@ -273,5 +276,47 @@ fn invdes_factorizes_exactly_once_per_design_iteration() {
     assert!(
         (a - b).abs() <= 1e-12 * a.abs().max(1.0),
         "cached ({a:.17}) and uncached ({b:.17}) objectives must match to 1e-12"
+    );
+}
+
+/// A retry of a singular operator reuses the cached failure: through a
+/// default `RobustSolver` the design factorizes once, not once per attempt,
+/// with the same retries and the same final error. Factorizations are
+/// counted by the design's fingerprint on the `fdfd.factorize` spans.
+#[test]
+fn retries_of_a_singular_operator_factorize_once() {
+    let _guard = exclusive_cache();
+    // 2×2 grid, no PML, dl = 1, ε = 1, ω = 2: ω²·ε·dl² = 4 cancels the four
+    // unit couplings of cell 0's diagonal, an exactly zero first pivot.
+    let grid = Grid2d::new(2, 2, 1.0);
+    let eps = RealField2d::constant(grid, 1.0);
+    let pml = PmlConfig {
+        thickness: 0,
+        ..PmlConfig::default()
+    };
+    let omega = 2.0;
+    let design = factor_cache::fingerprint(&eps, omega, &pml).hex();
+    let policy = RetryPolicy::default();
+    let solver = RobustSolver::new(FdfdSolver::with_pml(pml), policy);
+
+    maps::obs::recorder::enable();
+    let err = solver
+        .solve_ez(&eps, &point_source(grid, 0, 0), omega)
+        .expect_err("a singular operator has no direct solution");
+    let spans = maps::obs::recorder::take();
+    maps::obs::recorder::disable();
+
+    let builds = spans
+        .iter()
+        .filter(|s| s.name == "fdfd.factorize" && s.field("fingerprint") == Some(design.as_str()))
+        .count();
+    assert_eq!(
+        builds, 1,
+        "every attempt after the first reuses the failure"
+    );
+    assert_eq!(solver.stats().retries, policy.max_retries as u64);
+    assert!(
+        err.to_string().contains("zero pivot at step 0"),
+        "final error: {err}"
     );
 }
