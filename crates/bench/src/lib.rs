@@ -5,7 +5,7 @@
 //! the reference models, and compute the paper's standardized metrics so
 //! each bench prints rows in the same format as the paper.
 
-use maps_core::{FieldSolver, RealField2d, Sample};
+use maps_core::{RealField2d, Sample};
 use maps_data::{
     label_batch, sample_densities, DeviceKind, DeviceResolution, DeviceSpec, GenerateConfig,
     SamplerConfig, SamplingStrategy,
@@ -282,31 +282,6 @@ pub fn mean_grad_similarity(trained: &TrainedModel, dataset: &BenchDataset) -> f
         sims.push(gradient_similarity(&grad_field, exact));
     }
     maps_train::mean(&sims)
-}
-
-/// Exact-FDFD reference timing: mean seconds per forward solve over the
-/// test samples.
-pub fn fdfd_solve_seconds(dataset: &BenchDataset, repeats: usize) -> f64 {
-    let solver = FdfdSolver::with_pml(PmlConfig::auto(dataset.device.grid().dl));
-    let sample = &dataset.test[0];
-    let omega = maps_core::omega_for_wavelength(sample.labels.wavelength);
-    let t0 = std::time::Instant::now();
-    for _ in 0..repeats {
-        let _ = solver
-            .solve_ez(&sample.eps_r, &sample.source, omega)
-            .expect("solve");
-    }
-    t0.elapsed().as_secs_f64() / repeats as f64
-}
-
-/// Simple fixed-width table printer.
-pub fn print_row(cols: &[String], widths: &[usize]) {
-    let line: Vec<String> = cols
-        .iter()
-        .zip(widths)
-        .map(|(c, w)| format!("{c:>w$}", w = w))
-        .collect();
-    println!("{}", line.join(" | "));
 }
 
 /// ASCII histogram of values in `[0, 1]`.

@@ -24,9 +24,10 @@
 //!   concurrent misses of the same fingerprint elect one leader to
 //!   factorize while followers wait and share the result — the mechanism a
 //!   multi-client solve service (`mapsd`) relies on to answer a stampede of
-//!   identical designs with one factorization. In-flight bookkeeping is
-//!   sharded by fingerprint bits ([`FLIGHT_SHARDS`]) to kill lock
-//!   contention between unrelated designs;
+//!   identical designs with one factorization. The in-flight registry sits
+//!   beside the ring under the cache's one mutex, so a leader registers in
+//!   the same critical section as its hit check; no lock is held while it
+//!   factorizes, and concurrent leaders are at most the worker threads;
 //! - **failure memory**: the cache remembers the most recent build that
 //!   failed with [`LinalgError::Singular`], and a lookup of that
 //!   fingerprint returns the same error without assembling, so a retry of
@@ -74,12 +75,6 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 /// Default LRU capacity when `MAPS_FACTOR_CACHE` is unset.
 pub const DEFAULT_CAPACITY: usize = 4;
 
-/// Number of independent single-flight registries. Concurrent factorizations
-/// of *different* fingerprints coordinate on different shards (selected by
-/// fingerprint bits), so a daemon serving many designs at once never
-/// serializes its in-flight bookkeeping behind one lock.
-pub const FLIGHT_SHARDS: usize = 16;
-
 /// A cheap identity of one assembled Helmholtz operator.
 ///
 /// Two FNV-1a passes with independent offset bases over the raw bit
@@ -100,11 +95,6 @@ pub struct Fingerprint {
 }
 
 impl Fingerprint {
-    /// The single-flight shard this fingerprint coordinates on.
-    fn shard(&self) -> usize {
-        (self.h[0] as usize) % FLIGHT_SHARDS
-    }
-
     /// The 128-bit digest as 32 hex chars — the stable operator identity
     /// traces and logs use to say *which* factorization a span computed.
     pub fn hex(&self) -> String {
@@ -232,15 +222,11 @@ impl Flight {
     }
 }
 
-/// A registry shard: the in-flight factorizations whose fingerprints hash
-/// into this shard.
-type FlightShard = Vec<(Fingerprint, Arc<Flight>)>;
-
 /// Removes the leader's in-flight entry and publishes an abort if the leader
 /// unwinds without publishing a real result — followers must never block on
 /// a leader that panicked mid-factorization.
 struct FlightGuard<'a> {
-    shard: &'a Mutex<FlightShard>,
+    inner: &'a Mutex<Inner>,
     key: Fingerprint,
     flight: &'a Arc<Flight>,
     published: bool,
@@ -253,8 +239,8 @@ impl Drop for FlightGuard<'_> {
                 detail: "single-flight leader panicked before factorizing".into(),
             }));
         }
-        let mut inflight = self.shard.lock().expect("flight shard");
-        inflight.retain(|(k, _)| *k != self.key);
+        let mut inner = self.inner.lock().expect("factor cache lock");
+        inner.flights.retain(|(k, _)| *k != self.key);
     }
 }
 
@@ -276,6 +262,19 @@ struct Inner {
     /// (a resumed build fails exactly like a cold one), so it stands for
     /// every later build of the same key.
     failed: Option<(Fingerprint, LinalgError)>,
+    /// The in-flight factorizations, one per leader.
+    flights: Vec<(Fingerprint, Arc<Flight>)>,
+}
+
+impl Inner {
+    /// The cached factor of `key`, marked most recently used.
+    fn touch(&mut self, key: &Fingerprint) -> Option<Arc<SymmetricFactor>> {
+        self.clock += 1;
+        let now = self.clock;
+        let e = self.ring.iter_mut().find(|e| e.key == *key)?;
+        e.used = now;
+        Some(Arc::clone(&e.factor))
+    }
 }
 
 /// A bounded LRU cache of direct-solver factorizations.
@@ -284,9 +283,6 @@ struct Inner {
 /// constructible for tests and special-purpose pipelines.
 pub struct FactorCache {
     inner: Mutex<Inner>,
-    /// Single-flight registries, sharded by fingerprint bits so concurrent
-    /// factorizations of unrelated designs never contend on one lock.
-    flights: Vec<Mutex<FlightShard>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -314,8 +310,8 @@ impl FactorCache {
                 capacity: capacity.max(1),
                 clock: 0,
                 failed: None,
+                flights: Vec::new(),
             }),
-            flights: (0..FLIGHT_SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -360,31 +356,7 @@ impl FactorCache {
     /// Looks up a factorization without counting a miss (used by
     /// [`FactorCache::factorize_with`]; exposed for diagnostics).
     pub fn get(&self, key: &Fingerprint) -> Option<Arc<SymmetricFactor>> {
-        let mut inner = self.inner.lock().expect("factor cache lock");
-        inner.clock += 1;
-        let now = inner.clock;
-        let e = inner.ring.iter_mut().find(|e| e.key == *key)?;
-        e.used = now;
-        Some(Arc::clone(&e.factor))
-    }
-
-    /// A cache hit on `key`, counted as one: its cached factor, or the error
-    /// its most recent failed build returned.
-    fn hit(
-        &self,
-        key: &Fingerprint,
-    ) -> Option<Result<(Arc<SymmetricFactor>, FactorOutcome), LinalgError>> {
-        let found = match self.get(key) {
-            Some(factor) => Ok((factor, FactorOutcome::Hit)),
-            None => {
-                let inner = self.inner.lock().expect("factor cache lock");
-                let (_, e) = inner.failed.as_ref().filter(|(k, _)| k == key)?;
-                Err(e.clone())
-            }
-        };
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        maps_obs::counter("fdfd.factor_cache.hit").inc();
-        Some(found)
+        self.inner.lock().expect("factor cache lock").touch(key)
     }
 
     /// Inserts a factorization, evicting the least-recently-used ring entry
@@ -471,46 +443,38 @@ impl FactorCache {
         key: Fingerprint,
         assemble: impl FnOnce() -> SymmetricOperator,
     ) -> Result<(Arc<SymmetricFactor>, FactorOutcome), LinalgError> {
-        if let Some(hit) = self.hit(&key) {
-            return hit;
-        }
-        let shard = &self.flights[key.shard()];
-        let flight = Arc::new(Flight::new());
-        let joined = {
-            let mut inflight = shard.lock().expect("flight shard");
-            // Re-check under the shard lock: a leader that finished between
-            // our lookup and here has already inserted into the cache.
-            if let Some(hit) = self.hit(&key) {
+        // One critical section answers a hit (a cached factor, or the error
+        // of the key's most recent failed build), joins a leader's flight,
+        // or registers this call as the leader, picks its donor and makes
+        // room for its factor.
+        let (flight, donor, evicted) = {
+            let mut inner = self.inner.lock().expect("factor cache lock");
+            let hit = match inner.touch(&key) {
+                Some(factor) => Some(Ok((factor, FactorOutcome::Hit))),
+                None => inner
+                    .failed
+                    .as_ref()
+                    .filter(|(k, _)| *k == key)
+                    .map(|(_, e)| Err(e.clone())),
+            };
+            if let Some(hit) = hit {
+                drop(inner);
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                maps_obs::counter("fdfd.factor_cache.hit").inc();
                 return hit;
             }
-            match inflight.iter().find(|(k, _)| *k == key) {
-                Some((_, leader)) => Some(Arc::clone(leader)),
-                None => {
-                    inflight.push((key, Arc::clone(&flight)));
-                    None
-                }
+            if let Some((_, leader)) = inner.flights.iter().find(|(k, _)| *k == key) {
+                // Follower: wait for the leader's published result.
+                let leader = Arc::clone(leader);
+                drop(inner);
+                self.coalesced.fetch_add(1, Ordering::Relaxed);
+                maps_obs::counter("fdfd.factor_cache.coalesce.follower").inc();
+                return leader
+                    .wait()
+                    .map(|factor| (factor, FactorOutcome::Follower));
             }
-        };
-        if let Some(leader) = joined {
-            // Follower: wait for the leader's published result.
-            self.coalesced.fetch_add(1, Ordering::Relaxed);
-            maps_obs::counter("fdfd.factor_cache.coalesce.follower").inc();
-            return leader
-                .wait()
-                .map(|factor| (factor, FactorOutcome::Follower));
-        }
-        // Leader: factorize outside every lock, publish, then deregister.
-        let mut guard = FlightGuard {
-            shard,
-            key,
-            flight: &flight,
-            published: false,
-        };
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        maps_obs::counter("fdfd.factor_cache.miss").inc();
-        maps_obs::counter("fdfd.factor_cache.coalesce.leader").inc();
-        let (donor, evicted) = {
-            let mut inner = self.inner.lock().expect("factor cache lock");
+            let flight = Arc::new(Flight::new());
+            inner.flights.push((key, Arc::clone(&flight)));
             let donor = inner
                 .ring
                 .iter()
@@ -518,8 +482,18 @@ impl FactorCache {
                 .max_by_key(|e| e.used)
                 .map(|e| Arc::clone(&e.factor));
             let room = inner.capacity - 1;
-            (donor, self.evict_to(&mut inner, room))
+            (flight, donor, self.evict_to(&mut inner, room))
         };
+        // Leader: factorize outside the lock, publish, then deregister.
+        let mut guard = FlightGuard {
+            inner: &self.inner,
+            key,
+            flight: &flight,
+            published: false,
+        };
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        maps_obs::counter("fdfd.factor_cache.miss").inc();
+        maps_obs::counter("fdfd.factor_cache.coalesce.leader").inc();
         let result = {
             let mut span = maps_obs::span("fdfd.factorize")
                 .field("cells", key.cells)

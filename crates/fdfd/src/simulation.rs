@@ -1,10 +1,9 @@
 //! The FDFD solver facade.
 
-use crate::monitor::derive_h_fields;
-use crate::operator::{symmetrizer, HelmholtzOperator};
+use crate::operator::{symmetrizer, HelmholtzOperator, SymmetricOperator};
 use crate::pml::PmlConfig;
 use maps_core::{
-    ComplexField2d, EmFields, FieldSolver, RealField2d, SolveFieldError, SolveKind, SolveRequest,
+    ComplexField2d, FieldSolver, RealField2d, SolveFieldError, SolveKind, SolveRequest,
 };
 use maps_linalg::{bicgstab, Complex64, IterativeOptions, RHS_BLOCK};
 use rayon::prelude::*;
@@ -18,7 +17,10 @@ pub enum Backend {
     /// exceeds 1e-12. The factorization is cached and reused for the
     /// adjoint solve.
     Direct,
-    /// Jacobi-preconditioned BiCGSTAB on the CSR operator.
+    /// Jacobi-preconditioned BiCGSTAB, matrix-free on the stencil of the
+    /// same `S = D·A` the direct backend factors: a forward solve runs
+    /// `S·x = D·b` and an adjoint `S·z = c` with `y = D·z`, so an
+    /// adjoint's stopping residual is exactly `‖Aᵀ·y − c‖/‖c‖`.
     Iterative(IterativeOptions),
 }
 
@@ -94,22 +96,6 @@ impl FdfdSolver {
             .collect()
     }
 
-    /// Solves for all TM field components (`Ez`, and derived `Hx`, `Hy`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SolveFieldError`] from [`FieldSolver::solve_ez`].
-    pub fn solve_fields(
-        &self,
-        eps_r: &RealField2d,
-        source: &ComplexField2d,
-        omega: f64,
-    ) -> Result<EmFields, SolveFieldError> {
-        let ez = self.solve_ez(eps_r, source, omega)?;
-        let (hx, hy) = derive_h_fields(&ez, omega);
-        Ok(EmFields { ez, hx, hy })
-    }
-
     /// Relative residual `‖A·e − b‖/‖b‖` of a candidate field — the
     /// physics self-check exported as the `maxwell_residual` rich label.
     pub fn residual(
@@ -164,13 +150,14 @@ impl FdfdSolver {
     /// with the solution of `A·x = b` where `kinds[i]` is a forward solve,
     /// and of `Aᵀ·y = c` where it is an adjoint solve, at (ε, ω).
     ///
-    /// The direct backend solves both with the symmetrized `S = D·A`
-    /// ([`symmetrizer`] gives `D`): a forward lane solves `S·x = D·b`, an
-    /// adjoint lane `y = D·S⁻¹·c`. It fetches the factor from the factor
-    /// cache (factorizing on a miss) and sweeps the whole block through one
-    /// pass over it, with the residual guard inside the `fdfd.backsub`
-    /// span. The iterative backend runs one BiCGSTAB per right-hand side on
-    /// `A`, an adjoint lane as `A·z = D⁻¹·c` with `y = D·z`.
+    /// Both backends solve the symmetrized `S = D·A` ([`symmetrizer`]
+    /// gives `D`): a forward lane is scaled by `D` before the solve and
+    /// solves `S·x = D·b`, an adjoint lane solves `S·z = c` and is scaled
+    /// after it, `y = D·z`. The direct backend fetches the factor from the
+    /// factor cache (factorizing on a miss) and sweeps the whole block
+    /// through one pass over it, with the residual guard inside the
+    /// `fdfd.backsub` span. The iterative backend runs one BiCGSTAB per
+    /// right-hand side on `S`'s stencil.
     fn solve_block(
         &self,
         eps_r: &RealField2d,
@@ -186,13 +173,13 @@ impl FdfdSolver {
                 .map(|(_, i)| i)
         };
         let d = symmetrizer(eps_r.grid(), omega, &self.pml);
+        for i in lanes(SolveKind::Forward) {
+            for (x, d) in xs[i].iter_mut().zip(&d) {
+                *x *= *d;
+            }
+        }
         match self.backend {
             Backend::Direct => {
-                for i in lanes(SolveKind::Forward) {
-                    for (x, d) in xs[i].iter_mut().zip(&d) {
-                        *x *= *d;
-                    }
-                }
                 // One factorization per distinct (eps, omega, PML): the
                 // process-wide cache shares it across forward, adjoint,
                 // and repeated monitor/S-param solves of the same design.
@@ -205,17 +192,15 @@ impl FdfdSolver {
                 factor.solve(xs);
             }
             Backend::Iterative(opts) => {
-                for i in lanes(SolveKind::Adjoint) {
-                    for (x, d) in xs[i].iter_mut().zip(&d) {
-                        *x /= *d;
-                    }
-                }
-                let a = self.operator(eps_r, omega).to_csr();
+                let op = SymmetricOperator::new(eps_r, omega, &self.pml);
+                let diagonal = op.diagonal();
                 let _s = maps_obs::span("fdfd.bicgstab");
                 for x in xs.iter_mut() {
                     let (solution, stats) =
-                        bicgstab(&a, x, opts).map_err(|e| SolveFieldError::Numerical {
-                            detail: convergence_detail(&e, opts),
+                        bicgstab(|x, y| op.apply_into(x, y), &diagonal, x, opts).map_err(|e| {
+                            SolveFieldError::Numerical {
+                                detail: convergence_detail(&e, opts),
+                            }
                         })?;
                     maps_obs::histogram("fdfd.bicgstab.iterations").record(stats.iterations as f64);
                     maps_obs::histogram("fdfd.bicgstab.residual").record(stats.residual);
@@ -223,8 +208,7 @@ impl FdfdSolver {
                 }
             }
         }
-        // Either backend leaves `z` in an adjoint lane; the adjoint field
-        // is `y = D·z`.
+        // The adjoint field is `y = D·z`.
         for i in lanes(SolveKind::Adjoint) {
             for (x, d) in xs[i].iter_mut().zip(&d) {
                 *x *= *d;
@@ -286,7 +270,7 @@ impl FieldSolver for FdfdSolver {
         // keeps at least the most recent factorization, so a
         // forward/adjoint pair costs one factorization plus two
         // substitution sweeps); on the iterative backend it is one more
-        // BiCGSTAB solve.
+        // BiCGSTAB solve, on `S·z = c`.
         Self::check_inputs(eps_r, rhs, omega)?;
         let _span = maps_obs::span("fdfd.solve_adjoint_ez")
             .field("backend", self.name())

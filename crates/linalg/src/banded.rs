@@ -44,16 +44,6 @@ impl BandedMatrix {
         self.n
     }
 
-    /// Number of sub-diagonals.
-    pub fn lower_bandwidth(&self) -> usize {
-        self.kl
-    }
-
-    /// Number of super-diagonals.
-    pub fn upper_bandwidth(&self) -> usize {
-        self.ku
-    }
-
     #[inline]
     fn offset(&self, i: usize, j: usize) -> usize {
         j * self.ldab + (self.kl + self.ku + i - j)

@@ -206,26 +206,6 @@ impl std::ops::IndexMut<(usize, usize)> for ZMatrix {
     }
 }
 
-/// Dot product of two real vectors.
-///
-/// # Panics
-///
-/// Panics if lengths disagree.
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "dot length mismatch");
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
-/// Unconjugated dot product `Σ aᵢ bᵢ` of two complex vectors.
-///
-/// # Panics
-///
-/// Panics if lengths disagree.
-pub fn zdotu(a: &[Complex64], b: &[Complex64]) -> Complex64 {
-    assert_eq!(a.len(), b.len(), "zdotu length mismatch");
-    a.iter().zip(b).map(|(x, y)| *x * *y).sum()
-}
-
 /// Conjugated dot product `Σ conj(aᵢ) bᵢ` of two complex vectors.
 ///
 /// # Panics
@@ -239,11 +219,6 @@ pub fn zdotc(a: &[Complex64], b: &[Complex64]) -> Complex64 {
 /// Euclidean norm of a complex vector.
 pub fn znorm(a: &[Complex64]) -> f64 {
     a.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt()
-}
-
-/// Euclidean norm of a real vector.
-pub fn norm(a: &[f64]) -> f64 {
-    a.iter().map(|x| x * x).sum::<f64>().sqrt()
 }
 
 #[cfg(test)]
@@ -275,7 +250,6 @@ mod tests {
     fn complex_dot_products() {
         let a = vec![Complex64::new(1.0, 1.0), Complex64::new(0.0, 2.0)];
         let b = vec![Complex64::new(2.0, 0.0), Complex64::new(1.0, -1.0)];
-        assert_eq!(zdotu(&a, &b), Complex64::new(2.0 + 2.0, 2.0 + 2.0));
         // conj(1+i)(2) + conj(2i)(1-i) = (2-2i) + (-2i)(1-i) = 2-2i -2i+2i² = -4i
         assert_eq!(zdotc(&a, &b), Complex64::new(0.0, -4.0));
     }

@@ -1,11 +1,13 @@
-//! Iterative Krylov solvers for large FDFD systems.
+//! Jacobi-preconditioned BiCGSTAB, the Krylov solver of the FDFD iterative
+//! backend.
 //!
-//! The direct banded LU in [`crate::banded`] is exact but its cost grows as
-//! `O(n·b²)`; for very large grids MAPS falls back to BiCGSTAB with Jacobi
-//! preconditioning. The ablation bench compares both.
+//! [`bicgstab`] never sees a matrix: it takes the operator as a closure
+//! that writes `A·x` into a preallocated `y`, and the diagonal its Jacobi
+//! preconditioner inverts. `maps-fdfd` passes the stencil of the
+//! symmetrized operator `S` that its direct backend factors, so both
+//! backends solve one system.
 
 use crate::dense::{zdotc, znorm};
-use crate::sparse::CsrMatrix;
 use crate::{Complex64, LinalgError};
 
 /// Convergence report for an iterative solve.
@@ -37,10 +39,38 @@ impl Default for IterativeOptions {
 
 /// Solves `A x = b` with Jacobi-preconditioned BiCGSTAB.
 ///
+/// `apply(x, y)` overwrites `y` with `A·x`, both `b.len()` long, and
+/// `diagonal` is `A`'s diagonal; the preconditioner multiplies by its
+/// inverse (by one where an entry is zero). Each iteration applies `A`
+/// twice and allocates nothing.
+///
 /// While the flight recorder is on, every iteration appends its relative
 /// residual to the `bicgstab.residual` series, stepped by the iteration
 /// within its solve (from 1). All solves share that one series, so the
 /// rows of concurrent solves interleave.
+///
+/// ```
+/// use maps_linalg::{bicgstab, Complex64, IterativeOptions};
+///
+/// # fn main() -> Result<(), maps_linalg::LinalgError> {
+/// // The tridiagonal A = tridiag(−1, 3, −1), applied without a matrix.
+/// let apply = |x: &[Complex64], y: &mut [Complex64]| {
+///     for k in 0..x.len() {
+///         let west = if k > 0 { x[k - 1] } else { Complex64::ZERO };
+///         let east = x.get(k + 1).copied().unwrap_or(Complex64::ZERO);
+///         y[k] = x[k] * 3.0 - west - east;
+///     }
+/// };
+/// let diagonal = vec![Complex64::from_re(3.0); 8];
+/// let b = vec![Complex64::ONE; 8];
+/// let (x, stats) = bicgstab(apply, &diagonal, &b, IterativeOptions::default())?;
+/// assert!(stats.residual < 1e-8);
+/// let mut ax = vec![Complex64::ZERO; 8];
+/// apply(&x, &mut ax);
+/// assert!((ax[3] - Complex64::ONE).abs() < 1e-7);
+/// # Ok(())
+/// # }
+/// ```
 ///
 /// # Errors
 ///
@@ -50,9 +80,10 @@ impl Default for IterativeOptions {
 ///
 /// # Panics
 ///
-/// Panics if `b.len() != a.rows()` or `a` is not square.
+/// Panics if `diagonal.len() != b.len()`.
 pub fn bicgstab(
-    a: &CsrMatrix,
+    apply: impl Fn(&[Complex64], &mut [Complex64]),
+    diagonal: &[Complex64],
     b: &[Complex64],
     options: IterativeOptions,
 ) -> Result<(Vec<Complex64>, IterativeStats), LinalgError> {
@@ -62,7 +93,7 @@ pub fn bicgstab(
     // knob).
     let trajectory =
         maps_obs::recorder::is_enabled().then(|| maps_obs::series("bicgstab.residual"));
-    let result = bicgstab_inner(a, b, options, trajectory.as_ref());
+    let result = bicgstab_inner(apply, diagonal, b, options, trajectory.as_ref());
     match &result {
         Ok((_, stats)) => {
             maps_obs::counter("bicgstab.solves").inc();
@@ -85,7 +116,8 @@ pub fn bicgstab(
 }
 
 fn bicgstab_inner(
-    a: &CsrMatrix,
+    apply: impl Fn(&[Complex64], &mut [Complex64]),
+    diagonal: &[Complex64],
     b: &[Complex64],
     options: IterativeOptions,
     trajectory: Option<&maps_obs::Series>,
@@ -95,8 +127,7 @@ fn bicgstab_inner(
             series.push(it as u64, rel);
         }
     };
-    assert_eq!(a.rows(), a.cols(), "bicgstab requires a square matrix");
-    assert_eq!(b.len(), a.rows(), "bicgstab dimension mismatch");
+    assert_eq!(diagonal.len(), b.len(), "bicgstab dimension mismatch");
     let n = b.len();
     let bnorm = znorm(b);
     if bnorm == 0.0 {
@@ -109,8 +140,7 @@ fn bicgstab_inner(
         ));
     }
     // Jacobi preconditioner: M⁻¹ = diag(A)⁻¹ (identity for zero diagonals).
-    let minv: Vec<Complex64> = a
-        .diagonal()
+    let minv: Vec<Complex64> = diagonal
         .iter()
         .map(|d| {
             if d.abs() > 0.0 {
@@ -120,8 +150,11 @@ fn bicgstab_inner(
             }
         })
         .collect();
-    let precond =
-        |v: &[Complex64]| -> Vec<Complex64> { v.iter().zip(&minv).map(|(x, m)| *x * *m).collect() };
+    let precond = |v: &[Complex64], out: &mut [Complex64]| {
+        for ((o, x), m) in out.iter_mut().zip(v).zip(&minv) {
+            *o = *x * *m;
+        }
+    };
 
     let mut x = vec![Complex64::ZERO; n];
     let mut r: Vec<Complex64> = b.to_vec();
@@ -131,6 +164,10 @@ fn bicgstab_inner(
     let mut omega = Complex64::ONE;
     let mut v = vec![Complex64::ZERO; n];
     let mut p = vec![Complex64::ZERO; n];
+    let mut phat = vec![Complex64::ZERO; n];
+    let mut s = vec![Complex64::ZERO; n];
+    let mut shat = vec![Complex64::ZERO; n];
+    let mut t = vec![Complex64::ZERO; n];
 
     for it in 1..=options.max_iterations {
         let rho_next = zdotc(&r0, &r);
@@ -147,10 +184,12 @@ fn bicgstab_inner(
         for i in 0..n {
             p[i] = r[i] + beta * (p[i] - omega * v[i]);
         }
-        let phat = precond(&p);
-        v = a.matvec(&phat);
+        precond(&p, &mut phat);
+        apply(&phat, &mut v);
         alpha = rho / zdotc(&r0, &v);
-        let s: Vec<Complex64> = (0..n).map(|i| r[i] - alpha * v[i]).collect();
+        for i in 0..n {
+            s[i] = r[i] - alpha * v[i];
+        }
         let s_rel = znorm(&s) / bnorm;
         if s_rel < options.tolerance {
             for i in 0..n {
@@ -165,8 +204,8 @@ fn bicgstab_inner(
                 },
             ));
         }
-        let shat = precond(&s);
-        let t = a.matvec(&shat);
+        precond(&s, &mut shat);
+        apply(&shat, &mut t);
         let tt = zdotc(&t, &t);
         if tt.abs() < 1e-300 {
             record(it, s_rel);
@@ -201,20 +240,30 @@ fn bicgstab_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sparse::CooMatrix;
+    use crate::SymBandedMatrix;
 
-    fn laplacian_plus_shift(n: usize, shift: Complex64) -> CsrMatrix {
-        let mut coo = CooMatrix::new(n, n);
+    /// The complex shifted 1-D Laplacian `tridiag(−1, 2 + shift, −1)`.
+    fn laplacian_plus_shift(n: usize, shift: Complex64) -> SymBandedMatrix {
+        let mut a = SymBandedMatrix::zeros(n, 1);
         for i in 0..n {
-            coo.push(i, i, Complex64::from_re(2.0) + shift);
+            a.set(i, i, Complex64::from_re(2.0) + shift);
             if i > 0 {
-                coo.push(i, i - 1, Complex64::from_re(-1.0));
-            }
-            if i + 1 < n {
-                coo.push(i, i + 1, Complex64::from_re(-1.0));
+                a.set(i, i - 1, Complex64::from_re(-1.0));
             }
         }
-        coo.to_csr()
+        a
+    }
+
+    /// [`bicgstab`] with `a`'s matvec as the operator and its diagonal as
+    /// the preconditioner's.
+    fn solve(
+        a: &SymBandedMatrix,
+        b: &[Complex64],
+        options: IterativeOptions,
+    ) -> Result<(Vec<Complex64>, IterativeStats), LinalgError> {
+        let diagonal: Vec<Complex64> = (0..a.dim()).map(|i| a.get(i, i)).collect();
+        let apply = |x: &[Complex64], y: &mut [Complex64]| y.copy_from_slice(&a.matvec(x));
+        bicgstab(apply, &diagonal, b, options)
     }
 
     #[test]
@@ -224,7 +273,7 @@ mod tests {
         let b: Vec<Complex64> = (0..n)
             .map(|k| Complex64::new((k as f64 * 0.1).sin(), (k as f64 * 0.07).cos()))
             .collect();
-        let (x, stats) = bicgstab(&a, &b, IterativeOptions::default()).unwrap();
+        let (x, stats) = solve(&a, &b, IterativeOptions::default()).unwrap();
         let r: Vec<Complex64> = a.matvec(&x).iter().zip(&b).map(|(p, q)| *p - *q).collect();
         assert!(znorm(&r) / znorm(&b) < 1e-7, "residual {}", stats.residual);
     }
@@ -233,7 +282,7 @@ mod tests {
     fn zero_rhs_returns_zero() {
         let a = laplacian_plus_shift(8, Complex64::ZERO);
         let b = vec![Complex64::ZERO; 8];
-        let (x, stats) = bicgstab(&a, &b, IterativeOptions::default()).unwrap();
+        let (x, stats) = solve(&a, &b, IterativeOptions::default()).unwrap();
         assert!(x.iter().all(|z| *z == Complex64::ZERO));
         assert_eq!(stats.iterations, 0);
     }
@@ -248,12 +297,12 @@ mod tests {
             tolerance: 1e-12,
             max_iterations: 8,
         };
-        assert!(bicgstab(&a, &b, tight).is_err());
+        assert!(solve(&a, &b, tight).is_err());
         let relaxed = IterativeOptions {
             tolerance: 1e-3,
             ..tight
         };
-        let (_, stats) = bicgstab(&a, &b, relaxed).unwrap();
+        let (_, stats) = solve(&a, &b, relaxed).unwrap();
         assert!(stats.residual <= relaxed.tolerance);
     }
 
@@ -261,7 +310,7 @@ mod tests {
     fn iteration_cap_is_enforced() {
         let a = laplacian_plus_shift(64, Complex64::new(0.0, 0.01));
         let b = vec![Complex64::ONE; 64];
-        let res = bicgstab(
+        let res = solve(
             &a,
             &b,
             IterativeOptions {

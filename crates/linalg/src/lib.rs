@@ -1,11 +1,11 @@
 //! # maps-linalg
 //!
 //! Dependency-free numerical kernels underpinning the MAPS photonic
-//! simulation stack: complex arithmetic, dense/banded/sparse matrices, the
+//! simulation stack: complex arithmetic, dense and banded matrices, the
 //! pivot-free banded `L·Δ·Lᵀ` of a complex symmetric band (the direct
 //! solver behind every FDFD solve: `maps-fdfd` symmetrizes its operator),
-//! a pivoted banded LU for general bands, BiCGSTAB, and a symmetric
-//! eigensolver.
+//! a pivoted banded LU for general bands, a matrix-free BiCGSTAB, and a
+//! symmetric eigensolver.
 //!
 //! ```
 //! use maps_linalg::{Complex64, SymBandedMatrix};
@@ -39,7 +39,6 @@ pub mod dense;
 pub mod eigen;
 pub mod iterative;
 pub mod ldlt;
-pub mod sparse;
 
 pub use banded::{BandedLu, BandedMatrix};
 pub use complex::Complex64;
@@ -49,7 +48,6 @@ pub use iterative::{bicgstab, IterativeOptions, IterativeStats};
 pub use ldlt::{
     solve_refined, BandedLdlt, Residual, Seam, SymBandedMatrix, REFINE_ABOVE, RHS_BLOCK,
 };
-pub use sparse::{CooMatrix, CsrMatrix};
 
 use std::fmt;
 

@@ -1,7 +1,7 @@
 //! Property-based tests of the numerical kernels.
 
 use maps_linalg::dense::znorm;
-use maps_linalg::{BandedMatrix, Complex64, CooMatrix, SymBandedMatrix};
+use maps_linalg::{BandedMatrix, Complex64, SymBandedMatrix};
 use proptest::prelude::*;
 
 fn complex_strategy() -> impl Strategy<Value = Complex64> {
@@ -125,41 +125,6 @@ proptest! {
                 prop_assert_eq!(p.im.to_bits(), q.im.to_bits());
             }
         }
-    }
-
-    /// CSR matvec is linear: A(αx + βy) = αAx + βAy.
-    #[test]
-    fn csr_matvec_linearity(
-        n in 2usize..16,
-        alpha in -3.0..3.0f64,
-        beta in -3.0..3.0f64,
-        seed in 0u64..500,
-    ) {
-        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
-        };
-        let mut coo = CooMatrix::new(n, n);
-        for i in 0..n {
-            for j in 0..n {
-                if (i + j) % 3 == 0 {
-                    coo.push(i, j, Complex64::new(next(), next()));
-                }
-            }
-        }
-        let a = coo.to_csr();
-        let x: Vec<Complex64> = (0..n).map(|_| Complex64::new(next(), next())).collect();
-        let y: Vec<Complex64> = (0..n).map(|_| Complex64::new(next(), next())).collect();
-        let combo: Vec<Complex64> = x.iter().zip(&y).map(|(a, b)| *a * alpha + *b * beta).collect();
-        let lhs = a.matvec(&combo);
-        let ax = a.matvec(&x);
-        let ay = a.matvec(&y);
-        let rhs: Vec<Complex64> = ax.iter().zip(&ay).map(|(p, q)| *p * alpha + *q * beta).collect();
-        let d: Vec<Complex64> = lhs.iter().zip(&rhs).map(|(p, q)| *p - *q).collect();
-        prop_assert!(znorm(&d) <= 1e-9 * (1.0 + znorm(&rhs)));
     }
 
     /// Complex field axioms: |z·w| = |z|·|w| and conj distributes.

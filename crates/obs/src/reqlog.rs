@@ -207,11 +207,6 @@ pub fn ring_dropped() -> u64 {
     RING_DROPPED.load(Ordering::Relaxed)
 }
 
-/// Events currently held in the ring.
-pub fn ring_len() -> usize {
-    RING.lock().expect("wide-event ring").len()
-}
-
 /// Clears the ring and the reconciliation counters (test isolation; the
 /// access-log sink is unaffected).
 #[doc(hidden)]
@@ -297,14 +292,6 @@ fn access_log() -> Option<&'static AccessLog> {
         start_writer(path)
     })
     .as_ref()
-}
-
-/// Routes the access log to `path` regardless of `MAPS_ACCESS_LOG` (first
-/// caller wins — the sink is process-wide; tests use this to avoid racing
-/// on the environment). Returns whether the sink is now active.
-#[doc(hidden)]
-pub fn access_log_to(path: &str) -> bool {
-    SINK.get_or_init(|| start_writer(path)).is_some()
 }
 
 /// Blocks until every submitted access-log line has been written (or

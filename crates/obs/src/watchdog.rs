@@ -71,7 +71,6 @@ struct OpenSpan {
 struct DeadlineTable {
     /// `(name prefix, deadline)`, matched longest-prefix-first.
     classes: Vec<(String, Deadline)>,
-    default: Option<Deadline>,
 }
 
 struct State {
@@ -140,15 +139,6 @@ pub fn set_deadline(prefix: &str, deadline: Deadline) {
     }
 }
 
-/// Overrides the fallback deadline for span names with no registered class.
-pub fn set_default_deadline(deadline: Deadline) {
-    state()
-        .deadlines
-        .lock()
-        .expect("watchdog deadlines")
-        .default = Some(deadline);
-}
-
 /// The deadline class of a span name (longest registered prefix, falling
 /// back to the default class).
 pub fn deadline_for(name: &str) -> Deadline {
@@ -159,7 +149,7 @@ pub fn deadline_for(name: &str) -> Deadline {
         .filter(|(p, _)| name.starts_with(p.as_str()))
         .max_by_key(|(p, _)| p.len())
         .map(|(_, d)| *d)
-        .unwrap_or_else(|| table.default.unwrap_or(Deadline::DEFAULT))
+        .unwrap_or(Deadline::DEFAULT)
 }
 
 /// Installs the built-in deadline classes for MAPS span names. Called by

@@ -7,7 +7,7 @@
 
 use maps::fdfd::{FdfdSolver, PmlConfig};
 use maps::invdes::{ExactAdjoint, InitStrategy, InverseDesigner, OptimConfig};
-use maps::linalg::{bicgstab, Complex64, CooMatrix, IterativeOptions};
+use maps::linalg::{bicgstab, Complex64, IterativeOptions, IterativeStats, SymBandedMatrix};
 use maps::obs::recorder;
 use serde::Value;
 use std::collections::HashMap;
@@ -88,6 +88,26 @@ fn invdes_series_have_one_row_per_iteration_and_are_byte_stable() {
     maps::obs::series_reset();
 }
 
+/// `tridiag(−1, diagonal, −1)`, complex symmetric.
+fn tridiagonal(n: usize, diagonal: Complex64) -> SymBandedMatrix {
+    let mut a = SymBandedMatrix::zeros(n, 1);
+    for i in 0..n {
+        a.set(i, i, diagonal);
+        if i > 0 {
+            a.set(i, i - 1, Complex64::from_re(-1.0));
+        }
+    }
+    a
+}
+
+/// A converged default-options BiCGSTAB solve of `a·x = b`.
+fn solve(a: &SymBandedMatrix, b: &[Complex64]) -> IterativeStats {
+    let diagonal: Vec<Complex64> = (0..a.dim()).map(|i| a.get(i, i)).collect();
+    let apply = |x: &[Complex64], y: &mut [Complex64]| y.copy_from_slice(&a.matvec(x));
+    let (_, stats) = bicgstab(apply, &diagonal, b, IterativeOptions::default()).unwrap();
+    stats
+}
+
 #[test]
 fn bicgstab_residual_trajectory_has_one_row_per_iteration() {
     let _guard = lock();
@@ -95,21 +115,11 @@ fn bicgstab_residual_trajectory_has_one_row_per_iteration() {
     recorder::enable();
 
     let n = 96;
-    let mut coo = CooMatrix::new(n, n);
-    for i in 0..n {
-        coo.push(i, i, Complex64::new(2.3, 0.4));
-        if i > 0 {
-            coo.push(i, i - 1, Complex64::from_re(-1.0));
-        }
-        if i + 1 < n {
-            coo.push(i, i + 1, Complex64::from_re(-1.0));
-        }
-    }
-    let a = coo.to_csr();
+    let a = tridiagonal(n, Complex64::new(2.3, 0.4));
     let b: Vec<Complex64> = (0..n)
         .map(|k| Complex64::new((k as f64 * 0.11).sin(), (k as f64 * 0.05).cos()))
         .collect();
-    let (_, stats) = bicgstab(&a, &b, IterativeOptions::default()).unwrap();
+    let stats = solve(&a, &b);
     recorder::disable();
 
     let points = maps::obs::series_get("bicgstab.residual")
@@ -133,24 +143,14 @@ fn bicgstab_solves_append_to_one_residual_series() {
     recorder::enable();
 
     let n = 64;
-    let mut coo = CooMatrix::new(n, n);
-    for i in 0..n {
-        coo.push(i, i, Complex64::new(2.5, 0.3));
-        if i > 0 {
-            coo.push(i, i - 1, Complex64::from_re(-1.0));
-        }
-        if i + 1 < n {
-            coo.push(i, i + 1, Complex64::from_re(-1.0));
-        }
-    }
-    let a = coo.to_csr();
+    let a = tridiagonal(n, Complex64::new(2.5, 0.3));
     let rhs = |phase: f64| -> Vec<Complex64> {
         (0..n)
             .map(|k| Complex64::new((k as f64 * 0.13 + phase).sin(), 0.2))
             .collect()
     };
-    let (_, first) = bicgstab(&a, &rhs(0.0), IterativeOptions::default()).unwrap();
-    let (_, second) = bicgstab(&a, &rhs(1.7), IterativeOptions::default()).unwrap();
+    let first = solve(&a, &rhs(0.0));
+    let second = solve(&a, &rhs(1.7));
     recorder::disable();
 
     let names: Vec<String> = maps::obs::all_series()

@@ -1,7 +1,9 @@
 //! The iterative backend answers adjoint solves with BiCGSTAB, as it does
-//! forward solves: `Aᵀ·y = c` runs as the forward system `A·z = D⁻¹·c` with
-//! `y = D·z`, so neither an iterative `FdfdSolver` nor a ladder that falls
-//! back to one runs the banded LU for an adjoint request.
+//! forward solves, on the symmetrized `S = D·A` the direct backend factors:
+//! `Aᵀ·y = c` runs as `S·z = c` with `y = D·z`, so its stopping residual is
+//! `‖Aᵀ·y − c‖/‖c‖` itself, and neither an iterative `FdfdSolver` nor a
+//! ladder that falls back to one runs the direct factorization for an
+//! adjoint request.
 //!
 //! Everything here is observed through return values (errors, residuals,
 //! fields), never through the global recorder, so the tests can run in
@@ -65,8 +67,8 @@ fn adjoint_residual(eps: &RealField2d, c: &ComplexField2d, omega: f64, y: &Compl
 }
 
 /// A tolerance BiCGSTAB cannot reach in 400 iterations fails the adjoint
-/// with the Krylov solver's own convergence record: the direct LU, which
-/// would answer `Ok`, never runs.
+/// with the Krylov solver's own convergence record: the direct solver,
+/// which would answer `Ok`, never runs.
 #[test]
 fn iterative_adjoint_reports_bicgstab_nonconvergence() {
     let (eps, c, omega) = guide();
@@ -82,8 +84,8 @@ fn iterative_adjoint_reports_bicgstab_nonconvergence() {
 }
 
 /// With a reachable tolerance the iterative adjoint solves `Aᵀ·y = c`, and
-/// it is its own answer, not the LU's: close to the direct adjoint, but not
-/// equal to it bit for bit.
+/// it is its own answer, not the direct solver's: close to the direct
+/// adjoint, but not equal to it bit for bit.
 #[test]
 fn iterative_adjoint_solves_the_transposed_system() {
     let (eps, c, omega) = guide();
@@ -101,9 +103,39 @@ fn iterative_adjoint_solves_the_transposed_system() {
     );
 }
 
+/// At `IterativeOptions::default()`, the options of mapsd's fallback rung,
+/// the adjoint meets the tolerance on `Aᵀ·y = c` and a forward point source
+/// on `A·x = b`, both checked with the assembled band of `A`.
+#[test]
+fn default_options_meet_the_tolerance_on_a() {
+    let (eps, c, omega) = guide();
+    let options = IterativeOptions::default();
+    let solver = iterative(options.tolerance, options.max_iterations);
+    let y = solver.solve_adjoint_ez(&eps, &c, omega).unwrap();
+    let residual = adjoint_residual(&eps, &c, omega, &y);
+    assert!(
+        residual <= options.tolerance,
+        "adjoint residual {residual:e}"
+    );
+    let mut j = ComplexField2d::zeros(eps.grid());
+    j.set(15, 24, Complex64::ONE);
+    let x = solver.solve_ez(&eps, &j, omega).unwrap();
+    let ax = FdfdSolver::with_pml(pml())
+        .operator(&eps, omega)
+        .to_banded()
+        .matvec(x.as_slice());
+    let b = FdfdSolver::rhs(&j, omega);
+    let r: Vec<Complex64> = ax.iter().zip(&b).map(|(p, q)| *p - *q).collect();
+    let residual = znorm(&r) / znorm(&b);
+    assert!(
+        residual <= options.tolerance,
+        "forward residual {residual:e}"
+    );
+}
+
 /// An adjoint request that exhausts an always-failing primary is answered
 /// by the iterative fallback, on the fallback rung, with exactly the
-/// fallback's own BiCGSTAB adjoint, not a re-run of the LU.
+/// fallback's own BiCGSTAB adjoint, not a re-run of the direct solver.
 #[test]
 fn ladder_falls_back_to_the_iterative_adjoint() {
     let (eps, c, omega) = guide();
