@@ -19,8 +19,9 @@
 //!   cache miss pays)
 //! - `solve_cold_ns` — full `solve_ez` with an empty cache (factorize + sweep)
 //! - `solve_cached_ns` — `solve_ez` answered from the cache (sweep only)
-//! - `invdes_iteration_ns` — one inverse-design iteration (forward + adjoint
-//!   sharing one factorization)
+//! - `invdes_iteration_ns` — one inverse-design iteration (the forward
+//!   source and the objective's monitor vector as one block on one
+//!   factorization)
 //! - `label_batch_per_sample_ns` — resilient batch labeling, per sample
 //!
 //! The harness additionally times K-excitation multi-RHS solves through
@@ -147,7 +148,7 @@ fn main() {
 
     // Inverse-design iterations: per-iteration wall time from the run
     // callback (each iteration is a distinct design, so each pays one
-    // factorization plus the adjoint reuse).
+    // factorization and one two-lane pass over it).
     let adjoint = ExactAdjoint::new(FdfdSolver::with_pml(PmlConfig::auto(dl)));
     device
         .problem

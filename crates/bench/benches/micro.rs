@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use maps_core::{ComplexField2d, FieldSolver, Grid2d, RealField2d};
 use maps_data::{DeviceKind, DeviceResolution};
 use maps_fdfd::{FdfdSolver, PmlConfig, SymmetricOperator};
-use maps_invdes::Patch;
+use maps_invdes::{ExactAdjoint, GradientSolver, Patch};
 use maps_linalg::{BandedMatrix, Complex64};
 use maps_nn::{Fno, FnoConfig, Model};
 use maps_tensor::spectral::spectral_conv_forward;
@@ -68,6 +68,23 @@ fn bench_neural_vs_fdfd(c: &mut Criterion) {
             let eps = problem.eps_for(&Patch::from_vec(dx, dy, density));
             bend.solve_ez(&eps, &source, problem.omega())
                 .expect("solve")
+        });
+    });
+    // The whole exact design step on the same fresh designs: the forward
+    // source and the objective's monitor vector as one block on one
+    // factorization, then the objective and the gradient.
+    let exact = ExactAdjoint::new(FdfdSolver::with_pml(bend_pml));
+    let (mode_source, objective) = (
+        problem.source().expect("bend source"),
+        problem.objective().expect("bend objective"),
+    );
+    group.bench_function("exact_adjoint_fresh_design", |b| {
+        b.iter(|| {
+            let density = (0..dx * dy).map(|_| rng.gen::<f64>()).collect();
+            let eps = problem.eps_for(&Patch::from_vec(dx, dy, density));
+            exact
+                .objective_and_gradient(&eps, &mode_source, problem.omega(), &objective)
+                .expect("design step")
         });
     });
     let mut params = Params::new();

@@ -14,8 +14,11 @@
 //! [`gradient_from_fields`]: [`crate::FdfdSolver`]'s `solve_adjoint_ez`,
 //! which answers `Aᵀ·e_adj = c` as `e_adj = D·S⁻¹·c` with the symmetrized
 //! `S = D·A` (`Aᵀ = S·D⁻¹`, see [`crate::operator::symmetrizer`]),
-//! reusing the forward factorization through the factor cache. It is the core of
-//! MAPS-InvDes (whose gradient backends compose the two solves) and the
+//! reusing the forward factorization through the factor cache. Since the
+//! right-hand side is linear in the fixed `w_m`, the adjoint field is also
+//! `Σ_m c_m·conj(a_m)·(Aᵀ)⁻¹·w_m`, so the `w_m` can be solved in one block
+//! with the forward source ([`PowerObjective::terms`]). It is the core of
+//! MAPS-InvDes (whose gradient backends compose the solves) and the
 //! "adjoint gradient" rich label of MAPS-Data.
 
 use crate::monitor::LinearFunctional;
@@ -50,6 +53,11 @@ impl PowerObjective {
     /// Returns `true` when the objective has no terms.
     pub fn is_empty(&self) -> bool {
         self.terms.is_empty()
+    }
+
+    /// The terms `(w_m, c_m)`, in the order they were added.
+    pub fn terms(&self) -> &[(LinearFunctional, f64)] {
+        &self.terms
     }
 
     /// Evaluates `F(e)`.

@@ -1,19 +1,32 @@
 //! Gradient backends: how `dF/dε` is obtained.
 //!
-//! Every backend runs one composition: a forward solve, the objective and
-//! its adjoint right-hand side, an adjoint solve, and `dF/dε` from the two
-//! fields, with both fields checked finite. The exact path runs it over an
-//! [`FdfdSolver`], whose solves factorize through the process-wide
-//! `maps_fdfd::factor_cache`, so the forward solve and the adjoint solve
-//! (a solve against the same symmetrized operator, scaled by its
-//! diagonal `D`, since `Aᵀ = D·A·D⁻¹`) share one factorization, and
-//! re-evaluations of the same design skip the factorization entirely. The
-//! generic path runs it over *any*
-//! [`FieldSolver`] — including a trained neural operator, with the
-//! reciprocity-based default adjoint, which is how the paper drives inverse
-//! design from NN-predicted forward and adjoint fields (§IV-D, Fig. 6).
+//! The objective `F = Σ_m c_m·|a_m|²` of linear functionals `a_m = w_mᵀ·e`
+//! has the adjoint right-hand side `Σ_m c_m·conj(a_m)·w_m` over fixed
+//! monitor vectors `w_m`, so a linear solver's adjoint field is the same
+//! superposition of the solves of the `w_m`, none of which needs the
+//! forward field. The backends use that in two compositions:
+//!
+//! - [`ExactAdjoint`] solves the forward source and every `w_m` as one
+//!   block of `1 + terms` right-hand sides through
+//!   [`FdfdSolver`]'s `solve_ez_batch`: one factor-cache lookup (one
+//!   factorization on a miss, in the process-wide `maps_fdfd::factor_cache`)
+//!   and one pass over the factor answer the design step. It takes `F`
+//!   from [`PowerObjective::eval`] and forms the adjoint field
+//!   `Σ_m c_m·conj(a_m)·y_m` in term order. Its forward field is
+//!   `solve_ez`'s bit for bit; its adjoint field differs from a solve of
+//!   the summed right-hand side by rounding only.
+//! - [`FieldGradient`] runs the sequential composition over *any*
+//!   [`FieldSolver`]: a forward solve, the objective and its adjoint
+//!   right-hand side, then an adjoint solve of that sum. A learned solver is
+//!   not linear in its source, so its adjoint must see the sum. This is how
+//!   the paper drives inverse design from a trained neural operator's
+//!   forward and adjoint fields, the adjoint by the trait's reciprocity
+//!   default (§IV-D, Fig. 6).
+//!
+//! Both check both fields finite and assemble `dF/dε` with
+//! [`gradient_from_fields`].
 
-use maps_core::{ComplexField2d, FieldSolver, RealField2d, SolveFieldError, SolveRequest};
+use maps_core::{ComplexField2d, FieldSolver, Grid2d, RealField2d, SolveFieldError, SolveRequest};
 use maps_fdfd::{gradient_from_fields, FdfdSolver, PowerObjective};
 
 /// One excitation of a batched gradient evaluation: a source, its angular
@@ -48,11 +61,12 @@ pub trait GradientSolver {
     /// returning one result per request in input order.
     ///
     /// The default implementation calls
-    /// [`GradientSolver::objective_and_gradient`] sequentially. Backends
-    /// built on a [`FieldSolver`] override this to issue all forward solves
-    /// as one `solve_ez_batch` and all adjoint solves as a second batch, so
-    /// a K-excitation design iteration factorizes once per distinct ω
-    /// instead of once per solve.
+    /// [`GradientSolver::objective_and_gradient`] sequentially. Both
+    /// backends override it so a K-excitation design iteration factorizes
+    /// once per distinct ω instead of once per solve: [`ExactAdjoint`]
+    /// sends every excitation's forward source and monitor vectors as one
+    /// `solve_ez_batch`, [`FieldGradient`] all forward solves as one batch
+    /// and all adjoint solves as a second.
     fn objective_and_gradient_batch(
         &self,
         eps_r: &RealField2d,
@@ -68,26 +82,31 @@ pub trait GradientSolver {
     fn name(&self) -> &str;
 }
 
-/// The scalar gradient composition every backend shares: forward solve,
-/// finite check, objective and adjoint right-hand side, adjoint solve,
-/// finite check, gradient. Over an [`FdfdSolver`] the forward and adjoint
-/// solves share one factorization through the factor cache.
-fn gradient_via_field_solver(
+/// A solver's answer, checked finite at the gradient boundary.
+///
+/// Defense in depth: the objective and the adjoint right-hand side only
+/// sample the field at the port monitors, so a solver returning Ok with
+/// poisoned values elsewhere would otherwise corrupt the gradient silently.
+fn finite(
+    field: Result<ComplexField2d, SolveFieldError>,
+    solver: &str,
+) -> Result<ComplexField2d, SolveFieldError> {
+    field.and_then(|f| maps_core::ensure_finite(&f, solver).map(|()| f))
+}
+
+/// [`FieldGradient`]'s composition: forward solve, finite check, objective
+/// and adjoint right-hand side, adjoint solve, finite check, gradient.
+fn sequential_gradient(
     solver: &dyn FieldSolver,
     eps_r: &RealField2d,
     source: &ComplexField2d,
     omega: f64,
     objective: &PowerObjective,
 ) -> Result<GradientEvaluation, SolveFieldError> {
-    let forward = solver.solve_ez(eps_r, source, omega)?;
-    // Defense in depth: the objective and rhs only sample the field at
-    // the port monitors, so a solver returning Ok with poisoned values
-    // elsewhere would otherwise corrupt the gradient silently.
-    maps_core::ensure_finite(&forward, solver.name())?;
+    let forward = finite(solver.solve_ez(eps_r, source, omega), solver.name())?;
     let objective_value = objective.eval(&forward);
     let rhs = ComplexField2d::from_vec(eps_r.grid(), objective.adjoint_rhs(&forward));
-    let adjoint = solver.solve_adjoint_ez(eps_r, &rhs, omega)?;
-    maps_core::ensure_finite(&adjoint, solver.name())?;
+    let adjoint = finite(solver.solve_adjoint_ez(eps_r, &rhs, omega), solver.name())?;
     let grad_eps = gradient_from_fields(&forward, &adjoint, omega);
     Ok(GradientEvaluation {
         objective: objective_value,
@@ -97,11 +116,11 @@ fn gradient_via_field_solver(
     })
 }
 
-/// The shared two-phase batch: all forward solves in one
+/// [`FieldGradient`]'s two-phase batch: all forward solves in one
 /// [`FieldSolver::solve_ez_batch`], objective evaluation and adjoint RHS
 /// assembly in between, then all adjoint solves in a second batch. A failed
 /// forward drops only its own request from the adjoint phase.
-fn batch_via_field_solver(
+fn sequential_batch(
     solver: &dyn FieldSolver,
     eps_r: &RealField2d,
     requests: &[GradientRequest<'_>],
@@ -118,11 +137,7 @@ fn batch_via_field_solver(
     let mut survivors: Vec<(usize, ComplexField2d, f64)> = Vec::new();
     let mut adjoint_rhs: Vec<ComplexField2d> = Vec::new();
     for (i, result) in forwards.into_iter().enumerate() {
-        // Defense in depth: the objective and rhs only sample the field at
-        // the port monitors, so a solver returning Ok with poisoned values
-        // elsewhere would otherwise corrupt the gradient silently.
-        let checked = result.and_then(|f| maps_core::ensure_finite(&f, solver.name()).map(|()| f));
-        match checked {
+        match finite(result, solver.name()) {
             Ok(forward) => {
                 let objective_value = requests[i].objective.eval(&forward);
                 adjoint_rhs.push(ComplexField2d::from_vec(
@@ -141,23 +156,70 @@ fn batch_via_field_solver(
         .collect();
     let adjoints = solver.solve_ez_batch(eps_r, &adjoint_reqs);
     for ((i, forward, objective_value), result) in survivors.into_iter().zip(adjoints) {
-        let evaluated = result
-            .and_then(|a| maps_core::ensure_finite(&a, solver.name()).map(|()| a))
-            .map(|adjoint| {
-                let grad_eps = gradient_from_fields(&forward, &adjoint, requests[i].omega);
-                GradientEvaluation {
-                    objective: objective_value,
-                    grad_eps,
-                    forward,
-                    adjoint,
-                }
-            });
+        let evaluated = finite(result, solver.name()).map(|adjoint| {
+            let grad_eps = gradient_from_fields(&forward, &adjoint, requests[i].omega);
+            GradientEvaluation {
+                objective: objective_value,
+                grad_eps,
+                forward,
+                adjoint,
+            }
+        });
         slots[i] = Some(evaluated);
     }
     slots
         .into_iter()
         .map(|s| s.expect("every gradient request must be answered"))
         .collect()
+}
+
+/// The objective's monitor vectors `w_m`, dense on the grid, in term order.
+/// A cell listed twice in one functional gets the sum of its weights, as
+/// in [`PowerObjective::adjoint_rhs`].
+fn monitor_vectors(grid: Grid2d, objective: &PowerObjective) -> Vec<ComplexField2d> {
+    objective
+        .terms()
+        .iter()
+        .map(|(w, _)| {
+            let mut field = ComplexField2d::zeros(grid);
+            let data = field.as_mut_slice();
+            for &(k, wk) in &w.weights {
+                data[k] += wk;
+            }
+            field
+        })
+        .collect()
+}
+
+/// [`ExactAdjoint`]'s composition from one excitation's solved block: the
+/// forward field `e` and the adjoint solutions `y_m` of the monitor
+/// vectors, in term order. `F` is [`PowerObjective::eval`]; the adjoint
+/// field is `Σ c_m·conj(a_m)·y_m` with `a_m = w_mᵀ·e`.
+fn superposed_gradient(
+    solver: &str,
+    forward: Result<ComplexField2d, SolveFieldError>,
+    basis: Vec<Result<ComplexField2d, SolveFieldError>>,
+    objective: &PowerObjective,
+    omega: f64,
+) -> Result<GradientEvaluation, SolveFieldError> {
+    let forward = finite(forward, solver)?;
+    let objective_value = objective.eval(&forward);
+    let mut adjoint = ComplexField2d::zeros(forward.grid());
+    for ((w, c), y) in objective.terms().iter().zip(basis) {
+        let y = finite(y, solver)?;
+        let weight = w.eval(&forward).conj() * *c;
+        for (z, y) in adjoint.as_mut_slice().iter_mut().zip(y.as_slice()) {
+            *z += weight * *y;
+        }
+    }
+    maps_core::ensure_finite(&adjoint, solver)?;
+    let grad_eps = gradient_from_fields(&forward, &adjoint, omega);
+    Ok(GradientEvaluation {
+        objective: objective_value,
+        grad_eps,
+        forward,
+        adjoint,
+    })
 }
 
 /// The output of one gradient evaluation.
@@ -173,8 +235,15 @@ pub struct GradientEvaluation {
     pub adjoint: ComplexField2d,
 }
 
-/// Exact adjoint via the FDFD direct solver (one factorization, two
-/// substitutions).
+/// Exact adjoint via the FDFD solver: each excitation is one block of
+/// `1 + terms` right-hand sides, its forward source and its objective's
+/// monitor vectors, so one factorization and one pass over the factor
+/// answer a design step (see the [module docs](self)).
+///
+/// The block composition assumes the direct backend. On
+/// `Backend::Iterative` a batch is one Krylov solve per request, so each
+/// monitor vector costs its own solve: `1 + terms` per step where the
+/// sequential composition ([`FieldGradient`]) runs two.
 #[derive(Debug, Clone)]
 pub struct ExactAdjoint {
     solver: FdfdSolver,
@@ -206,15 +275,45 @@ impl GradientSolver for ExactAdjoint {
         omega: f64,
         objective: &PowerObjective,
     ) -> Result<GradientEvaluation, SolveFieldError> {
-        gradient_via_field_solver(&self.solver, eps_r, source, omega, objective)
+        let request = GradientRequest {
+            source,
+            omega,
+            objective,
+        };
+        self.objective_and_gradient_batch(eps_r, &[request])
+            .pop()
+            .expect("one answer per request")
     }
 
+    /// Every excitation's block goes down one `solve_ez_batch`, which
+    /// buckets by ω: one block of forward sources and monitor vectors per
+    /// distinct frequency.
     fn objective_and_gradient_batch(
         &self,
         eps_r: &RealField2d,
         requests: &[GradientRequest<'_>],
     ) -> Vec<Result<GradientEvaluation, SolveFieldError>> {
-        batch_via_field_solver(&self.solver, eps_r, requests)
+        let monitors: Vec<Vec<ComplexField2d>> = requests
+            .iter()
+            .map(|r| monitor_vectors(eps_r.grid(), r.objective))
+            .collect();
+        let solves: Vec<SolveRequest<'_>> = requests
+            .iter()
+            .zip(&monitors)
+            .flat_map(|(r, ws)| {
+                std::iter::once(SolveRequest::forward(r.source, r.omega))
+                    .chain(ws.iter().map(|w| SolveRequest::adjoint(w, r.omega)))
+            })
+            .collect();
+        let mut fields = self.solver.solve_ez_batch(eps_r, &solves).into_iter();
+        requests
+            .iter()
+            .map(|r| {
+                let forward = fields.next().expect("a forward answer per request");
+                let basis = fields.by_ref().take(r.objective.len()).collect();
+                superposed_gradient(self.name(), forward, basis, r.objective, r.omega)
+            })
+            .collect()
     }
 
     fn name(&self) -> &str {
@@ -223,8 +322,9 @@ impl GradientSolver for ExactAdjoint {
 }
 
 /// Gradient through any [`FieldSolver`]: a forward solve plus an adjoint
-/// solve (exact when the solver provides it, as [`FdfdSolver`] does; the
-/// trait's reciprocity default otherwise — e.g. for neural surrogates).
+/// solve of the summed right-hand side (exact when the solver provides it,
+/// as [`FdfdSolver`] does; the trait's reciprocity default otherwise — e.g.
+/// for neural surrogates).
 pub struct FieldGradient<'a> {
     solver: &'a dyn FieldSolver,
 }
@@ -250,7 +350,7 @@ impl GradientSolver for FieldGradient<'_> {
         omega: f64,
         objective: &PowerObjective,
     ) -> Result<GradientEvaluation, SolveFieldError> {
-        gradient_via_field_solver(self.solver, eps_r, source, omega, objective)
+        sequential_gradient(self.solver, eps_r, source, omega, objective)
     }
 
     fn objective_and_gradient_batch(
@@ -258,7 +358,7 @@ impl GradientSolver for FieldGradient<'_> {
         eps_r: &RealField2d,
         requests: &[GradientRequest<'_>],
     ) -> Vec<Result<GradientEvaluation, SolveFieldError>> {
-        batch_via_field_solver(self.solver, eps_r, requests)
+        sequential_batch(self.solver, eps_r, requests)
     }
 
     fn name(&self) -> &str {
@@ -292,6 +392,50 @@ mod tests {
             .current_density(grid);
         let monitor = ModeMonitor::new(&eps, &port(grid.width() - 1.2), omega).unwrap();
         (eps, j, omega, monitor.outgoing_functional())
+    }
+
+    /// Objectives of one, two and three terms over fixed functionals of
+    /// [`waveguide`]'s field: the mode leaving on the right, minus half the
+    /// mode entering from the right, plus a quarter of the forward mode at
+    /// the guide's middle.
+    fn objectives(eps: &RealField2d, omega: f64) -> Vec<PowerObjective> {
+        let grid = eps.grid();
+        let yc = grid.height() / 2.0;
+        let monitor = |x: f64| {
+            let port = Port::new((x, yc), 0.48, Axis::X, Direction::Positive);
+            ModeMonitor::new(eps, &port, omega).unwrap()
+        };
+        let (right, middle) = (monitor(grid.width() - 1.2), monitor(grid.width() / 2.0));
+        let terms = [
+            (right.outgoing_functional(), 1.0),
+            (right.incoming_functional(), -0.5),
+            (middle.outgoing_functional(), 0.25),
+        ];
+        (1..=terms.len())
+            .map(|m| {
+                terms[..m].iter().fold(PowerObjective::new(), |o, (w, c)| {
+                    o.with_term(w.clone(), *c)
+                })
+            })
+            .collect()
+    }
+
+    /// `‖a − b‖/‖b‖` over two equally long sequences of reals.
+    fn relative_difference(
+        a: impl IntoIterator<Item = f64>,
+        b: impl IntoIterator<Item = f64>,
+    ) -> f64 {
+        let (mut num, mut den) = (0.0, 0.0);
+        for (x, y) in a.into_iter().zip(b) {
+            num += (x - y) * (x - y);
+            den += y * y;
+        }
+        (num / den).sqrt()
+    }
+
+    /// A complex field's values as reals, `re` before `im`.
+    fn parts(f: &ComplexField2d) -> impl Iterator<Item = f64> + '_ {
+        f.as_slice().iter().flat_map(|z| [z.re, z.im])
     }
 
     fn assert_fields_bitwise(a: &ComplexField2d, b: &ComplexField2d, what: &str) {
@@ -343,47 +487,85 @@ mod tests {
         }
     }
 
-    /// The exact adjoint and the trait-based gradient over the same
-    /// `FdfdSolver` run one composition, so they agree bit for bit.
+    /// The exact step's forward field and objective are `solve_ez`'s and
+    /// `PowerObjective::eval`'s, bit for bit, whatever the block's width
+    /// (K = 2, 3 and 4 here). Its adjoint superposes the solves of the
+    /// monitor vectors where the trait-based gradient over the same
+    /// `FdfdSolver` solves their weighted sum, so the adjoint fields and
+    /// gradients agree to rounding.
     #[test]
     fn exact_and_trait_gradients_agree() {
-        let (eps, j, omega, w) = waveguide(56, 40);
-        let obj = PowerObjective::new().with_term(w, 1.0);
+        let (eps, j, omega, _) = waveguide(56, 40);
         let exact = ExactAdjoint::default();
-        let e1 = exact.objective_and_gradient(&eps, &j, omega, &obj).unwrap();
         let fdfd = FdfdSolver::new();
-        let e2 = FieldGradient::new(&fdfd)
-            .objective_and_gradient(&eps, &j, omega, &obj)
-            .unwrap();
-        assert_gradients_bitwise(&e1, &e2);
+        let sequential = FieldGradient::new(&fdfd);
+        let forward = fdfd.solve_ez(&eps, &j, omega).unwrap();
+        for obj in objectives(&eps, omega) {
+            let e1 = exact.objective_and_gradient(&eps, &j, omega, &obj).unwrap();
+            let e2 = sequential
+                .objective_and_gradient(&eps, &j, omega, &obj)
+                .unwrap();
+            let terms = format!("{} terms", obj.len());
+            assert_fields_bitwise(&e1.forward, &forward, &terms);
+            assert_eq!(
+                e1.objective.to_bits(),
+                obj.eval(&forward).to_bits(),
+                "{terms}"
+            );
+            let adjoint = relative_difference(parts(&e1.adjoint), parts(&e2.adjoint));
+            let grad = relative_difference(
+                e1.grad_eps.as_slice().iter().copied(),
+                e2.grad_eps.as_slice().iter().copied(),
+            );
+            assert!(
+                adjoint <= 1e-12 && grad <= 1e-12,
+                "{terms}: adjoint {adjoint:e}, grad_eps {grad:e}"
+            );
+        }
     }
 
     /// `ExactAdjoint` is pinned to a plain, uncached reference: factorize
-    /// the symmetrized operator `S = D·A`, solve `S·x = D·b` for the
-    /// forward field, solve `S·z = c` and scale `z` by `D` for the adjoint
-    /// (`Aᵀ = S·D⁻¹`), and assemble the gradient from the two fields.
+    /// the symmetrized operator `S = D·A`, solve `[D·b, w_1, w_2]` in one
+    /// `SymmetricFactor::solve` (the forward field `S·x = D·b`, and
+    /// `S·z_m = w_m` with `y_m = D·z_m`, since `Aᵀ = S·D⁻¹`), form the
+    /// adjoint field `Σ c_m·conj(a_m)·y_m` in term order, and assemble the
+    /// gradient from the two fields.
     #[test]
     fn exact_adjoint_matches_uncached_reference_bitwise() {
-        let (eps, j, omega, w) = waveguide(48, 36);
-        let obj = PowerObjective::new().with_term(w, 1.0);
+        let (eps, j, omega, _) = waveguide(48, 36);
+        let obj = objectives(&eps, omega).swap_remove(1);
+        assert_eq!(obj.len(), 2);
         let exact = ExactAdjoint::default();
         let got = exact.objective_and_gradient(&eps, &j, omega, &obj).unwrap();
 
+        let n = eps.grid().len();
         let pml = exact.solver().pml();
         let factor = maps_fdfd::SymmetricOperator::new(&eps, omega, pml)
             .factorize()
             .unwrap();
         let d = maps_fdfd::operator::symmetrizer(eps.grid(), omega, pml);
-        let mut b: Vec<Complex64> = FdfdSolver::rhs(&j, omega)
+        let b = FdfdSolver::rhs(&j, omega)
             .iter()
             .zip(&d)
             .map(|(b, d)| *b * *d)
             .collect();
-        factor.solve(std::slice::from_mut(&mut b));
-        let forward = ComplexField2d::from_vec(eps.grid(), b);
-        let mut z = obj.adjoint_rhs(&forward).as_slice().to_vec();
-        factor.solve(std::slice::from_mut(&mut z));
-        let y = z.iter().zip(&d).map(|(z, d)| *z * *d).collect();
+        let mut xs = vec![b];
+        for (w, _) in obj.terms() {
+            let mut x = vec![Complex64::ZERO; n];
+            for &(k, wk) in &w.weights {
+                x[k] += wk;
+            }
+            xs.push(x);
+        }
+        factor.solve(&mut xs);
+        let forward = ComplexField2d::from_vec(eps.grid(), xs.remove(0));
+        let mut y = vec![Complex64::ZERO; n];
+        for ((w, c), z) in obj.terms().iter().zip(&xs) {
+            let weight = w.eval(&forward).conj() * *c;
+            for ((y, z), d) in y.iter_mut().zip(z).zip(&d) {
+                *y += weight * (*z * *d);
+            }
+        }
         let adjoint = ComplexField2d::from_vec(eps.grid(), y);
         let reference = GradientEvaluation {
             objective: obj.eval(&forward),
@@ -392,6 +574,63 @@ mod tests {
             adjoint,
         };
         assert_gradients_bitwise(&got, &reference);
+    }
+
+    /// `ExactAdjoint`'s batch gives each excitation the bits of its scalar
+    /// call: two excitations at two frequencies, a one-term and a
+    /// three-term objective, go down one `solve_ez_batch` as one block per
+    /// ω.
+    #[test]
+    fn exact_batch_matches_scalar_bitwise() {
+        let (eps, j, omega, _) = waveguide(56, 40);
+        let objectives = objectives(&eps, omega);
+        let exact = ExactAdjoint::default();
+        let requests = [
+            GradientRequest {
+                source: &j,
+                omega,
+                objective: &objectives[0],
+            },
+            GradientRequest {
+                source: &j,
+                omega: omega * 1.03,
+                objective: &objectives[2],
+            },
+        ];
+        let batch = exact.objective_and_gradient_batch(&eps, &requests);
+        assert_eq!(batch.len(), 2);
+        for (b, r) in batch.iter().zip(&requests) {
+            let s = exact
+                .objective_and_gradient(&eps, r.source, r.omega, r.objective)
+                .unwrap();
+            assert_gradients_bitwise(b.as_ref().unwrap(), &s);
+        }
+    }
+
+    /// An excitation whose solves fail fails only its own slot of the
+    /// exact batch.
+    #[test]
+    fn exact_batch_fails_only_the_bad_excitation() {
+        let (eps, j, omega, w) = waveguide(48, 36);
+        let obj = PowerObjective::new().with_term(w, 1.0);
+        let requests = [
+            GradientRequest {
+                source: &j,
+                omega,
+                objective: &obj,
+            },
+            GradientRequest {
+                source: &j,
+                omega: -omega,
+                objective: &obj,
+            },
+        ];
+        let batch = ExactAdjoint::default().objective_and_gradient_batch(&eps, &requests);
+        assert!(batch[0].is_ok());
+        assert!(matches!(
+            batch[1],
+            Err(SolveFieldError::InvalidInput { .. })
+        ));
     }
 
     /// A NaN in the source poisons the fields; the exact path rejects it

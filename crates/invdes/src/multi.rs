@@ -106,9 +106,11 @@ impl MultiExcitationDesigner {
         let mut inter = chain.forward_all(theta);
         let density = inter.last().expect("chain output");
         let eps = problem.eps_for(density);
-        // All excitations go down as one batch: a backend on the FDFD batch
-        // plane issues every forward solve together and every adjoint solve
-        // together, factorizing once per distinct ω for the whole iteration.
+        // All excitations go down as one batch, factorizing once per
+        // distinct ω for the whole iteration: `ExactAdjoint` solves every
+        // excitation's forward source and monitor vectors in one FDFD batch
+        // (one block per ω), `FieldGradient` every forward solve in one
+        // batch and every adjoint solve in a second.
         let requests: Vec<GradientRequest<'_>> = excitations
             .iter()
             .map(|exc| GradientRequest {

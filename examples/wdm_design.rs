@@ -4,10 +4,10 @@
 //! multiplexing devices (WDM/MDM) require.
 //!
 //! Both excitations go down the batched solve plane: every iteration issues
-//! one forward batch and one adjoint batch, paying one factorization per
-//! wavelength (amortized to zero by the factor cache once the design
-//! stabilizes between reparametrization updates). The exit report prints
-//! the factor-cache and batch counters that prove it.
+//! one batch, each wavelength's forward source and its objective's two
+//! monitor vectors as one block, paying one factorization and one pass over
+//! the factor per wavelength. The exit report prints the factor-cache and
+//! batch counters that prove it.
 //!
 //! ```text
 //! cargo run --release --example wdm_design

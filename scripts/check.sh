@@ -52,6 +52,25 @@ builds = [e for e in events if e.get("name") == "fdfd.factorize"]
 resumed = [e for e in builds if int(e["args"]["reused"]) > 0]
 assert resumed, f"no fdfd.factorize of {len(builds)} reused a cached exterior"
 print(f"trace: {len(resumed)} of {len(builds)} factorizations resumed from a cached exterior")
+
+# A design step solves each wavelength's forward source and its objective's
+# two monitor vectors as one block: every backsub under a gradient batch
+# carries three right-hand sides, and no adjoint is solved on its own.
+spans = {e["args"]["span_id"]: e for e in events
+         if e.get("ph") == "X" and "span_id" in e.get("args", {})}
+
+def in_gradient_batch(e):
+    while e is not None:
+        if e["name"] == "invdes.gradient_batch":
+            return True
+        e = spans.get(e["args"]["parent"])
+    return False
+
+steps = [e for e in spans.values() if e["name"] == "fdfd.backsub" and in_gradient_batch(e)]
+assert steps, "no fdfd.backsub under an invdes.gradient_batch span"
+widths = sorted({e["args"]["rhs"] for e in steps})
+assert widths == ["3"], f"design-step backsubs carry rhs {widths}, not 3 (forward + 2 monitor vectors)"
+print(f"trace: {len(steps)} design-step backsubs, each of 3 right-hand sides")
 PY
 
 echo "==> telemetry smoke (/metrics + /healthz on an ephemeral port)"

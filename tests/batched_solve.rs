@@ -142,8 +142,8 @@ fn wdm_excitations(
 }
 
 /// Acceptance: a two-excitation WDM design iteration factorizes exactly
-/// once per distinct frequency — the forward batch pays one LU per ω and
-/// the adjoint batch reuses both through the factor cache.
+/// once per distinct frequency — its one batch pays one factorization per
+/// ω, and the second iteration reuses both through the factor cache.
 #[test]
 fn wdm_iteration_factorizes_exactly_once_per_frequency() {
     let _guard = exclusive_cache();
@@ -190,22 +190,23 @@ fn wdm_iteration_factorizes_exactly_once_per_frequency() {
     assert_eq!(
         factorizations, 2,
         "one factorization per distinct omega across both iterations \
-         (adjoints and the second iteration hit the cache)"
+         (the second iteration hits the cache)"
     );
 
-    // Each iteration issues one forward batch and one adjoint batch, each
-    // carrying both excitations grouped into two single-member ω buckets.
+    // Each iteration issues one batch carrying both excitations, each as
+    // its forward source and its objective's two monitor vectors, grouped
+    // into one ω bucket per excitation.
     let batches: Vec<_> = spans
         .iter()
         .filter(|s| s.name == "fdfd.solve_batch")
         .collect();
-    assert_eq!(
-        batches.len(),
-        4,
-        "2 iterations x (forward + adjoint) batches"
-    );
+    assert_eq!(batches.len(), 2, "one batch per iteration");
     for s in &batches {
-        assert_eq!(s.field("requests"), Some("2"), "both excitations per batch");
+        assert_eq!(
+            s.field("requests"),
+            Some("6"),
+            "2 excitations x (forward + 2 monitor vectors) per batch"
+        );
         assert_eq!(s.field("groups"), Some("2"), "two distinct frequencies");
     }
 }

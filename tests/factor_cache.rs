@@ -279,6 +279,49 @@ fn invdes_factorizes_exactly_once_per_design_iteration() {
     );
 }
 
+/// A traced bend iteration streams its factor once: the forward source and
+/// the objective's one monitor vector go down as one block of two
+/// right-hand sides, and no separate adjoint solve runs.
+#[test]
+fn bend_iteration_solves_forward_and_monitor_vector_as_one_block() {
+    let _guard = exclusive_cache();
+    let mut device = DeviceKind::Bending.build(DeviceResolution::low());
+    let solver = ExactAdjoint::new(FdfdSolver::with_pml(PmlConfig::auto(device.grid().dl)));
+    device
+        .problem
+        .calibrate(solver.solver())
+        .expect("calibrate");
+    assert_eq!(device.problem.objective().expect("objective").len(), 1);
+    let designer = InverseDesigner::new(OptimConfig {
+        iterations: 1,
+        init: InitStrategy::Uniform(0.5),
+        ..OptimConfig::default()
+    });
+
+    factor_cache::global().clear();
+    maps::obs::recorder::enable();
+    designer
+        .run(&device.problem, &solver)
+        .expect("one iteration");
+    let spans = maps::obs::recorder::take();
+    maps::obs::recorder::disable();
+
+    let named = |name: &str| spans.iter().filter(|s| s.name == name).count();
+    let backsubs: Vec<_> = spans.iter().filter(|s| s.name == "fdfd.backsub").collect();
+    assert_eq!(backsubs.len(), 1, "one pass over the factor per iteration");
+    assert_eq!(
+        backsubs[0].field("rhs"),
+        Some("2"),
+        "the forward source and one monitor vector"
+    );
+    assert_eq!(
+        named("fdfd.solve_adjoint_ez"),
+        0,
+        "no separate adjoint solve"
+    );
+    assert_eq!(named("fdfd.factorize"), 1);
+}
+
 /// A retry of a singular operator reuses the cached failure: through a
 /// default `RobustSolver` the design factorizes once, not once per attempt,
 /// with the same retries and the same final error. Factorizations are
