@@ -115,10 +115,11 @@ fn main() {
     let mut multi_rhs = Vec::new();
     for &k in ks {
         // Larger K means longer (and therefore steadier) reps; spend the
-        // budget where a single rep is noisy.
-        let reps = if smoke {
-            7
-        } else if k <= 8 {
+        // budget where a single rep is noisy. Smoke mode takes the same
+        // reps: its K=2 ratio is held to the full-mode `BENCH_pr4.json`
+        // figure, and a 40×40 rep is short enough that 25 cost under a
+        // second.
+        let reps = if k <= 8 {
             25
         } else if k <= 32 {
             11

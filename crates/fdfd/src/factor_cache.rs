@@ -77,19 +77,22 @@ pub const DEFAULT_CAPACITY: usize = 4;
 
 /// A cheap identity of one assembled Helmholtz operator.
 ///
-/// Two FNV-1a passes with independent offset bases over the raw bit
-/// patterns of every input that reaches the operator assembly: permittivity
-/// cells, `omega`, grid dims and spacing, and the PML configuration. With
-/// 128 independent hash bits, an accidental collision between two *distinct*
-/// operators in a cache of single-digit capacity is vanishingly unlikely
-/// (birthday bound ≪ 1e-30), and any intentional inputs that differ in even
-/// one bit fingerprint differently — which is exactly the invalidation rule
-/// bit-identical reuse needs.
+/// Two independent 64-bit lanes over the raw bit patterns of every input
+/// that reaches the operator assembly: permittivity cells, `omega`, grid
+/// dims and spacing, and the PML configuration. Each lane folds in one
+/// 64-bit word per step (xor into the state, then a 64×64→128-bit multiply
+/// by the lane's odd constant folded by xor, a step in which every input
+/// bit reaches every output bit), so the state depends on the words' order
+/// and on every bit of each. With 128 hash bits, an accidental collision
+/// between two *distinct* operators in a cache of single-digit capacity is
+/// vanishingly unlikely (birthday bound ≪ 1e-30), and any intentional
+/// inputs that differ in even one bit fingerprint differently — which is
+/// exactly the invalidation rule bit-identical reuse needs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fingerprint {
     h: [u64; 2],
     cells: usize,
-    /// Pass A's digest of the inputs before the permittivity: the
+    /// Lane A's digest of the inputs before the permittivity: the
     /// (grid, ω, PML) a donor must share.
     shape: u64,
 }
@@ -102,35 +105,26 @@ impl Fingerprint {
     }
 }
 
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-const FNV_OFFSET_A: u64 = 0xCBF2_9CE4_8422_2325;
-// Second pass starts from an unrelated offset so the two 64-bit digests are
-// independent functions of the input stream.
-const FNV_OFFSET_B: u64 = 0x6C62_272E_07BB_0142;
+/// Each lane's seed and odd multiplier; the two lanes share neither, so
+/// their digests are independent functions of the input stream.
+const LANES: [(u64, u64); 2] = [
+    (0xCBF2_9CE4_8422_2325, 0xA076_1D64_78BD_642F),
+    (0x6C62_272E_07BB_0142, 0xE703_7ED1_A0B4_28DB),
+];
 
 #[derive(Clone, Copy)]
-struct Fnv2 {
-    a: u64,
-    b: u64,
-}
+struct Hasher2([u64; 2]);
 
-impl Fnv2 {
+impl Hasher2 {
     fn new() -> Self {
-        Fnv2 {
-            a: FNV_OFFSET_A,
-            b: FNV_OFFSET_B,
-        }
+        Hasher2(LANES.map(|(seed, _)| seed))
     }
 
     #[inline]
     fn write_u64(&mut self, v: u64) {
-        // Hash byte-wise: FNV-1a mixes per octet. Pass B sees each byte
-        // XOR-masked so the two digests are independent functions of the
-        // input stream, not a shared value from two offsets.
-        for shift in (0..64).step_by(8) {
-            let byte = (v >> shift) & 0xFF;
-            self.a = (self.a ^ byte).wrapping_mul(FNV_PRIME);
-            self.b = (self.b ^ (byte ^ 0xA5)).wrapping_mul(FNV_PRIME);
+        for (h, (_, k)) in self.0.iter_mut().zip(LANES) {
+            let p = u128::from(*h ^ v) * u128::from(k);
+            *h = (p as u64) ^ ((p >> 64) as u64);
         }
     }
 
@@ -143,7 +137,7 @@ impl Fnv2 {
 /// Computes the [`Fingerprint`] of the operator assembled from these inputs.
 pub fn fingerprint(eps_r: &RealField2d, omega: f64, pml: &PmlConfig) -> Fingerprint {
     let grid = eps_r.grid();
-    let mut h = Fnv2::new();
+    let mut h = Hasher2::new();
     h.write_u64(grid.nx as u64);
     h.write_u64(grid.ny as u64);
     h.write_f64(grid.dl);
@@ -151,12 +145,12 @@ pub fn fingerprint(eps_r: &RealField2d, omega: f64, pml: &PmlConfig) -> Fingerpr
     h.write_u64(pml.thickness as u64);
     h.write_f64(pml.order);
     h.write_f64(pml.target_reflection);
-    let shape = h.a;
+    let shape = h.0[0];
     for v in eps_r.as_slice() {
         h.write_f64(*v);
     }
     Fingerprint {
-        h: [h.a, h.b],
+        h: h.0,
         cells: grid.len(),
         shape,
     }
@@ -673,6 +667,38 @@ mod tests {
         // Transposed dims with identical cell count.
         let eps4 = RealField2d::constant(Grid2d::new(6, 8, 0.1), 2.0);
         assert_ne!(base, fingerprint(&eps4, 4.0, &pml));
+        // Sign-bit flips at one cell, at another, and at both.
+        let flipped = |cells: &[(usize, usize)]| {
+            let mut e = eps.clone();
+            for &(ix, iy) in cells {
+                e.set(ix, iy, -e.get(ix, iy));
+            }
+            fingerprint(&e, 4.0, &pml)
+        };
+        let flips = [
+            base,
+            flipped(&[(1, 2)]),
+            flipped(&[(5, 4)]),
+            flipped(&[(1, 2), (5, 4)]),
+        ];
+        for (i, a) in flips.iter().enumerate() {
+            for b in &flips[i + 1..] {
+                assert_ne!(a, b, "sign flips");
+            }
+        }
+        // Two cells' values swapped.
+        let mut eps5 = eps.clone();
+        eps5.set(2, 1, 3.0);
+        let mut eps6 = eps5.clone();
+        eps6.set(2, 1, 2.0);
+        eps6.set(6, 3, 3.0);
+        assert_ne!(fingerprint(&eps5, 4.0, &pml), fingerprint(&eps6, 4.0, &pml));
+        // +0.0 against −0.0 in one cell.
+        let mut eps7 = eps.clone();
+        eps7.set(4, 2, 0.0);
+        let mut eps8 = eps.clone();
+        eps8.set(4, 2, -0.0);
+        assert_ne!(fingerprint(&eps7, 4.0, &pml), fingerprint(&eps8, 4.0, &pml));
     }
 
     const WINDOW_PML: PmlConfig = PmlConfig {

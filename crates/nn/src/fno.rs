@@ -136,28 +136,46 @@ mod tests {
         assert_eq!(y.shape(), &[2, 2, 16, 16]);
     }
 
+    /// Tape-free `infer` equals the taped `forward` bit for bit, on a
+    /// small model and on the `surrogate` workload's (in 4, out 2, width
+    /// 12, modes 6, depth 3, 40×40).
     #[test]
     fn infer_matches_forward() {
-        let mut params = Params::new();
-        let mut rng = StdRng::seed_from_u64(7);
-        let model = Fno::new(
-            &mut params,
-            &mut rng,
-            FnoConfig {
-                in_channels: 2,
-                out_channels: 1,
-                width: 4,
-                modes: 2,
-                depth: 2,
-            },
-        );
-        let x = Tensor::from_vec(
-            &[1, 2, 8, 8],
-            (0..128).map(|k| (k as f64 * 0.13).sin()).collect(),
-        );
-        let taped = model.forward(&params, x.trace()).no_tape();
-        let plain = model.infer(&params, x);
-        assert_eq!(taped.as_slice(), plain.as_slice());
+        for (config, n) in [
+            (
+                FnoConfig {
+                    in_channels: 2,
+                    out_channels: 1,
+                    width: 4,
+                    modes: 2,
+                    depth: 2,
+                },
+                8,
+            ),
+            (
+                FnoConfig {
+                    in_channels: 4,
+                    out_channels: 2,
+                    width: 12,
+                    modes: 6,
+                    depth: 3,
+                },
+                40,
+            ),
+        ] {
+            let mut params = Params::new();
+            let mut rng = StdRng::seed_from_u64(7);
+            let model = Fno::new(&mut params, &mut rng, config);
+            let len = config.in_channels * n * n;
+            let x = Tensor::from_vec(
+                &[1, config.in_channels, n, n],
+                (0..len).map(|k| (k as f64 * 0.13).sin()).collect(),
+            );
+            let taped = model.forward(&params, x.trace()).no_tape();
+            let plain = model.infer(&params, x);
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&taped), bits(&plain), "{config:?}");
+        }
     }
 
     #[test]

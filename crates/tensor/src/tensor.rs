@@ -396,11 +396,6 @@ impl ConvGeometry {
         assert_eq!(cin, cin2, "conv2d channel mismatch");
         let (ho, wo) = (spec.out_extent(h, kh), spec.out_extent(wd, kw));
         let out_shape = [n, cout, ho, wo];
-        // A pointwise kernel maps every pixel on its own, so the loops can
-        // fold each plane's `rows` rows into one row of H·W pixels.
-        let pointwise = (kh, kw, spec.padding, spec.stride) == (1, 1, 0, 1);
-        let rows = if pointwise { h.max(1) } else { 1 };
-        let (h, wd, ho, wo) = (h / rows, wd * rows, ho / rows, wo * rows);
         let cols = tap_spans(wd, wo, kw, spec).into_iter().enumerate();
         let cols = cols.filter(|(_, span)| !span.is_empty()).map(|(kx, span)| {
             let ix = span.start * spec.stride + kx - spec.padding;
@@ -415,6 +410,16 @@ impl ConvGeometry {
             row_spans: tap_spans(h, ho, kh, spec),
             cols: cols.collect(),
         }
+    }
+
+    /// `(N, Cin, Cout, H·W)` of a pointwise convolution (1×1 kernel,
+    /// stride 1, no padding), which mixes each pixel's channels on their
+    /// own: per batch item, `out = W·x` for `W` the `Cout × Cin` weight
+    /// and `x` the `Cin × H·W` input.
+    fn pointwise(&self) -> Option<(usize, usize, usize, usize)> {
+        let ((n, cin, h, wd), (cout, kh, kw)) = (self.x, self.w);
+        let one = (kh, kw, self.spec.padding, self.spec.stride) == (1, 1, 0, 1);
+        one.then_some((n, cin, cout, h * wd))
     }
 
     /// Calls `f(x_row, w_row, out_row)` with the offsets of each input
@@ -438,6 +443,81 @@ impl ConvGeometry {
     }
 }
 
+/// `out[r·m + j] += Σ_k a[r·kn + k]·b[k·m + j]` for the row-major
+/// matrices `a` (`n × kn`), `b` (`kn × m`) and `out` (`n × m`).
+///
+/// Every sum runs in ascending `k` from `out`'s value with the unfused
+/// `acc += b·a` of the direct loop, so a pointwise [`conv2d`] keeps the
+/// direct loop's bits. A tile of 4 rows × 8 columns stays in registers
+/// across `k`; ragged rows take a 2-row tile, then a single row, and
+/// ragged columns a 4-wide tile, then single columns.
+fn channel_mix(a: &[f64], b: &[f64], out: &mut [f64], n: usize, kn: usize, m: usize) {
+    let mut j0 = 0;
+    while j0 + 8 <= m {
+        mix_columns::<8>(a, b, out, (n, kn, m), j0);
+        j0 += 8;
+    }
+    if j0 + 4 <= m {
+        mix_columns::<4>(a, b, out, (n, kn, m), j0);
+        j0 += 4;
+    }
+    for j in j0..m {
+        mix_columns::<1>(a, b, out, (n, kn, m), j);
+    }
+}
+
+/// [`channel_mix`] on the `J` output columns from `j0`, every row.
+fn mix_columns<const J: usize>(
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+    (n, kn, m): (usize, usize, usize),
+    j0: usize,
+) {
+    let mut r0 = 0;
+    while r0 + 4 <= n {
+        mix_tile::<4, J>(a, b, out, (kn, m), (r0, j0));
+        r0 += 4;
+    }
+    if r0 + 2 <= n {
+        mix_tile::<2, J>(a, b, out, (kn, m), (r0, j0));
+        r0 += 2;
+    }
+    if r0 < n {
+        mix_tile::<1, J>(a, b, out, (kn, m), (r0, j0));
+    }
+}
+
+/// [`channel_mix`] on one `R × J` tile of `out` at `(r0, j0)`, held in
+/// registers across `k`.
+#[inline(always)]
+fn mix_tile<const R: usize, const J: usize>(
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+    (kn, m): (usize, usize),
+    (r0, j0): (usize, usize),
+) {
+    let rows: [&[f64]; R] = std::array::from_fn(|r| &a[(r0 + r) * kn..][..kn]);
+    let mut acc: [[f64; J]; R] = std::array::from_fn(|r| {
+        out[(r0 + r) * m + j0..][..J]
+            .try_into()
+            .expect("a J-wide slice")
+    });
+    for (k, b_row) in b.chunks_exact(m).take(kn).enumerate() {
+        let bk: &[f64; J] = b_row[j0..j0 + J].try_into().expect("a J-wide slice");
+        for (acc, row) in acc.iter_mut().zip(&rows) {
+            let w = row[k];
+            for (o, &v) in acc.iter_mut().zip(bk) {
+                *o += v * w;
+            }
+        }
+    }
+    for (r, acc) in acc.iter().enumerate() {
+        out[(r0 + r) * m + j0..][..J].copy_from_slice(acc);
+    }
+}
+
 /// Direct 2-D convolution (cross-correlation): input `[N, Cin, H, W]`,
 /// weight `[Cout, Cin, Kh, Kw]` → `[N, Cout, Ho, Wo]`.
 ///
@@ -445,15 +525,34 @@ impl ConvGeometry {
 /// loops run over contiguous slices without per-element bounds checks.
 /// Every output sums its terms in the order input channel → kernel row →
 /// kernel column, with each kernel row's partial sum added as a whole.
+/// A pointwise kernel (1×1, stride 1, no padding: every FNO, F-FNO and
+/// NeurOLight lift, bypass and projection) is a channel mix, `W·x` per
+/// batch item, run with a tile of 4 output channels × 8 pixels held in
+/// registers across the input channels; its sums keep the same order and
+/// operations, so both paths give the direct loop's bits.
 ///
 /// # Panics
 ///
 /// Panics on rank or channel mismatches.
 pub fn conv2d(x: &Tensor, w: &Tensor, spec: Conv2dSpec) -> Tensor {
     let g = ConvGeometry::new(x.shape(), w.shape(), spec);
-    let (wd, kw, wo) = (g.x.3, g.w.2, g.out.1);
     let mut out = Tensor::zeros(&g.out_shape);
     let (xd, wdat, od) = (x.as_slice(), w.as_slice(), out.as_mut_slice());
+    if let Some((n, cin, cout, px)) = g.pointwise() {
+        for i in 0..n {
+            let xs = &xd[i * cin * px..][..cin * px];
+            channel_mix(
+                wdat,
+                xs,
+                &mut od[i * cout * px..][..cout * px],
+                cout,
+                cin,
+                px,
+            );
+        }
+        return out;
+    }
+    let (wd, kw, wo) = (g.x.3, g.w.2, g.out.1);
     let mut acc = vec![0.0; wo];
     g.rows(|x_row, w_row, o_row| {
         let (xrow, orow) = (&xd[x_row..x_row + wd], &mut od[o_row..o_row + wo]);
@@ -492,6 +591,17 @@ pub fn conv2d_backward_input(
     assert_eq!(grad_out.shape(), g.out_shape, "conv2d grad shape mismatch");
     let mut gx = Tensor::zeros(input_shape);
     let (god, wdat, gxd) = (grad_out.as_slice(), w.as_slice(), gx.as_mut_slice());
+    if let Some((n, cin, cout, px)) = g.pointwise() {
+        // `gx = Wᵀ·g` per batch item.
+        let wt: Vec<f64> = (0..cin * cout)
+            .map(|i| wdat[i % cout * cin + i / cout])
+            .collect();
+        for i in 0..n {
+            let gs = &god[i * cout * px..][..cout * px];
+            channel_mix(&wt, gs, &mut gxd[i * cin * px..][..cin * px], cin, cout, px);
+        }
+        return gx;
+    }
     g.rows(|x_row, w_row, o_row| {
         let (grow, gxrow) = (&god[o_row..o_row + wo], &mut gxd[x_row..x_row + wd]);
         for (kx, span, ix) in &g.cols {
@@ -513,6 +623,20 @@ pub fn conv2d_backward_weight(
     let (wd, wo) = (g.x.3, g.out.1);
     let mut gw = Tensor::zeros(weight_shape);
     let (god, xd, gwd) = (grad_out.as_slice(), x.as_slice(), gw.as_mut_slice());
+    if let Some((n, cin, cout, px)) = g.pointwise() {
+        // `gw += g·xᵀ` per batch item, with `xᵀ` laid out `H·W × Cin`.
+        let mut xt = vec![0.0; px * cin];
+        for i in 0..n {
+            let xs = &xd[i * cin * px..][..cin * px];
+            for (p, row) in xt.chunks_exact_mut(cin.max(1)).enumerate() {
+                for (ci, v) in row.iter_mut().enumerate() {
+                    *v = xs[ci * px + p];
+                }
+            }
+            channel_mix(&god[i * cout * px..][..cout * px], &xt, gwd, cout, px, cin);
+        }
+        return gw;
+    }
     g.rows(|x_row, w_row, o_row| {
         let (grow, xrow) = (&god[o_row..o_row + wo], &xd[x_row..x_row + wd]);
         for (kx, span, ix) in &g.cols {
@@ -889,6 +1013,9 @@ mod tests {
 
     /// The span-hoisted kernels against the direct loop: the forward bit
     /// for bit, the backward passes (which reorder their sums) to 1e-12.
+    /// The pointwise cases cover the channel mix's full and ragged tiles:
+    /// channel counts on both sides of 4 and 8, pixel counts below 4, at
+    /// 63 = 7·8 + 4 + 3 and at the FNO's 40×40.
     #[test]
     fn conv2d_matches_direct_loop_reference() {
         let fill = |shape: &[usize], salt: usize| {
@@ -905,6 +1032,7 @@ mod tests {
                 assert!((a - b).abs() <= 1e-12 * scale, "{what}: {a} vs {b}");
             }
         };
+        let mut cases = Vec::new();
         for (k, padding, stride) in [
             (1, 0, 1),
             (1, 0, 2),
@@ -915,32 +1043,41 @@ mod tests {
             (3, 0, 2),
         ] {
             for (h, w) in [(7, 9), (5, 5), (6, 11)] {
-                let spec = Conv2dSpec { padding, stride };
-                let x = fill(&[2, 3, h, w], 3);
-                let wt = fill(&[4, 3, k, k], 7);
-                let y = conv2d(&x, &wt, spec);
-                let want = reference::conv2d(&x, &wt, spec);
-                assert_eq!(y.shape(), want.shape());
-                for (a, b) in y.as_slice().iter().zip(want.as_slice()) {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "k={k} p={padding} s={stride} {h}×{w}"
-                    );
-                }
-                let go = fill(y.shape(), 11);
-                let what = format!("k={k} p={padding} s={stride} {h}×{w}");
-                close(
-                    &conv2d_backward_input(&go, &wt, x.shape(), spec),
-                    &reference::conv2d_backward_input(&go, &wt, x.shape(), spec),
-                    &format!("grad_x {what}"),
-                );
-                close(
-                    &conv2d_backward_weight(&go, &x, wt.shape(), spec),
-                    &reference::conv2d_backward_weight(&go, &x, wt.shape(), spec),
-                    &format!("grad_w {what}"),
-                );
+                cases.push((3, 4, k, Conv2dSpec { padding, stride }, h, w));
             }
+        }
+        let pointwise = Conv2dSpec {
+            padding: 0,
+            stride: 1,
+        };
+        for cin in [1, 3, 12, 13] {
+            for cout in [1, 2, 4, 5, 12, 13] {
+                for (h, w) in [(1, 1), (7, 9), (40, 40)] {
+                    cases.push((cin, cout, 1, pointwise, h, w));
+                }
+            }
+        }
+        for (cin, cout, k, spec, h, w) in cases {
+            let what = format!("{cin}→{cout} k={k} {spec:?} {h}×{w}");
+            let x = fill(&[2, cin, h, w], 3);
+            let wt = fill(&[cout, cin, k, k], 7);
+            let y = conv2d(&x, &wt, spec);
+            let want = reference::conv2d(&x, &wt, spec);
+            assert_eq!(y.shape(), want.shape());
+            for (a, b) in y.as_slice().iter().zip(want.as_slice()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{what}");
+            }
+            let go = fill(y.shape(), 11);
+            close(
+                &conv2d_backward_input(&go, &wt, x.shape(), spec),
+                &reference::conv2d_backward_input(&go, &wt, x.shape(), spec),
+                &format!("grad_x {what}"),
+            );
+            close(
+                &conv2d_backward_weight(&go, &x, wt.shape(), spec),
+                &reference::conv2d_backward_weight(&go, &x, wt.shape(), spec),
+                &format!("grad_w {what}"),
+            );
         }
     }
 
