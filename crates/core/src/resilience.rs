@@ -10,20 +10,20 @@
 //!    non-finite field becomes [`SolveFieldError::NonFinite`] and is treated
 //!    like any other retryable failure.
 //! 2. **Retry** — retryable failures are re-attempted up to `max_retries`
-//!    times. A retry is the same call again: it rescues a transient failure
-//!    and changes nothing about how the primary solves.
+//!    times, each as a one-request batch: a retry rescues a transient
+//!    failure and changes nothing about how the primary solves.
 //! 3. **Fall back** — if the primary is exhausted, an optional secondary
 //!    solver (the exact direct backend behind an iterative primary, an
 //!    iterative one behind the direct solve, or the FDFD solver behind a
 //!    neural surrogate) gets one attempt. An iterative primary that stalls
 //!    stalls again on a retry; its remedy is the direct fallback.
 //!
-//! [`RobustSolver::solve_by`] and [`RobustSolver::solve_batch_by`] report
-//! the [`Rung`] that answered and honour a deadline; the [`FieldSolver`]
-//! impl drops the rung. Every recovery event increments the global
-//! `solve.retries` / `solve.fallbacks` / `solve.nonfinite` counters and a
-//! per-instance [`RobustStats`] snapshot, so telemetry shows *degradation*,
-//! not just success or crash.
+//! [`RobustSolver::solve_batch_by`] (and [`RobustSolver::solve_by`], a
+//! batch of one) reports the [`Rung`] that answered and honours a deadline;
+//! the [`FieldSolver`] impl drops the rung. Every recovery event increments
+//! the global `solve.retries` / `solve.fallbacks` / `solve.nonfinite`
+//! counters and a per-instance [`RobustStats`] snapshot, so telemetry shows
+//! *degradation*, not just success or crash.
 
 use crate::field::{ComplexField2d, RealField2d};
 use crate::solver::{ensure_finite, FieldSolver, SolveFieldError, SolveKind, SolveRequest};
@@ -133,16 +133,10 @@ impl<S: FieldSolver> RobustSolver<S> {
     }
 }
 
-/// One attempt of `solver` at `req`.
-fn attempt<T: FieldSolver + ?Sized>(
-    solver: &T,
-    eps_r: &RealField2d,
-    req: &SolveRequest<'_>,
-) -> Result<ComplexField2d, SolveFieldError> {
-    match req.kind {
-        SolveKind::Forward => solver.solve_ez(eps_r, req.source, req.omega),
-        SolveKind::Adjoint => solver.solve_adjoint_ez(eps_r, req.source, req.omega),
-    }
+/// The one answer of a one-request batch.
+fn one<T>(mut answers: Vec<T>) -> T {
+    debug_assert_eq!(answers.len(), 1);
+    answers.pop().expect("one answer per request")
 }
 
 impl<S: FieldSolver + ?Sized> RobustSolver<S> {
@@ -206,11 +200,10 @@ impl<S: FieldSolver + ?Sized> RobustSolver<S> {
         Ok(field)
     }
 
-    /// The retry→fallback sequence for `req`, seeded with the
-    /// primary's first-attempt result. The batch path obtains its first
-    /// attempts from the primary's `solve_ez_batch` (amortizing one
-    /// factorization per frequency group), so only the requests that
-    /// failed re-enter the sequence.
+    /// The retry→fallback sequence for `req`, seeded with the primary's
+    /// first-attempt result from its batch: only a request that failed
+    /// re-enters, and each retry and the fallback attempt send it as a
+    /// one-request batch.
     fn drive_from(
         &self,
         first: Result<ComplexField2d, SolveFieldError>,
@@ -233,6 +226,7 @@ impl<S: FieldSolver + ?Sized> RobustSolver<S> {
         let _span = maps_obs::span("solve.recover")
             .field("solver", self.primary.name())
             .field("direction", direction);
+        let alone = std::slice::from_ref(req);
         for k in 1..=self.policy.max_retries {
             self.check_deadline(deadline, "a retry")?;
             self.stats.retries.fetch_add(1, Ordering::Relaxed);
@@ -242,7 +236,8 @@ impl<S: FieldSolver + ?Sized> RobustSolver<S> {
                 self.primary.name(),
                 self.policy.max_retries
             );
-            match self.check(attempt(&self.primary, eps_r, req), self.primary.name()) {
+            let again = self.primary.solve_ez_batch(eps_r, alone);
+            match self.check(one(again), self.primary.name()) {
                 Ok(field) => {
                     self.stats.recovered.fetch_add(1, Ordering::Relaxed);
                     maps_obs::counter("solve.recovered").inc();
@@ -264,7 +259,8 @@ impl<S: FieldSolver + ?Sized> RobustSolver<S> {
                 self.primary.name(),
                 fb.name()
             );
-            match self.check(attempt(fb.as_ref(), eps_r, req), fb.name()) {
+            let fallback = fb.solve_ez_batch(eps_r, alone);
+            match self.check(one(fallback), fb.name()) {
                 Ok(field) => {
                     self.stats.recovered.fetch_add(1, Ordering::Relaxed);
                     maps_obs::counter("solve.recovered").inc();
@@ -278,15 +274,8 @@ impl<S: FieldSolver + ?Sized> RobustSolver<S> {
         Err(last_err)
     }
 
-    /// Solves one request down the ladder with an optional wall-clock
-    /// deadline, returning the field and the [`Rung`] that produced it.
-    ///
-    /// The deadline is checked before the first attempt, before every
-    /// retry, and before the fallback attempt — a recovery sequence
-    /// never outlives the caller's patience. An attempt already in flight
-    /// is not interrupted (the solvers are synchronous), so one attempt's
-    /// worth of overshoot is possible; what the deadline guarantees is that
-    /// no *new* work starts past it.
+    /// Solves one request down the ladder, [`RobustSolver::solve_batch_by`]
+    /// over a batch of one: the field and the [`Rung`] that produced it.
     ///
     /// # Errors
     ///
@@ -298,19 +287,26 @@ impl<S: FieldSolver + ?Sized> RobustSolver<S> {
         req: SolveRequest<'_>,
         deadline: Option<Instant>,
     ) -> Result<(ComplexField2d, Rung), SolveFieldError> {
-        self.check_deadline(deadline, "the first attempt")?;
-        let first = attempt(&self.primary, eps_r, &req);
-        self.drive_from(first, eps_r, &req, deadline)
+        one(self.solve_batch_by(eps_r, &[req], deadline))
     }
 
-    /// Solves a batch down the ladder, one result per request in input
-    /// order (see [`RobustSolver::solve_by`] for the deadline contract).
+    /// Solves a batch down the ladder with an optional wall-clock deadline,
+    /// one result per request in input order.
     ///
     /// The first attempts run together through the primary's
     /// [`FieldSolver::solve_ez_batch`], keeping its batch amortization (one
     /// factorization per frequency group); each failed request then
-    /// recovers on its own. One poisoned excitation therefore costs only
-    /// its own recovery — the rest of the batch is untouched.
+    /// recovers on its own, every retry and the fallback attempt a
+    /// one-request `solve_ez_batch`. One poisoned excitation therefore
+    /// costs only its own recovery — the rest of the batch is untouched.
+    ///
+    /// The deadline is checked before the first attempts, before every
+    /// retry, and before the fallback attempt — a recovery sequence
+    /// never outlives the caller's patience. An attempt already in flight
+    /// is not interrupted (the solvers are synchronous), so one attempt's
+    /// worth of overshoot is possible; what the deadline guarantees is that
+    /// no *new* work starts past it. A batch whose deadline has passed
+    /// before its first attempts is abandoned whole.
     pub fn solve_batch_by(
         &self,
         eps_r: &RealField2d,

@@ -120,7 +120,11 @@ pub trait FieldSolver {
     /// solvers) batches correctly with no changes. Direct solvers override
     /// this to group requests by frequency and amortize one factorization
     /// over all of a group's substitution sweeps; overrides must stay
-    /// bit-identical to this sequential reference.
+    /// bit-identical to this sequential reference. An override may be the
+    /// solver's one solve path, with `solve_ez` and `solve_adjoint_ez` as
+    /// batches of one request, as `maps-fdfd`'s `FdfdSolver` does; such an
+    /// implementor must override all three, since the defaults call each
+    /// other.
     ///
     /// Unlike the scalar entry points, a failed request does not abort the
     /// batch: each request carries its own `Result`, which is what gives

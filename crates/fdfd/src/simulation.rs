@@ -26,6 +26,9 @@ pub enum Backend {
 
 /// A 2-D `Ez`-polarization FDFD Maxwell solver.
 ///
+/// Every solve runs [`FieldSolver::solve_ez_batch`]: `solve_ez` and
+/// `solve_adjoint_ez` are batches of one request.
+///
 /// ```
 /// use maps_core::{ComplexField2d, FieldSolver, Grid2d, RealField2d};
 /// use maps_fdfd::FdfdSolver;
@@ -146,9 +149,10 @@ impl FdfdSolver {
         Ok(())
     }
 
-    /// The path every solve runs: overwrites each right-hand side in `xs`
-    /// with the solution of `A·x = b` where `kinds[i]` is a forward solve,
-    /// and of `Aᵀ·y = c` where it is an adjoint solve, at (ε, ω).
+    /// The path every work item of `solve_ez_batch` (its one caller) runs:
+    /// overwrites each right-hand side in `xs` with the solution of
+    /// `A·x = b` where `kinds[i]` is a forward solve, and of `Aᵀ·y = c`
+    /// where it is an adjoint solve, at (ε, ω).
     ///
     /// Both backends solve the symmetrized `S = D·A` ([`symmetrizer`]
     /// gives `D`): a forward lane is scaled by `D` before the solve and
@@ -235,101 +239,68 @@ fn convergence_detail(e: &maps_linalg::LinalgError, opts: IterativeOptions) -> S
 }
 
 impl FieldSolver for FdfdSolver {
+    /// A batch of one forward request ([`FdfdSolver::solve_ez_batch`]).
     fn solve_ez(
         &self,
         eps_r: &RealField2d,
         source: &ComplexField2d,
         omega: f64,
     ) -> Result<ComplexField2d, SolveFieldError> {
-        Self::check_inputs(eps_r, source, omega)?;
-        let _span = maps_obs::span("fdfd.solve_ez")
-            .field("backend", self.name())
-            .field("cells", eps_r.grid().len());
-        maps_obs::counter("fdfd.forward_solves").inc();
-        let mut b = Self::rhs(source, omega);
-        self.solve_block(
-            eps_r,
-            omega,
-            std::slice::from_mut(&mut b),
-            &[SolveKind::Forward],
-        )?;
-        let field = ComplexField2d::from_vec(eps_r.grid(), b);
-        maps_core::ensure_finite(&field, self.name())?;
-        Ok(field)
+        self.solve_ez_batch(eps_r, &[SolveRequest::forward(source, omega)])
+            .pop()
+            .expect("one answer per request")
     }
 
+    /// A batch of one adjoint request ([`FdfdSolver::solve_ez_batch`]):
+    /// exact through the forward factor, since `S = D·A` is complex
+    /// symmetric, so `Aᵀ = S·D⁻¹` and `Aᵀ·y = c` is `y = D·S⁻¹·c`. The
+    /// factor cache keeps at least the most recent factorization, so a
+    /// forward/adjoint pair costs one factorization.
     fn solve_adjoint_ez(
         &self,
         eps_r: &RealField2d,
         rhs: &ComplexField2d,
         omega: f64,
     ) -> Result<ComplexField2d, SolveFieldError> {
-        // Exact adjoint through the forward factor: S = D·A is complex
-        // symmetric, so Aᵀ = S·D⁻¹ and Aᵀ·y = c is y = D·S⁻¹·c. On the
-        // direct backend the forward factor answers it (the factor cache
-        // keeps at least the most recent factorization, so a
-        // forward/adjoint pair costs one factorization plus two
-        // substitution sweeps); on the iterative backend it is one more
-        // BiCGSTAB solve, on `S·z = c`.
-        Self::check_inputs(eps_r, rhs, omega)?;
-        let _span = maps_obs::span("fdfd.solve_adjoint_ez")
-            .field("backend", self.name())
-            .field("cells", eps_r.grid().len());
-        maps_obs::counter("fdfd.adjoint_solves").inc();
-        let mut x = rhs.as_slice().to_vec();
-        self.solve_block(
-            eps_r,
-            omega,
-            std::slice::from_mut(&mut x),
-            &[SolveKind::Adjoint],
-        )?;
-        let field = ComplexField2d::from_vec(eps_r.grid(), x);
-        maps_core::ensure_finite(&field, self.name())?;
-        Ok(field)
+        self.solve_ez_batch(eps_r, &[SolveRequest::adjoint(rhs, omega)])
+            .pop()
+            .expect("one answer per request")
     }
 
-    /// Batched solves, grouped to amortize factorizations *and* band sweeps.
+    /// The one solve path: `solve_ez` and `solve_adjoint_ez` are batches of
+    /// one request. Solves are grouped to amortize factorizations *and*
+    /// band sweeps.
     ///
     /// The whole batch shares one permittivity map, so the (ε-fingerprint,
     /// ω) grouping key reduces to ω: requests are bucketed by exact `omega`
     /// bits, and each bucket's right-hand sides, forward and adjoint alike,
-    /// are split into blocks of [`maps_linalg::RHS_BLOCK`] in request
-    /// order. A forward lane carries `D·b` and an adjoint lane `c` scaled
-    /// by `D` after the sweep, exactly as in `solve_ez` and
-    /// `solve_adjoint_ez`, so one block mixes both kinds. Every (ω-bucket ×
-    /// RHS-block) work item fetches its factor from the factor cache
-    /// (single-flight coalescing makes concurrent items of the same bucket
-    /// share one factorization) and solves its whole block in place with
-    /// one guarded [`crate::operator::SymmetricFactor::solve`] call, which
-    /// sweeps the block through one pass over the factor. A K-excitation batch
-    /// over G distinct frequencies therefore pays G factorizations (fewer on
-    /// cache hits) and ~K/`RHS_BLOCK` traversals of the band data instead
-    /// of K.
+    /// are split into work items in request order. A forward lane carries
+    /// `D·b` and an adjoint lane `c` scaled by `D` after the solve, so one
+    /// item mixes both kinds. On the direct backend an item is a block of
+    /// [`maps_linalg::RHS_BLOCK`] lanes: it fetches its factor from the
+    /// factor cache (single-flight coalescing makes concurrent items of the
+    /// same bucket share one factorization) and solves its whole block in
+    /// place with one guarded [`crate::operator::SymmetricFactor::solve`]
+    /// call, which sweeps the block through one pass over the factor. A
+    /// K-excitation batch over G distinct frequencies therefore pays G
+    /// factorizations (fewer on cache hits) and ~K/`RHS_BLOCK` traversals
+    /// of the band data instead of K. The iterative backend has no
+    /// factorization to amortize: an item is one lane and one BiCGSTAB
+    /// solve, so a Krylov solve that stalls fails only its own slot.
     ///
     /// Work items are independent (distinct result slots), so they run in
     /// parallel across the vendored-rayon workers — RHS-block parallelism
     /// *within* a bucket composing with the across-ω parallelism — and the
     /// answers are scattered back into input order. The blocked sweeps
-    /// replay the exact scalar op sequence per right-hand side, so batched
-    /// fields are bit-identical to one-by-one `solve_ez` /
-    /// `solve_adjoint_ez` calls. Validation is per request: a bad grid or
-    /// frequency fails only its own slot.
+    /// replay the exact one-system op sequence per right-hand side, so a
+    /// batch's fields are bit-identical to its requests solved one by one.
+    /// Validation is per request: a bad grid or frequency fails only its
+    /// own slot.
     fn solve_ez_batch(
         &self,
         eps_r: &RealField2d,
         requests: &[SolveRequest<'_>],
     ) -> Vec<Result<ComplexField2d, SolveFieldError>> {
-        // The iterative backend has no factorization to amortize; each
-        // request runs its own Krylov solve via the scalar entry points.
-        if matches!(self.backend, Backend::Iterative(_)) {
-            return requests
-                .iter()
-                .map(|req| match req.kind {
-                    SolveKind::Forward => self.solve_ez(eps_r, req.source, req.omega),
-                    SolveKind::Adjoint => self.solve_adjoint_ez(eps_r, req.source, req.omega),
-                })
-                .collect();
-        }
         let grid = eps_r.grid();
         let n = grid.len();
         let mut results: Vec<Option<Result<ComplexField2d, SolveFieldError>>> =
@@ -363,19 +334,24 @@ impl FieldSolver for FdfdSolver {
             .field("group_sizes", group_sizes);
         maps_obs::counter("fdfd.solve_batch.calls").inc();
         maps_obs::counter("fdfd.solve_batch.requests").add(requests.len() as u64);
-        // Split every ω-bucket into RHS-block work items. Items are
-        // independent (distinct operators or distinct result slots), so they
-        // run in parallel across the vendored-rayon workers — same-bucket
-        // items share one factorization through the cache's single-flight
+        // Split every ω-bucket into work items: RHS blocks on the direct
+        // backend, single lanes on the iterative one. Items are independent
+        // (distinct operators or distinct result slots), so they run in
+        // parallel across the vendored-rayon workers — same-bucket items
+        // share one factorization through the cache's single-flight
         // coalescing; worker spans adopt this batch's flow, so the exported
         // trace shows one stitched fan-out. Per-item answers come back as
         // (request index, result) pairs and are scattered into input order
-        // below — the same determinism contract as the sequential loop.
+        // below — the same determinism contract as a sequential loop.
+        let width = match self.backend {
+            Backend::Direct => RHS_BLOCK,
+            Backend::Iterative(_) => 1,
+        };
         let items: Vec<(f64, &[usize])> = groups
             .iter()
             .flat_map(|(_, members)| {
                 let omega = requests[members[0]].omega;
-                members.chunks(RHS_BLOCK).map(move |chunk| (omega, chunk))
+                members.chunks(width).map(move |chunk| (omega, chunk))
             })
             .collect();
         type Answer = (usize, Result<ComplexField2d, SolveFieldError>);
@@ -547,6 +523,39 @@ mod tests {
         assert!(matches!(out[1], Err(SolveFieldError::GridMismatch { .. })));
         assert!(matches!(out[2], Err(SolveFieldError::InvalidInput { .. })));
         assert!(out[3].is_ok());
+    }
+
+    /// On the iterative backend a work item is one lane: the point source's
+    /// BiCGSTAB stalls at two iterations and fails only its own slot, while
+    /// the zero right-hand sides of the same ω-bucket, forward and adjoint,
+    /// are answered.
+    #[test]
+    fn iterative_batch_fails_only_the_stalled_request() {
+        let grid = Grid2d::new(40, 40, 0.05);
+        let eps = RealField2d::constant(grid, 1.0);
+        let omega = maps_core::omega_for_wavelength(1.55);
+        let zero = ComplexField2d::zeros(grid);
+        let mut point = ComplexField2d::zeros(grid);
+        point.set(20, 20, Complex64::ONE);
+        let solver = FdfdSolver::new().backend(Backend::Iterative(IterativeOptions {
+            tolerance: 1e-8,
+            max_iterations: 2,
+        }));
+        let out = solver.solve_ez_batch(
+            &eps,
+            &[
+                SolveRequest::forward(&zero, omega),
+                SolveRequest::forward(&point, omega),
+                SolveRequest::adjoint(&zero, omega),
+            ],
+        );
+        assert!(out[0].is_ok(), "{:?}", out[0]);
+        assert!(
+            matches!(out[1], Err(SolveFieldError::Numerical { .. })),
+            "{:?}",
+            out[1]
+        );
+        assert!(out[2].is_ok(), "{:?}", out[2]);
     }
 
     #[test]

@@ -16,14 +16,15 @@
 //!   `solve_ez`'s bit for bit; its adjoint field differs from a solve of
 //!   the summed right-hand side by rounding only.
 //! - [`FieldGradient`] runs the sequential composition over *any*
-//!   [`FieldSolver`]: a forward solve, the objective and its adjoint
-//!   right-hand side, then an adjoint solve of that sum. A learned solver is
-//!   not linear in its source, so its adjoint must see the sum. This is how
-//!   the paper drives inverse design from a trained neural operator's
-//!   forward and adjoint fields, the adjoint by the trait's reciprocity
-//!   default (§IV-D, Fig. 6).
+//!   [`FieldSolver`]: the forward solves, each objective and its adjoint
+//!   right-hand side, then the adjoint solves of those sums, each phase one
+//!   `solve_ez_batch`. A learned solver is not linear in its source, so its
+//!   adjoint must see the sum. This is how the paper drives inverse design
+//!   from a trained neural operator's forward and adjoint fields, the
+//!   adjoint by the trait's reciprocity default (§IV-D, Fig. 6).
 //!
-//! Both check both fields finite and assemble `dF/dε` with
+//! Both evaluate batches only (a single evaluation is a batch of one),
+//! check both fields finite and assemble `dF/dε` with
 //! [`gradient_from_fields`].
 
 use maps_core::{ComplexField2d, FieldSolver, Grid2d, RealField2d, SolveFieldError, SolveRequest};
@@ -44,7 +45,25 @@ pub struct GradientRequest<'a> {
 /// Produces the objective value, its permittivity gradient, and the forward
 /// field for a candidate design.
 pub trait GradientSolver {
-    /// Evaluates `F` and `dF/dε` at a permittivity map.
+    /// Evaluates a batch of excitations against one permittivity map,
+    /// returning one result per request in input order. Every evaluation
+    /// runs here; [`GradientSolver::objective_and_gradient`] is a batch of
+    /// one.
+    ///
+    /// Both backends make a K-excitation design iteration factorize once
+    /// per distinct ω instead of once per solve: [`ExactAdjoint`] sends
+    /// every excitation's forward source and monitor vectors as one
+    /// `solve_ez_batch`, [`FieldGradient`] all forward solves as one batch
+    /// and all adjoint solves as a second. A request that fails fails only
+    /// its own slot.
+    fn objective_and_gradient_batch(
+        &self,
+        eps_r: &RealField2d,
+        requests: &[GradientRequest<'_>],
+    ) -> Vec<Result<GradientEvaluation, SolveFieldError>>;
+
+    /// Evaluates `F` and `dF/dε` at a permittivity map: a batch of one
+    /// excitation.
     ///
     /// # Errors
     ///
@@ -55,27 +74,15 @@ pub trait GradientSolver {
         source: &ComplexField2d,
         omega: f64,
         objective: &PowerObjective,
-    ) -> Result<GradientEvaluation, SolveFieldError>;
-
-    /// Evaluates a batch of excitations against one permittivity map,
-    /// returning one result per request in input order.
-    ///
-    /// The default implementation calls
-    /// [`GradientSolver::objective_and_gradient`] sequentially. Both
-    /// backends override it so a K-excitation design iteration factorizes
-    /// once per distinct ω instead of once per solve: [`ExactAdjoint`]
-    /// sends every excitation's forward source and monitor vectors as one
-    /// `solve_ez_batch`, [`FieldGradient`] all forward solves as one batch
-    /// and all adjoint solves as a second.
-    fn objective_and_gradient_batch(
-        &self,
-        eps_r: &RealField2d,
-        requests: &[GradientRequest<'_>],
-    ) -> Vec<Result<GradientEvaluation, SolveFieldError>> {
-        requests
-            .iter()
-            .map(|r| self.objective_and_gradient(eps_r, r.source, r.omega, r.objective))
-            .collect()
+    ) -> Result<GradientEvaluation, SolveFieldError> {
+        let request = GradientRequest {
+            source,
+            omega,
+            objective,
+        };
+        self.objective_and_gradient_batch(eps_r, &[request])
+            .pop()
+            .expect("one answer per request")
     }
 
     /// Backend name for logs and tables.
@@ -92,85 +99,6 @@ fn finite(
     solver: &str,
 ) -> Result<ComplexField2d, SolveFieldError> {
     field.and_then(|f| maps_core::ensure_finite(&f, solver).map(|()| f))
-}
-
-/// [`FieldGradient`]'s composition: forward solve, finite check, objective
-/// and adjoint right-hand side, adjoint solve, finite check, gradient.
-fn sequential_gradient(
-    solver: &dyn FieldSolver,
-    eps_r: &RealField2d,
-    source: &ComplexField2d,
-    omega: f64,
-    objective: &PowerObjective,
-) -> Result<GradientEvaluation, SolveFieldError> {
-    let forward = finite(solver.solve_ez(eps_r, source, omega), solver.name())?;
-    let objective_value = objective.eval(&forward);
-    let rhs = ComplexField2d::from_vec(eps_r.grid(), objective.adjoint_rhs(&forward));
-    let adjoint = finite(solver.solve_adjoint_ez(eps_r, &rhs, omega), solver.name())?;
-    let grad_eps = gradient_from_fields(&forward, &adjoint, omega);
-    Ok(GradientEvaluation {
-        objective: objective_value,
-        grad_eps,
-        forward,
-        adjoint,
-    })
-}
-
-/// [`FieldGradient`]'s two-phase batch: all forward solves in one
-/// [`FieldSolver::solve_ez_batch`], objective evaluation and adjoint RHS
-/// assembly in between, then all adjoint solves in a second batch. A failed
-/// forward drops only its own request from the adjoint phase.
-fn sequential_batch(
-    solver: &dyn FieldSolver,
-    eps_r: &RealField2d,
-    requests: &[GradientRequest<'_>],
-) -> Vec<Result<GradientEvaluation, SolveFieldError>> {
-    let forward_reqs: Vec<SolveRequest<'_>> = requests
-        .iter()
-        .map(|r| SolveRequest::forward(r.source, r.omega))
-        .collect();
-    let forwards = solver.solve_ez_batch(eps_r, &forward_reqs);
-    let mut slots: Vec<Option<Result<GradientEvaluation, SolveFieldError>>> =
-        requests.iter().map(|_| None).collect();
-    // Survivors of the forward phase, with their objective values and
-    // adjoint right-hand sides (kept alive for the adjoint batch borrows).
-    let mut survivors: Vec<(usize, ComplexField2d, f64)> = Vec::new();
-    let mut adjoint_rhs: Vec<ComplexField2d> = Vec::new();
-    for (i, result) in forwards.into_iter().enumerate() {
-        match finite(result, solver.name()) {
-            Ok(forward) => {
-                let objective_value = requests[i].objective.eval(&forward);
-                adjoint_rhs.push(ComplexField2d::from_vec(
-                    eps_r.grid(),
-                    requests[i].objective.adjoint_rhs(&forward),
-                ));
-                survivors.push((i, forward, objective_value));
-            }
-            Err(e) => slots[i] = Some(Err(e)),
-        }
-    }
-    let adjoint_reqs: Vec<SolveRequest<'_>> = adjoint_rhs
-        .iter()
-        .zip(&survivors)
-        .map(|(rhs, (i, _, _))| SolveRequest::adjoint(rhs, requests[*i].omega))
-        .collect();
-    let adjoints = solver.solve_ez_batch(eps_r, &adjoint_reqs);
-    for ((i, forward, objective_value), result) in survivors.into_iter().zip(adjoints) {
-        let evaluated = finite(result, solver.name()).map(|adjoint| {
-            let grad_eps = gradient_from_fields(&forward, &adjoint, requests[i].omega);
-            GradientEvaluation {
-                objective: objective_value,
-                grad_eps,
-                forward,
-                adjoint,
-            }
-        });
-        slots[i] = Some(evaluated);
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every gradient request must be answered"))
-        .collect()
 }
 
 /// The objective's monitor vectors `w_m`, dense on the grid, in term order.
@@ -268,23 +196,6 @@ impl Default for ExactAdjoint {
 }
 
 impl GradientSolver for ExactAdjoint {
-    fn objective_and_gradient(
-        &self,
-        eps_r: &RealField2d,
-        source: &ComplexField2d,
-        omega: f64,
-        objective: &PowerObjective,
-    ) -> Result<GradientEvaluation, SolveFieldError> {
-        let request = GradientRequest {
-            source,
-            omega,
-            objective,
-        };
-        self.objective_and_gradient_batch(eps_r, &[request])
-            .pop()
-            .expect("one answer per request")
-    }
-
     /// Every excitation's block goes down one `solve_ez_batch`, which
     /// buckets by ω: one block of forward sources and monitor vectors per
     /// distinct frequency.
@@ -343,22 +254,66 @@ impl std::fmt::Debug for FieldGradient<'_> {
 }
 
 impl GradientSolver for FieldGradient<'_> {
-    fn objective_and_gradient(
-        &self,
-        eps_r: &RealField2d,
-        source: &ComplexField2d,
-        omega: f64,
-        objective: &PowerObjective,
-    ) -> Result<GradientEvaluation, SolveFieldError> {
-        sequential_gradient(self.solver, eps_r, source, omega, objective)
-    }
-
+    /// Two phases: all forward solves in one
+    /// [`FieldSolver::solve_ez_batch`], objective evaluation and adjoint
+    /// right-hand side assembly in between, then all adjoint solves in a
+    /// second batch. A failed forward drops only its own request from the
+    /// adjoint phase, and with none left no adjoint batch is sent.
     fn objective_and_gradient_batch(
         &self,
         eps_r: &RealField2d,
         requests: &[GradientRequest<'_>],
     ) -> Vec<Result<GradientEvaluation, SolveFieldError>> {
-        sequential_batch(self.solver, eps_r, requests)
+        let forward_reqs: Vec<SolveRequest<'_>> = requests
+            .iter()
+            .map(|r| SolveRequest::forward(r.source, r.omega))
+            .collect();
+        let forwards = self.solver.solve_ez_batch(eps_r, &forward_reqs);
+        let mut slots: Vec<Option<Result<GradientEvaluation, SolveFieldError>>> =
+            requests.iter().map(|_| None).collect();
+        // Survivors of the forward phase, with their objective values and
+        // adjoint right-hand sides (kept alive for the adjoint batch borrows).
+        let mut survivors: Vec<(usize, ComplexField2d, f64)> = Vec::new();
+        let mut adjoint_rhs: Vec<ComplexField2d> = Vec::new();
+        for (i, result) in forwards.into_iter().enumerate() {
+            match finite(result, self.solver.name()) {
+                Ok(forward) => {
+                    let objective_value = requests[i].objective.eval(&forward);
+                    adjoint_rhs.push(ComplexField2d::from_vec(
+                        eps_r.grid(),
+                        requests[i].objective.adjoint_rhs(&forward),
+                    ));
+                    survivors.push((i, forward, objective_value));
+                }
+                Err(e) => slots[i] = Some(Err(e)),
+            }
+        }
+        let adjoint_reqs: Vec<SolveRequest<'_>> = adjoint_rhs
+            .iter()
+            .zip(&survivors)
+            .map(|(rhs, (i, _, _))| SolveRequest::adjoint(rhs, requests[*i].omega))
+            .collect();
+        let adjoints = if survivors.is_empty() {
+            Vec::new()
+        } else {
+            self.solver.solve_ez_batch(eps_r, &adjoint_reqs)
+        };
+        for ((i, forward, objective_value), result) in survivors.into_iter().zip(adjoints) {
+            let evaluated = finite(result, self.solver.name()).map(|adjoint| {
+                let grad_eps = gradient_from_fields(&forward, &adjoint, requests[i].omega);
+                GradientEvaluation {
+                    objective: objective_value,
+                    grad_eps,
+                    forward,
+                    adjoint,
+                }
+            });
+            slots[i] = Some(evaluated);
+        }
+        slots
+            .into_iter()
+            .map(|s| s.expect("every gradient request must be answered"))
+            .collect()
     }
 
     fn name(&self) -> &str {
@@ -605,6 +560,62 @@ mod tests {
                 .unwrap();
             assert_gradients_bitwise(b.as_ref().unwrap(), &s);
         }
+    }
+
+    /// Fails every solve and counts the batches it is sent.
+    #[derive(Default)]
+    struct FailingSolver {
+        batches: std::cell::Cell<usize>,
+    }
+
+    impl FieldSolver for FailingSolver {
+        fn solve_ez(
+            &self,
+            _eps_r: &RealField2d,
+            _source: &ComplexField2d,
+            _omega: f64,
+        ) -> Result<ComplexField2d, SolveFieldError> {
+            Err(SolveFieldError::Numerical {
+                detail: "injected".into(),
+            })
+        }
+
+        fn solve_ez_batch(
+            &self,
+            eps_r: &RealField2d,
+            requests: &[SolveRequest<'_>],
+        ) -> Vec<Result<ComplexField2d, SolveFieldError>> {
+            self.batches.set(self.batches.get() + 1);
+            requests
+                .iter()
+                .map(|r| self.solve_ez(eps_r, r.source, r.omega))
+                .collect()
+        }
+    }
+
+    /// When every forward fails, `FieldGradient` sends no adjoint batch: a
+    /// single evaluation and a batch of two each cost one batch call.
+    #[test]
+    fn failed_forwards_send_no_adjoint_batch() {
+        let grid = Grid2d::new(8, 8, 0.1);
+        let eps = RealField2d::constant(grid, 1.0);
+        let j = ComplexField2d::zeros(grid);
+        let obj = PowerObjective::new();
+        let solver = FailingSolver::default();
+        let gradient = FieldGradient::new(&solver);
+        let err = gradient
+            .objective_and_gradient(&eps, &j, 4.0, &obj)
+            .unwrap_err();
+        assert!(matches!(err, SolveFieldError::Numerical { .. }));
+        assert_eq!(solver.batches.get(), 1);
+        let request = GradientRequest {
+            source: &j,
+            omega: 4.0,
+            objective: &obj,
+        };
+        let batch = gradient.objective_and_gradient_batch(&eps, &[request, request]);
+        assert!(batch.iter().all(Result::is_err));
+        assert_eq!(solver.batches.get(), 2);
     }
 
     /// An excitation whose solves fail fails only its own slot of the

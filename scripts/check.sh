@@ -18,8 +18,8 @@ cargo test --doc --workspace -q
 echo "==> cargo doc --workspace --no-deps with RUSTDOCFLAGS=-D warnings (every doc link resolves)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-echo "==> cargo test --release -p maps-linalg -p maps-tensor -p maps-nn -p maps-fdfd -p maps-data -p maps-invdes -q (bit-identity pins on the optimized build)"
-cargo test --release -p maps-linalg -p maps-tensor -p maps-nn -p maps-fdfd -p maps-data -p maps-invdes -q
+echo "==> cargo test --release -p maps -p maps-core -p maps-linalg -p maps-tensor -p maps-nn -p maps-fdfd -p maps-data -p maps-invdes -q (bit-identity pins on the optimized build)"
+cargo test --release -p maps -p maps-core -p maps-linalg -p maps-tensor -p maps-nn -p maps-fdfd -p maps-data -p maps-invdes -q
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -280,8 +280,8 @@ fn invdes_factorizes_exactly_once_per_design_iteration() {
 }
 
 /// A traced bend iteration streams its factor once: the forward source and
-/// the objective's one monitor vector go down as one block of two
-/// right-hand sides, and no separate adjoint solve runs.
+/// the objective's one monitor vector go down as one batch of two requests
+/// and one block of two right-hand sides: no separate adjoint solve runs.
 #[test]
 fn bend_iteration_solves_forward_and_monitor_vector_as_one_block() {
     let _guard = exclusive_cache();
@@ -314,11 +314,12 @@ fn bend_iteration_solves_forward_and_monitor_vector_as_one_block() {
         Some("2"),
         "the forward source and one monitor vector"
     );
-    assert_eq!(
-        named("fdfd.solve_adjoint_ez"),
-        0,
-        "no separate adjoint solve"
-    );
+    let batches: Vec<_> = spans
+        .iter()
+        .filter(|s| s.name == "fdfd.solve_batch")
+        .collect();
+    assert_eq!(batches.len(), 1, "no separate adjoint solve");
+    assert_eq!(batches[0].field("requests"), Some("2"));
     assert_eq!(named("fdfd.factorize"), 1);
 }
 
